@@ -11,8 +11,8 @@ from .errors import (BlockSearchError, BracketError, CapacityError,
                      ScaleError, SeparatorError, ToolkitError)
 from .estimators import (CdfValue, CoarseBin, CoarseSpectrum, DepthPolicy,
                          DistributionFunction, HolderEstimate, Scales,
-                         cdf_eval, coarse_spectrum, deep_policy,
-                         default_scale_base, exact_exponent_at_coded_point,
+                         coarse_spectrum, deep_policy, default_scale_base,
+                         exact_exponent_at_coded_point,
                          holder_exponent_estimate, measure_ball)
 from .holder_lab import (DetrendResult, PerturbationExperiment, SecantSlope,
                          Separator, SlopeProbe, TauBlock, admissible_depths,
@@ -27,12 +27,9 @@ from .spectrum import (LegendreValue, PredictedPoint, SpectrumCurve,
                        hausdorff_spectrum_prediction, legendre,
                        packing_spectrum_prediction, spectrum_curve)
 from .symbolic import PeriodicWord, SymbolStream, Word, enumerate_words
-from .thermodynamics import (BernoulliPotential, CohomologyReport,
-                             ComboPotential, FiniteRangePotential,
-                             GeometricPotential, GibbsWeights,
+from .thermodynamics import (CohomologyReport, GibbsWeights, Potential,
                              cohomology_diagnostic, effective_range,
-                             gibbs_consistency_check, gibbs_cylinder_weights,
-                             normalize, periodic_sums, pressure,
-                             pressure_at_level)
+                             gibbs_cylinder_weights, normalize, periodic_sums,
+                             pressure, pressure_at_level)
 
 __version__ = "0.1.0"

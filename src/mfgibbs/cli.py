@@ -22,8 +22,7 @@ from .ifs_geometry import IfsSystem, stream_point
 from .spectrum import (beta_of_q, endpoints, hausdorff_spectrum_prediction,
                        legendre, packing_spectrum_prediction, spectrum_curve)
 from .symbolic import PeriodicWord, Word
-from .thermodynamics import (BernoulliPotential, ComboPotential,
-                             FiniteRangePotential, cohomology_diagnostic,
+from .thermodynamics import (Potential, cohomology_diagnostic,
                              effective_range, normalize, pressure)
 
 SCHEMA_VERSION = 1
@@ -57,6 +56,29 @@ def _num(value, where: str) -> float:
             raise ConfigError(f"{where}: bad number {value!r}") from None
     raise ConfigError(f"{where}: expected a number, got "
                       f"{type(value).__name__}")
+
+
+def _int(value, where: str) -> int:
+    v = _num(value, where)
+    if not v.is_integer():
+        raise ConfigError(f"{where}: expected an integer, got {value!r}")
+    return int(v)
+
+
+def _list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{where}: expected a list, got "
+                          f"{type(value).__name__}")
+    return value
+
+
+def _block(cfg: dict, key: str) -> dict:
+    """Optional config section `key`; absent means all defaults."""
+    block = cfg.get(key, {})
+    if not isinstance(block, dict):
+        raise ConfigError(f"{key}: expected an object, got "
+                          f"{type(block).__name__}")
+    return block
 
 
 def _get(mapping, key, where: str):
@@ -111,33 +133,34 @@ def build_system(cfg: dict) -> IfsSystem:
 
 def build_potential(cfg: dict, ifs: IfsSystem, threads: int,
                     depth: int = 10):
-    pot_cfg = _get(cfg, "potential", "config")
+    _get(cfg, "potential", "config")
+    pot_cfg = _block(cfg, "potential")
     kind = _get(pot_cfg, "kind", "potential")
     m = ifs.alphabet_size
     try:
         if kind == "bernoulli":
             if "probabilities" in pot_cfg:
-                vals = [_num(v, "potential.probabilities")
-                        for v in pot_cfg["probabilities"]]
-                psi = BernoulliPotential.from_probabilities(vals)
+                vals = [_num(v, "potential.probabilities") for v in _list(
+                    pot_cfg["probabilities"], "potential.probabilities")]
+                psi = Potential.from_probabilities(vals)
             else:
-                vals = [_num(v, "potential.log_weights")
-                        for v in _get(pot_cfg, "log_weights", "potential")]
-                psi = BernoulliPotential(tuple(vals))
+                vals = [_num(v, "potential.log_weights") for v in _list(
+                    _get(pot_cfg, "log_weights", "potential"),
+                    "potential.log_weights")]
+                psi = Potential.bernoulli(vals)
             if len(vals) != m:
                 raise ConfigError(
                     f"potential: {len(vals)} weights for {m} maps")
         elif kind == "finite_range":
-            r = int(_get(pot_cfg, "depth", "potential"))
-            table = [_num(v, "potential.table")
-                     for v in _get(pot_cfg, "table", "potential")]
-            psi = FiniteRangePotential(r, m, tuple(table))
+            r = _int(_get(pot_cfg, "depth", "potential"), "potential.depth")
+            table = [_num(v, "potential.table") for v in _list(
+                _get(pot_cfg, "table", "potential"), "potential.table")]
+            psi = Potential.finite_range(r, m, table)
         elif kind == "geometric_multiple":
             coeff = _num(_get(pot_cfg, "coefficient", "potential"),
                          "potential.coefficient")
             shift = _num(pot_cfg.get("shift", 0.0), "potential.shift")
-            psi = ComboPotential(geom_coeff=coeff, base=None, base_coeff=0.0,
-                                 shift=shift, system=ifs)
+            psi = Potential.geometric(ifs, coeff, shift)
         else:
             raise ConfigError(f"potential.kind: unknown kind {kind!r}")
     except ValueError as exc:
@@ -177,30 +200,30 @@ def _parse_points(text: str, where: str) -> list[float]:
 def _config_points(args, cfg, key: str) -> list[float]:
     if getattr(args, "points", None):
         return _parse_points(args.points, "--points")
-    block = cfg.get(key, {})
-    pts = block.get("points", cfg.get("points"))
+    pts = _block(cfg, key).get("points", cfg.get("points"))
     if pts is None:
         raise ConfigError(f"no points given: pass --points or set "
                           f"{key}.points in the config")
-    return [_num(v, f"{key}.points") for v in pts]
+    return [_num(v, f"{key}.points") for v in _list(pts, f"{key}.points")]
 
 
 def _scales_from(cfg: dict, ifs: IfsSystem) -> Scales:
-    block = cfg.get("scales")
-    if block is None:
+    if "scales" not in cfg:
         return Scales(default_scale_base(ifs))
+    block = _block(cfg, "scales")
     return Scales(_num(_get(block, "base", "scales"), "scales.base"),
-                  int(block.get("j_min", 1)), int(block.get("j_max", 20)))
+                  _int(block.get("j_min", 1), "scales.j_min"),
+                  _int(block.get("j_max", 20), "scales.j_max"))
 
 
 def _q_grid(args, cfg):
-    block = cfg.get("q_grid", {})
+    block = _block(cfg, "q_grid")
     q_min = args.q_min if args.q_min is not None else _num(
         block.get("min", -10.0), "q_grid.min")
     q_max = args.q_max if args.q_max is not None else _num(
         block.get("max", 10.0), "q_grid.max")
-    steps = args.q_steps if args.q_steps is not None else int(
-        block.get("steps", 201))
+    steps = args.q_steps if args.q_steps is not None else _int(
+        block.get("steps", 201), "q_grid.steps")
     if steps < 2 or q_min >= q_max:
         raise ConfigError("bad q grid")
     return q_min, q_max, steps
@@ -228,8 +251,8 @@ def _cmd_check(args, cfg, ifs, psi):
 
 
 def _cmd_pressure(args, cfg, ifs, psi):
-    block = cfg.get("pressure", {})
-    k_max = args.depth or int(block.get("depth", 10))
+    block = _block(cfg, "pressure")
+    k_max = args.depth or _int(block.get("depth", 10), "pressure.depth")
     tol = args.tol if args.tol is not None else _num(
         block.get("tol", 1e-12), "pressure.tol")
     result = pressure(ifs, psi, k_max=k_max, tol=tol, threads=args.threads)
@@ -269,7 +292,8 @@ def _cmd_spectrum(args, cfg, ifs, psi):
 
 
 def _cmd_endpoints(args, cfg, ifs, psi):
-    ell_max = args.depth or int(cfg.get("endpoints", {}).get("ell_max", 6))
+    ell_max = args.depth or _int(_block(cfg, "endpoints").get("ell_max", 6),
+                                 "endpoints.ell_max")
     lo, hi = endpoints(ifs, psi, ell_max=ell_max, threads=args.threads)
     _write_csv(args.out, ("alpha_minus", "alpha_plus"), [(lo, hi)])
     _summary(f"endpoints: [{lo:.6f}, {hi:.6f}] at ell_max={ell_max}")
@@ -301,7 +325,7 @@ def _cmd_cdf(args, cfg, ifs, psi):
 
 def _cmd_holder(args, cfg, ifs, psi):
     points = _config_points(args, cfg, "holder")
-    method = cfg.get("holder", {}).get("method", "regression_min")
+    method = _block(cfg, "holder").get("method", "regression_min")
     scales = _scales_from(cfg, ifs)
     F = DistributionFunction(ifs, psi, deep_policy(ifs))
     rows = []
@@ -314,13 +338,13 @@ def _cmd_holder(args, cfg, ifs, psi):
 
 
 def _cmd_coarse(args, cfg, ifs, psi):
-    block = cfg.get("coarse", {})
+    block = _block(cfg, "coarse")
     if args.depth is not None:
         base = default_scale_base(ifs)
         deltas = [base ** (-args.depth)]
     else:
-        deltas = [_num(v, "coarse.deltas")
-                  for v in _get(block, "deltas", "coarse")]
+        deltas = [_num(v, "coarse.deltas") for v in _list(
+            _get(block, "deltas", "coarse"), "coarse.deltas")]
     width = _num(block.get("alpha_bin_width", 0.2), "coarse.alpha_bin_width")
     F = DistributionFunction(ifs, psi)
     rows = []
@@ -336,10 +360,11 @@ def _cmd_coarse(args, cfg, ifs, psi):
 
 
 def _cmd_verify_prop(args, cfg, ifs, psi):
-    block = cfg.get("probe", {})
-    words = block.get("words", list(DEFAULT_BATTERY))
-    ks = [int(v) for v in block.get("ks", (1, 3))]
-    n_max = args.depth or int(block.get("n_max", 25))
+    block = _block(cfg, "probe")
+    words = _list(block.get("words", list(DEFAULT_BATTERY)), "probe.words")
+    ks = [_int(v, "probe.ks") for v in _list(block.get("ks", [1, 3]),
+                                             "probe.ks")]
+    n_max = args.depth or _int(block.get("n_max", 25), "probe.n_max")
     F = DistributionFunction(ifs, psi, deep_policy(ifs))
     scales = Scales(2.0, 1, n_max)
     rows = []
@@ -364,7 +389,7 @@ def _cmd_verify_prop(args, cfg, ifs, psi):
 
 
 def _cmd_detrend(args, cfg, ifs, psi):
-    block = cfg.get("detrend", {})
+    block = _block(cfg, "detrend")
     if getattr(args, "points", None):
         t0 = _parse_points(args.points, "--points")[0]
     else:
@@ -372,7 +397,7 @@ def _cmd_detrend(args, cfg, ifs, psi):
     alpha_hat = block.get("alpha_hat")
     if alpha_hat is not None:
         alpha_hat = _num(alpha_hat, "detrend.alpha_hat")
-    windows = int(block.get("windows", 8))
+    windows = _int(block.get("windows", 8), "detrend.windows")
     F = DistributionFunction(ifs, psi, deep_policy(ifs))
     result = detrend_exponent_test(F, t0, alpha_hat, windows=windows)
     rows = []
@@ -393,11 +418,12 @@ def _cmd_predict_packing(args, cfg, ifs, psi):
     q_min, q_max, steps = _q_grid(args, cfg)
     curve = spectrum_curve(ifs, psi, k=args.depth, q_min=q_min, q_max=q_max,
                            q_steps=steps, threads=args.threads)
-    block = cfg.get("packing", {})
+    block = _block(cfg, "packing")
     if "alphas" in block:
-        alphas = [_num(v, "packing.alphas") for v in block["alphas"]]
+        alphas = [_num(v, "packing.alphas")
+                  for v in _list(block["alphas"], "packing.alphas")]
     else:
-        n = int(block.get("alpha_steps", 101))
+        n = _int(block.get("alpha_steps", 101), "packing.alpha_steps")
         lo, hi = curve.alpha_minus, curve.alpha_plus
         alphas = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
     haus = hausdorff_spectrum_prediction(curve, alphas)
@@ -455,7 +481,8 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         ifs = build_system(cfg)
-        depth = args.depth or int(cfg.get("pressure", {}).get("depth", 10))
+        depth = args.depth or _int(_block(cfg, "pressure").get("depth", 10),
+                                   "pressure.depth")
         psi = build_potential(cfg, ifs, args.threads, depth=depth)
         return _DISPATCH[args.command](args, cfg, ifs, psi)
     except ConfigError as exc:

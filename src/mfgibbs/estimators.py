@@ -18,15 +18,14 @@ to the right child, keeping F right-continuous.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, NormalizationError, PrecisionError, ScaleError
 from .ifs_geometry import IfsSystem, check_osc, max_safe_depth, WIDTH_FLOOR
 from .symbolic import PeriodicWord, Word
-from .thermodynamics import (GeometricPotential, Potential, effective_range,
-                             pressure, range_table)
+from .thermodynamics import Potential, effective_range, pressure, range_table
 
 
 @dataclass(frozen=True)
@@ -166,10 +165,6 @@ def deep_policy(ifs: IfsSystem) -> DepthPolicy:
     return DepthPolicy(max_depth=max_safe_depth(ifs), mass_tol=0.0)
 
 
-def cdf_eval(F: DistributionFunction, x: float) -> CdfValue:
-    return F.cdf(x)
-
-
 def measure_ball(F: DistributionFunction, t0: float, r: float) -> CdfValue:
     """mu(B(t0, r)) as a difference of two cdf values."""
     if r <= 0:
@@ -270,7 +265,7 @@ def exact_exponent_at_coded_point(ifs: IfsSystem, psi: Potential,
     """Cylinder-scale exponent S_l psi / S_l phi at the coded point of w."""
     from .symbolic import ergodic_sum
     ell = w.period_length
-    phi = GeometricPotential(ifs)
+    phi = Potential.geometric(ifs)
     return ergodic_sum(psi, w, ell) / ergodic_sum(phi, w, ell)
 
 

@@ -17,15 +17,13 @@ from dataclasses import dataclass
 
 from .errors import (BlockSearchError, DomainError, PrecisionError,
                      SeparatorError)
-from .estimators import (DistributionFunction, HolderEstimate, Scales,
-                         deep_policy, default_scale_base,
-                         holder_exponent_estimate)
+from .estimators import (DistributionFunction, Scales, deep_policy,
+                         default_scale_base, holder_exponent_estimate)
 from .ifs_geometry import (IfsSystem, cylinder_interval, max_safe_depth,
                            stream_point)
 from .symbolic import (PeriodicWord, SymbolStream, Word, enumerate_words,
                        ergodic_sum)
-from .thermodynamics import (GeometricPotential, Potential,
-                             cohomology_diagnostic)
+from .thermodynamics import Potential, cohomology_diagnostic
 
 
 def _require_odd(k: int) -> None:
@@ -83,7 +81,7 @@ def find_tau_block(ifs: IfsSystem, psi: Potential, k: int,
     block at any length separates them.
     """
     _require_odd(k)
-    phi = GeometricPotential(ifs)
+    phi = Potential.geometric(ifs)
     for ell in range(2, ell_max + 1):
         for w in enumerate_words(ifs.alphabet_size, ell):
             if len(w.distinct_symbols()) < 2:
@@ -256,7 +254,7 @@ def ratio_scaling_experiment(ifs: IfsSystem, psi: Potential, omega,
     fit_r, _ = _common_slope(log_rs, Ns)
     pw = PeriodicWord(tau)
     ell = tau_len = len(tau)
-    phi = GeometricPotential(ifs)
+    phi = Potential.geometric(ifs)
     exp_slope = ergodic_sum(psi, pw, ell) - k * ergodic_sum(phi, pw, ell)
     exp_r = -ergodic_sum(phi, pw, ell)
     spread = tuple(

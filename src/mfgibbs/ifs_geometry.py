@@ -373,29 +373,6 @@ def periodic_point(ifs: IfsSystem, w: PeriodicWord) -> float:
     return matrix_fixed_point(coeffs, ifs.domain)
 
 
-def geometric_sum(ifs: IfsSystem, w: PeriodicWord, n: int) -> float:
-    """Birkhoff sum of log derivatives along the orbit of a periodic point.
-
-    Evaluates sum_{j<n} log phi'_{w_{j+1}}(pi(sigma^{j+1} w)) directly
-    from the rotation coding points.  By the chain rule this agrees with
-    the log derivative of the composed block at its fixed point whenever
-    n is a whole number of periods; tests pin that identity.
-    """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    w.period.validate(ifs.alphabet_size)
-    ell = w.period_length
-    points = [coding_point(ifs, w.rotate(j), tol=1e-14) for j in range(ell)]
-    terms = []
-    for j in range(min(ell, n)):
-        sym = w.symbol_at(j)
-        x_next = points[(j + 1) % ell]
-        terms.append(math.log(ifs.maps[sym].derivative(x_next, check=False)))
-    full, rem = divmod(n, ell)
-    total = full * math.fsum(terms) if full else 0.0
-    return total + math.fsum(terms[:rem])
-
-
 def max_safe_depth(ifs: IfsSystem, floor: float = WIDTH_FLOOR) -> int:
     """Deepest cylinder level guaranteed to stay above the width floor."""
     # width at depth n is at least diameter * r_min^n

@@ -25,9 +25,8 @@ import numpy as np
 
 from .errors import BracketError, GridEdgeError, NonConvergenceError
 from .ifs_geometry import IfsSystem
-from .thermodynamics import (GeometricPotential, Potential,
-                             cohomology_diagnostic, effective_range,
-                             periodic_sums)
+from .thermodynamics import (Potential, cohomology_diagnostic,
+                             effective_range, periodic_sums)
 
 DEFAULT_Q_MIN = -10.0
 DEFAULT_Q_MAX = 10.0
@@ -50,7 +49,7 @@ class LevelSums:
     @classmethod
     def build(cls, ifs: IfsSystem, psi: Potential, k: int,
               threads: int = 1) -> "LevelSums":
-        phi = GeometricPotential(ifs)
+        phi = Potential.geometric(ifs)
         return cls(level=k,
                    geometric=periodic_sums(ifs, phi, k, threads=threads),
                    potential=periodic_sums(ifs, psi, k, threads=threads))
@@ -128,14 +127,8 @@ def endpoints(ifs: IfsSystem, psi: Potential, ell_max: int = 6,
     are attained at periodic points, so the estimate grows monotonically
     toward the true interval as ell_max increases.
     """
-    phi = GeometricPotential(ifs)
-    lo, hi = math.inf, -math.inf
-    for ell in range(1, ell_max + 1):
-        ratios = (periodic_sums(ifs, psi, ell, threads=threads)
-                  / periodic_sums(ifs, phi, ell, threads=threads))
-        lo = min(lo, float(ratios.min()))
-        hi = max(hi, float(ratios.max()))
-    return lo, hi
+    diag = cohomology_diagnostic(ifs, psi, ell_max=ell_max, threads=threads)
+    return diag.ratio_min, diag.ratio_max
 
 
 @dataclass(frozen=True)
@@ -180,7 +173,8 @@ def spectrum_curve(ifs: IfsSystem, psi: Potential, k: int | None = None,
 
     alpha(q) = -beta'(q) by central differences (one-sided at the grid
     ends); beta*(alpha(q)) = beta(q) + q*alpha(q) by Legendre duality at
-    interior points.
+    interior points.  One scan of the periodic ratios up to ell_max gives
+    both the endpoints and the degeneracy flag.
     """
     if q_steps < 3:
         raise ValueError("need at least 3 grid points")
@@ -188,11 +182,10 @@ def spectrum_curve(ifs: IfsSystem, psi: Potential, k: int | None = None,
         raise ValueError("empty q range")
     qs = np.linspace(q_min, q_max, q_steps)
     h = (q_max - q_min) / (q_steps - 1)
-    diag = cohomology_diagnostic(ifs, psi, ell_max=min(ell_max, 6),
-                                 threads=threads)
-    a_lo, a_hi = endpoints(ifs, psi, ell_max=ell_max, threads=threads)
+    diag = cohomology_diagnostic(ifs, psi, ell_max=ell_max, threads=threads)
+    a_lo, a_hi = diag.ratio_min, diag.ratio_max
     if diag.degenerate:
-        c = 0.5 * (diag.ratio_min + diag.ratio_max)
+        c = 0.5 * (a_lo + a_hi)
         s = beta_of_q(ifs, psi, 0.0, k=k, threads=threads)
         samples = tuple(SpectrumSample(q=float(q), beta=s - c * float(q),
                                        alpha=c, beta_star=s) for q in qs)

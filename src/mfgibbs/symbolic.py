@@ -173,32 +173,19 @@ def enumerate_words(m: int, n: int, cap: int = ENUMERATION_CAP) -> Iterator[Word
         yield Word(tup)
 
 
-def lex_compare(u: Word, v: Word) -> int:
-    """Three-way lexicographic comparison of equal-length words."""
-    if len(u) != len(v):
-        raise ValueError("lex_compare is defined for equal lengths only")
-    if u.symbols < v.symbols:
-        return -1
-    if u.symbols > v.symbols:
-        return 1
-    return 0
-
-
 def ergodic_sum(psi, w, n: int) -> float:
     """Birkhoff sum of the potential along the first n shifts of w.
 
     w may be a PeriodicWord or a SymbolStream.  For periodic words the
     values cycle, so only one period of evaluations is ever needed; when
-    n is a whole number of periods the potential's block fast path is
-    used if it has one.
+    n is a whole number of periods the potential's block sum is used.
     """
     if n < 1:
         raise ValueError("ergodic sums need n >= 1")
     if isinstance(w, PeriodicWord):
         ell = w.period_length
-        block = getattr(psi, "block_sum", None)
-        if block is not None and n % ell == 0:
-            return block(w) * (n // ell)
+        if n % ell == 0:
+            return psi.block_sum(w) * (n // ell)
         stream = w.stream()
         vals = [psi.value_at(stream.shift(j)) for j in range(min(ell, n))]
         full, rem = divmod(n, ell)

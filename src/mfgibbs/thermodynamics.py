@@ -1,4 +1,4 @@
-"""Topological pressure, Gibbs weights, and potential algebra.
+"""Topological pressure, Gibbs weights, and the potential type.
 
 Pressure is approximated through periodic-point sums at finite depth,
 P_k = (1/k) log sum over length-k words of exp(S_k psi at the periodic
@@ -8,12 +8,11 @@ ones through the spectral radius of their transfer matrix.  Everything
 else converges geometrically in k and is extrapolated from successive
 levels.
 
-Potential kinds:
-
-* BernoulliPotential      reads the first symbol only
-* FiniteRangePotential    reads a fixed number of leading symbols
-* GeometricPotential      log derivative of the coded map at the shifted point
-* ComboPotential          a*geometric + q*base + constant
+Every potential is one `Potential`: psi = geom*phi + table[first depth
+symbols] + shift, with phi the geometric potential (the log derivative
+of the first coded map at the shifted point).  The constructors
+`bernoulli`, `from_probabilities`, `finite_range` and `geometric` fill
+in the parts a given kind needs; `normalize` moves only the shift.
 
 The geometric potential of an affine system collapses to a depth-one
 potential, which is why the classical Cantor benchmarks are exact at
@@ -24,169 +23,129 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import CapacityError, NormalizationError
 from .ifs_geometry import (IfsSystem, matrix_fixed_point, stream_point,
                            word_matrix)
-from .symbolic import (ENUMERATION_CAP, PeriodicWord, SymbolStream, Word,
+from .symbolic import (ENUMERATION_CAP, PeriodicWord, SymbolStream,
                        distortion_bound)
 
 _CHUNK = 1 << 18
 
 
 @dataclass(frozen=True)
-class BernoulliPotential:
-    """Potential reading only the first symbol: psi(omega) = lw[omega_1]."""
+class Potential:
+    """psi = geom*phi + table[first `depth` symbols] + shift.
 
-    log_weights: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.log_weights) < 2:
-            raise ValueError("need at least two symbols")
-        object.__setattr__(self, "log_weights",
-                           tuple(float(v) for v in self.log_weights))
-
-    @classmethod
-    def from_probabilities(cls, probs) -> "BernoulliPotential":
-        p = [float(v) for v in probs]
-        if any(v <= 0 for v in p):
-            raise ValueError("probabilities must be positive")
-        return cls(tuple(math.log(v) for v in p))
-
-    def value_at(self, stream: SymbolStream) -> float:
-        return self.log_weights[stream.symbol_at(0)]
-
-    def block_sum(self, w: PeriodicWord) -> float:
-        return math.fsum(self.log_weights[s] for s in w.period.symbols)
-
-
-@dataclass(frozen=True)
-class FiniteRangePotential:
-    """Potential reading the first `depth` symbols from a lookup table.
-
-    table is indexed lexicographically by the leading block, so the
-    block (w1, ..., wr) lives at sum(w_i * m**(r-i)).
+    phi is the geometric potential of `system`, which is required when
+    geom is nonzero.  The table is indexed lexicographically by the
+    leading block, so the block (w1, ..., wr) lives at
+    sum(w_i * m**(r-i)); depth 0 means no table term.
     """
 
-    depth: int
-    alphabet_size: int
-    table: tuple[float, ...]
-
-    def __post_init__(self):
-        if self.depth < 1:
-            raise ValueError("depth must be at least 1")
-        if len(self.table) != self.alphabet_size**self.depth:
-            raise ValueError("table size must be alphabet_size**depth")
-        object.__setattr__(self, "table", tuple(float(v) for v in self.table))
-
-    def _index(self, stream: SymbolStream) -> int:
-        idx = 0
-        for i in range(self.depth):
-            idx = idx * self.alphabet_size + stream.symbol_at(i)
-        return idx
-
-    def value_at(self, stream: SymbolStream) -> float:
-        return self.table[self._index(stream)]
-
-    def block_sum(self, w: PeriodicWord) -> float:
-        stream = w.stream()
-        return math.fsum(self.value_at(stream.shift(j))
-                         for j in range(w.period_length))
-
-
-@dataclass(frozen=True)
-class GeometricPotential:
-    """log of the derivative of the first coded map at the shifted point."""
-
-    system: IfsSystem
-
-    def value_at(self, stream: SymbolStream) -> float:
-        sym = stream.symbol_at(0)
-        x = stream_point(self.system, stream.shift(1))
-        return math.log(self.system.maps[sym].derivative(x, check=False))
-
-    def block_sum(self, w: PeriodicWord) -> float:
-        # chain rule: the orbit sum over one period is the log derivative
-        # of the composed block at its fixed point
-        coeffs, logdet = word_matrix(self.system, w.period)
-        x = matrix_fixed_point(coeffs, self.system.domain)
-        q = coeffs[2] * x + coeffs[3]
-        return logdet - 2.0 * math.log(abs(q))
-
-
-@dataclass(frozen=True)
-class ComboPotential:
-    """geom_coeff * geometric + base_coeff * base + shift."""
-
-    geom_coeff: float
-    base: "Potential | None"
-    base_coeff: float
-    shift: float
+    geom: float = 0.0
+    depth: int = 0
+    table: tuple[float, ...] = ()
+    shift: float = 0.0
     system: IfsSystem | None = None
 
     def __post_init__(self):
-        if self.geom_coeff != 0.0 and self.system is None:
+        object.__setattr__(self, "table", tuple(float(v) for v in self.table))
+        if self.depth < 0:
+            raise ValueError("depth must be >= 0")
+        if self.depth == 0 and self.table:
+            raise ValueError("a table needs depth >= 1")
+        if self.depth and (self.alphabet_size < 2 or
+                           self.alphabet_size ** self.depth != len(self.table)):
+            raise ValueError("table size must be alphabet_size**depth, "
+                             "alphabet_size >= 2")
+        if self.geom != 0.0 and self.system is None:
             raise ValueError("geometric component needs its system")
-        if self.base_coeff != 0.0 and self.base is None:
-            raise ValueError("base component missing")
+
+    @classmethod
+    def bernoulli(cls, log_weights) -> "Potential":
+        """psi(omega) = log_weights[omega_1]."""
+        log_weights = tuple(log_weights)
+        if len(log_weights) < 2:
+            raise ValueError("need at least two symbols")
+        return cls(depth=1, table=log_weights)
+
+    @classmethod
+    def from_probabilities(cls, probs) -> "Potential":
+        p = [float(v) for v in probs]
+        if any(v <= 0 for v in p):
+            raise ValueError("probabilities must be positive")
+        return cls.bernoulli(math.log(v) for v in p)
+
+    @classmethod
+    def finite_range(cls, depth: int, alphabet_size: int,
+                     table) -> "Potential":
+        table = tuple(table)
+        if depth < 1:
+            raise ValueError("depth must be at least 1")
+        if len(table) != alphabet_size**depth:
+            raise ValueError("table size must be alphabet_size**depth")
+        return cls(depth=depth, table=table)
+
+    @classmethod
+    def geometric(cls, system: IfsSystem, coeff: float = 1.0,
+                  shift: float = 0.0) -> "Potential":
+        """coeff*phi + shift; coeff = 1, shift = 0 is phi itself."""
+        return cls(geom=float(coeff), shift=float(shift), system=system)
+
+    @property
+    def alphabet_size(self) -> int:
+        """Alphabet the table is indexed over (tables only)."""
+        return round(len(self.table) ** (1.0 / self.depth))
+
+    def _table_at(self, symbol_at, start: int = 0) -> float:
+        m = self.alphabet_size
+        idx = 0
+        for i in range(start, start + self.depth):
+            idx = idx * m + symbol_at(i)
+        return self.table[idx]
 
     def value_at(self, stream: SymbolStream) -> float:
         total = self.shift
-        if self.geom_coeff != 0.0:
-            total += self.geom_coeff * GeometricPotential(self.system).value_at(stream)
-        if self.base_coeff != 0.0 and self.base is not None:
-            total += self.base_coeff * self.base.value_at(stream)
+        if self.geom != 0.0:
+            sym = stream.symbol_at(0)
+            x = stream_point(self.system, stream.shift(1))
+            total += self.geom * math.log(
+                self.system.maps[sym].derivative(x, check=False))
+        if self.depth:
+            total += self._table_at(stream.symbol_at)
         return total
 
     def block_sum(self, w: PeriodicWord) -> float:
+        """S_l psi at the periodic point of w, l its period length."""
         total = self.shift * w.period_length
-        if self.geom_coeff != 0.0:
-            total += self.geom_coeff * GeometricPotential(self.system).block_sum(w)
-        if self.base_coeff != 0.0 and self.base is not None:
-            total += self.base_coeff * self.base.block_sum(w)
+        if self.geom != 0.0:
+            # chain rule: the orbit sum of phi over one period is the log
+            # derivative of the composed block at its fixed point
+            coeffs, logdet = word_matrix(self.system, w.period)
+            x = matrix_fixed_point(coeffs, self.system.domain)
+            q = coeffs[2] * x + coeffs[3]
+            total += self.geom * (logdet - 2.0 * math.log(abs(q)))
+        if self.depth:
+            total += math.fsum(self._table_at(w.symbol_at, j)
+                               for j in range(w.period_length))
         return total
 
 
-Potential = (BernoulliPotential | FiniteRangePotential | GeometricPotential
-             | ComboPotential)
-
-
-def _decompose(ifs: IfsSystem, psi: Potential):
-    """Flatten psi into (geometric coefficient, [(coeff, leaf)], shift)."""
-    if isinstance(psi, GeometricPotential):
-        if psi.system is not ifs and psi.system != ifs:
-            raise ValueError("geometric potential is bound to a different system")
-        return 1.0, [], 0.0
-    if isinstance(psi, ComboPotential):
-        geom, terms, shift = 0.0, [], psi.shift
-        if psi.geom_coeff != 0.0:
-            if psi.system is not ifs and psi.system != ifs:
-                raise ValueError("combo potential is bound to a different system")
-            geom += psi.geom_coeff
-        if psi.base_coeff != 0.0 and psi.base is not None:
-            g2, t2, s2 = _decompose(ifs, psi.base)
-            geom += psi.base_coeff * g2
-            terms.extend((psi.base_coeff * c, leaf) for c, leaf in t2)
-            shift += psi.base_coeff * s2
-        return geom, terms, shift
-    if isinstance(psi, (BernoulliPotential, FiniteRangePotential)):
-        return 0.0, [(1.0, psi)], 0.0
-    raise TypeError(f"not a potential: {psi!r}")
+def _check_system(ifs: IfsSystem, psi: Potential) -> None:
+    if psi.geom != 0.0 and psi.system is not ifs and psi.system != ifs:
+        raise ValueError("potential is bound to a different system")
 
 
 def effective_range(ifs: IfsSystem, psi: Potential) -> int | None:
     """Number of leading symbols psi depends on; None when unbounded."""
-    geom, terms, _ = _decompose(ifs, psi)
-    r = 1
-    if geom != 0.0 and not ifs.is_affine():
+    _check_system(ifs, psi)
+    if psi.geom != 0.0 and not ifs.is_affine():
         return None
-    for _, leaf in terms:
-        if isinstance(leaf, FiniteRangePotential):
-            r = max(r, leaf.depth)
-    return r
+    return max(1, psi.depth)
 
 
 def range_table(ifs: IfsSystem, psi: Potential, r: int) -> np.ndarray:
@@ -198,18 +157,12 @@ def range_table(ifs: IfsSystem, psi: Potential, r: int) -> np.ndarray:
     if eff is None or eff > r:
         raise ValueError(f"potential reads more than {r} symbols")
     m = ifs.alphabet_size
-    geom, terms, shift = _decompose(ifs, psi)
-    out = np.full(m**r, shift, dtype=float)
-    if geom != 0.0:
+    out = np.full(m**r, psi.shift, dtype=float)
+    if psi.geom != 0.0:
         logr = np.array([math.log(mp.r_min) for mp in ifs.maps])
-        out += geom * np.repeat(logr, m ** (r - 1))
-    for coeff, leaf in terms:
-        if isinstance(leaf, BernoulliPotential):
-            lw = np.asarray(leaf.log_weights)
-            out += coeff * np.repeat(lw, m ** (r - 1))
-        else:
-            tab = np.asarray(leaf.table)
-            out += coeff * np.repeat(tab, m ** (r - leaf.depth))
+        out += psi.geom * np.repeat(logr, m ** (r - 1))
+    if psi.depth:
+        out += np.repeat(np.asarray(psi.table), m ** (r - psi.depth))
     return out
 
 
@@ -262,30 +215,20 @@ def _geometric_chunk(ifs: IfsSystem, sym: np.ndarray) -> np.ndarray:
 
 def _sums_chunk(ifs: IfsSystem, psi: Potential, k: int, lo: int, hi: int) -> np.ndarray:
     m = ifs.alphabet_size
-    geom, terms, shift = _decompose(ifs, psi)
     sym = _symbol_columns(m, k, lo, hi)
-    out = np.full(hi - lo, shift * k, dtype=float)
-    if geom != 0.0:
+    out = np.full(hi - lo, psi.shift * k, dtype=float)
+    if psi.geom != 0.0:
         if ifs.is_affine():
             logr = np.array([math.log(mp.r_min) for mp in ifs.maps])
-            out += geom * logr[sym].sum(axis=1)
+            out += psi.geom * logr[sym].sum(axis=1)
         else:
-            out += geom * _geometric_chunk(ifs, sym)
-    for coeff, leaf in terms:
-        if isinstance(leaf, BernoulliPotential):
-            lw = np.asarray(leaf.log_weights)
-            out += coeff * lw[sym].sum(axis=1)
-        else:
-            tab = np.asarray(leaf.table)
-            r = leaf.depth
-            idx = np.zeros(hi - lo, dtype=np.int64)
-            acc = np.zeros(hi - lo, dtype=float)
-            for j in range(k):
-                idx[:] = 0
-                for i in range(r):
-                    idx = idx * m + sym[:, (j + i) % k]
-                acc += tab[idx]
-            out += coeff * acc
+            out += psi.geom * _geometric_chunk(ifs, sym)
+    if psi.depth:
+        # column j indexes the block read at the j-th shift of the cycle
+        idx = sym
+        for i in range(1, psi.depth):
+            idx = idx * m + np.roll(sym, -i, axis=1)
+        out += np.asarray(psi.table)[idx].sum(axis=1)
     return out
 
 
@@ -298,6 +241,7 @@ def periodic_sums(ifs: IfsSystem, psi: Potential, k: int,
     """
     if k < 1:
         raise ValueError("level k must be >= 1")
+    _check_system(ifs, psi)
     m = ifs.alphabet_size
     total = m**k
     if total > cap:
@@ -396,7 +340,7 @@ def pressure(ifs: IfsSystem, psi: Potential, k_max: int = 10,
 
 
 def normalize(ifs: IfsSystem, psi: Potential, k_max: int = 10,
-              threads: int = 1) -> ComboPotential:
+              threads: int = 1) -> Potential:
     """Shift psi by a constant so its pressure vanishes.
 
     Finite-range potentials subtract their exact pressure.  For the
@@ -410,12 +354,7 @@ def normalize(ifs: IfsSystem, psi: Potential, k_max: int = 10,
         c = _transfer_pressure(ifs, psi, r)
     else:
         c = pressure_at_level(ifs, psi, k_max, threads=threads)
-    if isinstance(psi, ComboPotential):
-        return ComboPotential(psi.geom_coeff, psi.base, psi.base_coeff,
-                              psi.shift - c, psi.system)
-    if isinstance(psi, GeometricPotential):
-        return ComboPotential(1.0, None, 0.0, -c, psi.system)
-    return ComboPotential(0.0, psi, 1.0, -c, None)
+    return replace(psi, shift=psi.shift - c)
 
 
 @dataclass(frozen=True)
@@ -454,30 +393,12 @@ def gibbs_cylinder_weights(ifs: IfsSystem, psi: Potential, n: int,
             f"pressure {pres.value:.3e} not zero within {pres.error_bound:.3e}")
     w_n = _softmax(periodic_sums(ifs, psi, n, threads=threads))
     w_n1 = _softmax(periodic_sums(ifs, psi, n + 1, threads=threads))
-    est = _consistency(w_n, w_n1, ifs.alphabet_size)
+    # worst ratio, either way up, between a depth-n weight and the sum of
+    # its children: exactly 1 for product measures, the empirical Gibbs
+    # constant otherwise
+    ratio = w_n / w_n1.reshape(-1, ifs.alphabet_size).sum(axis=1)
+    est = float(max(ratio.max(), (1.0 / ratio).max()))
     return GibbsWeights(depth=n, weights=w_n, gibbs_constant_estimate=est)
-
-
-def _consistency(w_n: np.ndarray, w_n1: np.ndarray, m: int) -> float:
-    children = w_n1.reshape(-1, m).sum(axis=1)
-    ratio = w_n / children
-    return float(max(ratio.max(), (1.0 / ratio).max()))
-
-
-def gibbs_consistency_check(level_n: GibbsWeights, level_n1: GibbsWeights) -> float:
-    """Worst mismatch between a level and its children one level down.
-
-    Returns max over words of the ratio (either way up) between the
-    depth-n weight and the sum of its children's depth-(n+1) weights.
-    Exactly 1 for product measures; the gap quantifies the empirical
-    Gibbs constant otherwise.
-    """
-    if level_n1.depth != level_n.depth + 1:
-        raise ValueError("need consecutive levels")
-    if len(level_n1.weights) % len(level_n.weights) != 0:
-        raise ValueError("levels come from different alphabets")
-    m = len(level_n1.weights) // len(level_n.weights)
-    return _consistency(level_n.weights, level_n1.weights, m)
 
 
 @dataclass(frozen=True)
@@ -499,7 +420,7 @@ def cohomology_diagnostic(ifs: IfsSystem, psi: Potential, ell_max: int = 6,
     """
     if ell_max < 1:
         raise ValueError("ell_max must be >= 1")
-    phi = GeometricPotential(ifs)
+    phi = Potential.geometric(ifs)
     lo, hi = math.inf, -math.inf
     for ell in range(1, ell_max + 1):
         s_phi = periodic_sums(ifs, phi, ell, threads=threads)

@@ -3,7 +3,7 @@ import pytest
 from mfgibbs.estimators import DistributionFunction, deep_policy
 from mfgibbs.ifs_geometry import IfsSystem
 from mfgibbs.spectrum import spectrum_curve
-from mfgibbs.thermodynamics import BernoulliPotential, normalize
+from mfgibbs.thermodynamics import Potential, normalize
 
 
 @pytest.fixture(scope="session")
@@ -13,12 +13,12 @@ def cantor():
 
 @pytest.fixture(scope="session")
 def cantor_psi():
-    return BernoulliPotential.from_probabilities((0.25, 0.75))
+    return Potential.from_probabilities((0.25, 0.75))
 
 
 @pytest.fixture(scope="session")
 def uniform_psi():
-    return BernoulliPotential.from_probabilities((0.5, 0.5))
+    return Potential.from_probabilities((0.5, 0.5))
 
 
 @pytest.fixture(scope="session")
@@ -34,8 +34,7 @@ def moebius():
 @pytest.fixture(scope="session")
 def moebius_psi(moebius):
     # geometric potential shifted so the level-10 pressure vanishes
-    from mfgibbs.thermodynamics import GeometricPotential
-    return normalize(moebius, GeometricPotential(moebius), k_max=10)
+    return normalize(moebius, Potential.geometric(moebius), k_max=10)
 
 
 @pytest.fixture(scope="session")

@@ -20,7 +20,7 @@ from mfgibbs.holder_lab import (derivative_limit_probe, detrend_exponent_test,
 from mfgibbs.ifs_geometry import stream_point
 from mfgibbs.spectrum import beta_of_q, endpoints, legendre, spectrum_curve
 from mfgibbs.symbolic import PeriodicWord, Word
-from mfgibbs.thermodynamics import (GeometricPotential, cohomology_diagnostic,
+from mfgibbs.thermodynamics import (Potential, cohomology_diagnostic,
                                     pressure)
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -83,7 +83,7 @@ def test_criterion_04_legendre_duality(cantor_curve):
 
 def test_criterion_05_moebius_pressure(moebius, moebius_psi):
     with _Criterion(5) as c:
-        result = pressure(moebius, GeometricPotential(moebius), k_max=10)
+        result = pressure(moebius, Potential.geometric(moebius), k_max=10)
         levels = result.levels
         assert len(levels) == 10
         diffs = [abs(b - a) for a, b in zip(levels[1:], levels[2:])]

@@ -212,3 +212,27 @@ def test_beta_determinism_across_threads(tmp_path, capsys):
                          "--threads", threads)
         assert code == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("command,field,value,message", [
+    ("beta", "q_grid", [-1, 1, 5], "q_grid: expected an object"),
+    ("check", "pressure", {"depth": "x"}, "pressure.depth: bad number 'x'"),
+    ("check", "pressure", {"depth": 2.5}, "pressure.depth: expected an integer"),
+    ("beta", "q_grid", {"steps": "many"}, "q_grid.steps: bad number"),
+    ("check", "potential", {"kind": "bernoulli",
+                            "probabilities": "0.25,0.75"},
+     "potential.probabilities: expected a list"),
+    ("check", "potential", {"kind": "finite_range", "depth": 1,
+                            "table": "0,1"},
+     "potential.table: expected a list"),
+])
+def test_config_faults_name_the_field(tmp_path, capsys, command, field,
+                                      value, message):
+    cfg = json.loads((CONFIGS / "cantor_14_34.json").read_text())
+    cfg[field] = value
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run(capsys, command, "--config", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error: " + message)

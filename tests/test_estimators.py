@@ -7,14 +7,14 @@ import pytest
 from mfgibbs.errors import (DomainError, NormalizationError, PrecisionError,
                             ScaleError)
 from mfgibbs.estimators import (DepthPolicy, DistributionFunction, Scales,
-                                cdf_eval, coarse_spectrum, deep_policy,
+                                coarse_spectrum, deep_policy,
                                 default_scale_base,
                                 exact_exponent_at_coded_point,
                                 holder_exponent_estimate, measure_ball)
 from mfgibbs.ifs_geometry import IfsSystem, cylinder_interval
 from mfgibbs.spectrum import legendre
 from mfgibbs.symbolic import Word, enumerate_words
-from mfgibbs.thermodynamics import BernoulliPotential, gibbs_cylinder_weights
+from mfgibbs.thermodynamics import Potential, gibbs_cylinder_weights
 
 
 def test_uniform_cdf_exact_values(F_uniform):
@@ -56,12 +56,12 @@ def test_cdf_matches_gibbs_weights_on_cylinders(cantor, cantor_psi, F_cantor):
         assert mass == pytest.approx(weights[idx], abs=1e-12)
 
 
-def test_cdf_eval_helper(F_uniform):
-    assert cdf_eval(F_uniform, 1 / 3).value == 0.5
+def test_cdf_at_cylinder_endpoint(F_uniform):
+    assert F_uniform.cdf(1 / 3).value == 0.5
 
 
 def test_unnormalized_potential_rejected(cantor):
-    psi = BernoulliPotential((math.log(0.3), math.log(0.5)))
+    psi = Potential.bernoulli((math.log(0.3), math.log(0.5)))
     with pytest.raises(NormalizationError):
         DistributionFunction(cantor, psi)
 

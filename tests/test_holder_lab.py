@@ -12,7 +12,7 @@ from mfgibbs.holder_lab import (admissible_depths, derivative_limit_probe,
                                 ratio_scaling_experiment, secant_slope)
 from mfgibbs.ifs_geometry import cylinder_interval, stream_point
 from mfgibbs.symbolic import PeriodicWord, Word
-from mfgibbs.thermodynamics import ComboPotential
+from mfgibbs.thermodynamics import Potential
 
 
 def test_secant_identity_random(F_cantor, F_uniform, F_lebesgue):
@@ -71,8 +71,7 @@ def test_find_tau_block_values(cantor, cantor_psi, uniform_psi):
 
 
 def test_find_tau_block_fails_on_exact_multiple(cantor):
-    psi = ComboPotential(geom_coeff=1.0, base=None, base_coeff=0.0,
-                         shift=0.0, system=cantor)
+    psi = Potential.geometric(cantor)
     with pytest.raises(BlockSearchError):
         find_tau_block(cantor, psi, 1)
 

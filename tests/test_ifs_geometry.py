@@ -4,10 +4,10 @@ import pytest
 
 from mfgibbs.ifs_geometry import (AffineMap, IfsSystem, MoebiusMap, check_osc,
                                   coding_point, cylinder_interval,
-                                  geometric_sum, matrix_fixed_point,
-                                  max_safe_depth, periodic_point,
-                                  stream_point, word_matrix)
-from mfgibbs.symbolic import PeriodicWord, SymbolStream, Word
+                                  matrix_fixed_point, max_safe_depth,
+                                  periodic_point, stream_point, word_matrix)
+from mfgibbs.symbolic import PeriodicWord, SymbolStream, Word, ergodic_sum
+from mfgibbs.thermodynamics import Potential
 
 
 def test_affine_map_basics():
@@ -79,11 +79,13 @@ def test_matrix_fixed_point_affine(cantor):
         0.25, abs=1e-14)
 
 
-def test_geometric_sum_period_scaling(cantor):
-    pw = PeriodicWord.parse("01")
-    assert geometric_sum(cantor, pw, 2) == pytest.approx(
+def test_geometric_ergodic_sum_period_scaling(cantor):
+    # pointwise log derivatives along the orbit of the 01 cycle
+    geo = Potential.geometric(cantor)
+    stream = PeriodicWord.parse("01").stream()
+    assert ergodic_sum(geo, stream, 2) == pytest.approx(
         -2 * math.log(3), abs=1e-13)
-    assert geometric_sum(cantor, pw, 4) == pytest.approx(
+    assert ergodic_sum(geo, stream, 4) == pytest.approx(
         -4 * math.log(3), abs=1e-12)
 
 

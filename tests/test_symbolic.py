@@ -4,9 +4,8 @@ import pytest
 
 from mfgibbs.errors import CapacityError
 from mfgibbs.symbolic import (PeriodicWord, SymbolStream, Word,
-                              distortion_bound, enumerate_words, ergodic_sum,
-                              lex_compare)
-from mfgibbs.thermodynamics import BernoulliPotential, GeometricPotential
+                              distortion_bound, enumerate_words, ergodic_sum)
+from mfgibbs.thermodynamics import Potential
 
 
 def test_word_parse_text_roundtrip():
@@ -39,7 +38,7 @@ def test_enumerate_words_lex_order():
     prev = None
     for w in enumerate_words(2, 3):
         if prev is not None:
-            assert lex_compare(prev, w) < 0
+            assert prev.symbols < w.symbols
         prev = w
 
 
@@ -65,7 +64,7 @@ def test_stream_shift_and_constant_tail():
 
 
 def test_ergodic_sum_block_fast_path():
-    psi = BernoulliPotential.from_probabilities((0.25, 0.75))
+    psi = Potential.from_probabilities((0.25, 0.75))
     pw = PeriodicWord.parse("01")
     two = ergodic_sum(psi, pw, 2)
     assert two == pytest.approx(math.log(3 / 16), abs=1e-15)
@@ -76,16 +75,16 @@ def test_ergodic_sum_block_fast_path():
 
 
 def test_ergodic_sum_on_stream():
-    psi = BernoulliPotential.from_probabilities((0.25, 0.75))
+    psi = Potential.from_probabilities((0.25, 0.75))
     s = SymbolStream(Word.of(1), PeriodicWord.parse("0"))
     assert ergodic_sum(psi, s, 3) == pytest.approx(
         math.log(0.75) + 2 * math.log(0.25), abs=1e-14)
 
 
 def test_distortion_vanishes_for_one_symbol_potentials(cantor, moebius):
-    psi = BernoulliPotential.from_probabilities((0.25, 0.75))
+    psi = Potential.from_probabilities((0.25, 0.75))
     assert distortion_bound(psi, cantor, 4) == 0.0
-    geo = GeometricPotential(cantor)
+    geo = Potential.geometric(cantor)
     assert distortion_bound(geo, cantor, 4) == 0.0
     # a genuinely nonlinear system has positive distortion
-    assert distortion_bound(GeometricPotential(moebius), moebius, 4) > 0.0
+    assert distortion_bound(Potential.geometric(moebius), moebius, 4) > 0.0

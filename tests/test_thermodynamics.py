@@ -1,17 +1,14 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from mfgibbs.errors import NormalizationError
-from mfgibbs.ifs_geometry import geometric_sum
 from mfgibbs.symbolic import PeriodicWord, Word, enumerate_words, ergodic_sum
-from mfgibbs.thermodynamics import (BernoulliPotential, ComboPotential,
-                                    FiniteRangePotential, GeometricPotential,
-                                    cohomology_diagnostic, effective_range,
-                                    gibbs_consistency_check,
-                                    gibbs_cylinder_weights, normalize,
-                                    periodic_sums, pressure,
+from mfgibbs.thermodynamics import (Potential, cohomology_diagnostic,
+                                    effective_range, gibbs_cylinder_weights,
+                                    normalize, periodic_sums, pressure,
                                     pressure_at_level, range_table)
 
 LOG3 = math.log(3.0)
@@ -21,52 +18,54 @@ def test_block_sums_on_the_01_cycle(cantor, cantor_psi):
     pw = PeriodicWord.parse("01")
     assert cantor_psi.block_sum(pw) == pytest.approx(
         math.log(3 / 16), abs=1e-15)
-    geo = GeometricPotential(cantor)
+    geo = Potential.geometric(cantor)
     assert geo.block_sum(pw) == pytest.approx(-2 * LOG3, abs=1e-13)
 
 
 def test_moebius_geometric_value(moebius):
-    geo = GeometricPotential(moebius)
+    geo = Potential.geometric(moebius)
     v = geo.value_at(PeriodicWord.parse("0").stream())
     assert v == pytest.approx(math.log(0.5), abs=1e-12)
 
 
 def test_moebius_chain_rule_consistency(moebius):
-    geo = GeometricPotential(moebius)
+    geo = Potential.geometric(moebius)
     for text in ("01", "011", "0010"):
         pw = PeriodicWord.parse(text)
         ell = pw.period_length
-        assert geo.block_sum(pw) == pytest.approx(
-            geometric_sum(moebius, pw, ell), abs=1e-10)
+        # orbit sum of pointwise values against the block-matrix formula
+        orbit = math.fsum(geo.value_at(pw.stream().shift(j))
+                          for j in range(ell))
+        assert geo.block_sum(pw) == pytest.approx(orbit, abs=1e-10)
         assert ergodic_sum(geo, pw, ell) == pytest.approx(
             geo.block_sum(pw), abs=1e-10)
 
 
 def test_effective_range(cantor, moebius, cantor_psi):
     assert effective_range(cantor, cantor_psi) == 1
-    assert effective_range(cantor, GeometricPotential(cantor)) == 1
-    fr = FiniteRangePotential(2, 2, (0.0, 1.0, 2.0, 3.0))
+    assert effective_range(cantor, Potential.geometric(cantor)) == 1
+    fr = Potential.finite_range(2, 2, (0.0, 1.0, 2.0, 3.0))
     assert effective_range(cantor, fr) == 2
-    assert effective_range(moebius, GeometricPotential(moebius)) is None
-    combo = ComboPotential(geom_coeff=1.0, base=cantor_psi, base_coeff=2.0,
-                           shift=0.1, system=cantor)
+    assert effective_range(moebius, Potential.geometric(moebius)) is None
+    combo = dataclasses.replace(cantor_psi, geom=1.0, shift=0.1,
+                                system=cantor)
     assert effective_range(cantor, combo) == 1
 
 
 def test_range_table_matches_log_weights(cantor, cantor_psi):
     table = range_table(cantor, cantor_psi, 1)
-    assert np.allclose(table, cantor_psi.log_weights, atol=0)
+    assert np.allclose(table, cantor_psi.table, atol=0)
 
 
 def test_periodic_sums_exact_level_two(cantor, cantor_psi):
     sums = periodic_sums(cantor, cantor_psi, 2)
-    lw = cantor_psi.log_weights
+    lw = cantor_psi.table
     expected = [2 * lw[0], lw[0] + lw[1], lw[1] + lw[0], 2 * lw[1]]
     assert np.allclose(sums, expected, atol=1e-15)
 
 
 def test_periodic_sums_thread_determinism(moebius):
-    geo = GeometricPotential(moebius)
+    geo = Potential.geometric(moebius)
     one = periodic_sums(moebius, geo, 10, threads=1)
     four = periodic_sums(moebius, geo, 10, threads=4)
     assert np.array_equal(one, four)
@@ -79,7 +78,7 @@ def test_probability_weights_have_zero_pressure(cantor, cantor_psi):
 
 
 def test_unnormalized_bernoulli_pressure(cantor):
-    psi = BernoulliPotential((math.log(0.3), math.log(0.5)))
+    psi = Potential.bernoulli((math.log(0.3), math.log(0.5)))
     result = pressure(cantor, psi)
     assert result.value == pytest.approx(math.log(0.8), abs=1e-14)
     assert result.error_bound == 0.0
@@ -88,14 +87,14 @@ def test_unnormalized_bernoulli_pressure(cantor):
 def test_finite_range_transfer_matrix(cantor):
     # reads two symbols but depends only on the first: same pressure
     tab = (math.log(0.25), math.log(0.25), math.log(0.75), math.log(0.75))
-    fr = FiniteRangePotential(2, 2, tab)
+    fr = Potential.finite_range(2, 2, tab)
     result = pressure(cantor, fr)
     assert result.value == pytest.approx(0.0, abs=1e-12)
     assert result.error_bound == 0.0
 
 
 def test_moebius_pressure_levels_contract(moebius):
-    result = pressure(moebius, GeometricPotential(moebius), k_max=10)
+    result = pressure(moebius, Potential.geometric(moebius), k_max=10)
     diffs = [abs(b - a) for a, b in zip(result.levels, result.levels[1:])]
     for earlier, later in zip(diffs[1:], diffs[2:]):
         assert later < 0.6 * earlier
@@ -108,7 +107,7 @@ def test_normalize_pins_the_level_pressure(moebius, moebius_psi):
 
 
 def test_normalize_exact_shift(cantor):
-    psi = BernoulliPotential((math.log(0.3), math.log(0.5)))
+    psi = Potential.bernoulli((math.log(0.3), math.log(0.5)))
     shifted = normalize(cantor, psi)
     assert shifted.shift == pytest.approx(-math.log(0.8), abs=1e-14)
     assert pressure(cantor, shifted).value == pytest.approx(0.0, abs=1e-14)
@@ -127,14 +126,14 @@ def test_gibbs_weights_are_products(cantor, cantor_psi):
 
 
 def test_gibbs_consistency_across_levels(cantor, cantor_psi):
-    two = gibbs_cylinder_weights(cantor, cantor_psi, 2)
-    three = gibbs_cylinder_weights(cantor, cantor_psi, 3)
-    assert gibbs_consistency_check(two, three) == pytest.approx(
-        1.0, abs=1e-12)
+    # a product measure splits each cylinder exactly among its children
+    for n in (2, 3):
+        gw = gibbs_cylinder_weights(cantor, cantor_psi, n)
+        assert gw.gibbs_constant_estimate == pytest.approx(1.0, abs=1e-12)
 
 
 def test_gibbs_requires_zero_pressure(cantor):
-    psi = BernoulliPotential((math.log(0.3), math.log(0.5)))
+    psi = Potential.bernoulli((math.log(0.3), math.log(0.5)))
     with pytest.raises(NormalizationError):
         gibbs_cylinder_weights(cantor, psi, 2)
 
@@ -150,7 +149,7 @@ def test_degeneracy_detection(cantor, lebesgue, uniform_psi, cantor_psi):
 
 
 def test_ratio_extremes_over_short_cycles(cantor, cantor_psi):
-    geo = GeometricPotential(cantor)
+    geo = Potential.geometric(cantor)
     ratios = []
     for ell in range(1, 5):
         for w in enumerate_words(2, ell):
@@ -159,3 +158,42 @@ def test_ratio_extremes_over_short_cycles(cantor, cantor_psi):
     diag = cohomology_diagnostic(cantor, cantor_psi, ell_max=4)
     assert diag.ratio_min == pytest.approx(min(ratios), abs=1e-12)
     assert diag.ratio_max == pytest.approx(max(ratios), abs=1e-12)
+
+
+@pytest.mark.parametrize("depth", [2, 3])
+def test_finite_range_periodic_sums_match_block_sums(cantor, depth):
+    table = [math.sin(1.0 + i) for i in range(2**depth)]
+    psi = Potential.finite_range(depth, 2, table)
+    for k in (1, 2, 5):
+        sums = periodic_sums(cantor, psi, k)
+        for idx, w in enumerate(enumerate_words(2, k)):
+            assert sums[idx] == pytest.approx(
+                psi.block_sum(PeriodicWord(w)), abs=1e-13)
+
+
+def test_potential_parts_add_up(moebius):
+    # geom*phi + table + shift, term by term, along a periodic orbit
+    lw = (math.log(0.3), math.log(0.7))
+    psi = Potential(geom=0.5, depth=1, table=lw, shift=0.25, system=moebius)
+    geo = Potential.geometric(moebius)
+    pw = PeriodicWord.parse("0110")
+    expected = (0.5 * geo.block_sum(pw) + 2 * lw[0] + 2 * lw[1] + 4 * 0.25)
+    assert psi.block_sum(pw) == pytest.approx(expected, abs=1e-13)
+    assert ergodic_sum(psi, pw.stream(), 4) == pytest.approx(expected,
+                                                              abs=1e-10)
+    level = periodic_sums(moebius, psi, 4)
+    assert level[0b0110] == pytest.approx(expected, abs=1e-12)
+
+
+def test_potential_validation(cantor, moebius):
+    with pytest.raises(ValueError):
+        Potential.bernoulli((0.0,))
+    with pytest.raises(ValueError):
+        Potential.from_probabilities((0.5, 0.0))
+    with pytest.raises(ValueError):
+        Potential.finite_range(2, 2, (0.0, 1.0, 2.0))
+    with pytest.raises(ValueError):
+        Potential(geom=1.0)
+    with pytest.raises(ValueError, match="different system"):
+        periodic_sums(moebius, Potential.geometric(cantor), 2)
+
