@@ -14,9 +14,9 @@ import os
 import sys
 
 from .errors import ConfigError, ToolkitError
-from .estimators import (DepthPolicy, DistributionFunction, Scales,
-                         coarse_spectrum, deep_policy, default_scale_base,
-                         holder_exponent_estimate)
+from .estimators import (HOLDER_METHODS, DepthPolicy, DistributionFunction,
+                         Scales, coarse_spectrum, deep_policy,
+                         default_scale_base, holder_exponent_estimate)
 from .holder_lab import derivative_limit_probe, detrend_exponent_test
 from .ifs_geometry import IfsSystem, stream_point
 from .spectrum import (beta_of_q, endpoints, hausdorff_spectrum_prediction,
@@ -165,7 +165,11 @@ def build_potential(cfg: dict, ifs: IfsSystem, threads: int,
             raise ConfigError(f"potential.kind: unknown kind {kind!r}")
     except ValueError as exc:
         raise ConfigError(f"potential: {exc}") from None
-    if pot_cfg.get("normalize", False):
+    norm = pot_cfg.get("normalize", False)
+    if not isinstance(norm, bool):
+        raise ConfigError(f"potential.normalize: expected true or false, "
+                          f"got {norm!r}")
+    if norm:
         psi = normalize(ifs, psi, k_max=depth, threads=threads)
     return psi
 
@@ -252,7 +256,8 @@ def _cmd_check(args, cfg, ifs, psi):
 
 def _cmd_pressure(args, cfg, ifs, psi):
     block = _block(cfg, "pressure")
-    k_max = args.depth or _int(block.get("depth", 10), "pressure.depth")
+    k_max = args.depth if args.depth is not None else _int(
+        block.get("depth", 10), "pressure.depth")
     tol = args.tol if args.tol is not None else _num(
         block.get("tol", 1e-12), "pressure.tol")
     result = pressure(ifs, psi, k_max=k_max, tol=tol, threads=args.threads)
@@ -292,8 +297,8 @@ def _cmd_spectrum(args, cfg, ifs, psi):
 
 
 def _cmd_endpoints(args, cfg, ifs, psi):
-    ell_max = args.depth or _int(_block(cfg, "endpoints").get("ell_max", 6),
-                                 "endpoints.ell_max")
+    ell_max = args.depth if args.depth is not None else _int(
+        _block(cfg, "endpoints").get("ell_max", 6), "endpoints.ell_max")
     lo, hi = endpoints(ifs, psi, ell_max=ell_max, threads=args.threads)
     _write_csv(args.out, ("alpha_minus", "alpha_plus"), [(lo, hi)])
     _summary(f"endpoints: [{lo:.6f}, {hi:.6f}] at ell_max={ell_max}")
@@ -324,8 +329,11 @@ def _cmd_cdf(args, cfg, ifs, psi):
 
 
 def _cmd_holder(args, cfg, ifs, psi):
-    points = _config_points(args, cfg, "holder")
     method = _block(cfg, "holder").get("method", "regression_min")
+    if method not in HOLDER_METHODS:
+        raise ConfigError(f"holder.method: unknown method {method!r}, "
+                          f"expected one of {', '.join(HOLDER_METHODS)}")
+    points = _config_points(args, cfg, "holder")
     scales = _scales_from(cfg, ifs)
     F = DistributionFunction(ifs, psi, deep_policy(ifs))
     rows = []
@@ -364,7 +372,8 @@ def _cmd_verify_prop(args, cfg, ifs, psi):
     words = _list(block.get("words", list(DEFAULT_BATTERY)), "probe.words")
     ks = [_int(v, "probe.ks") for v in _list(block.get("ks", [1, 3]),
                                              "probe.ks")]
-    n_max = args.depth or _int(block.get("n_max", 25), "probe.n_max")
+    n_max = args.depth if args.depth is not None else _int(
+        block.get("n_max", 25), "probe.n_max")
     F = DistributionFunction(ifs, psi, deep_policy(ifs))
     scales = Scales(2.0, 1, n_max)
     rows = []
@@ -478,11 +487,14 @@ def main(argv=None) -> int:
     if args.threads < 1:
         print("config error: --threads must be positive", file=sys.stderr)
         return 2
+    if args.depth is not None and args.depth < 1:
+        print("config error: --depth must be positive", file=sys.stderr)
+        return 2
     try:
         cfg = load_config(args.config)
         ifs = build_system(cfg)
-        depth = args.depth or _int(_block(cfg, "pressure").get("depth", 10),
-                                   "pressure.depth")
+        depth = args.depth if args.depth is not None else _int(
+            _block(cfg, "pressure").get("depth", 10), "pressure.depth")
         psi = build_potential(cfg, ifs, args.threads, depth=depth)
         return _DISPATCH[args.command](args, cfg, ifs, psi)
     except ConfigError as exc:

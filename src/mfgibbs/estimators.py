@@ -13,6 +13,21 @@ child, where lexicographically smaller siblings contribute their full
 mass and the descent recurses.  Landing exactly on a child endpoint
 also terminates exactly; shared endpoints of touching cylinders resolve
 to the right child, keeping F right-continuous.
+
+cdf_many walks cylinder nodes instead of points.  The points are sorted
+once (not at all when already non-decreasing, as box edges are), and
+each node owns a contiguous slice of them.  A node composes its m
+children once and splits its slice with searchsorted on the child ends:
+points left of a child or in a gap get the sequential prefix sum of the
+sibling masses, points on a child end get the exact value, and points
+strictly inside a child become that child's slice.  Nodes with few
+points, or whose child ends are not in order, finish each point with
+the scalar walk from the node's state.  The float operations and their
+order are those of the scalar descent, so values and error bounds are
+bit-identical to cdf; on PrecisionError the points are replayed through
+cdf in input order, so the same error escapes.  Beyond the outputs
+(and the sort permutation of unsorted input) the walk keeps O(nodes)
+state: slices, never per-point masks or indices.
 """
 
 from __future__ import annotations
@@ -26,6 +41,10 @@ from .errors import DomainError, NormalizationError, PrecisionError, ScaleError
 from .ifs_geometry import IfsSystem, check_osc, max_safe_depth, WIDTH_FLOOR
 from .symbolic import PeriodicWord, Word
 from .thermodynamics import Potential, effective_range, pressure, range_table
+
+
+# a node holding at most this many points finishes each with the scalar walk
+_LEAF_POINTS = 16
 
 
 @dataclass(frozen=True)
@@ -96,15 +115,18 @@ class DistributionFunction:
             return 0.0, 0.0
         if x >= hi:
             return 1.0, 0.0
+        return self._walk(x, 0.0, 1.0, (), (1.0, 0.0, 0.0, 1.0), 0)
+
+    def _walk(self, x: float, acc: float, mass: float, word: tuple[int, ...],
+              mat: tuple[float, float, float, float],
+              depth: int) -> tuple[float, float]:
+        """Scalar descent of x from the node (acc, mass, word, mat, depth)."""
         coeffs = self._coeffs
         m = self._m
+        lo, hi = self._domain
         mass_tol = self.policy.mass_tol
         max_depth = self.policy.max_depth
-        acc = 0.0
-        mass = 1.0
-        word: tuple[int, ...] = ()
-        a_, b_, c_, d_ = 1.0, 0.0, 0.0, 1.0
-        depth = 0
+        a_, b_, c_, d_ = mat
         while True:
             if mass < mass_tol or depth >= max_depth:
                 return acc, mass
@@ -152,12 +174,93 @@ class DistributionFunction:
         return CdfValue(value=value, error_bound=err)
 
     def cdf_many(self, xs) -> tuple[np.ndarray, np.ndarray]:
-        values = np.empty(len(xs))
-        errors = np.empty(len(xs))
-        descend = self._descend
-        for i, x in enumerate(xs):
-            values[i], errors[i] = descend(float(x))
+        """Values and error bounds of F at every x, bit-identical to cdf(x)."""
+        xs = np.asarray(xs, dtype=float)
+        try:
+            if len(xs) < 2 or (xs[1:] >= xs[:-1]).all():
+                return self._cdf_sorted(xs)
+            order = np.argsort(xs, kind="stable")
+            values = np.empty(len(xs))
+            errors = np.empty(len(xs))
+            values[order], errors[order] = self._cdf_sorted(xs[order])
+            return values, errors
+        except PrecisionError:
+            # replay in input order, so the error raised is the one the
+            # first offending point raises on the scalar path
+            for x in xs:
+                self._descend(float(x))
+            raise
+
+    def _cdf_sorted(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Node walk over non-decreasing points (NaN last), see module doc."""
+        values = np.empty(len(s))
+        errors = np.zeros(len(s))
+        lo, hi = self._domain
+        start, stop, first_nan = s.searchsorted([lo, hi, math.nan]).tolist()
+        values[:start] = 0.0
+        values[stop:first_nan] = 1.0
+        # NaN sorts last, after hi; it takes the scalar path's value, (0, 0)
+        values[first_nan:], errors[first_nan:] = self._descend(math.nan)
+        coeffs = self._coeffs
+        m = self._m
+        mass_tol = self.policy.mass_tol
+        max_depth = self.policy.max_depth
+        stack = [(start, stop, 0.0, 1.0, (), (1.0, 0.0, 0.0, 1.0), 0)]
+        while stack:
+            i0, i1, acc, mass, word, mat, depth = stack.pop()
+            if mass < mass_tol or depth >= max_depth:
+                values[i0:i1] = acc
+                errors[i0:i1] = mass
+                continue
+            if i1 - i0 > _LEAF_POINTS:
+                a_, b_, c_, d_ = mat
+                kids = []
+                ends = []
+                for (ka, kb, kc, kd) in coeffs:
+                    na = a_ * ka + b_ * kc
+                    nb = a_ * kb + b_ * kd
+                    nc = c_ * ka + d_ * kc
+                    nd = c_ * kb + d_ * kd
+                    ends.append((na * lo + nb) / (nc * lo + nd))
+                    ends.append((na * hi + nb) / (nc * hi + nd))
+                    kids.append((na, nb, nc, nd))
+                if _monotone_ends(ends):
+                    seg = s[i0:i1]
+                    left = seg.searchsorted(ends).tolist()
+                    right = seg.searchsorted(ends, side="right").tolist()
+                    left.append(i1 - i0)  # l_m = +inf
+                    conds = self._conds(word)
+                    pos = 0
+                    for j in range(m):
+                        # [pos, b): the gap left of child j and x == l_j;
+                        # [b, c): inside child j; [c, ...): x == h_j onward
+                        end = min(right[2 * j + 1], left[2 * j + 2])
+                        b = min(right[2 * j], end)
+                        c = max(b, min(left[2 * j + 1], end))
+                        values[i0 + pos:i0 + b] = acc
+                        if c > b:
+                            if ends[2 * j + 1] - ends[2 * j] < WIDTH_FLOOR:
+                                # cdf_many replays the scalar path for the message
+                                raise PrecisionError("cylinder under the width floor")
+                            stack.append((i0 + b, i0 + c, acc, mass * conds[j],
+                                          word + (j,), kids[j], depth + 1))
+                        acc += mass * conds[j]
+                        pos = c
+                    values[i0 + pos:i1] = acc
+                    continue
+            walk = self._walk
+            for i, x in enumerate(s[i0:i1].tolist(), i0):
+                values[i], errors[i] = walk(x, acc, mass, word, mat, depth)
         return values, errors
+
+
+def _monotone_ends(ends: list[float]) -> bool:
+    """Child ends [l_0, h_0, l_1, h_1, ...] with l_j <= h_j and both sides
+    non-decreasing in j, so each child's points form one sorted run."""
+    ls, hs = ends[0::2], ends[1::2]
+    return (all(l <= h for l, h in zip(ls, hs))
+            and all(a <= b for a, b in zip(ls, ls[1:]))
+            and all(a <= b for a, b in zip(hs, hs[1:])))
 
 
 def deep_policy(ifs: IfsSystem) -> DepthPolicy:
@@ -215,6 +318,7 @@ class HolderEstimate:
 
 
 _WINDOW = 5
+HOLDER_METHODS = ("regression_min", "running_min")
 
 
 def _window_slope(pairs) -> float:
@@ -238,7 +342,7 @@ def holder_exponent_estimate(F: DistributionFunction, t0: float,
     constants that bias the raw ratio; running_min is the raw ratio
     minimum for comparison.
     """
-    if method not in ("regression_min", "running_min"):
+    if method not in HOLDER_METHODS:
         raise ValueError(f"unknown method {method!r}")
     if scales is None:
         scales = Scales(base=default_scale_base(F.system))
@@ -302,6 +406,10 @@ def coarse_spectrum(F: DistributionFunction, delta_list,
             raise DomainError(f"delta {d} outside (0, {diam})")
         n = int(math.ceil(diam / d))
         edges = lo + d * np.arange(n + 1)
+        if hi - edges[n - 1] < 1e-9 * d:
+            # diam/d rounded up past an integer: drop the rounding-noise box
+            n -= 1
+            edges = edges[:n + 1]
         edges[-1] = hi
         values, errors = F.cdf_many(edges)
         masses = np.diff(values)

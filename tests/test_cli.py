@@ -225,6 +225,12 @@ def test_beta_determinism_across_threads(tmp_path, capsys):
     ("check", "potential", {"kind": "finite_range", "depth": 1,
                             "table": "0,1"},
      "potential.table: expected a list"),
+    ("check", "potential", {"kind": "bernoulli",
+                            "probabilities": [0.25, 0.75],
+                            "normalize": "false"},
+     "potential.normalize: expected true or false"),
+    ("holder", "holder", {"method": "median"},
+     "holder.method: unknown method 'median'"),
 ])
 def test_config_faults_name_the_field(tmp_path, capsys, command, field,
                                       value, message):
@@ -236,3 +242,12 @@ def test_config_faults_name_the_field(tmp_path, capsys, command, field,
     assert code == 2
     assert out == ""
     assert err.startswith("config error: " + message)
+
+
+@pytest.mark.parametrize("command", ["pressure", "coarse", "endpoints"])
+def test_depth_below_one_rejected(capsys, command):
+    code, out, err = run(capsys, command, "--config",
+                         str(CONFIGS / "cantor_14_34.json"), "--depth", "0")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error: --depth must be positive")

@@ -1,8 +1,10 @@
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from mfgibbs.errors import (DomainError, NormalizationError, PrecisionError,
                             ScaleError)
@@ -11,10 +13,11 @@ from mfgibbs.estimators import (DepthPolicy, DistributionFunction, Scales,
                                 default_scale_base,
                                 exact_exponent_at_coded_point,
                                 holder_exponent_estimate, measure_ball)
-from mfgibbs.ifs_geometry import IfsSystem, cylinder_interval
+from mfgibbs.ifs_geometry import IfsSystem, cylinder_interval, periodic_point
 from mfgibbs.spectrum import legendre
-from mfgibbs.symbolic import Word, enumerate_words
-from mfgibbs.thermodynamics import Potential, gibbs_cylinder_weights
+from mfgibbs.symbolic import PeriodicWord, Word, enumerate_words
+from mfgibbs.thermodynamics import (Potential, gibbs_cylinder_weights,
+                                    normalize)
 
 
 def test_uniform_cdf_exact_values(F_uniform):
@@ -117,8 +120,6 @@ def test_holder_methods_agree_at_clean_points(F_cantor):
 
 
 def test_holder_tracks_exact_exponent(cantor, cantor_psi, F_cantor):
-    from mfgibbs.ifs_geometry import periodic_point
-    from mfgibbs.symbolic import PeriodicWord
     pw = PeriodicWord.parse("01")
     exact = exact_exponent_at_coded_point(cantor, cantor_psi, pw)
     assert exact == pytest.approx(0.7618595071429146, abs=1e-12)
@@ -162,3 +163,150 @@ def test_coarse_spectrum_tracks_prediction(F_cantor, cantor_curve):
         pred = legendre(cantor_curve, b.alpha_center)
         if pred.interior:
             assert abs(b.f_alpha - pred.value) < 0.25
+
+
+def test_coarse_spectrum_drops_rounding_sliver(cantor, cantor_psi):
+    # 1/3^-10 rounds to 59049.00000000001, so ceil gives one box too many
+    d = 3.0 ** -10
+    assert math.ceil(1.0 / d) == 3 ** 10 + 1
+    result = coarse_spectrum(DistributionFunction(cantor, cantor_psi), [d])[0]
+    expected = Counter()
+    for k in range(11):
+        alpha = (k * math.log(0.25) + (10 - k) * math.log(0.75)) / math.log(d)
+        expected[math.floor(alpha / 0.2)] += math.comb(10, k)
+    got = {round(b.alpha_center / 0.2 - 0.5): b.count for b in result.bins}
+    assert sum(got.values()) == 1024
+    assert got == dict(expected)
+
+
+def _cylinder_ends(F, word):
+    """Ends of a cylinder composed in the descent's own operation order."""
+    a_, b_, c_, d_ = 1.0, 0.0, 0.0, 1.0
+    for s in word:
+        ka, kb, kc, kd = F._coeffs[s]
+        a_, b_, c_, d_ = (a_ * ka + b_ * kc, a_ * kb + b_ * kd,
+                          c_ * ka + d_ * kc, c_ * kb + d_ * kd)
+    lo, hi = F.system.domain
+    return (a_ * lo + b_) / (c_ * lo + d_), (a_ * hi + b_) / (c_ * hi + d_)
+
+
+def _scalar_cdf(F, xs):
+    try:
+        vals = [F.cdf(x) for x in xs]
+    except PrecisionError as exc:
+        return str(exc)
+    return (np.array([v.value for v in vals]),
+            np.array([v.error_bound for v in vals]))
+
+
+def _batched_cdf(F, xs):
+    try:
+        return F.cdf_many(xs)
+    except PrecisionError as exc:
+        return str(exc)
+
+
+@st.composite
+def _cascades(draw):
+    """A random valid 2- or 3-map affine or Moebius system on [0, 1] with
+    a normalized potential whose splits are constant or not."""
+    m = draw(st.sampled_from([2, 3]))
+    widths = [draw(st.floats(0.08, 0.9 / m)) for _ in range(m)]
+    # gap weights; a zero weight makes neighbouring images touch
+    gaps = [draw(st.integers(0, 4)) for _ in range(m + 1)]
+    gaps[0] = gaps[0] or 1
+    scale = (1.0 - sum(widths)) / sum(gaps)
+    moebius = draw(st.booleans())
+    maps = []
+    u = gaps[0] * scale
+    for k, w in enumerate(widths):
+        if moebius:
+            # x -> u + w (1+t) x / (1 + t x): increasing, images [u, u+w]
+            t = draw(st.integers(-5, 10)) / 10
+            maps.append((u * t + w * (1 + t), u, t, 1.0))
+        else:
+            maps.append((w, u))
+        u += w + gaps[k + 1] * scale
+        if gaps[k + 1] == 0:
+            # touching images may also overlap within the OSC tolerance
+            u -= draw(st.sampled_from([0.0, 1e-13]))
+    ifs = (IfsSystem.moebius if moebius else IfsSystem.affine)((0.0, 1.0), maps)
+    kind = draw(st.sampled_from(["bernoulli", "finite_range", "geometric"]))
+    if kind == "bernoulli":
+        weights = [draw(st.floats(0.05, 1.0)) for _ in range(m)]
+        psi = Potential.from_probabilities([w / sum(weights) for w in weights])
+    elif kind == "finite_range":
+        psi = normalize(ifs, Potential.finite_range(
+            2, m, [draw(st.floats(-2.0, 2.0)) for _ in range(m * m)]))
+    else:
+        psi = normalize(ifs, Potential.geometric(ifs, draw(st.floats(0.5, 2.0))),
+                        k_max=8)
+    if draw(st.booleans()):
+        policy = None
+    else:
+        # non-constant splits cost O(depth^2) per scalar point: stay shallow
+        deepest = 60 if kind == "bernoulli" else 12
+        policy = DepthPolicy(draw(st.integers(1, deepest)),
+                             draw(st.sampled_from([0.0, 1e-12, 1e-8, 1e-4])))
+    return DistributionFunction(ifs, psi, policy)
+
+
+@st.composite
+def _points(draw, F):
+    """Grid, uniform, cylinder-end, coded, clustered and special points,
+    with duplicates, sorted or shuffled."""
+    m = F.system.alphabet_size
+    words = st.lists(st.integers(0, m - 1), min_size=1, max_size=8)
+    xs = list(np.linspace(0.0, 1.0, draw(st.integers(0, 120))))
+    xs += draw(st.lists(st.floats(-0.05, 1.05), max_size=40))
+    for _ in range(draw(st.integers(0, 12))):
+        xs += _cylinder_ends(F, draw(words))
+    for _ in range(draw(st.integers(0, 3))):
+        # coded points lie in the attractor, so deep policies meet the floor
+        xs.append(periodic_point(F.system, PeriodicWord(Word(draw(words)))))
+    for _ in range(draw(st.integers(0, 3))):
+        # a cluster puts more than a leaf's worth of points deep in the tree
+        x0 = draw(st.sampled_from(xs)) if xs else 0.5
+        step = draw(st.sampled_from([1e-14, 1e-12, 1e-9, 1e-6]))
+        k = draw(st.integers(1, 20))
+        xs += [x0 + i * step for i in range(-k, k)]
+    xs += draw(st.lists(st.sampled_from(
+        [-math.inf, math.inf, math.nan, -1.0, 2.0, 0.0, 1.0, -0.0]),
+        max_size=6))
+    if xs:
+        xs += draw(st.lists(st.sampled_from(xs), max_size=20))
+    xs = np.array(xs, dtype=float)
+    if draw(st.booleans()):
+        return np.sort(xs)
+    return np.random.default_rng(draw(st.integers(0, 2**32 - 1))).permutation(xs)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_cdf_many_matches_scalar_cdf(data):
+    F = data.draw(_cascades())
+    xs = data.draw(_points(F))
+    ref = _scalar_cdf(F, xs)
+    got = _batched_cdf(F, xs)
+    if isinstance(ref, str):
+        assert got == ref
+    else:
+        assert np.array_equal(got[0], ref[0])
+        assert np.array_equal(got[1], ref[1])
+
+
+def test_cdf_many_raises_the_scalar_precision_error(moebius, moebius_psi):
+    F = DistributionFunction(moebius, moebius_psi, DepthPolicy(60, 0.0))
+    # coded points meet the width floor, each at its own depth and width
+    coded = [periodic_point(moebius, PeriodicWord.parse(w))
+             for w in ("001", "01", "10")]
+    xs = np.sort(np.concatenate([np.linspace(0.0, 1.0, 100), coded]))
+    messages = set()
+    for pts in (xs, xs[::-1]):
+        ref = _scalar_cdf(F, pts)
+        assert isinstance(ref, str) and "precision floor" in ref
+        assert _batched_cdf(F, pts) == ref
+        messages.add(ref)
+    # the two orders meet the floor at different points first
+    assert len(messages) == 2
