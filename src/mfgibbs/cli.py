@@ -19,8 +19,9 @@ from .estimators import (HOLDER_METHODS, DepthPolicy, DistributionFunction,
                          default_scale_base, holder_exponent_estimate)
 from .holder_lab import derivative_limit_probe, detrend_exponent_test
 from .ifs_geometry import IfsSystem, stream_point
-from .spectrum import (beta_of_q, endpoints, hausdorff_spectrum_prediction,
-                       legendre, packing_spectrum_prediction, spectrum_curve)
+from .spectrum import (LevelSums, beta_of_q, endpoints,
+                       hausdorff_spectrum_prediction, legendre,
+                       packing_spectrum_prediction, spectrum_curve)
 from .symbolic import PeriodicWord, Word
 from .thermodynamics import (Potential, cohomology_diagnostic,
                              effective_range, normalize, pressure)
@@ -39,23 +40,27 @@ def _num(value, where: str) -> float:
     if isinstance(value, bool):
         raise ConfigError(f"{where}: expected a number")
     if isinstance(value, (int, float)):
-        return float(value)
-    if isinstance(value, str):
-        if "/" in value:
-            p, _, q = value.partition("/")
-            try:
-                den = float(q)
-                if den == 0.0:
-                    raise ValueError
-                return float(p) / den
-            except ValueError:
-                raise ConfigError(f"{where}: bad rational {value!r}") from None
+        number = float(value)
+    elif isinstance(value, str) and "/" in value:
+        p, _, q = value.partition("/")
         try:
-            return float(value)
+            den = float(q)
+            if den == 0.0:
+                raise ValueError
+            number = float(p) / den
+        except ValueError:
+            raise ConfigError(f"{where}: bad rational {value!r}") from None
+    elif isinstance(value, str):
+        try:
+            number = float(value)
         except ValueError:
             raise ConfigError(f"{where}: bad number {value!r}") from None
-    raise ConfigError(f"{where}: expected a number, got "
-                      f"{type(value).__name__}")
+    else:
+        raise ConfigError(f"{where}: expected a number, got "
+                          f"{type(value).__name__}")
+    if not math.isfinite(number):
+        raise ConfigError(f"{where}: expected a finite number, got {value!r}")
+    return number
 
 
 def _int(value, where: str) -> int:
@@ -271,11 +276,11 @@ def _cmd_pressure(args, cfg, ifs, psi):
 
 def _cmd_beta(args, cfg, ifs, psi):
     q_min, q_max, steps = _q_grid(args, cfg)
+    sums = LevelSums.build(ifs, psi, args.depth, threads=args.threads)
     rows = []
     for i in range(steps):
         q = q_min + (q_max - q_min) * i / (steps - 1)
-        rows.append((q, beta_of_q(ifs, psi, q, k=args.depth,
-                                  threads=args.threads)))
+        rows.append((q, beta_of_q(ifs, psi, q, sums=sums)))
     _write_csv(args.out, ("q", "beta"), rows)
     _summary(f"beta: {steps} points on [{q_min:g}, {q_max:g}]")
     return 0
@@ -482,15 +487,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_args(args) -> None:
+    if args.threads < 1:
+        raise ConfigError("--threads must be positive")
+    if args.depth is not None and args.depth < 1:
+        raise ConfigError("--depth must be positive")
+    # argparse reads these floats itself and accepts "nan" and "inf"
+    for flag, value in (("--q-min", args.q_min), ("--q-max", args.q_max),
+                        ("--tol", args.tol)):
+        if value is not None:
+            _num(value, flag)
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.threads < 1:
-        print("config error: --threads must be positive", file=sys.stderr)
-        return 2
-    if args.depth is not None and args.depth < 1:
-        print("config error: --depth must be positive", file=sys.stderr)
-        return 2
     try:
+        _check_args(args)
         cfg = load_config(args.config)
         ifs = build_system(cfg)
         depth = args.depth if args.depth is not None else _int(

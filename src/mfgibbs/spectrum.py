@@ -47,12 +47,20 @@ class LevelSums:
     potential: np.ndarray
 
     @classmethod
-    def build(cls, ifs: IfsSystem, psi: Potential, k: int,
+    def build(cls, ifs: IfsSystem, psi: Potential, k: int | None = None,
               threads: int = 1) -> "LevelSums":
-        phi = Potential.geometric(ifs)
-        return cls(level=k,
-                   geometric=periodic_sums(ifs, phi, k, threads=threads),
-                   potential=periodic_sums(ifs, psi, k, threads=threads))
+        """Sums at depth k; None picks the range of psi, or 10 if unbounded.
+
+        The words are composed once, for phi; psi reads phi's sums.
+        """
+        if k is None:
+            r = effective_range(ifs, psi)
+            k = r if r is not None else 10
+        geometric = periodic_sums(ifs, Potential.geometric(ifs), k,
+                                  threads=threads)
+        return cls(level=k, geometric=geometric,
+                   potential=periodic_sums(ifs, psi, k, threads=threads,
+                                           geometric=geometric))
 
     def pressure(self, beta: float, q: float) -> float:
         z = beta * self.geometric + q * self.potential
@@ -69,11 +77,6 @@ class LevelSums:
         return value, slope
 
 
-def _auto_level(ifs: IfsSystem, psi: Potential) -> int:
-    r = effective_range(ifs, psi)
-    return r if r is not None else 10
-
-
 def beta_of_q(ifs: IfsSystem, psi: Potential, q: float, k: int | None = None,
               tol: float = 1e-10, threads: int = 1,
               sums: LevelSums | None = None) -> float:
@@ -86,8 +89,7 @@ def beta_of_q(ifs: IfsSystem, psi: Potential, q: float, k: int | None = None,
     if tol <= 0:
         raise ValueError("tol must be positive")
     if sums is None:
-        sums = LevelSums.build(ifs, psi, k if k is not None else
-                               _auto_level(ifs, psi), threads=threads)
+        sums = LevelSums.build(ifs, psi, k, threads=threads)
     lo, hi = -10.0, 10.0
     f_lo, f_hi = sums.pressure(lo, q), sums.pressure(hi, q)
     for _ in range(60):
@@ -192,8 +194,7 @@ def spectrum_curve(ifs: IfsSystem, psi: Potential, k: int | None = None,
         return SpectrumCurve(samples=samples, alpha_minus=a_lo,
                              alpha_plus=a_hi, degenerate=True,
                              dimension=s, alpha_zero=c)
-    sums = LevelSums.build(ifs, psi, k if k is not None else
-                           _auto_level(ifs, psi), threads=threads)
+    sums = LevelSums.build(ifs, psi, k, threads=threads)
     betas = np.array([beta_of_q(ifs, psi, float(q), sums=sums) for q in qs])
     alphas = np.empty_like(betas)
     alphas[1:-1] = -(betas[2:] - betas[:-2]) / (2.0 * h)

@@ -174,8 +174,7 @@ def _symbol_columns(m: int, k: int, lo: int, hi: int) -> np.ndarray:
     return cols
 
 
-def _fixed_points_vec(coeffs: np.ndarray, domain) -> np.ndarray:
-    a, b, c, d = coeffs[:, 0], coeffs[:, 1], coeffs[:, 2], coeffs[:, 3]
+def _fixed_points_vec(a, b, c, d, domain) -> np.ndarray:
     lo, hi = domain
     slack = 1e-9 * (hi - lo)
     bb = d - a
@@ -195,35 +194,54 @@ def _fixed_points_vec(coeffs: np.ndarray, domain) -> np.ndarray:
     return x
 
 
-def _geometric_chunk(ifs: IfsSystem, sym: np.ndarray) -> np.ndarray:
-    base = np.array([mp.coefficients() for mp in ifs.maps])
+def _geometric_chunk(ifs: IfsSystem, k: int, lo: int, hi: int) -> np.ndarray:
+    """S_k phi at the periodic points of the level-k words lo..hi-1.
+
+    The word matrices grow as a prefix tree: the level-j row of prefix p
+    is the row of its parent p // m times the matrix of letter p % m,
+    over just the prefixes that [lo, hi) spans.  Each product is the
+    one a left-to-right composition of the word would form, so the
+    result does not depend on how the level is cut into chunks.
+    """
+    m = ifs.alphabet_size
+    ma, mb, mc, md = np.array([mp.coefficients() for mp in ifs.maps]).T
     logdets = np.array([mp.log_det for mp in ifs.maps])
-    A = base[sym[:, 0]].copy()
-    logdet = logdets[sym[:, 0]].copy()
-    for j in range(1, sym.shape[1]):
-        B = base[sym[:, j]]
-        a = A[:, 0] * B[:, 0] + A[:, 1] * B[:, 2]
-        b = A[:, 0] * B[:, 1] + A[:, 1] * B[:, 3]
-        c = A[:, 2] * B[:, 0] + A[:, 3] * B[:, 2]
-        d = A[:, 2] * B[:, 1] + A[:, 3] * B[:, 3]
-        A = np.stack([a, b, c, d], axis=1)
-        logdet += logdets[sym[:, j]]
-    x = _fixed_points_vec(A, ifs.domain)
-    q = np.abs(A[:, 2] * x + A[:, 3])
+    first = lo // m ** (k - 1)
+    span = slice(first, (hi - 1) // m ** (k - 1) + 1)
+    a, b, c, d, logdet = ma[span], mb[span], mc[span], md[span], logdets[span]
+    for j in range(2, k + 1):
+        step = m ** (k - j)
+        # prefix p has children p*m .. p*m + m - 1; keep those [lo, hi) spans
+        span = slice(lo // step - first * m, (hi - 1) // step - first * m + 1)
+        a, b, c, d, logdet = (
+            (np.outer(a, ma) + np.outer(b, mc)).ravel()[span],
+            (np.outer(a, mb) + np.outer(b, md)).ravel()[span],
+            (np.outer(c, ma) + np.outer(d, mc)).ravel()[span],
+            (np.outer(c, mb) + np.outer(d, md)).ravel()[span],
+            np.add.outer(logdet, logdets).ravel()[span])
+        first = lo // step
+    x = _fixed_points_vec(a, b, c, d, ifs.domain)
+    q = np.abs(c * x + d)
     return logdet - 2.0 * np.log(q)
 
 
-def _sums_chunk(ifs: IfsSystem, psi: Potential, k: int, lo: int, hi: int) -> np.ndarray:
+def _sums_chunk(ifs: IfsSystem, psi: Potential, k: int, lo: int, hi: int,
+                geometric: np.ndarray | None = None) -> np.ndarray:
     m = ifs.alphabet_size
-    sym = _symbol_columns(m, k, lo, hi)
+    sym = None
     out = np.full(hi - lo, psi.shift * k, dtype=float)
     if psi.geom != 0.0:
-        if ifs.is_affine():
+        if geometric is not None:
+            out += psi.geom * geometric
+        elif ifs.is_affine():
+            sym = _symbol_columns(m, k, lo, hi)
             logr = np.array([math.log(mp.r_min) for mp in ifs.maps])
             out += psi.geom * logr[sym].sum(axis=1)
         else:
-            out += psi.geom * _geometric_chunk(ifs, sym)
+            out += psi.geom * _geometric_chunk(ifs, k, lo, hi)
     if psi.depth:
+        if sym is None:
+            sym = _symbol_columns(m, k, lo, hi)
         # column j indexes the block read at the j-th shift of the cycle
         idx = sym
         for i in range(1, psi.depth):
@@ -233,11 +251,15 @@ def _sums_chunk(ifs: IfsSystem, psi: Potential, k: int, lo: int, hi: int) -> np.
 
 
 def periodic_sums(ifs: IfsSystem, psi: Potential, k: int,
-                  threads: int = 1, cap: int = ENUMERATION_CAP) -> np.ndarray:
+                  threads: int = 1, cap: int = ENUMERATION_CAP,
+                  geometric: np.ndarray | None = None) -> np.ndarray:
     """S_k psi at the periodic point of every length-k word, in lex order.
 
     The array is assembled from fixed-size chunks in index order, so its
-    contents do not depend on the thread count.
+    contents do not depend on the thread count.  `geometric`, when
+    given, holds this level's sums of the geometric potential phi;
+    psi's geometric term then reads them instead of composing every
+    word again.
     """
     if k < 1:
         raise ValueError("level k must be >= 1")
@@ -246,13 +268,20 @@ def periodic_sums(ifs: IfsSystem, psi: Potential, k: int,
     total = m**k
     if total > cap:
         raise CapacityError(f"{m}**{k} periodic points exceed cap {cap}")
+    if geometric is not None and len(geometric) != total:
+        raise ValueError(f"geometric sums hold {len(geometric)} words, "
+                         f"level {k} has {total}")
+
+    def chunk(lo, hi):
+        return _sums_chunk(ifs, psi, k, lo, hi, None if geometric is None
+                           else geometric[lo:hi])
+
     bounds = [(lo, min(lo + _CHUNK, total)) for lo in range(0, total, _CHUNK)]
     if threads > 1 and len(bounds) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(
-                lambda ab: _sums_chunk(ifs, psi, k, ab[0], ab[1]), bounds))
+            parts = list(pool.map(lambda ab: chunk(*ab), bounds))
     else:
-        parts = [_sums_chunk(ifs, psi, k, lo, hi) for lo, hi in bounds]
+        parts = [chunk(lo, hi) for lo, hi in bounds]
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
@@ -424,7 +453,7 @@ def cohomology_diagnostic(ifs: IfsSystem, psi: Potential, ell_max: int = 6,
     lo, hi = math.inf, -math.inf
     for ell in range(1, ell_max + 1):
         s_phi = periodic_sums(ifs, phi, ell, threads=threads)
-        s_psi = periodic_sums(ifs, psi, ell, threads=threads)
+        s_psi = periodic_sums(ifs, psi, ell, threads=threads, geometric=s_phi)
         ratios = s_psi / s_phi
         lo = min(lo, float(ratios.min()))
         hi = max(hi, float(ratios.max()))

@@ -251,3 +251,59 @@ def test_depth_below_one_rejected(capsys, command):
     assert code == 2
     assert out == ""
     assert err.startswith("config error: --depth must be positive")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("cdf", "--points", "nan,inf"),
+     "--points: expected a finite number, got 'nan'"),
+    (("cdf", "--points", "0.5,-inf"),
+     "--points: expected a finite number, got '-inf'"),
+    (("cdf", "--points", "inf/2"),
+     "--points: expected a finite number, got 'inf/2'"),
+    (("beta", "--q-min", "nan"), "--q-min: expected a finite number, got nan"),
+    (("beta", "--q-max", "inf"), "--q-max: expected a finite number, got inf"),
+    (("pressure", "--tol", "nan"), "--tol: expected a finite number, got nan"),
+])
+def test_non_finite_flags_rejected(capsys, argv, message):
+    code, out, err = run(capsys, *argv, "--config",
+                         str(CONFIGS / "lebesgue.json"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error: " + message)
+
+
+@pytest.mark.parametrize("command,section,field,value,message", [
+    ("cdf", "cdf", "points", [0.5, math.nan],
+     "cdf.points: expected a finite number, got nan"),
+    ("check", "potential", "probabilities", [math.inf, 0.5],
+     "potential.probabilities: expected a finite number, got inf"),
+    ("beta", "q_grid", "min", -math.inf,
+     "q_grid.min: expected a finite number, got -inf"),
+    ("pressure", "pressure", "tol", math.nan,
+     "pressure.tol: expected a finite number, got nan"),
+    ("check", "pressure", "depth", math.inf,
+     "pressure.depth: expected a finite number, got inf"),
+])
+def test_non_finite_config_numbers_rejected(tmp_path, capsys, command,
+                                            section, field, value, message):
+    # Python's json reads and writes NaN, Infinity and -Infinity
+    cfg = json.loads((CONFIGS / "lebesgue.json").read_text())
+    cfg.setdefault(section, {})[field] = value
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert "NaN" in path.read_text() or "Infinity" in path.read_text()
+    code, out, err = run(capsys, command, "--config", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error: " + message)
+
+
+def test_system_map_infinity_rejected(tmp_path, capsys):
+    cfg = json.loads((CONFIGS / "lebesgue.json").read_text())
+    cfg["system"]["maps"][1]["offset"] = math.inf
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run(capsys, "check", "--config", str(path))
+    assert code == 2
+    assert err.startswith("config error: maps[1].offset: expected a finite "
+                          "number, got inf")

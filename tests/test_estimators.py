@@ -18,6 +18,7 @@ from mfgibbs.spectrum import legendre
 from mfgibbs.symbolic import PeriodicWord, Word, enumerate_words
 from mfgibbs.thermodynamics import (Potential, gibbs_cylinder_weights,
                                     normalize)
+from strategies import systems
 
 
 def test_uniform_cdf_exact_values(F_uniform):
@@ -210,27 +211,8 @@ def _batched_cdf(F, xs):
 def _cascades(draw):
     """A random valid 2- or 3-map affine or Moebius system on [0, 1] with
     a normalized potential whose splits are constant or not."""
-    m = draw(st.sampled_from([2, 3]))
-    widths = [draw(st.floats(0.08, 0.9 / m)) for _ in range(m)]
-    # gap weights; a zero weight makes neighbouring images touch
-    gaps = [draw(st.integers(0, 4)) for _ in range(m + 1)]
-    gaps[0] = gaps[0] or 1
-    scale = (1.0 - sum(widths)) / sum(gaps)
-    moebius = draw(st.booleans())
-    maps = []
-    u = gaps[0] * scale
-    for k, w in enumerate(widths):
-        if moebius:
-            # x -> u + w (1+t) x / (1 + t x): increasing, images [u, u+w]
-            t = draw(st.integers(-5, 10)) / 10
-            maps.append((u * t + w * (1 + t), u, t, 1.0))
-        else:
-            maps.append((w, u))
-        u += w + gaps[k + 1] * scale
-        if gaps[k + 1] == 0:
-            # touching images may also overlap within the OSC tolerance
-            u -= draw(st.sampled_from([0.0, 1e-13]))
-    ifs = (IfsSystem.moebius if moebius else IfsSystem.affine)((0.0, 1.0), maps)
+    ifs = draw(systems())
+    m = ifs.alphabet_size
     kind = draw(st.sampled_from(["bernoulli", "finite_range", "geometric"]))
     if kind == "bernoulli":
         weights = [draw(st.floats(0.05, 1.0)) for _ in range(m)]

@@ -24,7 +24,9 @@ CONFIGS = ("cantor_14_34", "lebesgue", "moebius_pair", "uniform_cantor")
 VARIANTS = {
     "check": ("check",),
     "pressure": ("pressure",),
+    "pressure-deep": ("pressure", "--depth", "19"),
     "beta": ("beta", "--q-steps", "21"),
+    "beta-deep": ("beta", "--depth", "15", "--q-steps", "21"),
     "spectrum": ("spectrum",),
     "endpoints": ("endpoints",),
     "cdf": ("cdf", "--points", "0,1/9,0.25,1/3,0.5,0.7,1"),

@@ -1,15 +1,22 @@
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from mfgibbs import spectrum, thermodynamics
+from mfgibbs.cli import main
 from mfgibbs.errors import NormalizationError
+from mfgibbs.ifs_geometry import word_matrix
+from mfgibbs.spectrum import LevelSums
 from mfgibbs.symbolic import PeriodicWord, Word, enumerate_words, ergodic_sum
 from mfgibbs.thermodynamics import (Potential, cohomology_diagnostic,
                                     effective_range, gibbs_cylinder_weights,
                                     normalize, periodic_sums, pressure,
                                     pressure_at_level, range_table)
+from strategies import systems
 
 LOG3 = math.log(3.0)
 
@@ -197,3 +204,84 @@ def test_potential_validation(cantor, moebius):
     with pytest.raises(ValueError, match="different system"):
         periodic_sums(moebius, Potential.geometric(cantor), 2)
 
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_moebius_periodic_sums_chunks_threads_and_block_sums(data):
+    ifs = data.draw(systems(moebius=True))
+    m = ifs.alphabet_size
+    k = data.draw(st.integers(1, 7 if m == 2 else 5))
+    total = m**k
+    depth = data.draw(st.integers(0, 2))
+    psi = Potential(geom=data.draw(st.floats(0.5, 2.0)), depth=depth,
+                    table=[data.draw(st.floats(-2.0, 2.0))
+                           for _ in range(m**depth if depth else 0)],
+                    shift=data.draw(st.floats(-2.0, 2.0)), system=ifs)
+    whole = thermodynamics._sums_chunk(ifs, psi, k, 0, total)
+    lo = data.draw(st.integers(0, total - 1))
+    hi = data.draw(st.integers(lo + 1, total))
+    assert np.array_equal(thermodynamics._sums_chunk(ifs, psi, k, lo, hi),
+                          whole[lo:hi])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(thermodynamics, "_CHUNK", data.draw(st.integers(1, total)))
+        one = periodic_sums(ifs, psi, k, threads=1)
+        two = periodic_sums(ifs, psi, k, threads=2)
+        phi = periodic_sums(ifs, Potential.geometric(ifs), k, threads=2)
+        shared = periodic_sums(ifs, psi, k, threads=2, geometric=phi)
+    assert np.array_equal(one, whole)
+    assert np.array_equal(two, whole)
+    assert np.array_equal(shared, whole)
+    # the prefix tree forms each word's products in word_matrix's order
+    words = list(enumerate_words(m, k))
+    coeffs, logdet = zip(*(word_matrix(ifs, w) for w in words))
+    a, b, c, d = np.array(coeffs).T
+    x = thermodynamics._fixed_points_vec(a, b, c, d, ifs.domain)
+    assert np.array_equal(phi, np.array(logdet)
+                          - 2.0 * np.log(np.abs(c * x + d)))
+    for idx, w in enumerate(words):
+        assert whole[idx] == pytest.approx(psi.block_sum(PeriodicWord(w)),
+                                           rel=1e-12, abs=1e-12)
+
+
+@pytest.fixture
+def compositions(monkeypatch):
+    """Levels at which the Moebius word matrices get composed."""
+    levels = []
+    compose = thermodynamics._geometric_chunk
+
+    def counted(ifs, k, lo, hi):
+        levels.append(k)
+        return compose(ifs, k, lo, hi)
+
+    monkeypatch.setattr(thermodynamics, "_geometric_chunk", counted)
+    return levels
+
+
+def test_level_sums_and_diagnostic_compose_phi_once(moebius, moebius_psi,
+                                                    compositions):
+    LevelSums.build(moebius, moebius_psi, 6)
+    assert compositions == [6]
+    compositions.clear()
+    cohomology_diagnostic(moebius, moebius_psi, ell_max=5)
+    assert compositions == [1, 2, 3, 4, 5]
+
+
+def test_beta_command_builds_one_level(monkeypatch, capsys, compositions):
+    builds = []
+    build = LevelSums.build.__func__
+
+    def counted(cls, *args, **kwargs):
+        builds.append(args)
+        return build(cls, *args, **kwargs)
+
+    monkeypatch.setattr(spectrum.LevelSums, "build", classmethod(counted))
+    config = (Path(__file__).resolve().parent.parent / "configs" /
+              "moebius_pair.json")
+    code = main(["beta", "--config", str(config), "--q-steps", "21",
+                 "--depth", "8", "--threads", "1"])
+    assert code == 0
+    assert capsys.readouterr().out.count("\n") == 22
+    assert len(builds) == 1
+    # normalizing the potential composes level 8 once, the shared build once
+    assert compositions == [8, 8]
