@@ -1,8 +1,8 @@
 """Command line front end: JSON config in, CSV out.
 
-Output is deterministic byte for byte for a given config, regardless
-of --threads.  Numbers are printed with 17 significant digits so CSV
-golden files round-trip through binary64 exactly.
+Output is byte-identical for a given config, regardless of --threads
+(accepted and ignored) and the core count.  Numbers are printed with 17
+significant digits so CSV golden files round-trip through binary64 exactly.
 """
 
 from __future__ import annotations
@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 from .errors import ConfigError, ToolkitError
@@ -136,8 +135,10 @@ def build_system(cfg: dict) -> IfsSystem:
     raise ConfigError(f"system.family: unknown family {family!r}")
 
 
-def build_potential(cfg: dict, ifs: IfsSystem, threads: int,
+def build_potential(cfg: dict, ifs: IfsSystem, threads=None,
                     depth: int = 10):
+    """`threads` is unused; it stays third because perfbench/workloads.py
+    passes a thread count there, which would otherwise become `depth`."""
     _get(cfg, "potential", "config")
     pot_cfg = _block(cfg, "potential")
     kind = _get(pot_cfg, "kind", "potential")
@@ -175,7 +176,7 @@ def build_potential(cfg: dict, ifs: IfsSystem, threads: int,
         raise ConfigError(f"potential.normalize: expected true or false, "
                           f"got {norm!r}")
     if norm:
-        psi = normalize(ifs, psi, k_max=depth, threads=threads)
+        psi = normalize(ifs, psi, k_max=depth)
     return psi
 
 
@@ -239,7 +240,7 @@ def _q_grid(args, cfg):
 
 
 def _cmd_check(args, cfg, ifs, psi):
-    diag = cohomology_diagnostic(ifs, psi, threads=args.threads)
+    diag = cohomology_diagnostic(ifs, psi)
     rng = effective_range(ifs, psi)
     osc = ifs.osc_report
     rows = [
@@ -265,7 +266,7 @@ def _cmd_pressure(args, cfg, ifs, psi):
         block.get("depth", 10), "pressure.depth")
     tol = args.tol if args.tol is not None else _num(
         block.get("tol", 1e-12), "pressure.tol")
-    result = pressure(ifs, psi, k_max=k_max, tol=tol, threads=args.threads)
+    result = pressure(ifs, psi, k_max=k_max, tol=tol)
     rows = [(i + 1, v) for i, v in enumerate(result.levels)]
     _write_csv(args.out, ("level", "pressure"), rows)
     _summary(f"pressure: value={_fmt(result.value)} "
@@ -276,7 +277,7 @@ def _cmd_pressure(args, cfg, ifs, psi):
 
 def _cmd_beta(args, cfg, ifs, psi):
     q_min, q_max, steps = _q_grid(args, cfg)
-    sums = LevelSums.build(ifs, psi, args.depth, threads=args.threads)
+    sums = LevelSums.build(ifs, psi, args.depth)
     rows = []
     for i in range(steps):
         q = q_min + (q_max - q_min) * i / (steps - 1)
@@ -289,7 +290,7 @@ def _cmd_beta(args, cfg, ifs, psi):
 def _cmd_spectrum(args, cfg, ifs, psi):
     q_min, q_max, steps = _q_grid(args, cfg)
     curve = spectrum_curve(ifs, psi, k=args.depth, q_min=q_min, q_max=q_max,
-                           q_steps=steps, threads=args.threads)
+                           q_steps=steps)
     rows = [(s.q, s.beta, s.alpha, s.beta_star) for s in curve.samples]
     _write_csv(args.out, ("q", "beta", "alpha", "beta_star"), rows)
     plateau = legendre(curve, curve.alpha_zero).value
@@ -304,7 +305,7 @@ def _cmd_spectrum(args, cfg, ifs, psi):
 def _cmd_endpoints(args, cfg, ifs, psi):
     ell_max = args.depth if args.depth is not None else _int(
         _block(cfg, "endpoints").get("ell_max", 6), "endpoints.ell_max")
-    lo, hi = endpoints(ifs, psi, ell_max=ell_max, threads=args.threads)
+    lo, hi = endpoints(ifs, psi, ell_max=ell_max)
     _write_csv(args.out, ("alpha_minus", "alpha_plus"), [(lo, hi)])
     _summary(f"endpoints: [{lo:.6f}, {hi:.6f}] at ell_max={ell_max}")
     return 0
@@ -431,7 +432,7 @@ def _cmd_detrend(args, cfg, ifs, psi):
 def _cmd_predict_packing(args, cfg, ifs, psi):
     q_min, q_max, steps = _q_grid(args, cfg)
     curve = spectrum_curve(ifs, psi, k=args.depth, q_min=q_min, q_max=q_max,
-                           q_steps=steps, threads=args.threads)
+                           q_steps=steps)
     block = _block(cfg, "packing")
     if "alphas" in block:
         alphas = [_num(v, "packing.alphas")
@@ -476,7 +477,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)
-        p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+        p.add_argument("--threads", type=int, default=1,
+                       help="accepted and ignored")
         p.add_argument("--q-min", dest="q_min", type=float, default=None)
         p.add_argument("--q-max", dest="q_max", type=float, default=None)
         p.add_argument("--q-steps", dest="q_steps", type=int, default=None)
@@ -507,7 +509,7 @@ def main(argv=None) -> int:
         ifs = build_system(cfg)
         depth = args.depth if args.depth is not None else _int(
             _block(cfg, "pressure").get("depth", 10), "pressure.depth")
-        psi = build_potential(cfg, ifs, args.threads, depth=depth)
+        psi = build_potential(cfg, ifs, depth=depth)
         return _DISPATCH[args.command](args, cfg, ifs, psi)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

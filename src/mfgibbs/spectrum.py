@@ -47,8 +47,8 @@ class LevelSums:
     potential: np.ndarray
 
     @classmethod
-    def build(cls, ifs: IfsSystem, psi: Potential, k: int | None = None,
-              threads: int = 1) -> "LevelSums":
+    def build(cls, ifs: IfsSystem, psi: Potential,
+              k: int | None = None) -> "LevelSums":
         """Sums at depth k; None picks the range of psi, or 10 if unbounded.
 
         The words are composed once, for phi; psi reads phi's sums.
@@ -56,11 +56,9 @@ class LevelSums:
         if k is None:
             r = effective_range(ifs, psi)
             k = r if r is not None else 10
-        geometric = periodic_sums(ifs, Potential.geometric(ifs), k,
-                                  threads=threads)
+        geometric = periodic_sums(ifs, Potential.geometric(ifs), k)
         return cls(level=k, geometric=geometric,
-                   potential=periodic_sums(ifs, psi, k, threads=threads,
-                                           geometric=geometric))
+                   potential=periodic_sums(ifs, psi, k, geometric=geometric))
 
     def pressure(self, beta: float, q: float) -> float:
         z = beta * self.geometric + q * self.potential
@@ -73,13 +71,12 @@ class LevelSums:
         e = np.exp(z - zmax)
         total = float(e.sum())
         value = (zmax + math.log(total)) / self.level
-        slope = float(np.dot(e, self.geometric)) / total / self.level
+        slope = float((e * self.geometric).sum()) / total / self.level
         return value, slope
 
 
 def beta_of_q(ifs: IfsSystem, psi: Potential, q: float, k: int | None = None,
-              tol: float = 1e-10, threads: int = 1,
-              sums: LevelSums | None = None) -> float:
+              tol: float = 1e-10, sums: LevelSums | None = None) -> float:
     """Solve the depth-k pressure equation P_k(beta*phi + q*psi) = 0.
 
     psi should be normalized (P(psi) = 0); then beta(1) = 0 and beta(0)
@@ -89,7 +86,7 @@ def beta_of_q(ifs: IfsSystem, psi: Potential, q: float, k: int | None = None,
     if tol <= 0:
         raise ValueError("tol must be positive")
     if sums is None:
-        sums = LevelSums.build(ifs, psi, k, threads=threads)
+        sums = LevelSums.build(ifs, psi, k)
     lo, hi = -10.0, 10.0
     f_lo, f_hi = sums.pressure(lo, q), sums.pressure(hi, q)
     for _ in range(60):
@@ -121,15 +118,15 @@ def beta_of_q(ifs: IfsSystem, psi: Potential, q: float, k: int | None = None,
     return beta
 
 
-def endpoints(ifs: IfsSystem, psi: Potential, ell_max: int = 6,
-              threads: int = 1) -> tuple[float, float]:
+def endpoints(ifs: IfsSystem, psi: Potential,
+              ell_max: int = 6) -> tuple[float, float]:
     """Extremes of the periodic ratios S_l psi / S_l phi up to ell_max.
 
     These bound the support of the multifractal spectrum; the extremes
     are attained at periodic points, so the estimate grows monotonically
     toward the true interval as ell_max increases.
     """
-    diag = cohomology_diagnostic(ifs, psi, ell_max=ell_max, threads=threads)
+    diag = cohomology_diagnostic(ifs, psi, ell_max=ell_max)
     return diag.ratio_min, diag.ratio_max
 
 
@@ -169,8 +166,8 @@ class SpectrumCurve:
 
 def spectrum_curve(ifs: IfsSystem, psi: Potential, k: int | None = None,
                    q_min: float = DEFAULT_Q_MIN, q_max: float = DEFAULT_Q_MAX,
-                   q_steps: int = DEFAULT_Q_STEPS, ell_max: int = 6,
-                   threads: int = 1) -> SpectrumCurve:
+                   q_steps: int = DEFAULT_Q_STEPS,
+                   ell_max: int = 6) -> SpectrumCurve:
     """Sample beta(q) on a uniform grid and attach alpha and beta* values.
 
     alpha(q) = -beta'(q) by central differences (one-sided at the grid
@@ -184,17 +181,17 @@ def spectrum_curve(ifs: IfsSystem, psi: Potential, k: int | None = None,
         raise ValueError("empty q range")
     qs = np.linspace(q_min, q_max, q_steps)
     h = (q_max - q_min) / (q_steps - 1)
-    diag = cohomology_diagnostic(ifs, psi, ell_max=ell_max, threads=threads)
+    diag = cohomology_diagnostic(ifs, psi, ell_max=ell_max)
     a_lo, a_hi = diag.ratio_min, diag.ratio_max
     if diag.degenerate:
         c = 0.5 * (a_lo + a_hi)
-        s = beta_of_q(ifs, psi, 0.0, k=k, threads=threads)
+        s = beta_of_q(ifs, psi, 0.0, k=k)
         samples = tuple(SpectrumSample(q=float(q), beta=s - c * float(q),
                                        alpha=c, beta_star=s) for q in qs)
         return SpectrumCurve(samples=samples, alpha_minus=a_lo,
                              alpha_plus=a_hi, degenerate=True,
                              dimension=s, alpha_zero=c)
-    sums = LevelSums.build(ifs, psi, k, threads=threads)
+    sums = LevelSums.build(ifs, psi, k)
     betas = np.array([beta_of_q(ifs, psi, float(q), sums=sums) for q in qs])
     alphas = np.empty_like(betas)
     alphas[1:-1] = -(betas[2:] - betas[:-2]) / (2.0 * h)

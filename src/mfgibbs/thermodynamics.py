@@ -22,6 +22,7 @@ level one.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -34,6 +35,7 @@ from .symbolic import (ENUMERATION_CAP, PeriodicWord, SymbolStream,
                        distortion_bound)
 
 _CHUNK = 1 << 18
+_WORKERS = os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -202,27 +204,26 @@ def _geometric_chunk(ifs: IfsSystem, k: int, lo: int, hi: int) -> np.ndarray:
     over just the prefixes that [lo, hi) spans.  Each product is the
     one a left-to-right composition of the word would form, so the
     result does not depend on how the level is cut into chunks.
+    Letters are scaled to determinant one, so S_k phi = -2 log|c x + d|.
     """
     m = ifs.alphabet_size
-    ma, mb, mc, md = np.array([mp.coefficients() for mp in ifs.maps]).T
-    logdets = np.array([mp.log_det for mp in ifs.maps])
+    scale = np.exp([-0.5 * mp.log_det for mp in ifs.maps])
+    ma, mb, mc, md = np.array([mp.coefficients() for mp in ifs.maps]).T * scale
     first = lo // m ** (k - 1)
     span = slice(first, (hi - 1) // m ** (k - 1) + 1)
-    a, b, c, d, logdet = ma[span], mb[span], mc[span], md[span], logdets[span]
+    a, b, c, d = ma[span], mb[span], mc[span], md[span]
     for j in range(2, k + 1):
         step = m ** (k - j)
         # prefix p has children p*m .. p*m + m - 1; keep those [lo, hi) spans
         span = slice(lo // step - first * m, (hi - 1) // step - first * m + 1)
-        a, b, c, d, logdet = (
+        a, b, c, d = (
             (np.outer(a, ma) + np.outer(b, mc)).ravel()[span],
             (np.outer(a, mb) + np.outer(b, md)).ravel()[span],
             (np.outer(c, ma) + np.outer(d, mc)).ravel()[span],
-            (np.outer(c, mb) + np.outer(d, md)).ravel()[span],
-            np.add.outer(logdet, logdets).ravel()[span])
+            (np.outer(c, mb) + np.outer(d, md)).ravel()[span])
         first = lo // step
     x = _fixed_points_vec(a, b, c, d, ifs.domain)
-    q = np.abs(c * x + d)
-    return logdet - 2.0 * np.log(q)
+    return -2.0 * np.log(np.abs(c * x + d))
 
 
 def _sums_chunk(ifs: IfsSystem, psi: Potential, k: int, lo: int, hi: int,
@@ -251,12 +252,12 @@ def _sums_chunk(ifs: IfsSystem, psi: Potential, k: int, lo: int, hi: int,
 
 
 def periodic_sums(ifs: IfsSystem, psi: Potential, k: int,
-                  threads: int = 1, cap: int = ENUMERATION_CAP,
+                  cap: int = ENUMERATION_CAP,
                   geometric: np.ndarray | None = None) -> np.ndarray:
     """S_k psi at the periodic point of every length-k word, in lex order.
 
-    The array is assembled from fixed-size chunks in index order, so its
-    contents do not depend on the thread count.  `geometric`, when
+    Chunks run on up to one worker per core and join in index order, so
+    the contents do not depend on the core count.  `geometric`, when
     given, holds this level's sums of the geometric potential phi;
     psi's geometric term then reads them instead of composing every
     word again.
@@ -277,8 +278,8 @@ def periodic_sums(ifs: IfsSystem, psi: Potential, k: int,
                            else geometric[lo:hi])
 
     bounds = [(lo, min(lo + _CHUNK, total)) for lo in range(0, total, _CHUNK)]
-    if threads > 1 and len(bounds) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    if _WORKERS > 1 and len(bounds) > 1:
+        with ThreadPoolExecutor(min(len(bounds), _WORKERS)) as pool:
             parts = list(pool.map(lambda ab: chunk(*ab), bounds))
     else:
         parts = [chunk(lo, hi) for lo, hi in bounds]
@@ -290,10 +291,9 @@ def _logsumexp(arr: np.ndarray) -> float:
     return amax + math.log(float(np.sum(np.exp(arr - amax))))
 
 
-def pressure_at_level(ifs: IfsSystem, psi: Potential, k: int,
-                      threads: int = 1) -> float:
+def pressure_at_level(ifs: IfsSystem, psi: Potential, k: int) -> float:
     """Depth-k periodic-point approximation of the pressure."""
-    return _logsumexp(periodic_sums(ifs, psi, k, threads=threads)) / k
+    return _logsumexp(periodic_sums(ifs, psi, k)) / k
 
 
 @dataclass(frozen=True)
@@ -326,7 +326,7 @@ def _transfer_pressure(ifs: IfsSystem, psi: Potential, r: int) -> float:
 
 
 def pressure(ifs: IfsSystem, psi: Potential, k_max: int = 10,
-             tol: float = 1e-12, threads: int = 1) -> PressureResult:
+             tol: float = 1e-12) -> PressureResult:
     """Best available pressure value with an honest error bound.
 
     Potentials of finite range are evaluated exactly (error 0) once
@@ -343,7 +343,7 @@ def pressure(ifs: IfsSystem, psi: Potential, k_max: int = 10,
                               error_bound=0.0)
     levels = []
     for k in range(1, k_max + 1):
-        levels.append(pressure_at_level(ifs, psi, k, threads=threads))
+        levels.append(pressure_at_level(ifs, psi, k))
         if k >= 3 and abs(levels[-1] - levels[-2]) < tol:
             break
     value = levels[-1]
@@ -368,8 +368,7 @@ def pressure(ifs: IfsSystem, psi: Potential, k_max: int = 10,
     return PressureResult(value=value, error_bound=err, levels=tuple(levels))
 
 
-def normalize(ifs: IfsSystem, psi: Potential, k_max: int = 10,
-              threads: int = 1) -> Potential:
+def normalize(ifs: IfsSystem, psi: Potential, k_max: int = 10) -> Potential:
     """Shift psi by a constant so its pressure vanishes.
 
     Finite-range potentials subtract their exact pressure.  For the
@@ -382,7 +381,7 @@ def normalize(ifs: IfsSystem, psi: Potential, k_max: int = 10,
     if r is not None and r <= k_max:
         c = _transfer_pressure(ifs, psi, r)
     else:
-        c = pressure_at_level(ifs, psi, k_max, threads=threads)
+        c = pressure_at_level(ifs, psi, k_max)
     return replace(psi, shift=psi.shift - c)
 
 
@@ -408,20 +407,20 @@ def _softmax(sums: np.ndarray) -> np.ndarray:
     return e / float(e.sum())
 
 
-def gibbs_cylinder_weights(ifs: IfsSystem, psi: Potential, n: int,
-                           threads: int = 1) -> GibbsWeights:
+def gibbs_cylinder_weights(ifs: IfsSystem, psi: Potential,
+                           n: int) -> GibbsWeights:
     """Depth-n cylinder weights exp(S_n psi)/Z for a zero-pressure psi.
 
     Raises NormalizationError when the pressure of psi is not zero
     within max(1e-8, its own error bound); the weights formula only
     approximates the Gibbs measure in that regime.
     """
-    pres = pressure(ifs, psi, k_max=max(2, min(8, n + 1)), threads=threads)
+    pres = pressure(ifs, psi, k_max=max(2, min(8, n + 1)))
     if abs(pres.value) > max(1e-8, pres.error_bound):
         raise NormalizationError(
             f"pressure {pres.value:.3e} not zero within {pres.error_bound:.3e}")
-    w_n = _softmax(periodic_sums(ifs, psi, n, threads=threads))
-    w_n1 = _softmax(periodic_sums(ifs, psi, n + 1, threads=threads))
+    w_n = _softmax(periodic_sums(ifs, psi, n))
+    w_n1 = _softmax(periodic_sums(ifs, psi, n + 1))
     # worst ratio, either way up, between a depth-n weight and the sum of
     # its children: exactly 1 for product measures, the empirical Gibbs
     # constant otherwise
@@ -440,7 +439,7 @@ class CohomologyReport:
 
 
 def cohomology_diagnostic(ifs: IfsSystem, psi: Potential, ell_max: int = 6,
-                          tol: float = 1e-8, threads: int = 1) -> CohomologyReport:
+                          tol: float = 1e-8) -> CohomologyReport:
     """Detect whether psi is a constant multiple of the geometric potential
     up to coboundaries, by scanning periodic ratio spread.
 
@@ -452,8 +451,8 @@ def cohomology_diagnostic(ifs: IfsSystem, psi: Potential, ell_max: int = 6,
     phi = Potential.geometric(ifs)
     lo, hi = math.inf, -math.inf
     for ell in range(1, ell_max + 1):
-        s_phi = periodic_sums(ifs, phi, ell, threads=threads)
-        s_psi = periodic_sums(ifs, psi, ell, threads=threads, geometric=s_phi)
+        s_phi = periodic_sums(ifs, phi, ell)
+        s_psi = periodic_sums(ifs, psi, ell, geometric=s_phi)
         ratios = s_psi / s_phi
         lo = min(lo, float(ratios.min()))
         hi = max(hi, float(ratios.max()))

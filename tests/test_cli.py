@@ -202,6 +202,15 @@ def test_wrong_weight_count_rejected(tmp_path, capsys):
     assert "weights" in err
 
 
+def test_threads_below_one_rejected(capsys):
+    # --threads is ignored, but a value below one is still a config fault
+    code, out, err = run(capsys, "check", "--config",
+                         str(CONFIGS / "lebesgue.json"), "--threads", "0")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error: --threads must be positive")
+
+
 def test_beta_determinism_across_threads(tmp_path, capsys):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"

@@ -11,6 +11,8 @@ and names each moved number in its change notes.
 
 import contextlib
 import io
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -58,6 +60,26 @@ def golden_path(config: str, variant: str) -> Path:
 def test_cli_output_matches_golden(config, variant):
     expected = golden_path(config, variant).read_text(encoding="utf-8")
     assert run_case(config, variant) == expected
+
+
+# replays every case in a fresh interpreter whose BLAS runs one thread
+_REPLAY = """
+from test_golden_cli import CASES, golden_path, run_case
+bad = [f"{c}/{v}" for c, v in CASES
+       if run_case(c, v) != golden_path(c, v).read_text(encoding="utf-8")]
+print("mismatched goldens:", *bad)
+raise SystemExit(1 if bad else 0)
+"""
+
+
+def test_goldens_do_not_depend_on_blas_threads():
+    path = [str(ROOT / "src"), str(ROOT / "tests"),
+            os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run([sys.executable, "-c", _REPLAY], env=env,
+                          capture_output=True, text=True, check=False)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 if __name__ == "__main__":

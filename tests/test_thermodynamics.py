@@ -9,7 +9,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from mfgibbs import spectrum, thermodynamics
 from mfgibbs.cli import main
 from mfgibbs.errors import NormalizationError
-from mfgibbs.ifs_geometry import word_matrix
+from mfgibbs.ifs_geometry import (AffineMap, IfsSystem, MoebiusMap,
+                                  word_matrix)
 from mfgibbs.spectrum import LevelSums
 from mfgibbs.symbolic import PeriodicWord, Word, enumerate_words, ergodic_sum
 from mfgibbs.thermodynamics import (Potential, cohomology_diagnostic,
@@ -69,13 +70,6 @@ def test_periodic_sums_exact_level_two(cantor, cantor_psi):
     lw = cantor_psi.table
     expected = [2 * lw[0], lw[0] + lw[1], lw[1] + lw[0], 2 * lw[1]]
     assert np.allclose(sums, expected, atol=1e-15)
-
-
-def test_periodic_sums_thread_determinism(moebius):
-    geo = Potential.geometric(moebius)
-    one = periodic_sums(moebius, geo, 10, threads=1)
-    four = periodic_sums(moebius, geo, 10, threads=4)
-    assert np.array_equal(one, four)
 
 
 def test_probability_weights_have_zero_pressure(cantor, cantor_psi):
@@ -225,13 +219,13 @@ def test_moebius_periodic_sums_chunks_threads_and_block_sums(data):
                           whole[lo:hi])
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(thermodynamics, "_CHUNK", data.draw(st.integers(1, total)))
-        one = periodic_sums(ifs, psi, k, threads=1)
-        two = periodic_sums(ifs, psi, k, threads=2)
-        phi = periodic_sums(ifs, Potential.geometric(ifs), k, threads=2)
-        shared = periodic_sums(ifs, psi, k, threads=2, geometric=phi)
-    assert np.array_equal(one, whole)
-    assert np.array_equal(two, whole)
-    assert np.array_equal(shared, whole)
+        # one worker maps the chunks in turn, four map them over a pool
+        for workers in (1, 4):
+            mp.setattr(thermodynamics, "_WORKERS", workers)
+            phi = periodic_sums(ifs, Potential.geometric(ifs), k)
+            assert np.array_equal(periodic_sums(ifs, psi, k), whole)
+            assert np.array_equal(periodic_sums(ifs, psi, k, geometric=phi),
+                                  whole)
     # the prefix tree forms each word's products in word_matrix's order
     words = list(enumerate_words(m, k))
     coeffs, logdet = zip(*(word_matrix(ifs, w) for w in words))
@@ -242,6 +236,19 @@ def test_moebius_periodic_sums_chunks_threads_and_block_sums(data):
     for idx, w in enumerate(words):
         assert whole[idx] == pytest.approx(psi.block_sum(PeriodicWord(w)),
                                            rel=1e-12, abs=1e-12)
+
+
+def test_mixed_system_geometric_sums_match_block_sums():
+    # an affine letter has log_det != 0, so the prefix tree must scale
+    # it to determinant one before composing it with a Moebius letter
+    dom = (0.0, 1.0)
+    ifs = IfsSystem(dom, (AffineMap(1 / 3, 0.0, dom),
+                          MoebiusMap(2.0, 2.0, 1.0, 3.0, dom)))
+    phi = Potential.geometric(ifs)
+    for k in (1, 3, 6):
+        expected = [phi.block_sum(PeriodicWord(w))
+                    for w in enumerate_words(2, k)]
+        assert np.max(np.abs(periodic_sums(ifs, phi, k) - expected)) <= 1e-12
 
 
 @pytest.fixture
