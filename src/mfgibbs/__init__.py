@@ -5,10 +5,9 @@ function estimators, and runnable secant-slope experiments for
 interval IFS attractors.
 """
 
-from .errors import (BlockSearchError, BracketError, CapacityError,
-                     ConfigError, DomainError, GridEdgeError,
-                     NonConvergenceError, NormalizationError, PrecisionError,
-                     ScaleError, SeparatorError, ToolkitError)
+from .errors import (BlockSearchError, CapacityError, ConfigError,
+                     DomainError, NonConvergenceError, NormalizationError,
+                     PrecisionError, ScaleError, SeparatorError, ToolkitError)
 from .estimators import (CdfValue, CoarseBin, CoarseSpectrum, DepthPolicy,
                          DistributionFunction, HolderEstimate, Scales,
                          coarse_spectrum, deep_policy, default_scale_base,
@@ -23,13 +22,13 @@ from .ifs_geometry import (AffineMap, IfsSystem, MoebiusMap, check_osc,
                            coding_point, cylinder_interval, max_safe_depth,
                            periodic_point, stream_point)
 from .spectrum import (LegendreValue, PredictedPoint, SpectrumCurve,
-                       SpectrumSample, alpha_of_q, beta_of_q, endpoints,
+                       SpectrumSample, beta_grid, beta_of_q, endpoints,
                        hausdorff_spectrum_prediction, legendre,
                        packing_spectrum_prediction, spectrum_curve)
 from .symbolic import PeriodicWord, SymbolStream, Word, enumerate_words
 from .thermodynamics import (CohomologyReport, GibbsWeights, Potential,
                              cohomology_diagnostic, effective_range,
                              gibbs_cylinder_weights, normalize, periodic_sums,
-                             pressure, pressure_at_level)
+                             pressure, pressure_at_level, require_normalized)
 
 __version__ = "0.1.0"

@@ -18,12 +18,12 @@ from .estimators import (HOLDER_METHODS, DepthPolicy, DistributionFunction,
                          default_scale_base, holder_exponent_estimate)
 from .holder_lab import derivative_limit_probe, detrend_exponent_test
 from .ifs_geometry import IfsSystem, stream_point
-from .spectrum import (LevelSums, beta_of_q, endpoints,
-                       hausdorff_spectrum_prediction, legendre,
+from .spectrum import (beta_grid, endpoints, hausdorff_spectrum_prediction,
                        packing_spectrum_prediction, spectrum_curve)
 from .symbolic import PeriodicWord, Word
 from .thermodynamics import (Potential, cohomology_diagnostic,
-                             effective_range, normalize, pressure)
+                             effective_range, normalize, pressure,
+                             require_normalized)
 
 SCHEMA_VERSION = 1
 
@@ -226,6 +226,15 @@ def _scales_from(cfg: dict, ifs: IfsSystem) -> Scales:
                   _int(block.get("j_max", 20), "scales.j_max"))
 
 
+def _require_normalized(cfg, ifs, psi) -> None:
+    """Refuse a potential of nonzero pressure before any beta(q) root.
+
+    One the config asks to normalize has zero pressure by construction.
+    """
+    if not _block(cfg, "potential").get("normalize", False):
+        require_normalized(ifs, psi)
+
+
 def _q_grid(args, cfg):
     block = _block(cfg, "q_grid")
     q_min = args.q_min if args.q_min is not None else _num(
@@ -277,27 +286,25 @@ def _cmd_pressure(args, cfg, ifs, psi):
 
 def _cmd_beta(args, cfg, ifs, psi):
     q_min, q_max, steps = _q_grid(args, cfg)
-    sums = LevelSums.build(ifs, psi, args.depth)
-    rows = []
-    for i in range(steps):
-        q = q_min + (q_max - q_min) * i / (steps - 1)
-        rows.append((q, beta_of_q(ifs, psi, q, sums=sums)))
-    _write_csv(args.out, ("q", "beta"), rows)
+    _require_normalized(cfg, ifs, psi)
+    qs = [q_min + (q_max - q_min) * i / (steps - 1) for i in range(steps)]
+    samples = beta_grid(ifs, psi, qs, k=args.depth)
+    _write_csv(args.out, ("q", "beta"), [(s.q, s.beta) for s in samples])
     _summary(f"beta: {steps} points on [{q_min:g}, {q_max:g}]")
     return 0
 
 
 def _cmd_spectrum(args, cfg, ifs, psi):
     q_min, q_max, steps = _q_grid(args, cfg)
+    _require_normalized(cfg, ifs, psi)
     curve = spectrum_curve(ifs, psi, k=args.depth, q_min=q_min, q_max=q_max,
                            q_steps=steps)
     rows = [(s.q, s.beta, s.alpha, s.beta_star) for s in curve.samples]
     _write_csv(args.out, ("q", "beta", "alpha", "beta_star"), rows)
-    plateau = legendre(curve, curve.alpha_zero).value
     _summary(f"spectrum: alpha_minus={curve.alpha_minus:.6f} "
              f"alpha_plus={curve.alpha_plus:.6f} "
              f"alpha_zero={curve.alpha_zero:.6f} "
-             f"beta_star_alpha_zero={plateau:.6f} "
+             f"beta_star_alpha_zero={curve.dimension:.6f} "
              f"degenerate={_fmt(curve.degenerate)}")
     return 0
 
@@ -431,6 +438,7 @@ def _cmd_detrend(args, cfg, ifs, psi):
 
 def _cmd_predict_packing(args, cfg, ifs, psi):
     q_min, q_max, steps = _q_grid(args, cfg)
+    _require_normalized(cfg, ifs, psi)
     curve = spectrum_curve(ifs, psi, k=args.depth, q_min=q_min, q_max=q_max,
                            q_steps=steps)
     block = _block(cfg, "packing")
@@ -446,8 +454,7 @@ def _cmd_predict_packing(args, cfg, ifs, psi):
     rows = [(h.alpha, h.dim, p.dim, h.empty)
             for h, p in zip(haus, pack)]
     _write_csv(args.out, ("alpha", "hausdorff", "packing", "empty"), rows)
-    plateau = legendre(curve, curve.alpha_zero).value
-    _summary(f"predict-packing: plateau={plateau:.6f} on "
+    _summary(f"predict-packing: plateau={curve.dimension:.6f} on "
              f"[{curve.alpha_minus:.6f}, {curve.alpha_zero:.6f}]")
     return 0
 

@@ -21,10 +21,6 @@ class NonConvergenceError(ToolkitError):
     """An iterative solve exhausted its budget."""
 
 
-class BracketError(ToolkitError):
-    """Root bracketing failed after the allowed number of expansions."""
-
-
 class NormalizationError(ToolkitError):
     """A potential required to have zero pressure does not."""
 
@@ -39,10 +35,6 @@ class SeparatorError(ToolkitError):
 
 class ScaleError(ToolkitError):
     """Too few usable scales survive the error filter to run an estimate."""
-
-
-class GridEdgeError(ToolkitError):
-    """A derivative or infimum query landed on the edge of the sample grid."""
 
 
 class ConfigError(ToolkitError):

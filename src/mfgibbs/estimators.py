@@ -37,10 +37,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NormalizationError, PrecisionError, ScaleError
+from .errors import DomainError, PrecisionError, ScaleError
 from .ifs_geometry import IfsSystem, check_osc, max_safe_depth, WIDTH_FLOOR
 from .symbolic import PeriodicWord, Word
-from .thermodynamics import Potential, effective_range, pressure, range_table
+from .thermodynamics import (Potential, effective_range, range_table,
+                             require_normalized)
 
 
 # a node holding at most this many points finishes each with the scalar walk
@@ -79,10 +80,7 @@ class DistributionFunction:
                  policy: DepthPolicy | None = None):
         if not check_osc(system).satisfied:
             raise DomainError("distribution function requires the open set condition")
-        pres = pressure(system, potential, k_max=8)
-        if abs(pres.value) > max(1e-8, pres.error_bound):
-            raise NormalizationError(
-                f"potential has pressure {pres.value:.3e}; normalize it first")
+        require_normalized(system, potential)
         self.system = system
         self.potential = potential
         if policy is None:
@@ -337,7 +335,11 @@ def holder_exponent_estimate(F: DistributionFunction, t0: float,
     """Liminf of log mu(B(t0, r)) / log r over sampled radii.
 
     Radii where the ball mass is within a factor 10 of its own error
-    bound are skipped.  regression_min takes the minimum least-squares
+    bound are skipped, and so are radii beyond the distance from t0 to
+    the nearer end of the domain, where the ball is cut off.  A t0
+    closer to an end than the smallest radius (the end itself, or a
+    coded point that rounds next to it) counts as that end, and no
+    radius is skipped.  regression_min takes the minimum least-squares
     slope over sliding windows of 5 scales, which cancels the additive
     constants that bias the raw ratio; running_min is the raw ratio
     minimum for comparison.
@@ -346,9 +348,15 @@ def holder_exponent_estimate(F: DistributionFunction, t0: float,
         raise ValueError(f"unknown method {method!r}")
     if scales is None:
         scales = Scales(base=default_scale_base(F.system))
+    lo, hi = F.system.domain
+    reach = min(t0 - lo, hi - t0)
+    if reach < scales.base ** (-scales.j_max):
+        reach = math.inf
     pairs = []
     for j in range(scales.j_min, scales.j_max + 1):
         r = scales.base ** (-j)
+        if r > reach:
+            continue
         mb = measure_ball(F, t0, r)
         if mb.value <= 0.0 or mb.value < 10.0 * mb.error_bound:
             continue

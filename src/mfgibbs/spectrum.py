@@ -1,15 +1,20 @@
 """The scaling function beta(q) and the dimension spectra derived from it.
 
-beta(q) is the unique zero in beta of the depth-k pressure of
-beta*phi + q*psi, where phi is the geometric potential.  Since phi is
-strictly negative the pressure is strictly decreasing in beta, so a
-bracketed bisection always lands on the root; three Newton polish steps
-sharpen it to machine precision.
+beta(q) is the unique zero in beta of the depth-k pressure
+P_k(beta, q) = (1/k) log sum exp(beta*S_k phi + q*S_k psi), where phi is
+the geometric potential.  P_k is convex in beta and, since every
+S_k phi < 0, strictly decreasing, so Newton's method from any start
+lands at or left of the root after one step and then rises to it
+monotonically.  Each step is one pass over the level's sums, which also
+yields the Gibbs averages <phi> and <psi>; at the root they give the
+exact alpha(q) = -beta'(q) = <psi>/<phi> and beta*(alpha(q)) =
+beta(q) + q*alpha(q).  Along a q grid each root starts from the tangent
+of the previous one, which lies below the convex curve beta(q).
 
 The Legendre transform beta*(alpha) = inf_q {beta(q) + alpha*q} of the
 sampled curve predicts the Hausdorff spectrum on [alpha_minus,
 alpha_plus].  The packing spectrum agrees to the right of alpha_0 (the
-alpha at q = 0) and is constant beta*(alpha_0) to the left.
+alpha at q = 0) and is constant beta*(alpha_0) = beta(0) to the left.
 
 Degenerate systems, where psi and a multiple of phi have identical
 periodic sums, short-circuit to the affine curve beta(q) = s - c*q and
@@ -19,11 +24,11 @@ a one-point spectrum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import BracketError, GridEdgeError, NonConvergenceError
+from .errors import NonConvergenceError
 from .ifs_geometry import IfsSystem
 from .thermodynamics import (Potential, cohomology_diagnostic,
                              effective_range, periodic_sums)
@@ -60,60 +65,48 @@ class LevelSums:
         return cls(level=k, geometric=geometric,
                    potential=periodic_sums(ifs, psi, k, geometric=geometric))
 
-    def pressure(self, beta: float, q: float) -> float:
-        z = beta * self.geometric + q * self.potential
-        zmax = float(np.max(z))
-        return (zmax + math.log(float(np.sum(np.exp(z - zmax))))) / self.level
+    def gibbs_averages(self, beta: float,
+                       q: float) -> tuple[float, float, float]:
+        """P_k(beta, q) and the per-symbol averages <phi>, <psi>.
 
-    def pressure_and_slope(self, beta: float, q: float) -> tuple[float, float]:
+        The averages are taken under the weights exp(beta*S_k phi +
+        q*S_k psi) and are the partial derivatives of P_k in beta and q.
+        """
         z = beta * self.geometric + q * self.potential
         zmax = float(np.max(z))
         e = np.exp(z - zmax)
         total = float(e.sum())
-        value = (zmax + math.log(total)) / self.level
-        slope = float((e * self.geometric).sum()) / total / self.level
-        return value, slope
+        k = self.level
+        return ((zmax + math.log(total)) / k,
+                float((e * self.geometric).sum()) / total / k,
+                float((e * self.potential).sum()) / total / k)
 
 
 def beta_of_q(ifs: IfsSystem, psi: Potential, q: float, k: int | None = None,
-              tol: float = 1e-10, sums: LevelSums | None = None) -> float:
+              tol: float = 1e-10, sums: LevelSums | None = None,
+              start: float = 0.0) -> float:
     """Solve the depth-k pressure equation P_k(beta*phi + q*psi) = 0.
 
     psi should be normalized (P(psi) = 0); then beta(1) = 0 and beta(0)
-    is the attractor dimension.  The bracket starts at [-10, 10] and is
-    doubled outward up to 60 times before giving up.
+    is the attractor dimension.  Newton runs from `start` until a step
+    falls below 1e-15*max(1, |beta|), at most 50 steps.
+    NonConvergenceError if the pressure at the last point evaluated, one
+    such step from the returned root, exceeds tol.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     if sums is None:
         sums = LevelSums.build(ifs, psi, k)
-    lo, hi = -10.0, 10.0
-    f_lo, f_hi = sums.pressure(lo, q), sums.pressure(hi, q)
-    for _ in range(60):
-        if f_lo >= 0.0 >= f_hi:
+    beta = start
+    for _ in range(50):
+        value, slope, _ = sums.gibbs_averages(beta, q)
+        step = value / slope
+        beta -= step
+        if abs(step) <= 1e-15 * max(1.0, abs(beta)):
             break
-        width = hi - lo
-        if f_lo < 0.0:
-            lo -= width
-            f_lo = sums.pressure(lo, q)
-        if f_hi > 0.0:
-            hi += width
-            f_hi = sums.pressure(hi, q)
     else:
-        raise BracketError(f"no sign change for q={q} after 60 doublings")
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        if sums.pressure(mid, q) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    beta = 0.5 * (lo + hi)
-    for _ in range(3):
-        value, slope = sums.pressure_and_slope(beta, q)
-        if slope == 0.0:
-            break
-        beta -= value / slope
-    if abs(sums.pressure(beta, q)) > tol:
+        value = sums.gibbs_averages(beta, q)[0]
+    if not abs(value) <= tol:  # a NaN residual fails too
         raise NonConvergenceError(f"residual pressure above {tol} at q={q}")
     return beta
 
@@ -164,23 +157,45 @@ class SpectrumCurve:
         return np.array([s.beta_star for s in self.samples])
 
 
+def beta_grid(ifs: IfsSystem, psi: Potential, qs, k: int | None = None
+              ) -> tuple[SpectrumSample, ...]:
+    """beta, alpha = <psi>/<phi> and beta* = beta + q*alpha at each q.
+
+    One level of sums serves every root.  Each root after the first
+    starts from the tangent beta - alpha*dq of the previous one.
+    """
+    sums = LevelSums.build(ifs, psi, k)
+    samples = []
+    start = 0.0
+    for q in qs:
+        q = float(q)
+        if samples:
+            prev = samples[-1]
+            start = prev.beta - prev.alpha * (q - prev.q)
+        beta = beta_of_q(ifs, psi, q, sums=sums, start=start)
+        _, phi, psi_avg = sums.gibbs_averages(beta, q)
+        alpha = psi_avg / phi
+        samples.append(SpectrumSample(q=q, beta=beta, alpha=alpha,
+                                      beta_star=beta + q * alpha))
+    return tuple(samples)
+
+
 def spectrum_curve(ifs: IfsSystem, psi: Potential, k: int | None = None,
                    q_min: float = DEFAULT_Q_MIN, q_max: float = DEFAULT_Q_MAX,
                    q_steps: int = DEFAULT_Q_STEPS,
                    ell_max: int = 6) -> SpectrumCurve:
-    """Sample beta(q) on a uniform grid and attach alpha and beta* values.
+    """Sample beta(q), alpha(q) and beta*(alpha(q)) on a uniform grid.
 
-    alpha(q) = -beta'(q) by central differences (one-sided at the grid
-    ends); beta*(alpha(q)) = beta(q) + q*alpha(q) by Legendre duality at
-    interior points.  One scan of the periodic ratios up to ell_max gives
-    both the endpoints and the degeneracy flag.
+    The samples come from `beta_grid`, so alpha and beta* are exact at
+    the depth-k level, as are the dimension beta(0) and alpha_0 = alpha(0)
+    whether or not the grid holds q = 0.  One scan of the periodic ratios up to ell_max
+    gives both the endpoints and the degeneracy flag.
     """
     if q_steps < 3:
         raise ValueError("need at least 3 grid points")
     if not q_min < q_max:
         raise ValueError("empty q range")
     qs = np.linspace(q_min, q_max, q_steps)
-    h = (q_max - q_min) / (q_steps - 1)
     diag = cohomology_diagnostic(ifs, psi, ell_max=ell_max)
     a_lo, a_hi = diag.ratio_min, diag.ratio_max
     if diag.degenerate:
@@ -191,20 +206,12 @@ def spectrum_curve(ifs: IfsSystem, psi: Potential, k: int | None = None,
         return SpectrumCurve(samples=samples, alpha_minus=a_lo,
                              alpha_plus=a_hi, degenerate=True,
                              dimension=s, alpha_zero=c)
-    sums = LevelSums.build(ifs, psi, k)
-    betas = np.array([beta_of_q(ifs, psi, float(q), sums=sums) for q in qs])
-    alphas = np.empty_like(betas)
-    alphas[1:-1] = -(betas[2:] - betas[:-2]) / (2.0 * h)
-    alphas[0] = -(betas[1] - betas[0]) / h
-    alphas[-1] = -(betas[-1] - betas[-2]) / h
-    stars = betas + qs * alphas
-    samples = tuple(SpectrumSample(q=float(q), beta=float(b), alpha=float(a),
-                                   beta_star=float(f))
-                    for q, b, a, f in zip(qs, betas, alphas, stars))
-    izero = int(np.argmin(np.abs(qs)))
-    return SpectrumCurve(samples=samples, alpha_minus=a_lo, alpha_plus=a_hi,
-                         degenerate=False, dimension=float(betas[izero]),
-                         alpha_zero=float(alphas[izero]))
+    # q = 0 is solved on its own, so a grid without it still reads
+    # the dimension and alpha_0 exactly
+    *samples, zero = beta_grid(ifs, psi, [*qs, 0.0], k)
+    return SpectrumCurve(samples=tuple(samples), alpha_minus=a_lo,
+                         alpha_plus=a_hi, degenerate=False,
+                         dimension=zero.beta, alpha_zero=zero.alpha)
 
 
 @dataclass(frozen=True)
@@ -229,27 +236,6 @@ def legendre(curve: SpectrumCurve, alpha: float) -> LegendreValue:
     if denom > 0.0:
         value = float(g[i]) - (g[i + 1] - g[i - 1]) ** 2 / (8.0 * denom)
     return LegendreValue(value=value, interior=True)
-
-
-def alpha_of_q(curve: SpectrumCurve, q: float) -> float:
-    """Central-difference -beta'(q) read off the sampled curve."""
-    qs = curve.qs
-    betas = curve.betas
-    h = float(qs[1] - qs[0])
-    t = (q - float(qs[0])) / h
-    i = int(round(t))
-    if abs(t - i) < 1e-9:
-        if i < 1 or i > len(qs) - 2:
-            raise GridEdgeError(f"q={q} has no interior neighbors on the grid")
-        return float(-(betas[i + 1] - betas[i - 1]) / (2.0 * h))
-    i0 = int(math.floor(t))
-    i1 = i0 + 1
-    if i0 < 1 or i1 > len(qs) - 2:
-        raise GridEdgeError(f"q={q} has no interior neighbors on the grid")
-    d0 = -(betas[i0 + 1] - betas[i0 - 1]) / (2.0 * h)
-    d1 = -(betas[i1 + 1] - betas[i1 - 1]) / (2.0 * h)
-    w = t - i0
-    return float((1.0 - w) * d0 + w * d1)
 
 
 @dataclass(frozen=True)
@@ -277,16 +263,7 @@ def hausdorff_spectrum_prediction(curve: SpectrumCurve,
 def packing_spectrum_prediction(curve: SpectrumCurve,
                                 alpha_grid) -> list[PredictedPoint]:
     """Constant beta*(alpha_zero) left of alpha_zero, Legendre to the right."""
-    out = []
-    tol = 1e-9
     plateau = legendre(curve, curve.alpha_zero).value
-    for alpha in alpha_grid:
-        a = float(alpha)
-        if a < curve.alpha_minus - tol or a > curve.alpha_plus + tol:
-            out.append(PredictedPoint(alpha=a, dim=math.nan, empty=True))
-        elif a <= curve.alpha_zero:
-            out.append(PredictedPoint(alpha=a, dim=plateau, empty=False))
-        else:
-            out.append(PredictedPoint(alpha=a, dim=legendre(curve, a).value,
-                                      empty=False))
-    return out
+    return [replace(p, dim=plateau)
+            if not p.empty and p.alpha <= curve.alpha_zero else p
+            for p in hausdorff_spectrum_prediction(curve, alpha_grid)]

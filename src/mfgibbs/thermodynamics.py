@@ -368,6 +368,15 @@ def pressure(ifs: IfsSystem, psi: Potential, k_max: int = 10,
     return PressureResult(value=value, error_bound=err, levels=tuple(levels))
 
 
+def require_normalized(ifs: IfsSystem, psi: Potential, k_max: int = 8) -> None:
+    """Refuse psi unless its pressure is 0 within max(1e-8, its bound)."""
+    pres = pressure(ifs, psi, k_max=k_max)
+    if abs(pres.value) > max(1e-8, pres.error_bound):
+        raise NormalizationError(
+            f"potential has pressure {pres.value:.3e}, not zero within "
+            f"{pres.error_bound:.3e}; normalize it first")
+
+
 def normalize(ifs: IfsSystem, psi: Potential, k_max: int = 10) -> Potential:
     """Shift psi by a constant so its pressure vanishes.
 
@@ -415,10 +424,7 @@ def gibbs_cylinder_weights(ifs: IfsSystem, psi: Potential,
     within max(1e-8, its own error bound); the weights formula only
     approximates the Gibbs measure in that regime.
     """
-    pres = pressure(ifs, psi, k_max=max(2, min(8, n + 1)))
-    if abs(pres.value) > max(1e-8, pres.error_bound):
-        raise NormalizationError(
-            f"pressure {pres.value:.3e} not zero within {pres.error_bound:.3e}")
+    require_normalized(ifs, psi, k_max=max(2, min(8, n + 1)))
     w_n = _softmax(periodic_sums(ifs, psi, n))
     w_n1 = _softmax(periodic_sums(ifs, psi, n + 1))
     # worst ratio, either way up, between a depth-n weight and the sum of

@@ -3,6 +3,7 @@
 from hypothesis import strategies as st
 
 from mfgibbs.ifs_geometry import IfsSystem
+from mfgibbs.thermodynamics import Potential, normalize
 
 
 @st.composite
@@ -31,3 +32,19 @@ def systems(draw, moebius=None):
             # touching images may also overlap within the OSC tolerance
             u -= draw(st.sampled_from([0.0, 1e-13]))
     return (IfsSystem.moebius if moebius else IfsSystem.affine)((0.0, 1.0), maps)
+
+
+@st.composite
+def potentials(draw, ifs):
+    """A normalized Bernoulli, depth-2 finite-range or geometric potential
+    on `ifs`, whose cascade splits are constant or not."""
+    m = ifs.alphabet_size
+    kind = draw(st.sampled_from(["bernoulli", "finite_range", "geometric"]))
+    if kind == "bernoulli":
+        weights = [draw(st.floats(0.05, 1.0)) for _ in range(m)]
+        return Potential.from_probabilities([w / sum(weights) for w in weights])
+    if kind == "finite_range":
+        return normalize(ifs, Potential.finite_range(
+            2, m, [draw(st.floats(-2.0, 2.0)) for _ in range(m * m)]))
+    coeff = draw(st.floats(0.5, 2.0))
+    return normalize(ifs, Potential.geometric(ifs, coeff), k_max=8)

@@ -78,7 +78,7 @@ def test_criterion_04_legendre_duality(cantor_curve):
         for s in cantor_curve.samples[1:-1]:
             dual = legendre(cantor_curve, s.alpha).value
             worst = max(worst, abs(dual - (s.beta + s.q * s.alpha)))
-        assert worst < 1e-3
+        assert worst < 1e-6
 
 
 def test_criterion_05_moebius_pressure(moebius, moebius_psi):

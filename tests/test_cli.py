@@ -187,6 +187,24 @@ def test_runtime_error_exits_one(tmp_path, capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("command", ["beta", "spectrum", "predict-packing"])
+@pytest.mark.parametrize("normalize", [False, True])
+def test_spectral_commands_refuse_unnormalized(tmp_path, capsys, command,
+                                               normalize):
+    cfg = json.loads((CONFIGS / "cantor_14_34.json").read_text())
+    cfg["potential"]["probabilities"] = [0.5, 0.6]
+    cfg["potential"]["normalize"] = normalize
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run(capsys, command, "--config", str(path))
+    if normalize:
+        assert code == 0 and out
+    else:
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: potential has pressure 9.531e-02")
+
+
 def test_wrong_weight_count_rejected(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({

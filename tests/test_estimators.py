@@ -16,9 +16,8 @@ from mfgibbs.estimators import (DepthPolicy, DistributionFunction, Scales,
 from mfgibbs.ifs_geometry import IfsSystem, cylinder_interval, periodic_point
 from mfgibbs.spectrum import legendre
 from mfgibbs.symbolic import PeriodicWord, Word, enumerate_words
-from mfgibbs.thermodynamics import (Potential, gibbs_cylinder_weights,
-                                    normalize)
-from strategies import systems
+from mfgibbs.thermodynamics import Potential, gibbs_cylinder_weights
+from strategies import potentials, systems
 
 
 def test_uniform_cdf_exact_values(F_uniform):
@@ -128,15 +127,23 @@ def test_holder_tracks_exact_exponent(cantor, cantor_psi, F_cantor):
     assert est.exponent == pytest.approx(exact, abs=0.05)
 
 
-def test_holder_exponents_stay_in_band(F_cantor, cantor, cantor_psi):
+def test_holder_exponents_stay_in_band(F_cantor, F_lebesgue, cantor,
+                                      cantor_psi):
     from mfgibbs.spectrum import endpoints
     lo, hi = endpoints(cantor, cantor_psi)
     rng = random.Random(3)
-    pts = [F_cantor.cdf(rng.random()) for _ in range(50)]
-    xs = [0.0, 1.0, 0.25, 1 / 3, 2 / 3]
-    for x in xs:
+    # seeded coded points: in the attractor, mostly inside the domain
+    coded = [periodic_point(cantor, PeriodicWord(Word(tuple(
+        rng.randrange(2) for _ in range(rng.randint(1, 5))))))
+        for _ in range(10)]
+    for x in [0.0, 1.0, 0.25, 1 / 3, 2 / 3] + coded:
         est = holder_exponent_estimate(F_cantor, x)
         assert lo - 0.1 <= est.exponent <= hi + 0.1
+    # F(t) = t has exponent 1 at every interior t0, also near an end,
+    # where balls wider than the distance to it would be cut off
+    for t0 in [0.6932, 0.02] + [rng.random() for _ in range(10)]:
+        est = holder_exponent_estimate(F_lebesgue, t0)
+        assert est.exponent == pytest.approx(1.0, abs=0.02)
 
 
 def test_holder_needs_enough_scales(cantor, cantor_psi):
@@ -212,22 +219,12 @@ def _cascades(draw):
     """A random valid 2- or 3-map affine or Moebius system on [0, 1] with
     a normalized potential whose splits are constant or not."""
     ifs = draw(systems())
-    m = ifs.alphabet_size
-    kind = draw(st.sampled_from(["bernoulli", "finite_range", "geometric"]))
-    if kind == "bernoulli":
-        weights = [draw(st.floats(0.05, 1.0)) for _ in range(m)]
-        psi = Potential.from_probabilities([w / sum(weights) for w in weights])
-    elif kind == "finite_range":
-        psi = normalize(ifs, Potential.finite_range(
-            2, m, [draw(st.floats(-2.0, 2.0)) for _ in range(m * m)]))
-    else:
-        psi = normalize(ifs, Potential.geometric(ifs, draw(st.floats(0.5, 2.0))),
-                        k_max=8)
+    psi = draw(potentials(ifs))
     if draw(st.booleans()):
         policy = None
     else:
         # non-constant splits cost O(depth^2) per scalar point: stay shallow
-        deepest = 60 if kind == "bernoulli" else 12
+        deepest = 60 if psi.geom == 0.0 and psi.depth == 1 else 12
         policy = DepthPolicy(draw(st.integers(1, deepest)),
                              draw(st.sampled_from([0.0, 1e-12, 1e-8, 1e-4])))
     return DistributionFunction(ifs, psi, policy)

@@ -2,23 +2,34 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from mfgibbs.errors import GridEdgeError
-from mfgibbs.spectrum import (alpha_of_q, beta_of_q, endpoints,
+from mfgibbs import spectrum
+from mfgibbs.spectrum import (LevelSums, beta_grid, beta_of_q, endpoints,
                               hausdorff_spectrum_prediction, legendre,
                               packing_spectrum_prediction, spectrum_curve)
+from mfgibbs.thermodynamics import Potential, normalize
+from strategies import potentials, systems
 
 LOG3 = math.log(3.0)
 
 
-def closed_form_beta(q: float) -> float:
-    return math.log(0.25 ** q + 0.75 ** q) / LOG3
+def closed_form_beta(q: float, p=(0.25, 0.75)) -> float:
+    return math.log(sum(v ** q for v in p)) / LOG3
+
+
+def closed_form_alpha(q: float, p=(0.25, 0.75)) -> float:
+    """-beta'(q) for a Bernoulli measure on the middle-thirds Cantor set."""
+    return -sum(v ** q * math.log(v) for v in p) / (
+        sum(v ** q for v in p) * LOG3)
 
 
 def test_beta_matches_closed_form(cantor, cantor_psi):
     for q in range(-5, 6):
-        got = beta_of_q(cantor, cantor_psi, float(q))
-        assert got == pytest.approx(closed_form_beta(q), abs=1e-11)
+        # Newton reaches the root of the convex pressure from any start
+        for start in (0.0, -1e6, 1e6):
+            got = beta_of_q(cantor, cantor_psi, float(q), start=start)
+            assert got == pytest.approx(closed_form_beta(q), abs=1e-11)
 
 
 def test_beta_normalization_identities(cantor, cantor_psi):
@@ -55,7 +66,7 @@ def test_legendre_duality(cantor_curve):
     for s in cantor_curve.samples[1:-1]:
         dual = legendre(cantor_curve, s.alpha)
         worst = max(worst, abs(dual.value - (s.beta + s.q * s.alpha)))
-    assert worst < 1e-3
+    assert worst < 1e-6
 
 
 def test_legendre_at_dimension_peak(cantor_curve):
@@ -70,11 +81,27 @@ def test_legendre_edge_flag(cantor_curve):
     assert edge.value == pytest.approx(0.0, abs=1e-3)
 
 
-def test_alpha_of_q(cantor_curve):
-    exact = (0.25 * math.log(0.25) + 0.75 * math.log(0.75)) / (-LOG3)
-    assert alpha_of_q(cantor_curve, 1.0) == pytest.approx(exact, abs=1e-3)
-    with pytest.raises(GridEdgeError):
-        alpha_of_q(cantor_curve, -10.0)
+@pytest.mark.parametrize("p", [(0.25, 0.75), (0.5, 0.5)],
+                         ids=["cantor_14_34", "uniform_cantor"])
+def test_alpha_and_beta_star_match_closed_form(cantor, p):
+    curve = spectrum_curve(cantor, Potential.from_probabilities(p))
+    assert curve.degenerate == (p[0] == p[1])
+    for s in curve.samples:
+        alpha = closed_form_alpha(s.q, p)
+        assert s.beta == pytest.approx(closed_form_beta(s.q, p), abs=1e-12)
+        assert s.alpha == pytest.approx(alpha, abs=1e-12)
+        assert s.beta_star == pytest.approx(
+            closed_form_beta(s.q, p) + s.q * alpha, abs=1e-12)
+
+
+def test_dimension_and_alpha_zero_off_the_grid(cantor, cantor_psi):
+    # 100 steps on [-5, 5] miss q = 0 by 0.05
+    curve = spectrum_curve(cantor, cantor_psi, q_min=-5.0, q_max=5.0,
+                           q_steps=100)
+    assert 0.0 not in curve.qs
+    assert curve.dimension == pytest.approx(closed_form_beta(0.0), abs=1e-12)
+    assert curve.alpha_zero == pytest.approx(closed_form_alpha(0.0),
+                                             abs=1e-12)
 
 
 def test_degenerate_curve_short_circuits(cantor, uniform_psi):
@@ -109,3 +136,46 @@ def test_predictions_plateau_and_support(cantor_curve):
             assert p.dim >= h.dim - 1e-9  # packing dominates on the left
         else:
             assert p.dim == pytest.approx(h.dim, abs=1e-12)
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_warm_started_roots(data):
+    ifs = data.draw(systems())
+    psi = data.draw(potentials(ifs))
+    qs = np.linspace(-6.0, 6.0, 25)
+    samples = beta_grid(ifs, psi, qs)
+    sums = LevelSums.build(ifs, psi)
+    for s in samples:
+        cold = beta_of_q(ifs, psi, s.q, sums=sums)
+        assert s.beta == pytest.approx(cold, abs=1e-13)
+    betas = np.array([s.beta for s in samples])
+    assert (np.diff(betas) < 0.0).all()
+    assert (betas[:-2] - 2.0 * betas[1:-1] + betas[2:] >= -1e-12).all()
+    lo, hi = endpoints(ifs, psi)
+    for s in samples:
+        assert lo - 1e-9 <= s.alpha <= hi + 1e-9
+
+
+def test_newton_steps_per_warm_root(moebius, monkeypatch):
+    psi = normalize(moebius, Potential.geometric(moebius), k_max=15)
+    evaluations = []
+    averages = LevelSums.gibbs_averages
+    solve = spectrum.beta_of_q
+
+    def counted_averages(self, beta, q):
+        evaluations[-1] += 1
+        return averages(self, beta, q)
+
+    def counted_solve(*args, **kwargs):
+        evaluations.append(0)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(LevelSums, "gibbs_averages", counted_averages)
+    monkeypatch.setattr(spectrum, "beta_of_q", counted_solve)
+    samples = beta_grid(moebius, psi, np.linspace(-5.0, 5.0, 101), k=15)
+    # beyond one evaluation per step, the grid reads alpha at each root
+    steps = [n - 1 for n in evaluations]
+    assert len(steps) == len(samples) == 101
+    assert max(steps) <= 8
