@@ -19,8 +19,8 @@ from .holder_lab import (DetrendResult, PerturbationExperiment, SecantSlope,
                          find_separator, find_tau_block, perturbed_cylinder,
                          ratio_scaling_experiment, secant_slope)
 from .ifs_geometry import (AffineMap, IfsSystem, MoebiusMap, check_osc,
-                           coding_point, cylinder_interval, max_safe_depth,
-                           periodic_point, stream_point)
+                           cylinder_interval, max_safe_depth, periodic_point,
+                           stream_point)
 from .spectrum import (LegendreValue, PredictedPoint, SpectrumCurve,
                        SpectrumSample, beta_grid, beta_of_q, endpoints,
                        hausdorff_spectrum_prediction, legendre,

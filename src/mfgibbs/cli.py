@@ -235,16 +235,24 @@ def _require_normalized(cfg, ifs, psi) -> None:
         require_normalized(ifs, psi)
 
 
-def _q_grid(args, cfg):
+def _q_grid(args, cfg, min_steps: int = 3):
+    """The q grid from the flags, else the config; a fault names the flag
+    or field its value came from."""
     block = _block(cfg, "q_grid")
+    at_min = "--q-min" if args.q_min is not None else "q_grid.min"
+    at_steps = "--q-steps" if args.q_steps is not None else "q_grid.steps"
     q_min = args.q_min if args.q_min is not None else _num(
-        block.get("min", -10.0), "q_grid.min")
+        block.get("min", -10.0), at_min)
     q_max = args.q_max if args.q_max is not None else _num(
         block.get("max", 10.0), "q_grid.max")
     steps = args.q_steps if args.q_steps is not None else _int(
-        block.get("steps", 201), "q_grid.steps")
-    if steps < 2 or q_min >= q_max:
-        raise ConfigError("bad q grid")
+        block.get("steps", 201), at_steps)
+    if steps < min_steps:
+        raise ConfigError(f"{at_steps}: need at least {min_steps} points, "
+                          f"got {steps}")
+    if q_min >= q_max:
+        raise ConfigError(f"{at_min}: {q_min:g} is not below the grid's "
+                          f"upper end {q_max:g}")
     return q_min, q_max, steps
 
 
@@ -285,7 +293,7 @@ def _cmd_pressure(args, cfg, ifs, psi):
 
 
 def _cmd_beta(args, cfg, ifs, psi):
-    q_min, q_max, steps = _q_grid(args, cfg)
+    q_min, q_max, steps = _q_grid(args, cfg, min_steps=2)
     _require_normalized(cfg, ifs, psi)
     qs = [q_min + (q_max - q_min) * i / (steps - 1) for i in range(steps)]
     samples = beta_grid(ifs, psi, qs, k=args.depth)

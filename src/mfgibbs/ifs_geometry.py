@@ -4,7 +4,9 @@ Two map families are supported: affine maps r*x + b and Moebius maps
 (a*x + b)/(c*x + d).  Both are closed under composition via their 2x2
 coefficient matrices, which gives exact chain-rule derivatives and
 closed-form fixed points for periodic words; that identity is what the
-pressure machinery leans on.
+pressure machinery leans on.  Every point of the attractor handed out
+here, a coded point or a cylinder end, is a word matrix applied to a
+point, formed with the float operations of the CDF descent.
 
 Geometry conventions: the base interval X = [x_lo, x_hi] is explicit,
 maps are strictly increasing, map images must stay inside X, and the
@@ -19,7 +21,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .errors import (DomainError, NonConvergenceError, PrecisionError)
+from .errors import DomainError, PrecisionError
 from .symbolic import PeriodicWord, SymbolStream, Word
 
 DOMAIN_TOL = 1e-12
@@ -245,11 +247,11 @@ class IfsSystem:
         return all(isinstance(mp, AffineMap) for mp in self.maps)
 
 
-def check_osc(ifs: IfsSystem, tol: float = DOMAIN_TOL) -> OscReport:
+def check_osc(ifs: IfsSystem) -> OscReport:
     """Pairwise interior-overlap diagnostic of the first-level images.
 
-    Touching endpoints are allowed; an overlap of width beyond `tol`
-    between interiors is a violation and is reported per pair.
+    Touching endpoints are allowed; an overlap of width beyond
+    DOMAIN_TOL between interiors is a violation and is reported per pair.
     """
     lo, hi = ifs.domain
     images = [(mp.apply(lo, check=False), mp.apply(hi, check=False)) for mp in ifs.maps]
@@ -258,7 +260,7 @@ def check_osc(ifs: IfsSystem, tol: float = DOMAIN_TOL) -> OscReport:
     for i in range(m):
         for j in range(i + 1, m):
             width = min(images[i][1], images[j][1]) - max(images[i][0], images[j][0])
-            if width > tol:
+            if width > DOMAIN_TOL:
                 violations.append((i, j, width))
     return OscReport(satisfied=not violations, violations=tuple(violations))
 
@@ -266,58 +268,30 @@ def check_osc(ifs: IfsSystem, tol: float = DOMAIN_TOL) -> OscReport:
 def cylinder_interval(ifs: IfsSystem, word: Word) -> tuple[float, float]:
     """Image of the base interval under the composition the word spells.
 
-    The empty word returns the base interval itself.  Aborts with
-    PrecisionError once the interval width drops below the binary64
-    resolution floor, rather than returning digits that are noise.
+    The word's matrix is applied to each domain end, the float
+    operations the CDF descent uses for its child ends, so F is exact
+    at both ends.  The empty word returns the base interval itself.
+    Aborts with PrecisionError once the interval width drops below the
+    binary64 resolution floor, rather than returning digits that are
+    noise.
     """
     word.validate(ifs.alphabet_size)
+    (a, b, c, d), _ = word_matrix(ifs, word)
     lo, hi = ifs.domain
-    for s in reversed(word.symbols):
-        mp = ifs.maps[s]
-        lo = mp.apply(lo, check=False)
-        hi = mp.apply(hi, check=False)
+    lo, hi = (a * lo + b) / (c * lo + d), (a * hi + b) / (c * hi + d)
     if hi - lo < WIDTH_FLOOR and len(word) > 0:
         raise PrecisionError(
             f"cylinder width {hi - lo:.3e} below floor {WIDTH_FLOOR}")
     return lo, hi
 
 
-def coding_point(ifs: IfsSystem, w: PeriodicWord, tol: float = 1e-12,
-                 max_iter: int = 10**4) -> float:
-    """Point of the attractor coded by a periodic word.
-
-    Iterates the period-block composition on the base interval until
-    the image has diameter below tol, then returns the midpoint.
-    """
-    w.period.validate(ifs.alphabet_size)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    lo, hi = ifs.domain
-    syms = tuple(reversed(w.period.symbols))
-    for _ in range(max_iter):
-        if hi - lo < tol:
-            return 0.5 * (lo + hi)
-        nlo, nhi = lo, hi
-        for s in syms:
-            mp = ifs.maps[s]
-            nlo = mp.apply(nlo, check=False)
-            nhi = mp.apply(nhi, check=False)
-        if (nlo, nhi) == (lo, hi):
-            break  # interval stalled at float resolution
-        lo, hi = nlo, nhi
-    if hi - lo < tol:
-        return 0.5 * (lo + hi)
-    raise NonConvergenceError(
-        f"coding point iteration stalled at width {hi - lo:.3e} > tol {tol}")
-
-
-def stream_point(ifs: IfsSystem, stream: SymbolStream, tol: float = 1e-14) -> float:
-    """Coded point of an eventually periodic sequence."""
+def stream_point(ifs: IfsSystem, stream: SymbolStream) -> float:
+    """Coded point of an eventually periodic sequence: the prefix's
+    matrix applied to the closed-form periodic point of the tail."""
     stream.validate(ifs.alphabet_size)
-    x = coding_point(ifs, stream.tail, tol=tol)
-    for s in reversed(stream.prefix.symbols):
-        x = ifs.maps[s].apply(x, check=False)
-    return x
+    (a, b, c, d), _ = word_matrix(ifs, stream.prefix)
+    x = periodic_point(ifs, stream.tail)
+    return (a * x + b) / (c * x + d)
 
 
 def word_matrix(ifs: IfsSystem, word: Word) -> tuple[tuple[float, float, float, float], float]:
@@ -373,8 +347,8 @@ def periodic_point(ifs: IfsSystem, w: PeriodicWord) -> float:
     return matrix_fixed_point(coeffs, ifs.domain)
 
 
-def max_safe_depth(ifs: IfsSystem, floor: float = WIDTH_FLOOR) -> int:
+def max_safe_depth(ifs: IfsSystem) -> int:
     """Deepest cylinder level guaranteed to stay above the width floor."""
     # width at depth n is at least diameter * r_min^n
-    n = int(math.floor(math.log(floor / ifs.diameter) / math.log(ifs.r_min)))
+    n = int(math.floor(math.log(WIDTH_FLOOR / ifs.diameter) / math.log(ifs.r_min)))
     return max(n, 1)

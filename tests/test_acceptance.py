@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from mfgibbs import thermodynamics
 from mfgibbs.cli import main as cli_main
 from mfgibbs.errors import ToolkitError
 from mfgibbs.estimators import (DistributionFunction, Scales, coarse_spectrum,
@@ -208,15 +209,19 @@ def test_criterion_13_derivative_limit_probe(cantor, F_cantor, F_lebesgue):
         assert smooth.degenerate_hypothesis
 
 
-def test_criterion_14_csv_determinism(tmp_path, capsys):
+def test_criterion_14_csv_determinism(tmp_path, capsys, monkeypatch):
     with _Criterion(14):
         config = str(ROOT / "configs" / "cantor_14_34.json")
-        one = tmp_path / "threads1.csv"
-        eight = tmp_path / "threads8.csv"
-        for out, threads in ((one, "1"), (eight, "8")):
-            code = cli_main(["spectrum", "--config", config,
-                             "--out", str(out), "--threads", threads])
+        # the level of 4,096 words runs as 16 chunks, in turn on one
+        # worker and then over a pool of four
+        monkeypatch.setattr(thermodynamics, "_CHUNK", 256)
+        one = tmp_path / "workers1.csv"
+        four = tmp_path / "workers4.csv"
+        for out, workers in ((one, 1), (four, 4)):
+            monkeypatch.setattr(thermodynamics, "_WORKERS", workers)
+            code = cli_main(["spectrum", "--config", config, "--depth", "12",
+                             "--out", str(out)])
             assert code == 0
         capsys.readouterr()
-        assert one.read_bytes() == eight.read_bytes()
+        assert one.read_bytes() == four.read_bytes()
         assert len(one.read_bytes()) > 0

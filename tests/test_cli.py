@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from mfgibbs import thermodynamics
 from mfgibbs.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -229,16 +230,25 @@ def test_threads_below_one_rejected(capsys):
     assert err.startswith("config error: --threads must be positive")
 
 
-def test_beta_determinism_across_threads(tmp_path, capsys):
-    a = tmp_path / "a.csv"
-    b = tmp_path / "b.csv"
-    for out, threads in ((a, "1"), (b, "4")):
+def test_beta_determinism_across_threads(tmp_path, capsys, monkeypatch):
+    # each level of 1,024 words runs as 16 chunks of 64, in turn on one
+    # worker and then over a pool of four
+    calls = []
+    chunk = thermodynamics._sums_chunk
+    monkeypatch.setattr(thermodynamics, "_sums_chunk",
+                        lambda *a, **kw: calls.append(a[3]) or chunk(*a, **kw))
+    monkeypatch.setattr(thermodynamics, "_CHUNK", 64)
+    outs = []
+    for workers in (1, 4):
+        monkeypatch.setattr(thermodynamics, "_WORKERS", workers)
+        out = tmp_path / f"workers{workers}.csv"
         code, _, _ = run(capsys, "beta", "--config",
-                         str(CONFIGS / "cantor_14_34.json"),
-                         "--q-steps", "21", "--out", str(out),
-                         "--threads", threads)
+                         str(CONFIGS / "moebius_pair.json"), "--depth", "10",
+                         "--q-steps", "21", "--out", str(out))
         assert code == 0
-    assert a.read_bytes() == b.read_bytes()
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+    assert max(calls) == 1024 - 64
 
 
 @pytest.mark.parametrize("command,field,value,message", [
@@ -258,6 +268,16 @@ def test_beta_determinism_across_threads(tmp_path, capsys):
      "potential.normalize: expected true or false"),
     ("holder", "holder", {"method": "median"},
      "holder.method: unknown method 'median'"),
+    ("spectrum", "q_grid", {"steps": 2},
+     "q_grid.steps: need at least 3 points, got 2"),
+    ("predict-packing", "q_grid", {"steps": 2},
+     "q_grid.steps: need at least 3 points, got 2"),
+    ("beta", "q_grid", {"steps": 1},
+     "q_grid.steps: need at least 2 points, got 1"),
+    ("beta", "q_grid", {"min": 1, "max": 1},
+     "q_grid.min: 1 is not below the grid's upper end 1"),
+    ("spectrum", "q_grid", {"min": 2, "max": -2},
+     "q_grid.min: 2 is not below the grid's upper end -2"),
 ])
 def test_config_faults_name_the_field(tmp_path, capsys, command, field,
                                       value, message):
@@ -269,6 +289,31 @@ def test_config_faults_name_the_field(tmp_path, capsys, command, field,
     assert code == 2
     assert out == ""
     assert err.startswith("config error: " + message)
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("spectrum", "--q-steps", "2"), "--q-steps: need at least 3 points, got 2"),
+    (("predict-packing", "--q-steps", "2"),
+     "--q-steps: need at least 3 points, got 2"),
+    (("beta", "--q-steps", "1"), "--q-steps: need at least 2 points, got 1"),
+    (("beta", "--q-min", "4", "--q-max", "-4"),
+     "--q-min: 4 is not below the grid's upper end -4"),
+    (("spectrum", "--q-min", "20"),
+     "--q-min: 20 is not below the grid's upper end 10"),
+])
+def test_q_grid_flag_faults_name_the_flag(capsys, argv, message):
+    code, out, err = run(capsys, *argv, "--config",
+                         str(CONFIGS / "cantor_14_34.json"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error: " + message)
+
+
+def test_beta_accepts_two_q_steps(capsys):
+    code, out, _ = run(capsys, "beta", "--config",
+                       str(CONFIGS / "cantor_14_34.json"), "--q-steps", "2")
+    assert code == 0
+    assert len(out.splitlines()) == 3
 
 
 @pytest.mark.parametrize("command", ["pressure", "coarse", "endpoints"])

@@ -1,6 +1,7 @@
 import math
 import random
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,11 +14,15 @@ from mfgibbs.estimators import (DepthPolicy, DistributionFunction, Scales,
                                 default_scale_base,
                                 exact_exponent_at_coded_point,
                                 holder_exponent_estimate, measure_ball)
-from mfgibbs.ifs_geometry import IfsSystem, cylinder_interval, periodic_point
+from mfgibbs.cli import build_potential, build_system, load_config
+from mfgibbs.ifs_geometry import (IfsSystem, cylinder_interval, periodic_point,
+                                  stream_point)
 from mfgibbs.spectrum import legendre
-from mfgibbs.symbolic import PeriodicWord, Word, enumerate_words
+from mfgibbs.symbolic import PeriodicWord, SymbolStream, Word, enumerate_words
 from mfgibbs.thermodynamics import Potential, gibbs_cylinder_weights
 from strategies import potentials, systems
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def test_uniform_cdf_exact_values(F_uniform):
@@ -289,3 +294,19 @@ def test_cdf_many_raises_the_scalar_precision_error(moebius, moebius_psi):
         messages.add(ref)
     # the two orders meet the floor at different points first
     assert len(messages) == 2
+
+
+@pytest.mark.parametrize("config", ["cantor_14_34", "moebius_pair"])
+def test_cdf_exact_at_every_cylinder_end(config):
+    # cylinder_interval and stream_point form their points with the float
+    # operations of the descent's child ends, so the descent lands on them
+    cfg = load_config(str(CONFIGS / f"{config}.json"))
+    ifs = build_system(cfg)
+    F = DistributionFunction(ifs, build_potential(cfg, ifs), deep_policy(ifs))
+    zeros = PeriodicWord.parse("0")
+    for n in range(1, 9):
+        for w in enumerate_words(ifs.alphabet_size, n):
+            lo, hi = cylinder_interval(ifs, w)
+            assert F.cdf(lo).error_bound == 0.0, (w, lo)
+            assert F.cdf(hi).error_bound == 0.0, (w, hi)
+            assert stream_point(ifs, SymbolStream(w, zeros)) == lo, w

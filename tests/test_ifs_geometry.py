@@ -1,13 +1,18 @@
 import math
+from pathlib import Path
 
+import mpmath
 import pytest
 
 from mfgibbs.ifs_geometry import (AffineMap, IfsSystem, MoebiusMap, check_osc,
-                                  coding_point, cylinder_interval,
-                                  matrix_fixed_point, max_safe_depth,
-                                  periodic_point, stream_point, word_matrix)
+                                  cylinder_interval, matrix_fixed_point,
+                                  max_safe_depth, periodic_point, stream_point,
+                                  word_matrix)
+from mfgibbs.cli import DEFAULT_BATTERY, build_system, load_config
 from mfgibbs.symbolic import PeriodicWord, SymbolStream, Word, ergodic_sum
 from mfgibbs.thermodynamics import Potential
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def test_affine_map_basics():
@@ -55,12 +60,16 @@ def test_periodic_points(cantor):
         0.25, abs=1e-14)
 
 
-def test_coding_point_matches_fixed_point(cantor, moebius):
+def test_stream_point_maps_the_fixed_point(cantor, moebius):
     for system in (cantor, moebius):
         for text in ("01", "011", "0"):
             pw = PeriodicWord.parse(text)
-            assert coding_point(system, pw) == pytest.approx(
-                periodic_point(system, pw), abs=1e-11)
+            x = periodic_point(system, pw)
+            assert stream_point(system, pw.stream()) == x
+            # a prefix letter is one more map applied to the tail's point
+            s = SymbolStream(Word.of(1), pw)
+            assert stream_point(system, s) == pytest.approx(
+                system.maps[1].apply(x), abs=1e-15)
 
 
 def test_stream_point_eventually_periodic(cantor):
@@ -105,3 +114,28 @@ def test_osc_reports(cantor, lebesgue):
     assert check_osc(lebesgue).satisfied
     overlap = IfsSystem.affine((0.0, 1.0), [(0.6, 0.0), (0.6, 0.4)])
     assert not overlap.osc_verified
+
+
+def _mp_fixed_point(ifs, word):
+    # the period's matrix from the maps' float coefficients, in 50 digits
+    with mpmath.workdps(50):
+        mat = mpmath.eye(2)
+        for s in word.symbols:
+            ma, mb, mc, md = ifs.maps[s].coefficients()
+            mat = mat * mpmath.matrix([[ma, mb], [mc, md]])
+        a, b, c, d = mat[0, 0], mat[0, 1], mat[1, 0], mat[1, 1]
+        if c == 0:
+            return b / (d - a)
+        lo, hi = ifs.domain
+        disc = mpmath.sqrt((d - a) ** 2 + 4 * c * b)
+        roots = [(a - d + sign * disc) / (2 * c) for sign in (1, -1)]
+        return next(x for x in roots if lo - 1e-9 <= x <= hi + 1e-9)
+
+
+@pytest.mark.parametrize("config", sorted(p.name for p in CONFIGS.glob("*.json")))
+def test_coded_points_match_mpmath_fixed_points(config):
+    ifs = build_system(load_config(str(CONFIGS / config)))
+    for text in DEFAULT_BATTERY:
+        pw = PeriodicWord.parse(text)
+        x = stream_point(ifs, pw.stream())
+        assert abs(x - _mp_fixed_point(ifs, pw.period)) <= 1e-15, text

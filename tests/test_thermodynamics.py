@@ -10,7 +10,7 @@ from mfgibbs import spectrum, thermodynamics
 from mfgibbs.cli import main
 from mfgibbs.errors import NormalizationError
 from mfgibbs.ifs_geometry import (AffineMap, IfsSystem, MoebiusMap,
-                                  word_matrix)
+                                  matrix_fixed_point, word_matrix)
 from mfgibbs.spectrum import LevelSums
 from mfgibbs.symbolic import PeriodicWord, Word, enumerate_words, ergodic_sum
 from mfgibbs.thermodynamics import (Potential, cohomology_diagnostic,
@@ -292,3 +292,19 @@ def test_beta_command_builds_one_level(monkeypatch, capsys, compositions):
     assert len(builds) == 1
     # normalizing the potential composes level 8 once, the shared build once
     assert compositions == [8, 8]
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(ifs=systems())
+def test_fixed_point_twins_agree(ifs):
+    # matrix_fixed_point sets every coded point and _fixed_points_vec
+    # every periodic sum; fed the same matrices they give the same floats
+    m = ifs.alphabet_size
+    words = [w for k in range(1, 6 if m == 2 else 4)
+             for w in enumerate_words(m, k)]
+    coeffs = [word_matrix(ifs, w)[0] for w in words]
+    scalar = [matrix_fixed_point(cf, ifs.domain) for cf in coeffs]
+    a, b, c, d = np.array(coeffs).T
+    vec = thermodynamics._fixed_points_vec(a, b, c, d, ifs.domain)
+    assert np.array(scalar).tobytes() == vec.tobytes()
