@@ -14,6 +14,13 @@ mass and the descent recurses.  Landing exactly on a child endpoint
 also terminates exactly; shared endpoints of touching cylinders resolve
 to the right child, keeping F right-continuous.
 
+Each level costs m child compositions, from the node's matrix with the
+float operations of word_matrix, and m fixed points when the splits are
+not constant: a child's split is the cycle sum of the matrix the
+descent has just composed (Potential.cycle_sum), and no word is
+recomposed from its first letter.  The node carries its log
+determinant as word_matrix accumulates it, letter by letter.
+
 cdf_many walks cylinder nodes instead of points.  The points are sorted
 once (not at all when already non-decreasing, as box edges are), and
 each node owns a contiguous slice of them.  A node composes its m
@@ -34,14 +41,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DomainError, PrecisionError, ScaleError
 from .ifs_geometry import IfsSystem, check_osc, max_safe_depth, WIDTH_FLOOR
-from .symbolic import PeriodicWord, Word
-from .thermodynamics import (Potential, effective_range, range_table,
-                             require_normalized)
+from .symbolic import PeriodicWord
+from .thermodynamics import (CohomologyReport, Potential,
+                             cohomology_diagnostic, effective_range,
+                             range_table, require_normalized)
 
 
 # a node holding at most this many points finishes each with the scalar walk
@@ -89,6 +98,7 @@ class DistributionFunction:
         self.policy = policy
         self._domain = system.domain
         self._coeffs = [mp.coefficients() for mp in system.maps]
+        self._logdets = [mp.log_det for mp in system.maps]
         self._m = system.alphabet_size
         # any potential reading one symbol has constant child splits
         self._const_conds: tuple[float, ...] | None = None
@@ -97,10 +107,18 @@ class DistributionFunction:
             e = np.exp(table - table.max())
             self._const_conds = tuple(float(v) for v in e / e.sum())
 
-    def _conds(self, word: tuple[int, ...]) -> tuple[float, ...]:
-        if self._const_conds is not None:
-            return self._const_conds
-        vals = [self.potential.block_sum(PeriodicWord(Word(word + (j,))))
+    @cached_property
+    def cohomology(self) -> CohomologyReport:
+        """cohomology_diagnostic of the system and potential, on first read."""
+        return cohomology_diagnostic(self.system, self.potential)
+
+    def _conds(self, word: tuple[int, ...], logdet: float,
+               kids) -> tuple[float, ...]:
+        """Non-constant splits among the children of the node `word`, whose
+        matrix has log determinant `logdet`; kids[j] = (l_j, h_j, a, b,
+        c, d) holds the ends and the matrix of the child word + (j,)."""
+        cycle_sum = self.potential.cycle_sum
+        vals = [cycle_sum(word + (j,), (kids[j][2:], logdet + self._logdets[j]))
                 for j in range(self._m)]
         vmax = max(vals)
         es = [math.exp(v - vmax) for v in vals]
@@ -113,13 +131,16 @@ class DistributionFunction:
             return 0.0, 0.0
         if x >= hi:
             return 1.0, 0.0
-        return self._walk(x, 0.0, 1.0, (), (1.0, 0.0, 0.0, 1.0), 0)
+        return self._walk(x, 0.0, 1.0, (), (1.0, 0.0, 0.0, 1.0), 0.0, 0)
 
     def _walk(self, x: float, acc: float, mass: float, word: tuple[int, ...],
-              mat: tuple[float, float, float, float],
+              mat: tuple[float, float, float, float], logdet: float,
               depth: int) -> tuple[float, float]:
-        """Scalar descent of x from the node (acc, mass, word, mat, depth)."""
+        """Scalar descent of x from the node (acc, mass, word, mat, logdet,
+        depth); logdet is the log determinant of the node's matrix."""
         coeffs = self._coeffs
+        logdets = self._logdets
+        const_conds = self._const_conds
         m = self._m
         lo, hi = self._domain
         mass_tol = self.policy.mass_tol
@@ -128,7 +149,6 @@ class DistributionFunction:
         while True:
             if mass < mass_tol or depth >= max_depth:
                 return acc, mass
-            conds = self._conds(word)
             chosen = -1
             kids = []
             for (ka, kb, kc, kd) in coeffs:
@@ -141,6 +161,7 @@ class DistributionFunction:
                 kids.append((l_j, h_j, na, nb, nc, nd))
                 if l_j <= x <= h_j:
                     chosen = len(kids) - 1
+            conds = const_conds or self._conds(word, logdet, kids)
             if chosen < 0:
                 # x sits in a gap: everything to the left is exact
                 for j in range(m):
@@ -164,6 +185,7 @@ class DistributionFunction:
                 acc += mass * conds[j]
             mass *= conds[chosen]
             a_, b_, c_, d_ = na, nb, nc, nd
+            logdet += logdets[chosen]
             word = word + (chosen,)
             depth += 1
 
@@ -200,12 +222,13 @@ class DistributionFunction:
         # NaN sorts last, after hi; it takes the scalar path's value, (0, 0)
         values[first_nan:], errors[first_nan:] = self._descend(math.nan)
         coeffs = self._coeffs
+        logdets = self._logdets
         m = self._m
         mass_tol = self.policy.mass_tol
         max_depth = self.policy.max_depth
-        stack = [(start, stop, 0.0, 1.0, (), (1.0, 0.0, 0.0, 1.0), 0)]
+        stack = [(start, stop, 0.0, 1.0, (), (1.0, 0.0, 0.0, 1.0), 0.0, 0)]
         while stack:
-            i0, i1, acc, mass, word, mat, depth = stack.pop()
+            i0, i1, acc, mass, word, mat, logdet, depth = stack.pop()
             if mass < mass_tol or depth >= max_depth:
                 values[i0:i1] = acc
                 errors[i0:i1] = mass
@@ -219,15 +242,16 @@ class DistributionFunction:
                     nb = a_ * kb + b_ * kd
                     nc = c_ * ka + d_ * kc
                     nd = c_ * kb + d_ * kd
-                    ends.append((na * lo + nb) / (nc * lo + nd))
-                    ends.append((na * hi + nb) / (nc * hi + nd))
-                    kids.append((na, nb, nc, nd))
+                    l_j = (na * lo + nb) / (nc * lo + nd)
+                    h_j = (na * hi + nb) / (nc * hi + nd)
+                    kids.append((l_j, h_j, na, nb, nc, nd))
+                    ends += (l_j, h_j)
                 if _monotone_ends(ends):
                     seg = s[i0:i1]
                     left = seg.searchsorted(ends).tolist()
                     right = seg.searchsorted(ends, side="right").tolist()
                     left.append(i1 - i0)  # l_m = +inf
-                    conds = self._conds(word)
+                    conds = self._const_conds or self._conds(word, logdet, kids)
                     pos = 0
                     for j in range(m):
                         # [pos, b): the gap left of child j and x == l_j;
@@ -241,14 +265,15 @@ class DistributionFunction:
                                 # cdf_many replays the scalar path for the message
                                 raise PrecisionError("cylinder under the width floor")
                             stack.append((i0 + b, i0 + c, acc, mass * conds[j],
-                                          word + (j,), kids[j], depth + 1))
+                                          word + (j,), kids[j][2:],
+                                          logdet + logdets[j], depth + 1))
                         acc += mass * conds[j]
                         pos = c
                     values[i0 + pos:i1] = acc
                     continue
             walk = self._walk
             for i, x in enumerate(s[i0:i1].tolist(), i0):
-                values[i], errors[i] = walk(x, acc, mass, word, mat, depth)
+                values[i], errors[i] = walk(x, acc, mass, word, mat, logdet, depth)
         return values, errors
 
 

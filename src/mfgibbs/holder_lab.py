@@ -23,7 +23,7 @@ from .ifs_geometry import (IfsSystem, cylinder_interval, max_safe_depth,
                            stream_point)
 from .symbolic import (PeriodicWord, SymbolStream, Word, enumerate_words,
                        ergodic_sum)
-from .thermodynamics import Potential, cohomology_diagnostic
+from .thermodynamics import Potential
 
 
 def _require_odd(k: int) -> None:
@@ -384,11 +384,10 @@ def derivative_limit_probe(F: DistributionFunction, x: float, k: int,
         osc_range = (min(tail_vals), max(tail_vals))
     else:
         limit = math.exp(sum(tail) / len(tail))
-    diag = cohomology_diagnostic(ifs, F.potential)
     return SlopeProbe(x=x, omega_prefix=Word(tuple(coding)), k=k,
                       records=tuple(records), classification=classification,
                       limit_value=limit, oscillation_range=osc_range,
-                      degenerate_hypothesis=diag.degenerate)
+                      degenerate_hypothesis=F.cohomology.degenerate)
 
 
 @dataclass(frozen=True)
@@ -457,8 +456,7 @@ def detrend_exponent_test(F: DistributionFunction, t0: float,
         decays.append(monotone and vanishing)
     residual = holder_exponent_estimate(F, t0, Scales(base, 1, 20)).exponent
     passed = all(decays) and abs(residual - alpha_hat) <= 0.05
-    violation = (not passed) and cohomology_diagnostic(
-        F.system, F.potential).degenerate
+    violation = (not passed) and F.cohomology.degenerate
     return DetrendResult(t0=t0, alpha_hat=alpha_hat, degree_max=degree_max,
                          window_radii=radii,
                          coefficients=tuple(tuple(c) for c in coeffs),

@@ -123,17 +123,25 @@ class Potential:
 
     def block_sum(self, w: PeriodicWord) -> float:
         """S_l psi at the periodic point of w, l its period length."""
-        total = self.shift * w.period_length
+        mat = word_matrix(self.system, w.period) if self.geom != 0.0 else None
+        return self.cycle_sum(w.period.symbols, mat)
+
+    def cycle_sum(self, cycle: tuple[int, ...], mat) -> float:
+        """block_sum of the periodic word with period `cycle`, given
+        mat = word_matrix(system, Word(cycle)); only the geometric term
+        reads mat, so a caller holding the composed cycle skips that work."""
+        ell = len(cycle)
+        total = self.shift * ell
         if self.geom != 0.0:
             # chain rule: the orbit sum of phi over one period is the log
             # derivative of the composed block at its fixed point
-            coeffs, logdet = word_matrix(self.system, w.period)
+            coeffs, logdet = mat
             x = matrix_fixed_point(coeffs, self.system.domain)
             q = coeffs[2] * x + coeffs[3]
             total += self.geom * (logdet - 2.0 * math.log(abs(q)))
         if self.depth:
-            total += math.fsum(self._table_at(w.symbol_at, j)
-                               for j in range(w.period_length))
+            total += math.fsum(self._table_at(lambda i: cycle[i % ell], j)
+                               for j in range(ell))
         return total
 
 

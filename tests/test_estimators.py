@@ -5,7 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import (HealthCheck, assume, given, settings,
+                        strategies as st)
 
 from mfgibbs.errors import (DomainError, NormalizationError, PrecisionError,
                             ScaleError)
@@ -14,12 +15,15 @@ from mfgibbs.estimators import (DepthPolicy, DistributionFunction, Scales,
                                 default_scale_base,
                                 exact_exponent_at_coded_point,
                                 holder_exponent_estimate, measure_ball)
+from mfgibbs import ifs_geometry, thermodynamics
 from mfgibbs.cli import build_potential, build_system, load_config
-from mfgibbs.ifs_geometry import (IfsSystem, cylinder_interval, periodic_point,
-                                  stream_point)
+from mfgibbs.ifs_geometry import (AffineMap, IfsSystem, MoebiusMap,
+                                  cylinder_interval, periodic_point,
+                                  stream_point, word_matrix)
 from mfgibbs.spectrum import legendre
 from mfgibbs.symbolic import PeriodicWord, SymbolStream, Word, enumerate_words
-from mfgibbs.thermodynamics import Potential, gibbs_cylinder_weights
+from mfgibbs.thermodynamics import (Potential, gibbs_cylinder_weights,
+                                   normalize)
 from strategies import potentials, systems
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -228,9 +232,7 @@ def _cascades(draw):
     if draw(st.booleans()):
         policy = None
     else:
-        # non-constant splits cost O(depth^2) per scalar point: stay shallow
-        deepest = 60 if psi.geom == 0.0 and psi.depth == 1 else 12
-        policy = DepthPolicy(draw(st.integers(1, deepest)),
+        policy = DepthPolicy(draw(st.integers(1, 60)),
                              draw(st.sampled_from([0.0, 1e-12, 1e-8, 1e-4])))
     return DistributionFunction(ifs, psi, policy)
 
@@ -310,3 +312,141 @@ def test_cdf_exact_at_every_cylinder_end(config):
             assert F.cdf(lo).error_bound == 0.0, (w, lo)
             assert F.cdf(hi).error_bound == 0.0, (w, hi)
             assert stream_point(ifs, SymbolStream(w, zeros)) == lo, w
+
+
+def _softmax_of_block_sums(psi, word, m):
+    """Child splits by the definition: softmax of each child's cycle sum."""
+    vals = [psi.block_sum(PeriodicWord(Word(word + (j,)))) for j in range(m)]
+    vmax = max(vals)
+    es = [math.exp(v - vmax) for v in vals]
+    tot = sum(es)
+    return tuple(e / tot for e in es)
+
+
+@st.composite
+def _split_cases(draw):
+    """A strategies.py system and potential, or a mixed affine+Moebius
+    system, whose affine letter has log_det != 0, with a geometric one."""
+    if draw(st.booleans()):
+        ifs = draw(systems())
+        return ifs, draw(potentials(ifs))
+    dom = (0.0, 1.0)
+    ifs = IfsSystem(dom, (AffineMap(1 / 3, 0.0, dom),
+                          MoebiusMap(2.0, 2.0, 1.0, 3.0, dom)))
+    coeff = draw(st.floats(0.5, 2.0))
+    return ifs, normalize(ifs, Potential.geometric(ifs, coeff), k_max=8)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_child_splits_match_block_sums(data):
+    # the descent takes each non-constant split from the child matrices
+    # it has just composed; they must be the word matrices, and the
+    # splits the block-sum softmax, bit for bit
+    ifs, psi = data.draw(_split_cases())
+    F = DistributionFunction(ifs, psi, deep_policy(ifs))
+    m = ifs.alphabet_size
+    nodes = []
+    conds = F._conds
+
+    def recorded(word, logdet, kids):
+        got = conds(word, logdet, kids)
+        nodes.append((word, logdet, kids, got))
+        return got
+
+    F._conds = recorded
+    # a point coded by a random word walks that word's nodes
+    symbols = st.lists(st.integers(0, m - 1), min_size=1, max_size=40)
+    x = stream_point(ifs, SymbolStream(
+        Word(tuple(data.draw(symbols))),
+        PeriodicWord(Word(tuple(data.draw(symbols)[:4])))))
+    assume(x < ifs.domain[1])  # F(hi) = 1 takes no descent
+    F.cdf(x)
+    if F._const_conds is not None:
+        assert nodes == []  # constant splits take no per-node work
+        return
+    assert nodes
+    for word, logdet, kids, got in nodes:
+        assert logdet == word_matrix(ifs, Word(word))[1]
+        for j, kid in enumerate(kids):
+            assert kid[2:] == word_matrix(ifs, Word(word + (j,)))[0]
+        assert got == _softmax_of_block_sums(psi, word, m), word
+
+
+@pytest.fixture
+def compositions(monkeypatch):
+    """Calls into the word composition, the block sum and the fixed point
+    solve, and the levels at which the descent takes child splits."""
+    calls = Counter()
+
+    def counted(owner, name, key):
+        fn = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(ifs_geometry, "word_matrix", "word_matrix")
+    counted(thermodynamics, "word_matrix", "word_matrix")
+    counted(thermodynamics, "matrix_fixed_point", "matrix_fixed_point")
+    counted(Potential, "block_sum", "block_sum")
+    counted(DistributionFunction, "_conds", "levels")
+    return calls
+
+
+def test_descent_composes_no_word(compositions):
+    # a non-Bernoulli split costs m child products and m fixed points per
+    # level: nothing recomposes a word from its first letter
+    cfg = load_config(str(CONFIGS / "moebius_pair.json"))
+    ifs = build_system(cfg)
+    F = DistributionFunction(ifs, build_potential(cfg, ifs), deep_policy(ifs))
+    m = ifs.alphabet_size
+    coded = [periodic_point(ifs, PeriodicWord.parse(w))
+             for w in ("01", "001", "110")]
+    xs = np.sort(np.concatenate([np.linspace(0.0, 1.0, 200), coded]))
+    compositions.clear()
+    # the coded point of 01 is in the attractor: the descent meets the cap
+    assert F.cdf(coded[0]).error_bound > 0.0
+    assert compositions["levels"] == F.policy.max_depth
+    assert compositions["word_matrix"] == compositions["block_sum"] == 0
+    assert compositions["matrix_fixed_point"] <= m * compositions["levels"]
+    compositions.clear()
+    F.cdf_many(xs)
+    assert 0 < compositions["levels"] <= len(xs) * F.policy.max_depth
+    assert compositions["word_matrix"] == compositions["block_sum"] == 0
+    assert compositions["matrix_fixed_point"] <= m * compositions["levels"]
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_distribution_function_properties(data):
+    ifs = data.draw(systems())
+    F = DistributionFunction(ifs, data.draw(potentials(ifs)))
+    m = ifs.alphabet_size
+    lo, hi = ifs.domain
+    assert F.cdf(lo).value == 0.0 and F.cdf(hi).value == 1.0
+    # the float sums behind two values may round apart by a few ulp
+    slack = 1e-12
+    xs = sorted(data.draw(st.lists(st.floats(lo, hi), min_size=2,
+                                   max_size=30)))
+    vals = [F.cdf(x) for x in xs]
+    for a, b in zip(vals, vals[1:]):
+        assert b.value + b.error_bound >= a.value - a.error_bound - slack
+    words = data.draw(st.lists(
+        st.lists(st.integers(0, m - 1), max_size=4), min_size=1, max_size=4))
+    for w in words:
+        ends = [cylinder_interval(ifs, Word(tuple(w)))]
+        ends += [cylinder_interval(ifs, Word(tuple(w) + (j,)))
+                 for j in range(m)]
+        cdfs = [(F.cdf(s), F.cdf(t)) for s, t in ends]
+        masses = [t.value - s.value for s, t in cdfs]
+        bound = sum(s.error_bound + t.error_bound for s, t in cdfs)
+        assert abs(masses[0] - sum(masses[1:])) <= bound + slack, w
+        xs += [x for end in ends for x in end]
+    values, errors = F.cdf_many(xs)
+    ref = [F.cdf(x) for x in xs]
+    assert np.array_equal(values, [v.value for v in ref])
+    assert np.array_equal(errors, [v.error_bound for v in ref])

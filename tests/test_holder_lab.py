@@ -5,6 +5,7 @@ import pytest
 
 from mfgibbs.errors import (BlockSearchError, DomainError, PrecisionError,
                             SeparatorError)
+from mfgibbs import estimators
 from mfgibbs.estimators import DistributionFunction, deep_policy
 from mfgibbs.holder_lab import (admissible_depths, derivative_limit_probe,
                                 detrend_exponent_test, find_separator,
@@ -163,6 +164,25 @@ def test_probe_classifications(F_cantor):
     assert one.classification == "tends_to_infinity"
     deep = derivative_limit_probe(F_cantor, 0.0, 3)
     assert deep.classification == "tends_to_infinity"
+
+
+def test_cohomology_diagnostic_once_per_distribution_function(
+        lebesgue, uniform_psi, monkeypatch):
+    calls = []
+    diagnose = estimators.cohomology_diagnostic
+
+    def counted(ifs, psi):
+        calls.append((ifs, psi))
+        return diagnose(ifs, psi)
+
+    monkeypatch.setattr(estimators, "cohomology_diagnostic", counted)
+    F = DistributionFunction(lebesgue, uniform_psi, deep_policy(lebesgue))
+    assert calls == []  # nothing reads it yet
+    probes = [derivative_limit_probe(F, x, 1) for x in (0.5, 0.25)]
+    smooth = detrend_exponent_test(F, 0.5, 1.0)
+    assert calls == [(lebesgue, uniform_psi)]
+    assert all(p.degenerate_hypothesis for p in probes)
+    assert not smooth.passed and smooth.hypothesis_violation
 
 
 def test_probe_records_bracket_x(F_cantor):
