@@ -22,8 +22,8 @@ from .spectrum import (beta_grid, endpoints, hausdorff_spectrum_prediction,
                        packing_spectrum_prediction, spectrum_curve)
 from .symbolic import PeriodicWord, Word
 from .thermodynamics import (Potential, cohomology_diagnostic,
-                             effective_range, normalize, pressure,
-                             require_normalized)
+                             default_level, effective_range, normalize,
+                             pressure, require_normalized)
 
 SCHEMA_VERSION = 1
 
@@ -135,10 +135,8 @@ def build_system(cfg: dict) -> IfsSystem:
     raise ConfigError(f"system.family: unknown family {family!r}")
 
 
-def build_potential(cfg: dict, ifs: IfsSystem, threads=None,
-                    depth: int = 10):
-    """`threads` is unused; it stays third because perfbench/workloads.py
-    passes a thread count there, which would otherwise become `depth`."""
+def _potential(cfg: dict, ifs: IfsSystem) -> Potential:
+    """The config's potential as written, before any normalization."""
     _get(cfg, "potential", "config")
     pot_cfg = _block(cfg, "potential")
     kind = _get(pot_cfg, "kind", "potential")
@@ -171,13 +169,45 @@ def build_potential(cfg: dict, ifs: IfsSystem, threads=None,
             raise ConfigError(f"potential.kind: unknown kind {kind!r}")
     except ValueError as exc:
         raise ConfigError(f"potential: {exc}") from None
-    norm = pot_cfg.get("normalize", False)
+    return psi
+
+
+def build_potential(cfg: dict, ifs: IfsSystem, threads=None,
+                    depth: int = 10):
+    """The config's potential, normalized at level `depth` if it asks.
+
+    `threads` is unused; it stays third because perfbench/workloads.py
+    passes a thread count there, which would otherwise become `depth`.
+    """
+    psi = _potential(cfg, ifs)
+    norm = _block(cfg, "potential").get("normalize", False)
     if not isinstance(norm, bool):
         raise ConfigError(f"potential.normalize: expected true or false, "
                           f"got {norm!r}")
     if norm:
         psi = normalize(ifs, psi, k_max=depth)
     return psi
+
+
+# the subcommands that read --depth as the periodic-point level
+_LEVEL_COMMANDS = ("pressure", "beta", "spectrum", "predict-packing")
+
+
+def _level(args, cfg: dict, ifs: IfsSystem) -> int:
+    """The one periodic-point level of a run.
+
+    --depth where the subcommand reads it as the level, else the
+    config's pressure.depth, else the library default (the potential's
+    range, or 10).  The potential is normalized at this level and
+    pressure, beta and the spectra solve at it, so beta(1) = 0 holds
+    at the level of the roots; no other `--depth` moves it.
+    """
+    if args.command in _LEVEL_COMMANDS and args.depth is not None:
+        return args.depth
+    block = _block(cfg, "pressure")
+    if "depth" in block:
+        return _int(block["depth"], "pressure.depth")
+    return default_level(ifs, _potential(cfg, ifs))
 
 
 def _fmt(value) -> str:
@@ -208,7 +238,7 @@ def _parse_points(text: str, where: str) -> list[float]:
 
 
 def _config_points(args, cfg, key: str) -> list[float]:
-    if getattr(args, "points", None):
+    if args.points:
         return _parse_points(args.points, "--points")
     pts = _block(cfg, key).get("points", cfg.get("points"))
     if pts is None:
@@ -256,7 +286,7 @@ def _q_grid(args, cfg, min_steps: int = 3):
     return q_min, q_max, steps
 
 
-def _cmd_check(args, cfg, ifs, psi):
+def _cmd_check(args, cfg, ifs, psi, level):
     diag = cohomology_diagnostic(ifs, psi)
     rng = effective_range(ifs, psi)
     osc = ifs.osc_report
@@ -277,13 +307,10 @@ def _cmd_check(args, cfg, ifs, psi):
     return 0
 
 
-def _cmd_pressure(args, cfg, ifs, psi):
-    block = _block(cfg, "pressure")
-    k_max = args.depth if args.depth is not None else _int(
-        block.get("depth", 10), "pressure.depth")
+def _cmd_pressure(args, cfg, ifs, psi, level):
     tol = args.tol if args.tol is not None else _num(
-        block.get("tol", 1e-12), "pressure.tol")
-    result = pressure(ifs, psi, k_max=k_max, tol=tol)
+        _block(cfg, "pressure").get("tol", 1e-12), "pressure.tol")
+    result = pressure(ifs, psi, k_max=level, tol=tol)
     rows = [(i + 1, v) for i, v in enumerate(result.levels)]
     _write_csv(args.out, ("level", "pressure"), rows)
     _summary(f"pressure: value={_fmt(result.value)} "
@@ -292,20 +319,20 @@ def _cmd_pressure(args, cfg, ifs, psi):
     return 0
 
 
-def _cmd_beta(args, cfg, ifs, psi):
+def _cmd_beta(args, cfg, ifs, psi, level):
     q_min, q_max, steps = _q_grid(args, cfg, min_steps=2)
     _require_normalized(cfg, ifs, psi)
     qs = [q_min + (q_max - q_min) * i / (steps - 1) for i in range(steps)]
-    samples = beta_grid(ifs, psi, qs, k=args.depth)
+    samples = beta_grid(ifs, psi, qs, k=level)
     _write_csv(args.out, ("q", "beta"), [(s.q, s.beta) for s in samples])
     _summary(f"beta: {steps} points on [{q_min:g}, {q_max:g}]")
     return 0
 
 
-def _cmd_spectrum(args, cfg, ifs, psi):
+def _cmd_spectrum(args, cfg, ifs, psi, level):
     q_min, q_max, steps = _q_grid(args, cfg)
     _require_normalized(cfg, ifs, psi)
-    curve = spectrum_curve(ifs, psi, k=args.depth, q_min=q_min, q_max=q_max,
+    curve = spectrum_curve(ifs, psi, k=level, q_min=q_min, q_max=q_max,
                            q_steps=steps)
     rows = [(s.q, s.beta, s.alpha, s.beta_star) for s in curve.samples]
     _write_csv(args.out, ("q", "beta", "alpha", "beta_star"), rows)
@@ -317,7 +344,7 @@ def _cmd_spectrum(args, cfg, ifs, psi):
     return 0
 
 
-def _cmd_endpoints(args, cfg, ifs, psi):
+def _cmd_endpoints(args, cfg, ifs, psi, level):
     ell_max = args.depth if args.depth is not None else _int(
         _block(cfg, "endpoints").get("ell_max", 6), "endpoints.ell_max")
     lo, hi = endpoints(ifs, psi, ell_max=ell_max)
@@ -326,18 +353,14 @@ def _cmd_endpoints(args, cfg, ifs, psi):
     return 0
 
 
-def _make_F(args, cfg, ifs, psi) -> DistributionFunction:
+def _cmd_cdf(args, cfg, ifs, psi, level):
+    points = _config_points(args, cfg, "cdf")
     policy = None
     if args.depth is not None or args.tol is not None:
         policy = DepthPolicy(
             max_depth=args.depth if args.depth is not None else 60,
             mass_tol=args.tol if args.tol is not None else 1e-8)
-    return DistributionFunction(ifs, psi, policy)
-
-
-def _cmd_cdf(args, cfg, ifs, psi):
-    points = _config_points(args, cfg, "cdf")
-    F = _make_F(args, cfg, ifs, psi)
+    F = DistributionFunction(ifs, psi, policy)
     rows = []
     worst = 0.0
     for x in points:
@@ -349,7 +372,7 @@ def _cmd_cdf(args, cfg, ifs, psi):
     return 0
 
 
-def _cmd_holder(args, cfg, ifs, psi):
+def _cmd_holder(args, cfg, ifs, psi, level):
     method = _block(cfg, "holder").get("method", "regression_min")
     if method not in HOLDER_METHODS:
         raise ConfigError(f"holder.method: unknown method {method!r}, "
@@ -366,7 +389,7 @@ def _cmd_holder(args, cfg, ifs, psi):
     return 0
 
 
-def _cmd_coarse(args, cfg, ifs, psi):
+def _cmd_coarse(args, cfg, ifs, psi, level):
     block = _block(cfg, "coarse")
     if args.depth is not None:
         base = default_scale_base(ifs)
@@ -388,7 +411,7 @@ def _cmd_coarse(args, cfg, ifs, psi):
     return 0
 
 
-def _cmd_verify_prop(args, cfg, ifs, psi):
+def _cmd_verify_prop(args, cfg, ifs, psi, level):
     block = _block(cfg, "probe")
     words = _list(block.get("words", list(DEFAULT_BATTERY)), "probe.words")
     ks = [_int(v, "probe.ks") for v in _list(block.get("ks", [1, 3]),
@@ -418,9 +441,9 @@ def _cmd_verify_prop(args, cfg, ifs, psi):
     return 1 if violations else 0
 
 
-def _cmd_detrend(args, cfg, ifs, psi):
+def _cmd_detrend(args, cfg, ifs, psi, level):
     block = _block(cfg, "detrend")
-    if getattr(args, "points", None):
+    if args.points:
         t0 = _parse_points(args.points, "--points")[0]
     else:
         t0 = _num(_get(block, "t0", "detrend"), "detrend.t0")
@@ -444,10 +467,10 @@ def _cmd_detrend(args, cfg, ifs, psi):
     return 0
 
 
-def _cmd_predict_packing(args, cfg, ifs, psi):
+def _cmd_predict_packing(args, cfg, ifs, psi, level):
     q_min, q_max, steps = _q_grid(args, cfg)
     _require_normalized(cfg, ifs, psi)
-    curve = spectrum_curve(ifs, psi, k=args.depth, q_min=q_min, q_max=q_max,
+    curve = spectrum_curve(ifs, psi, k=level, q_min=q_min, q_max=q_max,
                            q_steps=steps)
     block = _block(cfg, "packing")
     if "alphas" in block:
@@ -467,19 +490,24 @@ def _cmd_predict_packing(args, cfg, ifs, psi):
     return 0
 
 
-_DISPATCH = {
-    "check": _cmd_check,
-    "pressure": _cmd_pressure,
-    "beta": _cmd_beta,
-    "spectrum": _cmd_spectrum,
-    "endpoints": _cmd_endpoints,
-    "cdf": _cmd_cdf,
-    "holder": _cmd_holder,
-    "coarse": _cmd_coarse,
-    "verify-prop": _cmd_verify_prop,
-    "detrend": _cmd_detrend,
-    "predict-packing": _cmd_predict_packing,
+_Q_FLAGS = ("--depth", "--q-min", "--q-max", "--q-steps")
+# each subcommand's handler and the flags it reads besides --config, --out
+# and --threads; any other flag is an argparse error
+_COMMANDS = {
+    "check": (_cmd_check, ()),
+    "pressure": (_cmd_pressure, ("--depth", "--tol")),
+    "beta": (_cmd_beta, _Q_FLAGS),
+    "spectrum": (_cmd_spectrum, _Q_FLAGS),
+    "endpoints": (_cmd_endpoints, ("--depth",)),
+    "cdf": (_cmd_cdf, ("--points", "--depth", "--tol")),
+    "holder": (_cmd_holder, ("--points",)),
+    "coarse": (_cmd_coarse, ("--depth",)),
+    "verify-prop": (_cmd_verify_prop, ("--depth",)),
+    "detrend": (_cmd_detrend, ("--points",)),
+    "predict-packing": (_cmd_predict_packing, _Q_FLAGS),
 }
+_FLAG_TYPES = {"--depth": int, "--tol": float, "--q-min": float,
+               "--q-max": float, "--q-steps": int, "--points": str}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -488,30 +516,26 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Multifractal toolkit for Gibbs measures on "
                     "self-conformal sets")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _DISPATCH:
+    for name, (_, flags) in _COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)
         p.add_argument("--threads", type=int, default=1,
                        help="accepted and ignored")
-        p.add_argument("--q-min", dest="q_min", type=float, default=None)
-        p.add_argument("--q-max", dest="q_max", type=float, default=None)
-        p.add_argument("--q-steps", dest="q_steps", type=int, default=None)
-        p.add_argument("--depth", type=int, default=None)
-        p.add_argument("--tol", type=float, default=None)
-        if name in ("cdf", "holder", "detrend"):
-            p.add_argument("--points", default=None)
+        for flag in flags:
+            p.add_argument(flag, type=_FLAG_TYPES[flag], default=None)
     return parser
 
 
 def _check_args(args) -> None:
+    flags = vars(args)
     if args.threads < 1:
         raise ConfigError("--threads must be positive")
-    if args.depth is not None and args.depth < 1:
+    if flags.get("depth") is not None and args.depth < 1:
         raise ConfigError("--depth must be positive")
     # argparse reads these floats itself and accepts "nan" and "inf"
-    for flag, value in (("--q-min", args.q_min), ("--q-max", args.q_max),
-                        ("--tol", args.tol)):
+    for flag in ("--q-min", "--q-max", "--tol"):
+        value = flags.get(flag[2:].replace("-", "_"))
         if value is not None:
             _num(value, flag)
 
@@ -522,10 +546,9 @@ def main(argv=None) -> int:
         _check_args(args)
         cfg = load_config(args.config)
         ifs = build_system(cfg)
-        depth = args.depth if args.depth is not None else _int(
-            _block(cfg, "pressure").get("depth", 10), "pressure.depth")
-        psi = build_potential(cfg, ifs, depth=depth)
-        return _DISPATCH[args.command](args, cfg, ifs, psi)
+        level = _level(args, cfg, ifs)
+        psi = build_potential(cfg, ifs, depth=level)
+        return _COMMANDS[args.command][0](args, cfg, ifs, psi, level)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -19,8 +19,8 @@ from .errors import (BlockSearchError, DomainError, PrecisionError,
                      SeparatorError)
 from .estimators import (DistributionFunction, Scales, deep_policy,
                          default_scale_base, holder_exponent_estimate)
-from .ifs_geometry import (IfsSystem, cylinder_interval, max_safe_depth,
-                           stream_point)
+from .ifs_geometry import (WIDTH_FLOOR, IfsSystem, cylinder_interval,
+                           max_safe_depth, stream_point)
 from .symbolic import (PeriodicWord, SymbolStream, Word, enumerate_words,
                        ergodic_sum)
 from .thermodynamics import Potential
@@ -290,12 +290,17 @@ class SlopeProbe:
     degenerate_hypothesis: bool
 
 
-def _locate_coding(ifs: IfsSystem, x: float, depth: int) -> list[int]:
+def _locate_coding(ifs: IfsSystem, x: float, depth: int
+                   ) -> tuple[list[int], list[tuple[float, float]]]:
+    """The first `depth` letters of a coding of x and the cylinder ends
+    at every depth, the base interval first; each child's ends come from
+    its matrix with cylinder_interval's float operations."""
     # rightmost child at touching points, matching the CDF convention
     lo, hi = ifs.domain
     if not lo <= x <= hi:
         raise DomainError("x outside the certified interval")
     word: list[int] = []
+    ends = [(lo, hi)]
     a, b, c, d = 1.0, 0.0, 0.0, 1.0
     for _ in range(depth):
         chosen = None
@@ -307,11 +312,11 @@ def _locate_coding(ifs: IfsSystem, x: float, depth: int) -> list[int]:
             cl = (na * lo + nb) / (nc * lo + nd)
             ch = (na * hi + nb) / (nc * hi + nd)
             if cl <= x <= ch:
-                chosen = (j, na, nb, nc, nd)
+                chosen = (j, (na, nb, nc, nd), (cl, ch))
             else:
                 gap = cl - x if x < cl else x - ch
                 if nearest is None or gap < nearest[0]:
-                    nearest = (gap, (j, na, nb, nc, nd))
+                    nearest = (gap, (j, (na, nb, nc, nd), (cl, ch)))
         # composed endpoints drift by a few ulp at the domain ends;
         # a true gap sits orders of magnitude farther away
         if chosen is None and nearest is not None and nearest[0] <= 1e-12:
@@ -319,9 +324,10 @@ def _locate_coding(ifs: IfsSystem, x: float, depth: int) -> list[int]:
         if chosen is None:
             raise DomainError(f"{x!r} is not in the attractor (gap at "
                               f"depth {len(word)})")
-        j, a, b, c, d = chosen
+        j, (a, b, c, d), child = chosen
         word.append(j)
-    return word
+        ends.append(child)
+    return word, ends
 
 
 def _tail_period(word: list[int], max_period: int = 8) -> int:
@@ -349,12 +355,15 @@ def derivative_limit_probe(F: DistributionFunction, x: float, k: int,
     ifs = F.system
     n_lo, n_hi = (scales.j_min, scales.j_max) if scales else (1, 25)
     depth = min(n_hi, max_safe_depth(ifs))
-    coding = _locate_coding(ifs, x, depth)
+    coding, ends = _locate_coding(ifs, x, depth)
     fx = F.cdf(x).value
     records = []
     vals = []
     for n in range(n_lo, depth + 1):
-        s, t = cylinder_interval(ifs, Word(tuple(coding[:n])))
+        s, t = ends[n]
+        if t - s < WIDTH_FLOOR and n > 0:
+            raise PrecisionError(
+                f"cylinder width {t - s:.3e} below floor {WIDTH_FLOOR}")
         y = t if t - x >= x - s else s
         v = (F.cdf(y).value - fx) / (y - x) ** k
         records.append(SlopeRecord(n=n, s=s, t=t, slope_k=v))
@@ -421,9 +430,12 @@ def detrend_exponent_test(F: DistributionFunction, t0: float,
     then skipped (with a small allowance so estimates of exactly 1 are
     still exercised).
     """
-    base = default_scale_base(F.system)
+    scales = Scales(default_scale_base(F.system), 1, 20)
+    # the liminf exponent the verdict compares with alpha_hat; when
+    # alpha_hat is not given it is that same estimate
+    residual = None
     if alpha_hat is None:
-        alpha_hat = holder_exponent_estimate(F, t0).exponent
+        residual = alpha_hat = holder_exponent_estimate(F, t0, scales).exponent
     if alpha_hat < 0.95:
         return DetrendResult(t0=t0, alpha_hat=alpha_hat, degree_max=0,
                              window_radii=(), coefficients=(),
@@ -433,7 +445,7 @@ def detrend_exponent_test(F: DistributionFunction, t0: float,
         degree_max = max(1, math.floor(alpha_hat))
     lo, hi = F.system.domain
     f0 = F.cdf(t0).value
-    radii = tuple(base ** (-(i + 1)) for i in range(windows))
+    radii = tuple(scales.base ** (-(i + 1)) for i in range(windows))
     coeffs: list[list[float]] = [[] for _ in range(degree_max)]
     for h in radii:
         ts = []
@@ -454,7 +466,8 @@ def detrend_exponent_test(F: DistributionFunction, t0: float,
                        for i in range(len(mags) - 1))
         vanishing = mags[-1] <= 0.5 * mags[0] or mags[-1] < 1e-12
         decays.append(monotone and vanishing)
-    residual = holder_exponent_estimate(F, t0, Scales(base, 1, 20)).exponent
+    if residual is None:
+        residual = holder_exponent_estimate(F, t0, scales).exponent
     passed = all(decays) and abs(residual - alpha_hat) <= 0.05
     violation = (not passed) and F.cohomology.degenerate
     return DetrendResult(t0=t0, alpha_hat=alpha_hat, degree_max=degree_max,

@@ -31,7 +31,7 @@ import numpy as np
 from .errors import NonConvergenceError
 from .ifs_geometry import IfsSystem
 from .thermodynamics import (Potential, cohomology_diagnostic,
-                             effective_range, periodic_sums)
+                             default_level, periodic_sums)
 
 DEFAULT_Q_MIN = -10.0
 DEFAULT_Q_MAX = 10.0
@@ -54,13 +54,11 @@ class LevelSums:
     @classmethod
     def build(cls, ifs: IfsSystem, psi: Potential,
               k: int | None = None) -> "LevelSums":
-        """Sums at depth k; None picks the range of psi, or 10 if unbounded.
-
-        The words are composed once, for phi; psi reads phi's sums.
+        """Sums at depth k; None picks `default_level`, the range of psi
+        or 10.  The words are composed once, for phi; psi reads phi's sums.
         """
         if k is None:
-            r = effective_range(ifs, psi)
-            k = r if r is not None else 10
+            k = default_level(ifs, psi)
         geometric = periodic_sums(ifs, Potential.geometric(ifs), k)
         return cls(level=k, geometric=geometric,
                    potential=periodic_sums(ifs, psi, k, geometric=geometric))
@@ -83,18 +81,15 @@ class LevelSums:
 
 
 def beta_of_q(ifs: IfsSystem, psi: Potential, q: float, k: int | None = None,
-              tol: float = 1e-10, sums: LevelSums | None = None,
-              start: float = 0.0) -> float:
+              sums: LevelSums | None = None, start: float = 0.0) -> float:
     """Solve the depth-k pressure equation P_k(beta*phi + q*psi) = 0.
 
     psi should be normalized (P(psi) = 0); then beta(1) = 0 and beta(0)
     is the attractor dimension.  Newton runs from `start` until a step
     falls below 1e-15*max(1, |beta|), at most 50 steps.
     NonConvergenceError if the pressure at the last point evaluated, one
-    such step from the returned root, exceeds tol.
+    such step from the returned root, exceeds 1e-10.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     if sums is None:
         sums = LevelSums.build(ifs, psi, k)
     beta = start
@@ -106,8 +101,8 @@ def beta_of_q(ifs: IfsSystem, psi: Potential, q: float, k: int | None = None,
             break
     else:
         value = sums.gibbs_averages(beta, q)[0]
-    if not abs(value) <= tol:  # a NaN residual fails too
-        raise NonConvergenceError(f"residual pressure above {tol} at q={q}")
+    if not abs(value) <= 1e-10:  # a NaN residual fails too
+        raise NonConvergenceError(f"residual pressure above 1e-10 at q={q}")
     return beta
 
 

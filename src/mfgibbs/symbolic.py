@@ -158,17 +158,17 @@ def _check_alphabet(m: int) -> None:
         raise ValueError(f"alphabet size {m} exceeds cap {MAX_ALPHABET}")
 
 
-def enumerate_words(m: int, n: int, cap: int = ENUMERATION_CAP) -> Iterator[Word]:
+def enumerate_words(m: int, n: int) -> Iterator[Word]:
     """Yield all length-n words over 0..m-1 in lexicographic order.
 
-    Raises CapacityError when m**n would exceed `cap`; callers that need
-    deeper levels must restructure rather than silently thrash.
+    Raises CapacityError when m**n would exceed ENUMERATION_CAP; callers
+    that need deeper levels must restructure rather than silently thrash.
     """
     _check_alphabet(m)
     if n < 0:
         raise ValueError("word length must be nonnegative")
-    if m**n > cap:
-        raise CapacityError(f"{m}**{n} words exceed cap {cap}")
+    if m**n > ENUMERATION_CAP:
+        raise CapacityError(f"{m}**{n} words exceed cap {ENUMERATION_CAP}")
     for tup in itertools.product(range(m), repeat=n):
         yield Word(tup)
 

@@ -158,6 +158,13 @@ def effective_range(ifs: IfsSystem, psi: Potential) -> int | None:
     return max(1, psi.depth)
 
 
+def default_level(ifs: IfsSystem, psi: Potential) -> int:
+    """Periodic-point level to use when none is given: the range of psi,
+    or 10 when it is unbounded."""
+    r = effective_range(ifs, psi)
+    return r if r is not None else 10
+
+
 def range_table(ifs: IfsSystem, psi: Potential, r: int) -> np.ndarray:
     """Values of psi on all r-blocks, lexicographically ordered.
 
@@ -260,7 +267,6 @@ def _sums_chunk(ifs: IfsSystem, psi: Potential, k: int, lo: int, hi: int,
 
 
 def periodic_sums(ifs: IfsSystem, psi: Potential, k: int,
-                  cap: int = ENUMERATION_CAP,
                   geometric: np.ndarray | None = None) -> np.ndarray:
     """S_k psi at the periodic point of every length-k word, in lex order.
 
@@ -275,8 +281,9 @@ def periodic_sums(ifs: IfsSystem, psi: Potential, k: int,
     _check_system(ifs, psi)
     m = ifs.alphabet_size
     total = m**k
-    if total > cap:
-        raise CapacityError(f"{m}**{k} periodic points exceed cap {cap}")
+    if total > ENUMERATION_CAP:
+        raise CapacityError(f"{m}**{k} periodic points exceed cap "
+                            f"{ENUMERATION_CAP}")
     if geometric is not None and len(geometric) != total:
         raise ValueError(f"geometric sums hold {len(geometric)} words, "
                          f"level {k} has {total}")
@@ -343,12 +350,12 @@ def pressure(ifs: IfsSystem, psi: Potential, k_max: int = 10,
     extrapolation; the error bound combines the last level difference
     with the extrapolation step and a distortion allowance.
     """
-    if k_max < 2:
-        raise ValueError("k_max must be >= 2")
     r = effective_range(ifs, psi)
     if r is not None and r <= k_max:
         return PressureResult(value=_transfer_pressure(ifs, psi, r),
                               error_bound=0.0)
+    if k_max < 2:
+        raise ValueError("k_max must be >= 2")
     levels = []
     for k in range(1, k_max + 1):
         levels.append(pressure_at_level(ifs, psi, k))
@@ -452,12 +459,12 @@ class CohomologyReport:
     degenerate: bool
 
 
-def cohomology_diagnostic(ifs: IfsSystem, psi: Potential, ell_max: int = 6,
-                          tol: float = 1e-8) -> CohomologyReport:
+def cohomology_diagnostic(ifs: IfsSystem, psi: Potential,
+                          ell_max: int = 6) -> CohomologyReport:
     """Detect whether psi is a constant multiple of the geometric potential
     up to coboundaries, by scanning periodic ratio spread.
 
-    A spread below tol flags the degenerate case in which the whole
+    A spread below 1e-8 flags the degenerate case in which the whole
     multifractal spectrum collapses to a point.
     """
     if ell_max < 1:
@@ -471,4 +478,4 @@ def cohomology_diagnostic(ifs: IfsSystem, psi: Potential, ell_max: int = 6,
         lo = min(lo, float(ratios.min()))
         hi = max(hi, float(ratios.max()))
     return CohomologyReport(ratio_min=lo, ratio_max=hi,
-                            degenerate=(hi - lo) < tol)
+                            degenerate=(hi - lo) < 1e-8)

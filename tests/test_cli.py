@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from mfgibbs import thermodynamics
-from mfgibbs.cli import main
+from mfgibbs.cli import _build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -379,3 +379,91 @@ def test_system_map_infinity_rejected(tmp_path, capsys):
     assert code == 2
     assert err.startswith("config error: maps[1].offset: expected a finite "
                           "number, got inf")
+
+
+def _moebius_at_level(tmp_path, depth):
+    cfg = json.loads((CONFIGS / "moebius_pair.json").read_text())
+    cfg["pressure"]["depth"] = depth
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+def test_beta_at_one_vanishes_at_the_config_level(tmp_path, capsys):
+    # the potential is normalized at pressure.depth, the level the
+    # roots are solved at, so beta(1) = 0 to solver precision
+    code, out, _ = run(capsys, "beta", "--config",
+                       _moebius_at_level(tmp_path, 12),
+                       "--q-min", "0", "--q-max", "1", "--q-steps", "2")
+    assert code == 0
+    q, beta = out.splitlines()[2].split(",")
+    assert float(q) == 1.0
+    assert abs(float(beta)) <= 1e-12
+
+
+def test_endpoints_depth_is_only_ell_max(capsys):
+    config = str(CONFIGS / "moebius_pair.json")
+    with_depth = run(capsys, "endpoints", "--config", config, "--depth", "6")
+    assert with_depth == run(capsys, "endpoints", "--config", config)
+
+
+@pytest.mark.parametrize("argv", [
+    ("cdf", "--depth", "30", "--points", "0.5"),
+    ("coarse", "--depth", "4"),
+    ("verify-prop", "--depth", "3"),
+])
+def test_local_depth_leaves_the_potential_normalized(capsys, argv):
+    # --depth is the descent cap, the box scale or the probe depth here,
+    # not the level the config's potential is normalized at
+    code, _, err = run(capsys, *argv, "--config",
+                       str(CONFIGS / "moebius_pair.json"))
+    assert "normalize it first" not in err
+    assert "exceed cap" not in err
+    if argv[0] != "verify-prop":  # the shallow battery finds a limit
+        assert code == 0
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (("holder", "--tol", "0.5"), "--tol"),
+    (("check", "--q-min", "3"), "--q-min"),
+])
+def test_unread_flag_exits_two(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--config", str(CONFIGS / "moebius_pair.json")])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+# the flags each subcommand reads besides --config, --out and --threads
+READS = {
+    "check": (),
+    "pressure": ("--depth", "--tol"),
+    "beta": ("--depth", "--q-min", "--q-max", "--q-steps"),
+    "spectrum": ("--depth", "--q-min", "--q-max", "--q-steps"),
+    "predict-packing": ("--depth", "--q-min", "--q-max", "--q-steps"),
+    "endpoints": ("--depth",),
+    "coarse": ("--depth",),
+    "verify-prop": ("--depth",),
+    "cdf": ("--points", "--depth", "--tol"),
+    "holder": ("--points",),
+    "detrend": ("--points",),
+}
+
+
+@pytest.mark.parametrize("command", sorted(READS))
+def test_each_subcommand_parses_only_the_flags_it_reads(capsys, command):
+    parser = _build_parser()
+    flags = (("--depth", "3"), ("--tol", "0.1"), ("--q-min", "0"),
+             ("--q-max", "1"), ("--q-steps", "3"), ("--points", "0.5"))
+    # --threads stays accepted, and ignored, everywhere
+    assert parser.parse_args([command, "--config", "c.json",
+                              "--threads", "2"]).threads == 2
+    for flag, value in flags:
+        argv = [command, "--config", "c.json", flag, value]
+        if flag in READS[command]:
+            parser.parse_args(argv)
+            continue
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err

@@ -5,8 +5,8 @@ import pytest
 
 from mfgibbs.errors import (BlockSearchError, DomainError, PrecisionError,
                             SeparatorError)
-from mfgibbs import estimators
-from mfgibbs.estimators import DistributionFunction, deep_policy
+from mfgibbs import estimators, holder_lab, ifs_geometry
+from mfgibbs.estimators import DistributionFunction, Scales, deep_policy
 from mfgibbs.holder_lab import (admissible_depths, derivative_limit_probe,
                                 detrend_exponent_test, find_separator,
                                 find_tau_block, perturbed_cylinder,
@@ -185,6 +185,30 @@ def test_cohomology_diagnostic_once_per_distribution_function(
     assert not smooth.passed and smooth.hypothesis_violation
 
 
+def test_probe_reads_its_cylinders_from_the_coding(moebius, moebius_psi,
+                                                   monkeypatch):
+    # the cylinder ends come from the matrices that located the coding,
+    # with cylinder_interval's float operations: no word is recomposed
+    F = DistributionFunction(moebius, moebius_psi, deep_policy(moebius))
+    x = stream_point(moebius, PeriodicWord.parse("1").stream())
+    calls = []
+    compose = ifs_geometry.word_matrix
+    monkeypatch.setattr(ifs_geometry, "word_matrix",
+                        lambda *a: calls.append(a) or compose(*a))
+    probe = derivative_limit_probe(F, x, 1, Scales(2.0, 1, 25))
+    assert calls == []
+    monkeypatch.undo()
+    for rec in probe.records:
+        word = Word(probe.omega_prefix.symbols[:rec.n])
+        assert (rec.s, rec.t) == cylinder_interval(moebius, word)
+
+
+def test_probe_keeps_the_width_floor(F_cantor, monkeypatch):
+    monkeypatch.setattr(holder_lab, "WIDTH_FLOOR", 1e-3)
+    with pytest.raises(PrecisionError, match="below floor"):
+        derivative_limit_probe(F_cantor, 0.0, 1)
+
+
 def test_probe_records_bracket_x(F_cantor):
     probe = derivative_limit_probe(F_cantor, 0.25, 1)
     for rec in probe.records:
@@ -217,6 +241,19 @@ def test_detrend_passes_on_singular_measure(F_cantor):
         assert b / a == pytest.approx(0.75, abs=1e-6)
     assert result.residual_exponent == pytest.approx(result.alpha_hat,
                                                      abs=0.05)
+
+
+def test_detrend_estimates_the_exponent_once(F_cantor, monkeypatch):
+    # with alpha_hat unset, the estimate that gives alpha_hat is also
+    # the residual exponent the verdict compares it with
+    calls = []
+    estimate = holder_lab.holder_exponent_estimate
+    monkeypatch.setattr(holder_lab, "holder_exponent_estimate",
+                        lambda *a: calls.append(a) or estimate(*a))
+    result = detrend_exponent_test(F_cantor, 0.0)
+    assert not result.skipped
+    assert len(calls) == 1
+    assert result.residual_exponent == result.alpha_hat
 
 
 def test_detrend_fails_on_smooth_staircase(F_lebesgue):
