@@ -16,7 +16,8 @@ from .errors import ConfigError, ToolkitError
 from .estimators import (HOLDER_METHODS, DepthPolicy, DistributionFunction,
                          Scales, coarse_spectrum, deep_policy,
                          default_scale_base, holder_exponent_estimate)
-from .holder_lab import derivative_limit_probe, detrend_exponent_test
+from .holder_lab import (PROBE_MIN_DEPTHS, derivative_limit_probe,
+                         detrend_exponent_test)
 from .ifs_geometry import IfsSystem, stream_point
 from .spectrum import (beta_grid, endpoints, hausdorff_spectrum_prediction,
                        packing_spectrum_prediction, spectrum_curve)
@@ -206,7 +207,10 @@ def _level(args, cfg: dict, ifs: IfsSystem) -> int:
         return args.depth
     block = _block(cfg, "pressure")
     if "depth" in block:
-        return _int(block["depth"], "pressure.depth")
+        depth = _int(block["depth"], "pressure.depth")
+        if depth < 1:
+            raise ConfigError(f"pressure.depth: must be positive, got {depth}")
+        return depth
     return default_level(ifs, _potential(cfg, ifs))
 
 
@@ -416,8 +420,12 @@ def _cmd_verify_prop(args, cfg, ifs, psi, level):
     words = _list(block.get("words", list(DEFAULT_BATTERY)), "probe.words")
     ks = [_int(v, "probe.ks") for v in _list(block.get("ks", [1, 3]),
                                              "probe.ks")]
+    at_n_max = "--depth" if args.depth is not None else "probe.n_max"
     n_max = args.depth if args.depth is not None else _int(
-        block.get("n_max", 25), "probe.n_max")
+        block.get("n_max", 25), at_n_max)
+    if n_max < PROBE_MIN_DEPTHS:
+        raise ConfigError(f"{at_n_max}: need at least {PROBE_MIN_DEPTHS} "
+                          f"depths, got {n_max}")
     F = DistributionFunction(ifs, psi, deep_policy(ifs))
     scales = Scales(2.0, 1, n_max)
     rows = []
@@ -451,6 +459,9 @@ def _cmd_detrend(args, cfg, ifs, psi, level):
     if alpha_hat is not None:
         alpha_hat = _num(alpha_hat, "detrend.alpha_hat")
     windows = _int(block.get("windows", 8), "detrend.windows")
+    if windows < 2:
+        raise ConfigError(f"detrend.windows: need at least 2 windows, "
+                          f"got {windows}")
     F = DistributionFunction(ifs, psi, deep_policy(ifs))
     result = detrend_exponent_test(F, t0, alpha_hat, windows=windows)
     rows = []
@@ -478,6 +489,9 @@ def _cmd_predict_packing(args, cfg, ifs, psi, level):
                   for v in _list(block["alphas"], "packing.alphas")]
     else:
         n = _int(block.get("alpha_steps", 101), "packing.alpha_steps")
+        if n < 2:
+            raise ConfigError(f"packing.alpha_steps: need at least 2 points, "
+                              f"got {n}")
         lo, hi = curve.alpha_minus, curve.alpha_plus
         alphas = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
     haus = hausdorff_spectrum_prediction(curve, alphas)

@@ -46,7 +46,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, PrecisionError, ScaleError
-from .ifs_geometry import IfsSystem, check_osc, max_safe_depth, WIDTH_FLOOR
+from .ifs_geometry import IfsSystem, max_safe_depth, WIDTH_FLOOR
 from .symbolic import PeriodicWord
 from .thermodynamics import (CohomologyReport, Potential,
                              cohomology_diagnostic, effective_range,
@@ -87,7 +87,7 @@ class DistributionFunction:
 
     def __init__(self, system: IfsSystem, potential: Potential,
                  policy: DepthPolicy | None = None):
-        if not check_osc(system).satisfied:
+        if not system.osc_verified:
             raise DomainError("distribution function requires the open set condition")
         require_normalized(system, potential)
         self.system = system
@@ -400,10 +400,7 @@ def holder_exponent_estimate(F: DistributionFunction, t0: float,
 def exact_exponent_at_coded_point(ifs: IfsSystem, psi: Potential,
                                   w: PeriodicWord) -> float:
     """Cylinder-scale exponent S_l psi / S_l phi at the coded point of w."""
-    from .symbolic import ergodic_sum
-    ell = w.period_length
-    phi = Potential.geometric(ifs)
-    return ergodic_sum(psi, w, ell) / ergodic_sum(phi, w, ell)
+    return psi.block_sum(w) / Potential.geometric(ifs).block_sum(w)
 
 
 @dataclass(frozen=True)

@@ -16,14 +16,17 @@ import math
 from dataclasses import dataclass
 
 from .errors import (BlockSearchError, DomainError, PrecisionError,
-                     SeparatorError)
+                     ScaleError, SeparatorError)
 from .estimators import (DistributionFunction, Scales, deep_policy,
                          default_scale_base, holder_exponent_estimate)
 from .ifs_geometry import (WIDTH_FLOOR, IfsSystem, cylinder_interval,
                            max_safe_depth, stream_point)
-from .symbolic import (PeriodicWord, SymbolStream, Word, enumerate_words,
-                       ergodic_sum)
+from .symbolic import PeriodicWord, SymbolStream, Word, enumerate_words
 from .thermodynamics import Potential
+
+# derivative_limit_probe classifies from the last max(PROBE_MIN_DEPTHS,
+# 3 * period) depths, and refuses to run on fewer than this many
+PROBE_MIN_DEPTHS = 8
 
 
 def _require_odd(k: int) -> None:
@@ -87,7 +90,7 @@ def find_tau_block(ifs: IfsSystem, psi: Potential, k: int,
             if len(w.distinct_symbols()) < 2:
                 continue
             pw = PeriodicWord(w)
-            value = ergodic_sum(psi, pw, ell) - k * ergodic_sum(phi, pw, ell)
+            value = psi.block_sum(pw) - k * phi.block_sum(pw)
             if abs(value) > 1e-6:
                 return TauBlock(tau=w, value=value)
     raise BlockSearchError(
@@ -253,16 +256,15 @@ def ratio_scaling_experiment(ifs: IfsSystem, psi: Potential, omega,
     fit_slope, resid_slope = _common_slope(log_slopes, Ns)
     fit_r, _ = _common_slope(log_rs, Ns)
     pw = PeriodicWord(tau)
-    ell = tau_len = len(tau)
     phi = Potential.geometric(ifs)
-    exp_slope = ergodic_sum(psi, pw, ell) - k * ergodic_sum(phi, pw, ell)
-    exp_r = -ergodic_sum(phi, pw, ell)
+    exp_slope = psi.block_sum(pw) - k * phi.block_sum(pw)
+    exp_r = -phi.block_sum(pw)
     spread = tuple(
         max(resid_slope[n][i] for n in resid_slope)
         - min(resid_slope[n][i] for n in resid_slope)
         for i in range(len(Ns)))
     return PerturbationExperiment(
-        tau=tau, ell=tau_len, k=k,
+        tau=tau, ell=len(tau), k=k,
         n_set=tuple(n for n, _ in usable), N_range=tuple(Ns),
         records=tuple(records),
         slope_log_slope=fit_slope, slope_log_r=fit_r,
@@ -349,12 +351,16 @@ def derivative_limit_probe(F: DistributionFunction, x: float, k: int,
     oscillation of a periodic point exactly; what remains after
     removing the trend decides between oscillation and a limit.  A
     finite positive limit contradicts the non-degenerate theory, so
-    the result carries the cohomology flag alongside.
+    the result carries the cohomology flag alongside.  ScaleError when
+    fewer than PROBE_MIN_DEPTHS depths are available.
     """
     _require_odd(k)
     ifs = F.system
     n_lo, n_hi = (scales.j_min, scales.j_max) if scales else (1, 25)
     depth = min(n_hi, max_safe_depth(ifs))
+    if depth - n_lo + 1 < PROBE_MIN_DEPTHS:
+        raise ScaleError(f"depths {n_lo}..{depth} are fewer than "
+                         f"{PROBE_MIN_DEPTHS}")
     coding, ends = _locate_coding(ifs, x, depth)
     fx = F.cdf(x).value
     records = []
@@ -373,14 +379,15 @@ def derivative_limit_probe(F: DistributionFunction, x: float, k: int,
         raise PrecisionError("nonpositive secant quotient; depth too large")
     logs = [math.log(v) for v in pos]
     ell = _tail_period(coding)
-    tail = logs[max(0, len(logs) - max(8, 3 * ell)):]
+    window = max(PROBE_MIN_DEPTHS, 3 * ell)
+    tail = logs[max(0, len(logs) - window):]
     stride = ell if ell < len(tail) else 1
     steps = [(tail[i + stride] - tail[i]) / stride
              for i in range(len(tail) - stride)]
     trend = sum(steps) / len(steps)
     detrended = [tail[i] - trend * i for i in range(len(tail))]
     swing = math.exp(max(detrended) - min(detrended))
-    tail_vals = vals[max(0, len(vals) - max(8, 3 * ell)):]
+    tail_vals = vals[max(0, len(vals) - window):]
     classification = "finite_limit"
     limit = None
     osc_range = None
@@ -428,8 +435,11 @@ def detrend_exponent_test(F: DistributionFunction, t0: float,
 
     Exponents below 1 make every polynomial term trivial; the test is
     then skipped (with a small allowance so estimates of exactly 1 are
-    still exercised).
+    still exercised).  Decay compares the first window with the last,
+    so there must be at least two.
     """
+    if windows < 2:
+        raise ValueError("need at least 2 windows")
     scales = Scales(default_scale_base(F.system), 1, 20)
     # the liminf exponent the verdict compares with alpha_hat; when
     # alpha_hat is not given it is that same estimate

@@ -1,4 +1,4 @@
-"""Finite words, periodic symbol sequences, and ergodic sums.
+"""Finite words, periodic symbol sequences, and cylinder distortion.
 
 Symbols are small integers 0..m-1 over an alphabet of size m.  Finite
 words address cylinder sets of the full one-sided shift; periodic words
@@ -10,7 +10,6 @@ plain lexicographic order on the symbol tuples.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -173,80 +172,21 @@ def enumerate_words(m: int, n: int) -> Iterator[Word]:
         yield Word(tup)
 
 
-def ergodic_sum(psi, w, n: int) -> float:
-    """Birkhoff sum of the potential along the first n shifts of w.
+def distortion_bound(psi, ifs, n: int) -> float:
+    """Distortion of S_n(psi) over cylinders of depth n.
 
-    w may be a PeriodicWord or a SymbolStream.  For periodic words the
-    values cycle, so only one period of evaluations is ever needed; when
-    n is a whole number of periods the potential's block sum is used.
-    """
-    if n < 1:
-        raise ValueError("ergodic sums need n >= 1")
-    if isinstance(w, PeriodicWord):
-        ell = w.period_length
-        if n % ell == 0:
-            return psi.block_sum(w) * (n // ell)
-        stream = w.stream()
-        vals = [psi.value_at(stream.shift(j)) for j in range(min(ell, n))]
-        full, rem = divmod(n, ell)
-        total = full * math.fsum(vals) if full else 0.0
-        return total + math.fsum(vals[:rem])
-    return math.fsum(psi.value_at(w.shift(j)) for j in range(n))
-
-
-def _continuation_pool(m: int, sample_budget: int, seed: int = 2718):
-    """Deterministic pool of tail sequences used by distortion_bound.
-
-    Always includes the constant tails; tops up with seeded periodic
-    tails until the pool supports roughly sample_budget pairs.
-    """
-    import numpy as np
-
-    pool = [PeriodicWord(Word((i,))) for i in range(m)]
-    rng = np.random.default_rng(seed)
-    while len(pool) * (len(pool) - 1) // 2 < sample_budget and len(pool) < 64:
-        ell = int(rng.integers(2, 5))
-        block = tuple(int(s) for s in rng.integers(0, m, size=ell))
-        cand = PeriodicWord(Word(block))
-        if cand not in pool:
-            pool.append(cand)
-    return pool
-
-
-def distortion_bound(psi, ifs, n: int, sample_budget: int = 64) -> float:
-    """Empirical distortion of S_n(psi) over cylinders of depth n.
-
-    Returns an estimate of sup over length-n words w and continuation
-    pairs (rho, tau) of |S_n psi(w rho) - S_n psi(w tau)|.  Exactly zero
-    for potentials that only read the first symbol.  The continuations
-    are a fixed deterministic family, so repeated calls agree bit for
-    bit.  This is a lower bound on the true supremum; no Hoelder
-    constant is certified.
+    The largest Potential.cylinder_spread, an upper bound on the spread
+    of S_n psi over one cylinder, among the length-n words: all of them
+    up to 4,096 words, else every (m**n // 4096)-th in lexicographic
+    order, which bounds the sampled cylinders only.  Exactly zero for
+    potentials that only read the first symbol and for the geometric
+    potential of an affine system.
     """
     if n < 1:
         raise ValueError("distortion needs depth n >= 1")
     m = ifs.alphabet_size
     _check_alphabet(m)
-    pool = _continuation_pool(m, sample_budget)
-    pairs = []
-    for i in range(len(pool)):
-        for j in range(i + 1, len(pool)):
-            pairs.append((pool[i], pool[j]))
-            if len(pairs) >= sample_budget:
-                break
-        if len(pairs) >= sample_budget:
-            break
-
-    words = list(enumerate_words(m, n)) if m**n <= 4096 else None
-    if words is None:
-        # deterministic stride subsample of the lexicographic enumeration
-        stride = max(1, m**n // 4096)
-        words = [w for k, w in enumerate(enumerate_words(m, n)) if k % stride == 0]
-
-    worst = 0.0
-    for w in words:
-        for rho, tau in pairs:
-            a = ergodic_sum(psi, SymbolStream(w, rho), n)
-            b = ergodic_sum(psi, SymbolStream(w, tau), n)
-            worst = max(worst, abs(a - b))
-    return worst
+    stride = max(1, m**n // 4096)
+    return max(psi.cylinder_spread(w)
+               for k, w in enumerate(enumerate_words(m, n))
+               if k % stride == 0)

@@ -21,6 +21,7 @@ level one.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -31,7 +32,7 @@ import numpy as np
 from .errors import CapacityError, NormalizationError
 from .ifs_geometry import (IfsSystem, matrix_fixed_point, stream_point,
                            word_matrix)
-from .symbolic import (ENUMERATION_CAP, PeriodicWord, SymbolStream,
+from .symbolic import (ENUMERATION_CAP, PeriodicWord, SymbolStream, Word,
                        distortion_bound)
 
 _CHUNK = 1 << 18
@@ -143,6 +144,34 @@ class Potential:
             total += math.fsum(self._table_at(lambda i: cycle[i % ell], j)
                                for j in range(ell))
         return total
+
+    def cylinder_spread(self, word: Word) -> float:
+        """Upper bound on |S_n psi(w rho) - S_n psi(w tau)| over all
+        continuations rho, tau of the word w, n = len(w).
+
+        By the chain rule the geometric term is log det_w - 2 log|c_w x
+        + d_w| at the coded point x of the continuation, monotone in x,
+        so its spread is read at the two domain ends from the word's
+        matrix.  The table term differs only in the depth - 1 windows
+        that read past w, evaluated on every continuation they can see.
+        """
+        spread = 0.0
+        if self.geom != 0.0:
+            (_, _, c, d), _ = word_matrix(self.system, word)
+            lo, hi = self.system.domain
+            spread += 2.0 * abs(self.geom) * abs(
+                math.log(abs(c * lo + d)) - math.log(abs(c * hi + d)))
+        if self.depth > 1:
+            n = len(word)
+            past = range(max(0, n - self.depth + 1), n)
+            sums = []
+            for tail in itertools.product(range(self.alphabet_size),
+                                          repeat=self.depth - 1):
+                seq = word.symbols + tail
+                sums.append(math.fsum(self._table_at(seq.__getitem__, j)
+                                      for j in past))
+            spread += max(sums) - min(sums)
+        return spread
 
 
 def _check_system(ifs: IfsSystem, psi: Potential) -> None:
@@ -373,8 +402,8 @@ def pressure(ifs: IfsSystem, psi: Potential, k_max: int = 10,
                 extrapolated = True
     diff = abs(levels[-1] - levels[-2]) if len(levels) >= 2 else math.inf
     # a priori: level sums sit within the distortion constant over k
-    apriori = diff + distortion_bound(psi, ifs, n=min(4, len(levels)),
-                                      sample_budget=8) / len(levels)
+    apriori = diff + distortion_bound(
+        psi, ifs, n=min(4, len(levels))) / len(levels)
     err = apriori
     if extrapolated:
         # under clean geometric decay the extrapolation step bounds the

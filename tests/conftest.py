@@ -1,9 +1,15 @@
 import pytest
+from hypothesis import settings
 
 from mfgibbs.estimators import DistributionFunction, deep_policy
 from mfgibbs.ifs_geometry import IfsSystem
 from mfgibbs.spectrum import spectrum_curve
 from mfgibbs.thermodynamics import Potential, normalize
+
+# `pytest --hypothesis-profile=ci` draws the same examples on every run,
+# so a property that fails in CI fails the same way on a rerun
+settings.register_profile("ci", derandomize=True, database=None,
+                          print_blob=True)
 
 
 @pytest.fixture(scope="session")

@@ -34,12 +34,18 @@ def systems(draw, moebius=None):
     return (IfsSystem.moebius if moebius else IfsSystem.affine)((0.0, 1.0), maps)
 
 
+# normalize's level for the geometric potentials drawn below; the other
+# kinds are normalized by their exact pressure
+GEOMETRIC_LEVEL = 8
+
+
 @st.composite
-def potentials(draw, ifs):
+def potentials(draw, ifs, kinds=("bernoulli", "finite_range", "geometric")):
     """A normalized Bernoulli, depth-2 finite-range or geometric potential
-    on `ifs`, whose cascade splits are constant or not."""
+    on `ifs`, whose cascade splits are constant or not; `kinds` limits
+    the kinds drawn from."""
     m = ifs.alphabet_size
-    kind = draw(st.sampled_from(["bernoulli", "finite_range", "geometric"]))
+    kind = draw(st.sampled_from(kinds))
     if kind == "bernoulli":
         weights = [draw(st.floats(0.05, 1.0)) for _ in range(m)]
         return Potential.from_probabilities([w / sum(weights) for w in weights])
@@ -47,4 +53,5 @@ def potentials(draw, ifs):
         return normalize(ifs, Potential.finite_range(
             2, m, [draw(st.floats(-2.0, 2.0)) for _ in range(m * m)]))
     coeff = draw(st.floats(0.5, 2.0))
-    return normalize(ifs, Potential.geometric(ifs, coeff), k_max=8)
+    return normalize(ifs, Potential.geometric(ifs, coeff),
+                     k_max=GEOMETRIC_LEVEL)

@@ -3,6 +3,7 @@ import math
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from mfgibbs import thermodynamics
 from mfgibbs.cli import _build_parser, main
@@ -278,6 +279,20 @@ def test_beta_determinism_across_threads(tmp_path, capsys, monkeypatch):
      "q_grid.min: 1 is not below the grid's upper end 1"),
     ("spectrum", "q_grid", {"min": 2, "max": -2},
      "q_grid.min: 2 is not below the grid's upper end -2"),
+    ("detrend", "detrend", {"t0": 0, "windows": 1},
+     "detrend.windows: need at least 2 windows, got 1"),
+    ("detrend", "detrend", {"t0": 0, "windows": 0},
+     "detrend.windows: need at least 2 windows, got 0"),
+    ("predict-packing", "packing", {"alpha_steps": 1},
+     "packing.alpha_steps: need at least 2 points, got 1"),
+    ("predict-packing", "packing", {"alpha_steps": 0},
+     "packing.alpha_steps: need at least 2 points, got 0"),
+    ("pressure", "pressure", {"depth": 0},
+     "pressure.depth: must be positive, got 0"),
+    ("beta", "pressure", {"depth": -1},
+     "pressure.depth: must be positive, got -1"),
+    ("verify-prop", "probe", {"n_max": 7},
+     "probe.n_max: need at least 8 depths, got 7"),
 ])
 def test_config_faults_name_the_field(tmp_path, capsys, command, field,
                                       value, message):
@@ -307,6 +322,25 @@ def test_q_grid_flag_faults_name_the_flag(capsys, argv, message):
     assert code == 2
     assert out == ""
     assert err.startswith("config error: " + message)
+
+
+def test_moebius_pressure_depth_below_one_names_the_field(tmp_path, capsys):
+    cfg = json.loads((CONFIGS / "moebius_pair.json").read_text())
+    cfg["pressure"] = {"depth": 0}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run(capsys, "pressure", "--config", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("config error: pressure.depth: must be positive")
+
+
+def test_verify_prop_needs_the_probe_window(capsys):
+    # three depths once classified word 011 as a finite limit here
+    code, out, err = run(capsys, "verify-prop", "--config",
+                         str(CONFIGS / "moebius_pair.json"), "--depth", "3")
+    assert (code, out) == (2, "")
+    assert err.startswith("config error: --depth: need at least 8 depths, "
+                          "got 3")
 
 
 def test_beta_accepts_two_q_steps(capsys):
@@ -467,3 +501,67 @@ def test_each_subcommand_parses_only_the_flags_it_reads(capsys, command):
             parser.parse_args(argv)
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+# every config field the CLI reads, with a subcommand that reads it
+FUZZ_TARGETS = (
+    ("check", "schema_version"), ("check", "system.family"),
+    ("check", "system.domain"), ("check", "system.maps"),
+    ("check", "potential.kind"), ("check", "potential.probabilities"),
+    ("check", "potential.coefficient"), ("check", "potential.normalize"),
+    ("check", "pressure.depth"), ("pressure", "pressure"),
+    ("pressure", "pressure.depth"), ("pressure", "pressure.tol"),
+    ("beta", "q_grid"), ("beta", "q_grid.min"), ("beta", "q_grid.max"),
+    ("beta", "q_grid.steps"), ("spectrum", "q_grid.steps"),
+    ("endpoints", "endpoints"), ("endpoints", "endpoints.ell_max"),
+    ("cdf", "cdf"), ("cdf", "cdf.points"), ("cdf", "points"),
+    ("holder", "holder.method"), ("holder", "holder.points"),
+    ("holder", "scales"), ("holder", "scales.base"),
+    ("holder", "scales.j_min"), ("holder", "scales.j_max"),
+    ("coarse", "coarse"), ("coarse", "coarse.deltas"),
+    ("coarse", "coarse.alpha_bin_width"), ("verify-prop", "probe"),
+    ("verify-prop", "probe.words"), ("verify-prop", "probe.ks"),
+    ("verify-prop", "probe.n_max"), ("detrend", "detrend"),
+    ("detrend", "detrend.t0"), ("detrend", "detrend.alpha_hat"),
+    ("detrend", "detrend.windows"), ("predict-packing", "packing"),
+    ("predict-packing", "packing.alphas"),
+    ("predict-packing", "packing.alpha_steps"),
+)
+HOSTILE = (0, -1, 1, 2.5, "x", "1/0", None, True, [], {})
+# sample-config settings that keep each run to milliseconds
+CHEAP = {"q_grid": {"steps": 5}, "coarse": {"deltas": ["1/81"]},
+         "probe": {"words": ["01"], "n_max": 10}, "detrend": {"t0": 0},
+         "points": [0, 1]}
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example(config="cantor_14_34", target=("detrend", "detrend.windows"),
+         value=0)
+@example(config="cantor_14_34",
+         target=("predict-packing", "packing.alpha_steps"), value=1)
+@example(config="moebius_pair", target=("pressure", "pressure.depth"),
+         value=0)
+@given(config=st.sampled_from(["cantor_14_34", "lebesgue", "moebius_pair",
+                               "uniform_cantor"]),
+       target=st.sampled_from(FUZZ_TARGETS), value=st.sampled_from(HOSTILE))
+def test_hostile_config_field_exits_cleanly(tmp_path, capsys, config,
+                                            target, value):
+    command, field = target
+    cfg = json.loads((CONFIGS / f"{config}.json").read_text())
+    for key, cheap in CHEAP.items():
+        if isinstance(cheap, dict):
+            cfg[key] = {**cfg.get(key, {}), **cheap}
+        else:
+            cfg.setdefault(key, cheap)
+    section, _, key = field.partition(".")
+    if key:
+        if not isinstance(cfg.get(section), dict):
+            cfg[section] = {}
+        cfg[section][key] = value
+    else:
+        cfg[section] = value
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, _, _ = run(capsys, command, "--config", str(path))
+    assert code in (0, 1, 2)

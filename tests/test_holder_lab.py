@@ -4,7 +4,7 @@ import random
 import pytest
 
 from mfgibbs.errors import (BlockSearchError, DomainError, PrecisionError,
-                            SeparatorError)
+                            ScaleError, SeparatorError)
 from mfgibbs import estimators, holder_lab, ifs_geometry
 from mfgibbs.estimators import DistributionFunction, Scales, deep_policy
 from mfgibbs.holder_lab import (admissible_depths, derivative_limit_probe,
@@ -222,6 +222,21 @@ def test_probe_flags_smooth_degenerate_case(F_lebesgue):
     assert probe.classification == "finite_limit"
     assert probe.limit_value == pytest.approx(1.0, abs=1e-6)
     assert probe.degenerate_hypothesis
+
+
+def test_probe_needs_its_tail_window(F_cantor):
+    n = holder_lab.PROBE_MIN_DEPTHS
+    with pytest.raises(ScaleError, match=f"fewer than {n}"):
+        derivative_limit_probe(F_cantor, 0.0, 1, Scales(2.0, 1, n - 1))
+    with pytest.raises(ScaleError):
+        derivative_limit_probe(F_cantor, 0.0, 1, Scales(2.0, 5, n + 3))
+    probe = derivative_limit_probe(F_cantor, 0.0, 1, Scales(2.0, 1, n))
+    assert len(probe.records) == n
+
+
+def test_detrend_needs_two_windows(F_lebesgue):
+    with pytest.raises(ValueError, match="at least 2 windows"):
+        detrend_exponent_test(F_lebesgue, 0.5, 1.0, windows=1)
 
 
 def test_probe_rejects_gap_points(F_cantor):

@@ -9,7 +9,7 @@ from mfgibbs.spectrum import (LevelSums, beta_grid, beta_of_q, endpoints,
                               hausdorff_spectrum_prediction, legendre,
                               packing_spectrum_prediction, spectrum_curve)
 from mfgibbs.thermodynamics import Potential, normalize
-from strategies import potentials, systems
+from strategies import GEOMETRIC_LEVEL, potentials, systems
 
 LOG3 = math.log(3.0)
 
@@ -156,6 +156,27 @@ def test_warm_started_roots(data):
     lo, hi = endpoints(ifs, psi)
     for s in samples:
         assert lo - 1e-9 <= s.alpha <= hi + 1e-9
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_beta_of_one_vanishes_at_the_normalization_level(data):
+    # a range-1 potential has its exact pressure at every level; the
+    # geometric ones on Moebius systems were normalized at GEOMETRIC_LEVEL
+    ifs = data.draw(systems())
+    psi = data.draw(potentials(ifs, kinds=("bernoulli", "geometric")))
+    assert abs(beta_of_q(ifs, psi, 1.0, k=GEOMETRIC_LEVEL)) <= 1e-12
+
+
+@pytest.mark.xfail(strict=True, reason="a depth-2 potential is normalized "
+                   "by its transfer-matrix pressure, which no periodic "
+                   "level reproduces, so beta(1) is off at the level beta "
+                   "solves at")
+def test_beta_of_one_vanishes_for_a_normalized_finite_range_potential(
+        cantor):
+    psi = normalize(cantor, Potential.finite_range(2, 2, (0.0, 1.0, 1.0, 0.0)))
+    assert abs(beta_of_q(cantor, psi, 1.0)) <= 1e-12
 
 
 def test_newton_steps_per_warm_root(moebius, monkeypatch):

@@ -1,11 +1,14 @@
+import itertools
 import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from mfgibbs.errors import CapacityError
 from mfgibbs.symbolic import (PeriodicWord, SymbolStream, Word,
-                              distortion_bound, enumerate_words, ergodic_sum)
+                              distortion_bound, enumerate_words)
 from mfgibbs.thermodynamics import Potential
+from strategies import systems
 
 
 def test_word_parse_text_roundtrip():
@@ -63,21 +66,27 @@ def test_stream_shift_and_constant_tail():
     assert not s.is_constant_from(0, 1)
 
 
+def _ergodic_sum(psi, stream, n):
+    # S_n psi by per-shift evaluation, the reference for block sums
+    return math.fsum(psi.value_at(stream.shift(j)) for j in range(n))
+
+
 def test_ergodic_sum_block_fast_path():
     psi = Potential.from_probabilities((0.25, 0.75))
     pw = PeriodicWord.parse("01")
-    two = ergodic_sum(psi, pw, 2)
+    two = psi.block_sum(pw)
     assert two == pytest.approx(math.log(3 / 16), abs=1e-15)
-    assert ergodic_sum(psi, pw, 6) == pytest.approx(3 * two, abs=1e-14)
-    # partial periods fall back to per-shift evaluation
-    assert ergodic_sum(psi, pw, 3) == pytest.approx(
+    assert _ergodic_sum(psi, pw.stream(), 2) == two
+    assert psi.block_sum(PeriodicWord.parse("010101")) == pytest.approx(
+        3 * two, abs=1e-14)
+    assert _ergodic_sum(psi, pw.stream(), 3) == pytest.approx(
         two + math.log(0.25), abs=1e-14)
 
 
 def test_ergodic_sum_on_stream():
     psi = Potential.from_probabilities((0.25, 0.75))
     s = SymbolStream(Word.of(1), PeriodicWord.parse("0"))
-    assert ergodic_sum(psi, s, 3) == pytest.approx(
+    assert _ergodic_sum(psi, s, 3) == pytest.approx(
         math.log(0.75) + 2 * math.log(0.25), abs=1e-14)
 
 
@@ -88,3 +97,41 @@ def test_distortion_vanishes_for_one_symbol_potentials(cantor, moebius):
     assert distortion_bound(geo, cantor, 4) == 0.0
     # a genuinely nonlinear system has positive distortion
     assert distortion_bound(Potential.geometric(moebius), moebius, 4) > 0.0
+
+
+def test_distortion_bound_matches_the_sampled_spread_on_moebius_pair(moebius):
+    # the domain ends are the coded points of 0^inf and 1^inf here, so
+    # the closed form is attained by the constant tails
+    psi = Potential.geometric(moebius)
+    ends = [PeriodicWord.parse(t) for t in "01"]
+    for n in range(1, 5):
+        spreads = []
+        for w in enumerate_words(2, n):
+            at0, at1 = (_ergodic_sum(psi, SymbolStream(w, t), n) for t in ends)
+            spreads.append(abs(at0 - at1))
+        assert distortion_bound(psi, moebius, n) == pytest.approx(
+            max(spreads), abs=1e-15)
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_cylinder_spread_bounds_every_continuation(data):
+    ifs = data.draw(systems())
+    m = ifs.alphabet_size
+    depth = data.draw(st.integers(0, 2))
+    geom = data.draw(st.one_of(st.just(0.0), st.floats(-2.0, 2.0)))
+    psi = Potential(geom=geom, depth=depth,
+                    table=[data.draw(st.floats(-2.0, 2.0))
+                           for _ in range(m**depth if depth else 0)],
+                    shift=data.draw(st.floats(-2.0, 2.0)), system=ifs)
+    tails = [PeriodicWord(Word(p)) for ell in (1, 2)
+             for p in itertools.product(range(m), repeat=ell)]
+    for n in range(1, 4):
+        for w in enumerate_words(m, n):
+            sums = [_ergodic_sum(psi, SymbolStream(w, t), n) for t in tails]
+            spread = psi.cylinder_spread(w)
+            assert spread >= max(sums) - min(sums) - 1e-12
+            if depth <= 1 and (geom == 0.0 or ifs.is_affine()):
+                # Bernoulli and affine-geometric potentials do not distort
+                assert spread == 0.0
