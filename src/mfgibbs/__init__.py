@@ -14,9 +14,9 @@ from .estimators import (CdfValue, CoarseBin, CoarseSpectrum, DepthPolicy,
                          exact_exponent_at_coded_point,
                          holder_exponent_estimate, measure_ball)
 from .holder_lab import (DetrendResult, PerturbationExperiment, SecantSlope,
-                         Separator, SlopeProbe, TauBlock, admissible_depths,
+                         Separator, SlopeProbe, TauBlock,
                          derivative_limit_probe, detrend_exponent_test,
-                         find_separator, find_tau_block, perturbed_cylinder,
+                         find_separator, find_tau_block,
                          ratio_scaling_experiment, secant_slope)
 from .ifs_geometry import (AffineMap, IfsSystem, MoebiusMap, check_osc,
                            cylinder_interval, max_safe_depth, periodic_point,
@@ -26,9 +26,9 @@ from .spectrum import (LegendreValue, PredictedPoint, SpectrumCurve,
                        hausdorff_spectrum_prediction, legendre,
                        packing_spectrum_prediction, spectrum_curve)
 from .symbolic import PeriodicWord, SymbolStream, Word, enumerate_words
-from .thermodynamics import (CohomologyReport, GibbsWeights, Potential,
+from .thermodynamics import (CohomologyReport, Potential,
                              cohomology_diagnostic, effective_range,
-                             gibbs_cylinder_weights, normalize, periodic_sums,
-                             pressure, pressure_at_level, require_normalized)
+                             normalize, periodic_sums, pressure,
+                             pressure_at_level, require_normalized)
 
 __version__ = "0.1.0"

@@ -13,9 +13,9 @@ import math
 import sys
 
 from .errors import ConfigError, ToolkitError
-from .estimators import (HOLDER_METHODS, DepthPolicy, DistributionFunction,
-                         Scales, coarse_spectrum, deep_policy,
-                         default_scale_base, holder_exponent_estimate)
+from .estimators import (DepthPolicy, DistributionFunction, Scales,
+                         coarse_spectrum, deep_policy, default_scale_base,
+                         holder_exponent_estimate)
 from .holder_lab import (PROBE_MIN_DEPTHS, derivative_limit_probe,
                          detrend_exponent_test)
 from .ifs_geometry import IfsSystem, stream_point
@@ -255,9 +255,15 @@ def _scales_from(cfg: dict, ifs: IfsSystem) -> Scales:
     if "scales" not in cfg:
         return Scales(default_scale_base(ifs))
     block = _block(cfg, "scales")
-    return Scales(_num(_get(block, "base", "scales"), "scales.base"),
-                  _int(block.get("j_min", 1), "scales.j_min"),
-                  _int(block.get("j_max", 20), "scales.j_max"))
+    base = _num(_get(block, "base", "scales"), "scales.base")
+    j_min = _int(block.get("j_min", 1), "scales.j_min")
+    j_max = _int(block.get("j_max", 20), "scales.j_max")
+    if base <= 1.0:
+        raise ConfigError(f"scales.base: must exceed 1, got {base:g}")
+    if j_max <= j_min:
+        raise ConfigError(f"scales.j_max: must exceed scales.j_min, got "
+                          f"{j_max} <= {j_min}")
+    return Scales(base, j_min, j_max)
 
 
 def _require_normalized(cfg, ifs, psi) -> None:
@@ -314,6 +320,11 @@ def _cmd_check(args, cfg, ifs, psi, level):
 def _cmd_pressure(args, cfg, ifs, psi, level):
     tol = args.tol if args.tol is not None else _num(
         _block(cfg, "pressure").get("tol", 1e-12), "pressure.tol")
+    r = effective_range(ifs, psi)
+    if level < 2 and (r is None or r > level):
+        # short of the potential's range the bound needs two levels
+        at = "--depth" if args.depth is not None else "pressure.depth"
+        raise ConfigError(f"{at}: need at least 2 levels, got {level}")
     result = pressure(ifs, psi, k_max=level, tol=tol)
     rows = [(i + 1, v) for i, v in enumerate(result.levels)]
     _write_csv(args.out, ("level", "pressure"), rows)
@@ -351,6 +362,8 @@ def _cmd_spectrum(args, cfg, ifs, psi, level):
 def _cmd_endpoints(args, cfg, ifs, psi, level):
     ell_max = args.depth if args.depth is not None else _int(
         _block(cfg, "endpoints").get("ell_max", 6), "endpoints.ell_max")
+    if ell_max < 1:
+        raise ConfigError(f"endpoints.ell_max: must be positive, got {ell_max}")
     lo, hi = endpoints(ifs, psi, ell_max=ell_max)
     _write_csv(args.out, ("alpha_minus", "alpha_plus"), [(lo, hi)])
     _summary(f"endpoints: [{lo:.6f}, {hi:.6f}] at ell_max={ell_max}")
@@ -377,19 +390,15 @@ def _cmd_cdf(args, cfg, ifs, psi, level):
 
 
 def _cmd_holder(args, cfg, ifs, psi, level):
-    method = _block(cfg, "holder").get("method", "regression_min")
-    if method not in HOLDER_METHODS:
-        raise ConfigError(f"holder.method: unknown method {method!r}, "
-                          f"expected one of {', '.join(HOLDER_METHODS)}")
     points = _config_points(args, cfg, "holder")
     scales = _scales_from(cfg, ifs)
     F = DistributionFunction(ifs, psi, deep_policy(ifs))
     rows = []
     for t0 in points:
-        est = holder_exponent_estimate(F, t0, scales, method=method)
+        est = holder_exponent_estimate(F, t0, scales)
         rows.append((t0, est.exponent, len(est.scale_pairs)))
     _write_csv(args.out, ("t0", "exponent", "usable_scales"), rows)
-    _summary(f"holder: {len(points)} points, method={method}")
+    _summary(f"holder: {len(points)} points, method=regression_min")
     return 0
 
 
@@ -401,7 +410,12 @@ def _cmd_coarse(args, cfg, ifs, psi, level):
     else:
         deltas = [_num(v, "coarse.deltas") for v in _list(
             _get(block, "deltas", "coarse"), "coarse.deltas")]
+        if not deltas:
+            raise ConfigError("coarse.deltas: need at least one box size")
     width = _num(block.get("alpha_bin_width", 0.2), "coarse.alpha_bin_width")
+    if width <= 0.0:
+        raise ConfigError(f"coarse.alpha_bin_width: must be positive, "
+                          f"got {width:g}")
     F = DistributionFunction(ifs, psi)
     rows = []
     kept = []

@@ -14,17 +14,22 @@ mass and the descent recurses.  Landing exactly on a child endpoint
 also terminates exactly; shared endpoints of touching cylinders resolve
 to the right child, keeping F right-continuous.
 
-Each level costs m child compositions, from the node's matrix with the
-float operations of word_matrix, and m fixed points when the splits are
-not constant: a child's split is the cycle sum of the matrix the
-descent has just composed (Potential.cycle_sum), and no word is
-recomposed from its first letter.  The node carries its log
-determinant as word_matrix accumulates it, letter by letter.
+Each level is one node expansion, ifs_geometry.node_children, the one
+place where a descent forms a node's children: m child compositions
+from the node's matrix, with the float operations of word_matrix, and
+the last child holding x.  The scalar walk here, the node walk of
+cdf_many and holder_lab's coding of a point all expand through it.
+Non-constant splits add m fixed points per level: a child's split is
+the cycle sum of the matrix the expansion has just composed
+(Potential.cycle_sum), and no word is recomposed from its first
+letter.  The node carries its log determinant as word_matrix
+accumulates it, letter by letter, and its word only when the splits
+are not constant.
 
 cdf_many walks cylinder nodes instead of points.  The points are sorted
 once (not at all when already non-decreasing, as box edges are), and
-each node owns a contiguous slice of them.  A node composes its m
-children once and splits its slice with searchsorted on the child ends:
+each node owns a contiguous slice of them.  A node expands once and
+splits its slice with searchsorted on the child ends:
 points left of a child or in a gap get the sequential prefix sum of the
 sibling masses, points on a child end get the exact value, and points
 strictly inside a child become that child's slice.  Nodes with few
@@ -46,7 +51,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, PrecisionError, ScaleError
-from .ifs_geometry import IfsSystem, max_safe_depth, WIDTH_FLOOR
+from .ifs_geometry import (WIDTH_FLOOR, IfsSystem, max_safe_depth,
+                           node_children)
 from .symbolic import PeriodicWord
 from .thermodynamics import (CohomologyReport, Potential,
                              cohomology_diagnostic, effective_range,
@@ -87,7 +93,7 @@ class DistributionFunction:
 
     def __init__(self, system: IfsSystem, potential: Potential,
                  policy: DepthPolicy | None = None):
-        if not system.osc_verified:
+        if not system.osc_report.satisfied:
             raise DomainError("distribution function requires the open set condition")
         require_normalized(system, potential)
         self.system = system
@@ -149,18 +155,7 @@ class DistributionFunction:
         while True:
             if mass < mass_tol or depth >= max_depth:
                 return acc, mass
-            chosen = -1
-            kids = []
-            for (ka, kb, kc, kd) in coeffs:
-                na = a_ * ka + b_ * kc
-                nb = a_ * kb + b_ * kd
-                nc = c_ * ka + d_ * kc
-                nd = c_ * kb + d_ * kd
-                l_j = (na * lo + nb) / (nc * lo + nd)
-                h_j = (na * hi + nb) / (nc * hi + nd)
-                kids.append((l_j, h_j, na, nb, nc, nd))
-                if l_j <= x <= h_j:
-                    chosen = len(kids) - 1
+            kids, chosen = node_children(coeffs, a_, b_, c_, d_, lo, hi, x)
             conds = const_conds or self._conds(word, logdet, kids)
             if chosen < 0:
                 # x sits in a gap: everything to the left is exact
@@ -168,7 +163,7 @@ class DistributionFunction:
                     if kids[j][1] <= x:
                         acc += mass * conds[j]
                 return acc, 0.0
-            l_j, h_j, na, nb, nc, nd = kids[chosen]
+            l_j, h_j, a_, b_, c_, d_ = kids[chosen]
             if x == l_j:
                 for j in range(chosen):
                     acc += mass * conds[j]
@@ -184,9 +179,10 @@ class DistributionFunction:
             for j in range(chosen):
                 acc += mass * conds[j]
             mass *= conds[chosen]
-            a_, b_, c_, d_ = na, nb, nc, nd
             logdet += logdets[chosen]
-            word = word + (chosen,)
+            if const_conds is None:
+                # only _conds reads the word
+                word += (chosen,)
             depth += 1
 
     def cdf(self, x: float) -> CdfValue:
@@ -234,18 +230,8 @@ class DistributionFunction:
                 errors[i0:i1] = mass
                 continue
             if i1 - i0 > _LEAF_POINTS:
-                a_, b_, c_, d_ = mat
-                kids = []
-                ends = []
-                for (ka, kb, kc, kd) in coeffs:
-                    na = a_ * ka + b_ * kc
-                    nb = a_ * kb + b_ * kd
-                    nc = c_ * ka + d_ * kc
-                    nd = c_ * kb + d_ * kd
-                    l_j = (na * lo + nb) / (nc * lo + nd)
-                    h_j = (na * hi + nb) / (nc * hi + nd)
-                    kids.append((l_j, h_j, na, nb, nc, nd))
-                    ends += (l_j, h_j)
+                kids, _ = node_children(coeffs, *mat, lo, hi, math.nan)
+                ends = [e for kid in kids for e in kid[:2]]
                 if _monotone_ends(ends):
                     seg = s[i0:i1]
                     left = seg.searchsorted(ends).tolist()
@@ -337,11 +323,9 @@ class HolderEstimate:
     t0: float
     exponent: float
     scale_pairs: tuple[tuple[float, float], ...]
-    method: str
 
 
 _WINDOW = 5
-HOLDER_METHODS = ("regression_min", "running_min")
 
 
 def _window_slope(pairs) -> float:
@@ -355,8 +339,7 @@ def _window_slope(pairs) -> float:
 
 
 def holder_exponent_estimate(F: DistributionFunction, t0: float,
-                             scales: Scales | None = None,
-                             method: str = "regression_min") -> HolderEstimate:
+                             scales: Scales | None = None) -> HolderEstimate:
     """Liminf of log mu(B(t0, r)) / log r over sampled radii.
 
     Radii where the ball mass is within a factor 10 of its own error
@@ -364,13 +347,10 @@ def holder_exponent_estimate(F: DistributionFunction, t0: float,
     the nearer end of the domain, where the ball is cut off.  A t0
     closer to an end than the smallest radius (the end itself, or a
     coded point that rounds next to it) counts as that end, and no
-    radius is skipped.  regression_min takes the minimum least-squares
-    slope over sliding windows of 5 scales, which cancels the additive
-    constants that bias the raw ratio; running_min is the raw ratio
-    minimum for comparison.
+    radius is skipped.  The estimate is the minimum least-squares slope
+    over sliding windows of 5 scales, which cancels the additive
+    constants that bias the raw ratio log mu / log r.
     """
-    if method not in HOLDER_METHODS:
-        raise ValueError(f"unknown method {method!r}")
     if scales is None:
         scales = Scales(base=default_scale_base(F.system))
     lo, hi = F.system.domain
@@ -388,13 +368,10 @@ def holder_exponent_estimate(F: DistributionFunction, t0: float,
         pairs.append((math.log(r), math.log(mb.value)))
     if len(pairs) < _WINDOW:
         raise ScaleError(f"only {len(pairs)} usable scales, need {_WINDOW}")
-    if method == "running_min":
-        exponent = min(y / x for x, y in pairs)
-    else:
-        exponent = min(_window_slope(pairs[i:i + _WINDOW])
-                       for i in range(len(pairs) - _WINDOW + 1))
+    exponent = min(_window_slope(pairs[i:i + _WINDOW])
+                   for i in range(len(pairs) - _WINDOW + 1))
     return HolderEstimate(t0=t0, exponent=max(0.0, exponent),
-                          scale_pairs=tuple(pairs), method=method)
+                          scale_pairs=tuple(pairs))
 
 
 def exact_exponent_at_coded_point(ifs: IfsSystem, psi: Potential,

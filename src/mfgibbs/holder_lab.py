@@ -20,13 +20,17 @@ from .errors import (BlockSearchError, DomainError, PrecisionError,
 from .estimators import (DistributionFunction, Scales, deep_policy,
                          default_scale_base, holder_exponent_estimate)
 from .ifs_geometry import (WIDTH_FLOOR, IfsSystem, cylinder_interval,
-                           max_safe_depth, stream_point)
+                           max_safe_depth, node_children, stream_point)
 from .symbolic import PeriodicWord, SymbolStream, Word, enumerate_words
 from .thermodynamics import Potential
 
 # derivative_limit_probe classifies from the last max(PROBE_MIN_DEPTHS,
 # 3 * period) depths, and refuses to run on fewer than this many
 PROBE_MIN_DEPTHS = 8
+# find_tau_block searches blocks of length 2 up to this
+TAU_MAX_LENGTH = 6
+# detrend_exponent_test samples this many points each side of t0 per window
+DETREND_SAMPLES_PER_SIDE = 12
 
 
 def _require_odd(k: int) -> None:
@@ -75,8 +79,7 @@ class TauBlock:
     value: float
 
 
-def find_tau_block(ifs: IfsSystem, psi: Potential, k: int,
-                   ell_max: int = 6) -> TauBlock:
+def find_tau_block(ifs: IfsSystem, psi: Potential, k: int) -> TauBlock:
     """Shortest block (lex-first on ties) with at least two distinct
     letters and |S(psi - k*phi)| > 1e-6 at its cycle.
 
@@ -85,7 +88,7 @@ def find_tau_block(ifs: IfsSystem, psi: Potential, k: int,
     """
     _require_odd(k)
     phi = Potential.geometric(ifs)
-    for ell in range(2, ell_max + 1):
+    for ell in range(2, TAU_MAX_LENGTH + 1):
         for w in enumerate_words(ifs.alphabet_size, ell):
             if len(w.distinct_symbols()) < 2:
                 continue
@@ -94,29 +97,8 @@ def find_tau_block(ifs: IfsSystem, psi: Potential, k: int,
             if abs(value) > 1e-6:
                 return TauBlock(tau=w, value=value)
     raise BlockSearchError(
-        f"no block up to length {ell_max} separates psi from {k}*phi; "
+        f"no block up to length {TAU_MAX_LENGTH} separates psi from {k}*phi; "
         f"the potentials look cohomologous")
-
-
-def perturbed_cylinder(ifs: IfsSystem, omega_prefix: Word, tau: Word,
-                       N: int) -> tuple[float, float]:
-    """Cylinder interval of omega_prefix followed by N copies of tau."""
-    if N < 0:
-        raise ValueError("N must be >= 0")
-    return cylinder_interval(ifs, omega_prefix + tau.repeat(N))
-
-
-def admissible_depths(omega, tau: Word, candidates) -> list[int]:
-    """Depths where the separator case analysis applies.
-
-    A depth n works when omega continues from n with the block's first
-    letter forever (constant tail) or with a different letter; a single
-    matching letter followed by something else falls between the cases.
-    """
-    stream = _as_stream(omega)
-    t1 = tau[0]
-    return [n for n in candidates
-            if stream.is_constant_from(n, t1) or stream.symbol_at(n) != t1]
 
 
 @dataclass(frozen=True)
@@ -295,40 +277,29 @@ class SlopeProbe:
 def _locate_coding(ifs: IfsSystem, x: float, depth: int
                    ) -> tuple[list[int], list[tuple[float, float]]]:
     """The first `depth` letters of a coding of x and the cylinder ends
-    at every depth, the base interval first; each child's ends come from
-    its matrix with cylinder_interval's float operations."""
+    at every depth, the base interval first; the children come from
+    node_children, with cylinder_interval's float operations."""
     # rightmost child at touching points, matching the CDF convention
     lo, hi = ifs.domain
     if not lo <= x <= hi:
         raise DomainError("x outside the certified interval")
+    coeffs = [mp.coefficients() for mp in ifs.maps]
     word: list[int] = []
     ends = [(lo, hi)]
     a, b, c, d = 1.0, 0.0, 0.0, 1.0
     for _ in range(depth):
-        chosen = None
-        nearest = None
-        for j, mp in enumerate(ifs.maps):
-            ma, mb, mc, md = mp.coefficients()
-            na, nb = a * ma + b * mc, a * mb + b * md
-            nc, nd = c * ma + d * mc, c * mb + d * md
-            cl = (na * lo + nb) / (nc * lo + nd)
-            ch = (na * hi + nb) / (nc * hi + nd)
-            if cl <= x <= ch:
-                chosen = (j, (na, nb, nc, nd), (cl, ch))
-            else:
-                gap = cl - x if x < cl else x - ch
-                if nearest is None or gap < nearest[0]:
-                    nearest = (gap, (j, (na, nb, nc, nd), (cl, ch)))
-        # composed endpoints drift by a few ulp at the domain ends;
-        # a true gap sits orders of magnitude farther away
-        if chosen is None and nearest is not None and nearest[0] <= 1e-12:
-            chosen = nearest[1]
-        if chosen is None:
-            raise DomainError(f"{x!r} is not in the attractor (gap at "
-                              f"depth {len(word)})")
-        j, (a, b, c, d), child = chosen
+        kids, j = node_children(coeffs, a, b, c, d, lo, hi, x)
+        if j < 0:
+            # composed endpoints drift by a few ulp at the domain ends;
+            # a true gap sits orders of magnitude farther away
+            gap, j = min((kid[0] - x if x < kid[0] else x - kid[1], i)
+                         for i, kid in enumerate(kids))
+            if gap > 1e-12:
+                raise DomainError(f"{x!r} is not in the attractor (gap at "
+                                  f"depth {len(word)})")
+        l_j, h_j, a, b, c, d = kids[j]
         word.append(j)
-        ends.append(child)
+        ends.append((l_j, h_j))
     return word, ends
 
 
@@ -421,9 +392,7 @@ class DetrendResult:
 
 def detrend_exponent_test(F: DistributionFunction, t0: float,
                           alpha_hat: float | None = None,
-                          degree_max: int | None = None,
-                          windows: int = 8,
-                          samples_per_side: int = 12) -> DetrendResult:
+                          windows: int = 8) -> DetrendResult:
     """Check that no polynomial correction hides behind the exponent.
 
     For each degree j up to floor(alpha_hat), the coefficient a_j is
@@ -431,7 +400,9 @@ def detrend_exponent_test(F: DistributionFunction, t0: float,
     geometrically shrinking windows.  When the exponent story is honest
     every |a_j| decays as the window shrinks, and the plain liminf
     exponent of F - F(t0) reproduces alpha_hat.  A flat nonzero a_j is
-    exactly how the degenerate (smooth) case fails.
+    exactly how the degenerate (smooth) case fails.  When alpha_hat is
+    not given it is that same liminf estimate, so residual_exponent ==
+    alpha_hat and `passed` rests on the coefficient decay alone.
 
     Exponents below 1 make every polynomial term trivial; the test is
     then skipped (with a small allowance so estimates of exactly 1 are
@@ -451,17 +422,16 @@ def detrend_exponent_test(F: DistributionFunction, t0: float,
                              window_radii=(), coefficients=(),
                              residual_exponent=None, passed=True,
                              skipped=True, hypothesis_violation=False)
-    if degree_max is None:
-        degree_max = max(1, math.floor(alpha_hat))
+    degree_max = max(1, math.floor(alpha_hat))
     lo, hi = F.system.domain
     f0 = F.cdf(t0).value
     radii = tuple(scales.base ** (-(i + 1)) for i in range(windows))
     coeffs: list[list[float]] = [[] for _ in range(degree_max)]
     for h in radii:
         ts = []
-        for u in range(1, samples_per_side + 1):
+        for u in range(1, DETREND_SAMPLES_PER_SIDE + 1):
             for sgn in (1.0, -1.0):
-                tt = t0 + sgn * h * u / samples_per_side
+                tt = t0 + sgn * h * u / DETREND_SAMPLES_PER_SIDE
                 if lo <= tt <= hi and tt != t0:
                     ts.append(tt)
         ys = [F.cdf(tt).value - f0 for tt in ts]

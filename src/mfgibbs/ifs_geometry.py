@@ -194,7 +194,6 @@ class IfsSystem:
     domain: tuple[float, float]
     maps: tuple[ContractionMap, ...]
     osc_report: OscReport = field(init=False, repr=False)
-    osc_verified: bool = field(init=False)
 
     def __post_init__(self):
         lo, hi = _check_domain(self.domain)
@@ -213,9 +212,7 @@ class IfsSystem:
         for i in range(m - 1):
             if images[i + 1][0] < images[i][0]:
                 raise ValueError("maps must be indexed left to right")
-        report = check_osc(self)
-        object.__setattr__(self, "osc_report", report)
-        object.__setattr__(self, "osc_verified", report.satisfied)
+        object.__setattr__(self, "osc_report", check_osc(self))
 
     @classmethod
     def affine(cls, domain, ratios_offsets: Sequence[tuple[float, float]]) -> "IfsSystem":
@@ -310,6 +307,33 @@ def word_matrix(ifs: IfsSystem, word: Word) -> tuple[tuple[float, float, float, 
                       c * ma + d * mc, c * mb + d * md)
         logdet += ifs.maps[s].log_det
     return (a, b, c, d), logdet
+
+
+def node_children(coeffs, a: float, b: float, c: float, d: float,
+                  lo: float, hi: float, x: float
+                  ) -> tuple[list[tuple[float, ...]], int]:
+    """The children of the cylinder node whose matrix is (a, b, c, d).
+
+    coeffs holds each map's coefficients.  Returns kids, where kids[j] =
+    (l_j, h_j, a_j, b_j, c_j, d_j) holds the ends of child j, its matrix
+    applied to lo and hi, and that matrix, formed with the float
+    operations of word_matrix; and the last j whose closed interval
+    [l_j, h_j] holds x, or -1 (always -1 for a NaN x).  Every cylinder
+    descent forms its children here, one call per level.
+    """
+    kids = []
+    chosen = -1
+    for (ka, kb, kc, kd) in coeffs:
+        na = a * ka + b * kc
+        nb = a * kb + b * kd
+        nc = c * ka + d * kc
+        nd = c * kb + d * kd
+        l_j = (na * lo + nb) / (nc * lo + nd)
+        h_j = (na * hi + nb) / (nc * hi + nd)
+        if l_j <= x <= h_j:
+            chosen = len(kids)
+        kids.append((l_j, h_j, na, nb, nc, nd))
+    return kids, chosen
 
 
 def matrix_fixed_point(coeffs: tuple[float, float, float, float],

@@ -177,21 +177,21 @@ def beta_grid(ifs: IfsSystem, psi: Potential, qs, k: int | None = None
 
 def spectrum_curve(ifs: IfsSystem, psi: Potential, k: int | None = None,
                    q_min: float = DEFAULT_Q_MIN, q_max: float = DEFAULT_Q_MAX,
-                   q_steps: int = DEFAULT_Q_STEPS,
-                   ell_max: int = 6) -> SpectrumCurve:
+                   q_steps: int = DEFAULT_Q_STEPS) -> SpectrumCurve:
     """Sample beta(q), alpha(q) and beta*(alpha(q)) on a uniform grid.
 
     The samples come from `beta_grid`, so alpha and beta* are exact at
     the depth-k level, as are the dimension beta(0) and alpha_0 = alpha(0)
-    whether or not the grid holds q = 0.  One scan of the periodic ratios up to ell_max
-    gives both the endpoints and the degeneracy flag.
+    whether or not the grid holds q = 0.  One cohomology_diagnostic scan
+    of the periodic ratios gives both the endpoints and the degeneracy
+    flag.
     """
     if q_steps < 3:
         raise ValueError("need at least 3 grid points")
     if not q_min < q_max:
         raise ValueError("empty q range")
     qs = np.linspace(q_min, q_max, q_steps)
-    diag = cohomology_diagnostic(ifs, psi, ell_max=ell_max)
+    diag = cohomology_diagnostic(ifs, psi)
     a_lo, a_hi = diag.ratio_min, diag.ratio_max
     if diag.degenerate:
         c = 0.5 * (a_lo + a_hi)

@@ -1,4 +1,4 @@
-"""Topological pressure, Gibbs weights, and the potential type.
+"""Topological pressure, normalization, and the potential type.
 
 Pressure is approximated through periodic-point sums at finite depth,
 P_k = (1/k) log sum over length-k words of exp(S_k psi at the periodic
@@ -436,47 +436,6 @@ def normalize(ifs: IfsSystem, psi: Potential, k_max: int = 10) -> Potential:
     else:
         c = pressure_at_level(ifs, psi, k_max)
     return replace(psi, shift=psi.shift - c)
-
-
-@dataclass(frozen=True)
-class GibbsWeights:
-    """Normalized periodic-point weights of one cylinder level."""
-
-    depth: int
-    weights: np.ndarray
-    gibbs_constant_estimate: float
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        object.__setattr__(self, "weights", w)
-        if np.any(w <= 0.0):
-            raise ValueError("gibbs weights must be positive")
-        if abs(float(w.sum()) - 1.0) > 1e-12:
-            raise ValueError("gibbs weights must sum to one")
-
-
-def _softmax(sums: np.ndarray) -> np.ndarray:
-    e = np.exp(sums - float(np.max(sums)))
-    return e / float(e.sum())
-
-
-def gibbs_cylinder_weights(ifs: IfsSystem, psi: Potential,
-                           n: int) -> GibbsWeights:
-    """Depth-n cylinder weights exp(S_n psi)/Z for a zero-pressure psi.
-
-    Raises NormalizationError when the pressure of psi is not zero
-    within max(1e-8, its own error bound); the weights formula only
-    approximates the Gibbs measure in that regime.
-    """
-    require_normalized(ifs, psi, k_max=max(2, min(8, n + 1)))
-    w_n = _softmax(periodic_sums(ifs, psi, n))
-    w_n1 = _softmax(periodic_sums(ifs, psi, n + 1))
-    # worst ratio, either way up, between a depth-n weight and the sum of
-    # its children: exactly 1 for product measures, the empirical Gibbs
-    # constant otherwise
-    ratio = w_n / w_n1.reshape(-1, ifs.alphabet_size).sum(axis=1)
-    est = float(max(ratio.max(), (1.0 / ratio).max()))
-    return GibbsWeights(depth=n, weights=w_n, gibbs_constant_estimate=est)
 
 
 @dataclass(frozen=True)

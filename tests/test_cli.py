@@ -267,8 +267,8 @@ def test_beta_determinism_across_threads(tmp_path, capsys, monkeypatch):
                             "probabilities": [0.25, 0.75],
                             "normalize": "false"},
      "potential.normalize: expected true or false"),
-    ("holder", "holder", {"method": "median"},
-     "holder.method: unknown method 'median'"),
+    ("coarse", "coarse", {"deltas": []},
+     "coarse.deltas: need at least one box size"),
     ("spectrum", "q_grid", {"steps": 2},
      "q_grid.steps: need at least 3 points, got 2"),
     ("predict-packing", "q_grid", {"steps": 2},
@@ -293,6 +293,16 @@ def test_beta_determinism_across_threads(tmp_path, capsys, monkeypatch):
      "pressure.depth: must be positive, got -1"),
     ("verify-prop", "probe", {"n_max": 7},
      "probe.n_max: need at least 8 depths, got 7"),
+    ("coarse", "coarse", {"deltas": ["1/81"], "alpha_bin_width": 0},
+     "coarse.alpha_bin_width: must be positive, got 0"),
+    ("coarse", "coarse", {"deltas": ["1/81"], "alpha_bin_width": -0.1},
+     "coarse.alpha_bin_width: must be positive, got -0.1"),
+    ("holder", "scales", {"base": 1},
+     "scales.base: must exceed 1, got 1"),
+    ("holder", "scales", {"base": 3, "j_min": 5, "j_max": 5},
+     "scales.j_max: must exceed scales.j_min, got 5 <= 5"),
+    ("endpoints", "endpoints", {"ell_max": 0},
+     "endpoints.ell_max: must be positive, got 0"),
 ])
 def test_config_faults_name_the_field(tmp_path, capsys, command, field,
                                       value, message):
@@ -332,6 +342,24 @@ def test_moebius_pressure_depth_below_one_names_the_field(tmp_path, capsys):
     code, out, err = run(capsys, "pressure", "--config", str(path))
     assert (code, out) == (2, "")
     assert err.startswith("config error: pressure.depth: must be positive")
+
+
+@pytest.mark.parametrize("pressure,flags,message", [
+    ({"depth": 1}, (), "pressure.depth: need at least 2 levels, got 1"),
+    ({"depth": 10}, ("--depth", "1"), "--depth: need at least 2 levels, got 1"),
+])
+def test_moebius_pressure_level_one_names_its_source(tmp_path, capsys,
+                                                     pressure, flags,
+                                                     message):
+    # the geometric potential has no finite range: its pressure bound
+    # needs two periodic levels
+    cfg = json.loads((CONFIGS / "moebius_pair.json").read_text())
+    cfg["pressure"] = pressure
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run(capsys, "pressure", "--config", str(path), *flags)
+    assert (code, out) == (2, "")
+    assert err.startswith("config error: " + message)
 
 
 def test_verify_prop_needs_the_probe_window(capsys):
@@ -515,7 +543,7 @@ FUZZ_TARGETS = (
     ("beta", "q_grid.steps"), ("spectrum", "q_grid.steps"),
     ("endpoints", "endpoints"), ("endpoints", "endpoints.ell_max"),
     ("cdf", "cdf"), ("cdf", "cdf.points"), ("cdf", "points"),
-    ("holder", "holder.method"), ("holder", "holder.points"),
+    ("holder", "holder.points"),
     ("holder", "scales"), ("holder", "scales.base"),
     ("holder", "scales.j_min"), ("holder", "scales.j_max"),
     ("coarse", "coarse"), ("coarse", "coarse.deltas"),

@@ -22,8 +22,8 @@ from mfgibbs.ifs_geometry import (AffineMap, IfsSystem, MoebiusMap,
                                   stream_point, word_matrix)
 from mfgibbs.spectrum import legendre
 from mfgibbs.symbolic import PeriodicWord, SymbolStream, Word, enumerate_words
-from mfgibbs.thermodynamics import (Potential, gibbs_cylinder_weights,
-                                   normalize)
+from mfgibbs.thermodynamics import Potential, normalize
+from periodic_weights import periodic_weights
 from strategies import potentials, systems
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -61,7 +61,7 @@ def test_cdf_monotone_on_sorted_points(F_cantor):
 
 
 def test_cdf_matches_gibbs_weights_on_cylinders(cantor, cantor_psi, F_cantor):
-    weights = gibbs_cylinder_weights(cantor, cantor_psi, 3).weights
+    weights = periodic_weights(cantor, cantor_psi, 3)
     for idx, w in enumerate(enumerate_words(2, 3)):
         lo, hi = cylinder_interval(cantor, w)
         mass = F_cantor.cdf(hi).value - F_cantor.cdf(lo).value
@@ -123,9 +123,10 @@ def test_holder_at_coded_endpoints(F_cantor):
 
 
 def test_holder_methods_agree_at_clean_points(F_cantor):
-    reg = holder_exponent_estimate(F_cantor, 0.0, method="regression_min")
-    raw = holder_exponent_estimate(F_cantor, 0.0, method="running_min")
-    assert abs(reg.exponent - raw.exponent) < 0.05
+    # the windowed regression against the raw ratio log mu / log r
+    est = holder_exponent_estimate(F_cantor, 0.0)
+    raw = min(y / x for x, y in est.scale_pairs)
+    assert abs(est.exponent - raw) < 0.05
 
 
 def test_holder_tracks_exact_exponent(cantor, cantor_psi, F_cantor):

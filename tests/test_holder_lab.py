@@ -7,9 +7,8 @@ from mfgibbs.errors import (BlockSearchError, DomainError, PrecisionError,
                             ScaleError, SeparatorError)
 from mfgibbs import estimators, holder_lab, ifs_geometry
 from mfgibbs.estimators import DistributionFunction, Scales, deep_policy
-from mfgibbs.holder_lab import (admissible_depths, derivative_limit_probe,
-                                detrend_exponent_test, find_separator,
-                                find_tau_block, perturbed_cylinder,
+from mfgibbs.holder_lab import (derivative_limit_probe, detrend_exponent_test,
+                                find_separator, find_tau_block,
                                 ratio_scaling_experiment, secant_slope)
 from mfgibbs.ifs_geometry import cylinder_interval, stream_point
 from mfgibbs.symbolic import PeriodicWord, Word
@@ -78,24 +77,32 @@ def test_find_tau_block_fails_on_exact_multiple(cantor):
 
 
 def test_perturbed_cylinder_widths(cantor):
+    # the perturbed cylinder [prefix tau^N]
     tau = Word.parse("01")
     prefix = Word.parse("00")
-    lo1, hi1 = perturbed_cylinder(cantor, prefix, tau, 1)
+    lo1, hi1 = cylinder_interval(cantor, prefix + tau.repeat(1))
     assert hi1 - lo1 == pytest.approx(3.0 ** -4, rel=1e-12)
-    lo2, hi2 = perturbed_cylinder(cantor, prefix, tau, 2)
+    lo2, hi2 = cylinder_interval(cantor, prefix + tau.repeat(2))
     assert (hi2 - lo2) / (hi1 - lo1) == pytest.approx(1 / 9, rel=1e-10)
-    lo0, hi0 = perturbed_cylinder(cantor, prefix, tau, 0)
+    lo0, hi0 = cylinder_interval(cantor, prefix + tau.repeat(0))
     assert (lo0, hi0) == cylinder_interval(cantor, prefix)
 
 
-def test_admissible_depths_dichotomy():
+def test_admissible_depths_dichotomy(cantor):
+    # a depth is admissible when omega continues with the block's first
+    # letter forever (case 1) or leaves it at once (case 2)
     tau = Word.parse("01")
     omega = PeriodicWord.parse("0")
-    assert admissible_depths(omega, tau, range(1, 6)) == [1, 2, 3, 4, 5]
-    # at even depths 011011... continues with tau_1 = 0 but not forever
+    assert [find_separator(cantor, omega, n, tau).case
+            for n in range(1, 6)] == [1] * 5
+    # at multiples of 3, 011011... continues with tau_1 = 0 but not forever
     mixed = PeriodicWord.parse("011")
-    usable = admissible_depths(mixed, tau, range(6))
-    assert all(n % 3 != 0 for n in usable)
+    for n in range(6):
+        if n % 3 == 0:
+            with pytest.raises(SeparatorError, match="not admissible"):
+                find_separator(cantor, mixed, n, tau)
+        else:
+            assert find_separator(cantor, mixed, n, tau).case == 2
 
 
 def test_separator_betweenness_both_sides(cantor):
@@ -106,7 +113,7 @@ def test_separator_betweenness_both_sides(cantor):
         x = stream_point(cantor, omega.stream())
         s_lo, s_hi = sep.interval
         for N in (2, 3, 4):
-            p_lo, p_hi = perturbed_cylinder(cantor, omega.head(n), tau, N)
+            p_lo, p_hi = cylinder_interval(cantor, omega.head(n) + tau.repeat(N))
             assert (x < s_lo and s_hi < p_lo) or (p_hi < s_lo and s_hi < x)
         assert len(sep.word) <= n + len(tau) + 1
 

@@ -3,14 +3,16 @@ from pathlib import Path
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mfgibbs.ifs_geometry import (AffineMap, IfsSystem, MoebiusMap, check_osc,
                                   cylinder_interval, matrix_fixed_point,
-                                  max_safe_depth, periodic_point, stream_point,
-                                  word_matrix)
+                                  max_safe_depth, node_children,
+                                  periodic_point, stream_point, word_matrix)
 from mfgibbs.cli import DEFAULT_BATTERY, build_system, load_config
 from mfgibbs.symbolic import PeriodicWord, SymbolStream, Word
 from mfgibbs.thermodynamics import Potential
+from strategies import systems
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -109,11 +111,11 @@ def test_max_safe_depth_is_the_width_floor(cantor, lebesgue, moebius):
 
 def test_osc_reports(cantor, lebesgue):
     assert check_osc(cantor).satisfied
-    assert cantor.osc_verified
+    assert cantor.osc_report.satisfied
     # touching interiors are allowed
     assert check_osc(lebesgue).satisfied
     overlap = IfsSystem.affine((0.0, 1.0), [(0.6, 0.0), (0.6, 0.4)])
-    assert not overlap.osc_verified
+    assert not overlap.osc_report.satisfied
 
 
 def _mp_fixed_point(ifs, word):
@@ -139,3 +141,28 @@ def test_coded_points_match_mpmath_fixed_points(config):
         pw = PeriodicWord.parse(text)
         x = stream_point(ifs, pw.stream())
         assert abs(x - _mp_fixed_point(ifs, pw.period)) <= 1e-15, text
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_node_children_are_the_child_words(data):
+    # one expansion of the node w gives the ends and the matrix of every
+    # w + j exactly, and picks the last child whose closed interval holds x
+    ifs = data.draw(systems())
+    m = ifs.alphabet_size
+    lo, hi = ifs.domain
+    w = Word(tuple(data.draw(st.lists(st.integers(0, m - 1), max_size=8))))
+    (a, b, c, d), _ = word_matrix(ifs, w)
+    coeffs = [mp.coefficients() for mp in ifs.maps]
+    kids, chosen = node_children(coeffs, a, b, c, d, lo, hi, math.nan)
+    assert len(kids) == m and chosen == -1
+    for j, kid in enumerate(kids):
+        child = w + Word((j,))
+        assert kid[:2] == cylinder_interval(ifs, child)
+        assert kid[2:] == word_matrix(ifs, child)[0]
+    ends = [e for kid in kids for e in kid[:2]]
+    x = data.draw(st.sampled_from(ends) | st.floats(ends[0], ends[-1])
+                  | st.floats(lo, hi))
+    holding = [j for j, kid in enumerate(kids) if kid[0] <= x <= kid[1]]
+    assert node_children(coeffs, a, b, c, d, lo, hi, x) == (
+        kids, holding[-1] if holding else -1)

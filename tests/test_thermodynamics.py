@@ -14,9 +14,11 @@ from mfgibbs.ifs_geometry import (AffineMap, IfsSystem, MoebiusMap,
 from mfgibbs.spectrum import LevelSums
 from mfgibbs.symbolic import PeriodicWord, Word, enumerate_words
 from mfgibbs.thermodynamics import (Potential, cohomology_diagnostic,
-                                    effective_range, gibbs_cylinder_weights,
-                                    normalize, periodic_sums, pressure,
-                                    pressure_at_level, range_table)
+                                    effective_range, normalize,
+                                    periodic_sums, pressure,
+                                    pressure_at_level, range_table,
+                                    require_normalized)
+from periodic_weights import periodic_weights
 from strategies import systems
 
 LOG3 = math.log(3.0)
@@ -113,28 +115,31 @@ def test_normalize_exact_shift(cantor):
 
 
 def test_gibbs_weights_uniform(cantor, uniform_psi):
-    gw = gibbs_cylinder_weights(cantor, uniform_psi, 3)
-    assert np.allclose(gw.weights, 0.125, atol=0)
+    weights = periodic_weights(cantor, uniform_psi, 3)
+    assert np.allclose(weights, 0.125, atol=0)
 
 
 def test_gibbs_weights_are_products(cantor, cantor_psi):
-    gw = gibbs_cylinder_weights(cantor, cantor_psi, 2)
-    assert np.allclose(gw.weights, [1 / 16, 3 / 16, 3 / 16, 9 / 16],
+    weights = periodic_weights(cantor, cantor_psi, 2)
+    assert np.allclose(weights, [1 / 16, 3 / 16, 3 / 16, 9 / 16],
                        atol=1e-15)
-    assert gw.weights.sum() == pytest.approx(1.0, abs=1e-12)
+    assert weights.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_gibbs_consistency_across_levels(cantor, cantor_psi):
     # a product measure splits each cylinder exactly among its children
     for n in (2, 3):
-        gw = gibbs_cylinder_weights(cantor, cantor_psi, n)
-        assert gw.gibbs_constant_estimate == pytest.approx(1.0, abs=1e-12)
+        parents = periodic_weights(cantor, cantor_psi, n)
+        children = periodic_weights(cantor, cantor_psi, n + 1)
+        ratio = parents / children.reshape(-1, 2).sum(axis=1)
+        assert np.allclose(ratio, 1.0, rtol=0, atol=1e-12)
 
 
 def test_gibbs_requires_zero_pressure(cantor):
+    # cylinder weights exp(S_n psi)/Z are Gibbs masses only at zero pressure
     psi = Potential.bernoulli((math.log(0.3), math.log(0.5)))
     with pytest.raises(NormalizationError):
-        gibbs_cylinder_weights(cantor, psi, 2)
+        require_normalized(cantor, psi)
 
 
 def test_degeneracy_detection(cantor, lebesgue, uniform_psi, cantor_psi):
