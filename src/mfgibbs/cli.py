@@ -12,7 +12,7 @@ import json
 import math
 import sys
 
-from .errors import ConfigError, ToolkitError
+from .errors import ConfigError, NormalizationError, ToolkitError
 from .estimators import (DepthPolicy, DistributionFunction, Scales,
                          coarse_spectrum, deep_policy, default_scale_base,
                          holder_exponent_estimate)
@@ -576,7 +576,17 @@ def main(argv=None) -> int:
         ifs = build_system(cfg)
         level = _level(args, cfg, ifs)
         psi = build_potential(cfg, ifs, depth=level)
-        return _COMMANDS[args.command][0](args, cfg, ifs, psi, level)
+        try:
+            return _COMMANDS[args.command][0](args, cfg, ifs, psi, level)
+        except NormalizationError as exc:
+            if not _block(cfg, "potential").get("normalize", False):
+                raise
+            # the distribution function checks the pressure deeper than
+            # a shallow level pins it to zero
+            raise ConfigError(
+                f"pressure.depth: level {level} is too shallow to "
+                f"normalize at; the potential keeps pressure "
+                f"{exc.value:.3e}, not zero within {exc.bound:.3e}") from None
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

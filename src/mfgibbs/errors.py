@@ -24,6 +24,12 @@ class NonConvergenceError(ToolkitError):
 class NormalizationError(ToolkitError):
     """A potential required to have zero pressure does not."""
 
+    def __init__(self, value: float, bound: float):
+        super().__init__(f"potential has pressure {value:.3e}, not zero "
+                         f"within {bound:.3e}; normalize it first")
+        self.value = value
+        self.bound = bound
+
 
 class BlockSearchError(ToolkitError):
     """No perturbation block with the required properties exists."""

@@ -16,7 +16,16 @@ in the parts a given kind needs; `normalize` moves only the shift.
 
 The geometric potential of an affine system collapses to a depth-one
 potential, which is why the classical Cantor benchmarks are exact at
-level one.
+level one.  On any other system its periodic sums need every word's
+2x2 matrix.  One pass down the word tree composes them level after
+level, each level's matrices extending the level above by one letter
+on the right, and yields the sums of only the levels its caller reads,
+only when it reads them: `pressure` and `cohomology_diagnostic` take
+all their levels from one pass, `periodic_sums` its one level.  No
+piece of that work spans more than _CHUNK words: the pass holds whole
+only a level of at most that many, and composes deeper levels in
+blocks of at most that many on up to one worker per core.  The bytes
+depend on neither the block size nor the core count.
 """
 
 from __future__ import annotations
@@ -35,7 +44,8 @@ from .ifs_geometry import (IfsSystem, matrix_fixed_point, stream_point,
 from .symbolic import (ENUMERATION_CAP, PeriodicWord, SymbolStream, Word,
                        distortion_bound)
 
-_CHUNK = 1 << 18
+# words in one block of periodic-point work
+_CHUNK = 1 << 16
 _WORKERS = os.cpu_count() or 1
 
 
@@ -227,9 +237,9 @@ def _fixed_points_vec(a, b, c, d, domain) -> np.ndarray:
     disc = bb * bb + 4.0 * c * b
     if np.any(disc < -1e-12):
         raise ValueError("complex fixed point in a word composition")
-    root = np.sqrt(np.maximum(disc, 0.0))
-    sgn = np.where(bb >= 0.0, 1.0, -1.0)
-    qq = -0.5 * (bb + sgn * root)
+    qq = -0.5 * (bb + np.where(bb >= 0.0, 1.0, -1.0)
+                 * np.sqrt(np.maximum(disc, 0.0)))
+    del disc  # blocks of words run side by side; hold few temporaries
     with np.errstate(divide="ignore", invalid="ignore"):
         x1 = np.where(c != 0.0, qq / np.where(c != 0.0, c, 1.0), b / bb)
         x2 = np.where(qq != 0.0, -b / np.where(qq != 0.0, qq, 1.0), 0.0)
@@ -240,34 +250,96 @@ def _fixed_points_vec(a, b, c, d, domain) -> np.ndarray:
     return x
 
 
-def _geometric_chunk(ifs: IfsSystem, k: int, lo: int, hi: int) -> np.ndarray:
-    """S_k phi at the periodic points of the level-k words lo..hi-1.
+def _extend(rows: np.ndarray, letters: np.ndarray) -> np.ndarray:
+    """The one-letter children of every word matrix in `rows` (4 x n).
 
-    The word matrices grow as a prefix tree: the level-j row of prefix p
-    is the row of its parent p // m times the matrix of letter p % m,
-    over just the prefixes that [lo, hi) spans.  Each product is the
-    one a left-to-right composition of the word would form, so the
-    result does not depend on how the level is cut into chunks.
-    Letters are scaled to determinant one, so S_k phi = -2 log|c x + d|.
+    Child j of row p lands at p*m + j, so lex order carries over; each
+    letter's column is written in place with the products and sums a
+    left-to-right composition of the word forms.
+    """
+    a, b, c, d = rows
+    ma, mb, mc, md = letters
+    n, m = len(a), len(ma)
+    out = np.empty((4, n, m))
+    tmp = np.empty(n)
+    for j in range(m):
+        for col, p, q, u, v in ((out[0], a, b, ma, mc), (out[1], a, b, mb, md),
+                                (out[2], c, d, ma, mc), (out[3], c, d, mb, md)):
+            np.multiply(p, u[j], out=col[:, j])
+            np.multiply(q, v[j], out=tmp)
+            col[:, j] += tmp
+    return out.reshape(4, n * m)
+
+
+def _map_blocks(fn, total: int, size: int) -> np.ndarray:
+    """fn(lo, hi) over the blocks [lo, lo + size) of range(total), joined
+    in index order.  Blocks run on up to one worker per core, each
+    writing its own slice, so the bytes do not depend on the worker
+    count."""
+    if total <= size:
+        return fn(0, total)
+    out = np.empty(total)
+
+    def run(lo):
+        hi = min(lo + size, total)
+        out[lo:hi] = fn(lo, hi)
+
+    starts = range(0, total, size)
+    if _WORKERS > 1:
+        with ThreadPoolExecutor(min(len(starts), _WORKERS)) as pool:
+            list(pool.map(run, starts))
+    else:
+        for lo in starts:
+            run(lo)
+    return out
+
+
+def _check_level(m: int, k: int) -> int:
+    """Number of level-k words; CapacityError above the enumeration cap."""
+    if k < 1:
+        raise ValueError("level k must be >= 1")
+    if m**k > ENUMERATION_CAP:
+        raise CapacityError(f"{m}**{k} periodic points exceed cap "
+                            f"{ENUMERATION_CAP}")
+    return m**k
+
+
+def _geometric_levels(ifs: IfsSystem, levels):
+    """S_k phi at the periodic points of the level-k words, in lex order,
+    for each k of the increasing `levels`, one pass down the word tree.
+
+    The pass holds whole the word matrices of the deepest level so far
+    with at most _CHUNK words, extending it one letter per level.  A
+    requested level of at most _CHUNK words is that held level; a
+    deeper one is composed in blocks of at most _CHUNK words, each
+    block extending a run of the held rows letter by letter.  Every matrix is the one a
+    left-to-right composition of the word forms, so the sums do not
+    depend on the block size.  Levels are composed only as the caller
+    asks for them, none deeper than the last it takes.  Letters are
+    scaled to determinant one, so S_k phi = -2 log|c x + d|.
     """
     m = ifs.alphabet_size
     scale = np.exp([-0.5 * mp.log_det for mp in ifs.maps])
-    ma, mb, mc, md = np.array([mp.coefficients() for mp in ifs.maps]).T * scale
-    first = lo // m ** (k - 1)
-    span = slice(first, (hi - 1) // m ** (k - 1) + 1)
-    a, b, c, d = ma[span], mb[span], mc[span], md[span]
-    for j in range(2, k + 1):
-        step = m ** (k - j)
-        # prefix p has children p*m .. p*m + m - 1; keep those [lo, hi) spans
-        span = slice(lo // step - first * m, (hi - 1) // step - first * m + 1)
-        a, b, c, d = (
-            (np.outer(a, ma) + np.outer(b, mc)).ravel()[span],
-            (np.outer(a, mb) + np.outer(b, md)).ravel()[span],
-            (np.outer(c, ma) + np.outer(d, mc)).ravel()[span],
-            (np.outer(c, mb) + np.outer(d, md)).ravel()[span])
-        first = lo // step
-    x = _fixed_points_vec(a, b, c, d, ifs.domain)
-    return -2.0 * np.log(np.abs(c * x + d))
+    letters = np.array([mp.coefficients() for mp in ifs.maps]).T * scale
+    held, held_level = letters, 1
+
+    def block(lo, hi):
+        rows = held[:, lo // span:hi // span]
+        for _ in range(k - held_level):
+            rows = _extend(rows, letters)
+        a, b, c, d = rows
+        x = _fixed_points_vec(a, b, c, d, ifs.domain)
+        return -2.0 * np.log(np.abs(c * x + d))
+
+    k = 1
+    for want in levels:
+        total = _check_level(m, want)
+        while k < want:
+            k += 1
+            if m**k <= _CHUNK:
+                held, held_level = _extend(held, letters), k
+        span = m ** (k - held_level)
+        yield _map_blocks(block, total, max(1, _CHUNK // span) * span)
 
 
 def _sums_chunk(ifs: IfsSystem, psi: Potential, k: int, lo: int, hi: int,
@@ -278,12 +350,10 @@ def _sums_chunk(ifs: IfsSystem, psi: Potential, k: int, lo: int, hi: int,
     if psi.geom != 0.0:
         if geometric is not None:
             out += psi.geom * geometric
-        elif ifs.is_affine():
+        else:  # an affine system: phi sums the letters' log ratios
             sym = _symbol_columns(m, k, lo, hi)
             logr = np.array([math.log(mp.r_min) for mp in ifs.maps])
             out += psi.geom * logr[sym].sum(axis=1)
-        else:
-            out += psi.geom * _geometric_chunk(ifs, k, lo, hi)
     if psi.depth:
         if sym is None:
             sym = _symbol_columns(m, k, lo, hi)
@@ -295,39 +365,47 @@ def _sums_chunk(ifs: IfsSystem, psi: Potential, k: int, lo: int, hi: int,
     return out
 
 
+def _composes(ifs: IfsSystem, psi: Potential) -> bool:
+    """Whether psi's periodic sums need the composed word matrices."""
+    return psi.geom != 0.0 and not ifs.is_affine()
+
+
 def periodic_sums(ifs: IfsSystem, psi: Potential, k: int,
                   geometric: np.ndarray | None = None) -> np.ndarray:
     """S_k psi at the periodic point of every length-k word, in lex order.
 
-    Chunks run on up to one worker per core and join in index order, so
-    the contents do not depend on the core count.  `geometric`, when
-    given, holds this level's sums of the geometric potential phi;
-    psi's geometric term then reads them instead of composing every
-    word again.
+    The level is computed in blocks of at most _CHUNK words on up to one
+    worker per core and joined in index order, so the contents depend
+    on neither the block size nor the core count.  psi's geometric term
+    on a non-affine system reads `geometric`, this level's sums of the
+    geometric potential phi, when given.  Otherwise a pass down the
+    word tree composes the word matrices down to level k and no deeper,
+    and fixed points are solved at level k only; `pressure` and
+    `cohomology_diagnostic` read all their levels from one such pass.
     """
-    if k < 1:
-        raise ValueError("level k must be >= 1")
+    total = _check_level(ifs.alphabet_size, k)
     _check_system(ifs, psi)
-    m = ifs.alphabet_size
-    total = m**k
-    if total > ENUMERATION_CAP:
-        raise CapacityError(f"{m}**{k} periodic points exceed cap "
-                            f"{ENUMERATION_CAP}")
     if geometric is not None and len(geometric) != total:
         raise ValueError(f"geometric sums hold {len(geometric)} words, "
                          f"level {k} has {total}")
+    if geometric is None and _composes(ifs, psi):
+        geometric = next(_geometric_levels(ifs, (k,)))
 
     def chunk(lo, hi):
         return _sums_chunk(ifs, psi, k, lo, hi, None if geometric is None
                            else geometric[lo:hi])
 
-    bounds = [(lo, min(lo + _CHUNK, total)) for lo in range(0, total, _CHUNK)]
-    if _WORKERS > 1 and len(bounds) > 1:
-        with ThreadPoolExecutor(min(len(bounds), _WORKERS)) as pool:
-            parts = list(pool.map(lambda ab: chunk(*ab), bounds))
-    else:
-        parts = [chunk(lo, hi) for lo, hi in bounds]
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+    return _map_blocks(chunk, total, _CHUNK)
+
+
+def _level_sums(ifs: IfsSystem, psi: Potential, levels):
+    """periodic_sums(ifs, psi, k) for each k of the increasing `levels`,
+    the word matrices composed in one pass and only as they are asked
+    for."""
+    phis = (_geometric_levels(ifs, levels) if _composes(ifs, psi)
+            else itertools.repeat(None))
+    for k in levels:
+        yield periodic_sums(ifs, psi, k, geometric=next(phis))
 
 
 def _logsumexp(arr: np.ndarray) -> float:
@@ -386,8 +464,11 @@ def pressure(ifs: IfsSystem, psi: Potential, k_max: int = 10,
     if k_max < 2:
         raise ValueError("k_max must be >= 2")
     levels = []
-    for k in range(1, k_max + 1):
-        levels.append(pressure_at_level(ifs, psi, k))
+    ks = range(1, k_max + 1)
+    # next() leaves no level's sums held while the pass composes the next
+    sums = _level_sums(ifs, psi, ks)
+    for k in ks:
+        levels.append(_logsumexp(next(sums)) / k)
         if k >= 3 and abs(levels[-1] - levels[-2]) < tol:
             break
     value = levels[-1]
@@ -416,9 +497,7 @@ def require_normalized(ifs: IfsSystem, psi: Potential, k_max: int = 8) -> None:
     """Refuse psi unless its pressure is 0 within max(1e-8, its bound)."""
     pres = pressure(ifs, psi, k_max=k_max)
     if abs(pres.value) > max(1e-8, pres.error_bound):
-        raise NormalizationError(
-            f"potential has pressure {pres.value:.3e}, not zero within "
-            f"{pres.error_bound:.3e}; normalize it first")
+        raise NormalizationError(pres.value, pres.error_bound)
 
 
 def normalize(ifs: IfsSystem, psi: Potential, k_max: int = 10) -> Potential:
@@ -459,8 +538,8 @@ def cohomology_diagnostic(ifs: IfsSystem, psi: Potential,
         raise ValueError("ell_max must be >= 1")
     phi = Potential.geometric(ifs)
     lo, hi = math.inf, -math.inf
-    for ell in range(1, ell_max + 1):
-        s_phi = periodic_sums(ifs, phi, ell)
+    ells = range(1, ell_max + 1)
+    for ell, s_phi in zip(ells, _level_sums(ifs, phi, ells)):
         s_psi = periodic_sums(ifs, psi, ell, geometric=s_phi)
         ratios = s_psi / s_phi
         lo = min(lo, float(ratios.min()))

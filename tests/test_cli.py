@@ -232,24 +232,27 @@ def test_threads_below_one_rejected(capsys):
 
 
 def test_beta_determinism_across_threads(tmp_path, capsys, monkeypatch):
-    # each level of 1,024 words runs as 16 chunks of 64, in turn on one
-    # worker and then over a pool of four
-    calls = []
-    chunk = thermodynamics._sums_chunk
-    monkeypatch.setattr(thermodynamics, "_sums_chunk",
-                        lambda *a, **kw: calls.append(a[3]) or chunk(*a, **kw))
+    # the level-10 word matrices are composed as 16 blocks of 64 words,
+    # in turn on one worker and then over a pool of four
+    blocks = []
+    fixed_points = thermodynamics._fixed_points_vec
+    monkeypatch.setattr(thermodynamics, "_fixed_points_vec",
+                        lambda a, *rest: blocks.append(len(a))
+                        or fixed_points(a, *rest))
     monkeypatch.setattr(thermodynamics, "_CHUNK", 64)
     outs = []
     for workers in (1, 4):
         monkeypatch.setattr(thermodynamics, "_WORKERS", workers)
+        blocks.clear()
         out = tmp_path / f"workers{workers}.csv"
         code, _, _ = run(capsys, "beta", "--config",
                          str(CONFIGS / "moebius_pair.json"), "--depth", "10",
                          "--q-steps", "21", "--out", str(out))
         assert code == 0
         outs.append(out.read_bytes())
+        # normalize and the shared build each compose level 10
+        assert blocks == [64] * 32
     assert outs[0] == outs[1]
-    assert max(calls) == 1024 - 64
 
 
 @pytest.mark.parametrize("command,field,value,message", [
@@ -360,6 +363,27 @@ def test_moebius_pressure_level_one_names_its_source(tmp_path, capsys,
     code, out, err = run(capsys, "pressure", "--config", str(path), *flags)
     assert (code, out) == (2, "")
     assert err.startswith("config error: " + message)
+
+
+@pytest.mark.parametrize("depth", [1, 6, 7])
+@pytest.mark.parametrize("argv", [("cdf", "--points", "0.5"),
+                                  ("holder", "--points", "0")])
+def test_moebius_shallow_normalization_names_the_field(tmp_path, capsys,
+                                                       argv, depth):
+    # the config normalizes at pressure.depth, the distribution function
+    # checks the pressure at level 8; up to level 6 the residual shows
+    cfg = json.loads((CONFIGS / "moebius_pair.json").read_text())
+    cfg["pressure"] = {"depth": depth}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run(capsys, *argv, "--config", str(path))
+    if depth == 7:
+        assert code == 0
+        return
+    assert (code, out) == (2, "")
+    assert err.startswith(f"config error: pressure.depth: level {depth} is "
+                          f"too shallow to normalize at; the potential "
+                          f"keeps pressure -")
 
 
 def test_verify_prop_needs_the_probe_window(capsys):

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from mfgibbs import thermodynamics
 from mfgibbs.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -60,6 +61,16 @@ def golden_path(config: str, variant: str) -> Path:
 def test_cli_output_matches_golden(config, variant):
     expected = golden_path(config, variant).read_text(encoding="utf-8")
     assert run_case(config, variant) == expected
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+@pytest.mark.parametrize("variant", ["pressure-deep", "beta-deep"])
+def test_deep_moebius_goldens_do_not_depend_on_workers(monkeypatch, variant,
+                                                       workers):
+    # level 19 is composed in several blocks, one worker or a pool of four
+    monkeypatch.setattr(thermodynamics, "_WORKERS", workers)
+    expected = golden_path("moebius_pair", variant).read_text(encoding="utf-8")
+    assert run_case("moebius_pair", variant) == expected
 
 
 # replays every case in a fresh interpreter whose BLAS runs one thread

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -215,21 +216,28 @@ def test_moebius_periodic_sums_chunks_threads_and_block_sums(data):
                     table=[data.draw(st.floats(-2.0, 2.0))
                            for _ in range(m**depth if depth else 0)],
                     shift=data.draw(st.floats(-2.0, 2.0)), system=ifs)
-    whole = thermodynamics._sums_chunk(ifs, psi, k, 0, total)
-    lo = data.draw(st.integers(0, total - 1))
-    hi = data.draw(st.integers(lo + 1, total))
-    assert np.array_equal(thermodynamics._sums_chunk(ifs, psi, k, lo, hi),
-                          whole[lo:hi])
+    geometric = Potential.geometric(ifs)
+    # one block of the whole level on one worker is the reference
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(thermodynamics, "_CHUNK", total)
+        mp.setattr(thermodynamics, "_WORKERS", 1)
+        whole = periodic_sums(ifs, psi, k)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(thermodynamics, "_CHUNK", data.draw(st.integers(1, total)))
-        # one worker maps the chunks in turn, four map them over a pool
+        # one worker maps the blocks in turn, four map them over a pool
         for workers in (1, 4):
             mp.setattr(thermodynamics, "_WORKERS", workers)
-            phi = periodic_sums(ifs, Potential.geometric(ifs), k)
+            phi = periodic_sums(ifs, geometric, k)
             assert np.array_equal(periodic_sums(ifs, psi, k), whole)
             assert np.array_equal(periodic_sums(ifs, psi, k, geometric=phi),
                                   whole)
-    # the prefix tree forms each word's products in word_matrix's order
+            # one pass yields every level as periodic_sums composes it alone
+            passed = list(thermodynamics._level_sums(ifs, psi,
+                                                     range(1, k + 1)))
+            assert np.array_equal(passed[-1], whole)
+            for j, sums in enumerate(passed[:-1], start=1):
+                assert np.array_equal(sums, periodic_sums(ifs, psi, j))
+    # the pass forms each word's products in word_matrix's order
     words = list(enumerate_words(m, k))
     coeffs, logdet = zip(*(word_matrix(ifs, w) for w in words))
     a, b, c, d = np.array(coeffs).T
@@ -256,25 +264,35 @@ def test_mixed_system_geometric_sums_match_block_sums():
 
 @pytest.fixture
 def compositions(monkeypatch):
-    """Levels at which the Moebius word matrices get composed."""
-    levels = []
-    compose = thermodynamics._geometric_chunk
+    """One list per pass down the Moebius word tree: the levels it yields."""
+    passes = []
+    compose = thermodynamics._geometric_levels
 
-    def counted(ifs, k, lo, hi):
-        levels.append(k)
-        return compose(ifs, k, lo, hi)
+    def counted(ifs, levels):
+        yielded = []
+        passes.append(yielded)
+        for k, sums in zip(levels, compose(ifs, levels)):
+            yielded.append(k)
+            yield sums
 
-    monkeypatch.setattr(thermodynamics, "_geometric_chunk", counted)
-    return levels
+    monkeypatch.setattr(thermodynamics, "_geometric_levels", counted)
+    return passes
 
 
 def test_level_sums_and_diagnostic_compose_phi_once(moebius, moebius_psi,
                                                     compositions):
     LevelSums.build(moebius, moebius_psi, 6)
-    assert compositions == [6]
+    assert compositions == [[6]]
     compositions.clear()
     cohomology_diagnostic(moebius, moebius_psi, ell_max=5)
-    assert compositions == [1, 2, 3, 4, 5]
+    assert compositions == [[1, 2, 3, 4, 5]]
+
+
+def test_pressure_reads_every_level_from_one_pass(moebius, moebius_psi,
+                                                  compositions):
+    result = pressure(moebius, moebius_psi, k_max=10)
+    assert len(result.levels) == 10
+    assert compositions == [list(range(1, 11))]
 
 
 def test_beta_command_builds_one_level(monkeypatch, capsys, compositions):
@@ -293,8 +311,41 @@ def test_beta_command_builds_one_level(monkeypatch, capsys, compositions):
     assert code == 0
     assert capsys.readouterr().out.count("\n") == 22
     assert len(builds) == 1
-    # normalizing the potential composes level 8 once, the shared build once
-    assert compositions == [8, 8]
+    # normalizing the potential composes level 8 once, the shared build
+    # once more: CHANGES.md's FOUND note on `normalize` and `pressure`
+    # each enumerating the deepest level
+    assert compositions == [[8], [8]]
+
+
+def test_pressure_composes_only_the_levels_it_reads(moebius):
+    # tol stops the loop at level 9; a pass that composed up to k_max
+    # first would hit the enumeration cap near level 27
+    result = pressure(moebius, Potential.geometric(moebius), k_max=40,
+                      tol=1e-4)
+    assert result.levels == tuple(float.fromhex(h) for h in (
+        "-0x1.269621134db90p-2", "-0x1.5e1088683d85fp-2",
+        "-0x1.6f52472f7b1afp-2", "-0x1.75eb50f9dc9cbp-2",
+        "-0x1.78a1142717ce0p-2", "-0x1.79c6de15cb4a0p-2",
+        "-0x1.7a4518e3891e0p-2", "-0x1.7a7bbeb201912p-2",
+        "-0x1.7a938195d8237p-2"))
+
+
+@pytest.mark.parametrize("workers", [2, 4])
+def test_level_19_stays_in_bounded_memory(monkeypatch, moebius, workers):
+    # 32 MB is eight times the 4 MB of one level-19 array of sums; blocks
+    # in flight on several workers each hold their own temporaries
+    monkeypatch.setattr(thermodynamics, "_WORKERS", workers)
+    phi = Potential.geometric(moebius)
+    psi = normalize(moebius, phi, k_max=19)
+    for run in (lambda: pressure(moebius, psi, k_max=19),
+                lambda: periodic_sums(moebius, phi, 19)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 2**20
 
 
 @settings(max_examples=200, deadline=None,
