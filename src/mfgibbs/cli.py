@@ -1,8 +1,8 @@
 """Command line front end: JSON config in, CSV out.
 
 Output is byte-identical for a given config, regardless of --threads
-(accepted and ignored) and the core count.  Numbers are printed with 17
-significant digits so CSV golden files round-trip through binary64 exactly.
+(accepted and ignored).  Numbers are printed with 17 significant digits
+so CSV golden files round-trip through binary64 exactly.
 """
 
 from __future__ import annotations
@@ -237,8 +237,11 @@ def _summary(line: str) -> None:
 
 
 def _parse_points(text: str, where: str) -> list[float]:
-    return [_num(tok.strip(), where)
-            for tok in text.split(",") if tok.strip()]
+    points = [_num(tok.strip(), where)
+              for tok in text.split(",") if tok.strip()]
+    if not points:
+        raise ConfigError(f"{where}: no points in {text!r}")
+    return points
 
 
 def _config_points(args, cfg, key: str) -> list[float]:

@@ -50,10 +50,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, PrecisionError, ScaleError
+from .errors import CapacityError, DomainError, PrecisionError, ScaleError
 from .ifs_geometry import (WIDTH_FLOOR, IfsSystem, max_safe_depth,
                            node_children)
-from .symbolic import PeriodicWord
+from .symbolic import ENUMERATION_CAP, PeriodicWord
 from .thermodynamics import (CohomologyReport, Potential,
                              cohomology_diagnostic, effective_range,
                              range_table, require_normalized)
@@ -412,6 +412,9 @@ def coarse_spectrum(F: DistributionFunction, delta_list,
         if not 0.0 < d < diam:
             raise DomainError(f"delta {d} outside (0, {diam})")
         n = int(math.ceil(diam / d))
+        if n > ENUMERATION_CAP:
+            raise CapacityError(f"delta {d:g} needs {n} boxes, over the "
+                                f"cap {ENUMERATION_CAP}")
         edges = lo + d * np.arange(n + 1)
         if hi - edges[n - 1] < 1e-9 * d:
             # diam/d rounded up past an integer: drop the rounding-noise box

@@ -24,16 +24,14 @@ only when it reads them: `pressure` and `cohomology_diagnostic` take
 all their levels from one pass, `periodic_sums` its one level.  No
 piece of that work spans more than _CHUNK words: the pass holds whole
 only a level of at most that many, and composes deeper levels in
-blocks of at most that many on up to one worker per core.  The bytes
-depend on neither the block size nor the core count.
+blocks of at most that many, one after another, which bounds its
+memory.  The bytes do not depend on the block size.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -46,7 +44,6 @@ from .symbolic import (ENUMERATION_CAP, PeriodicWord, SymbolStream, Word,
 
 # words in one block of periodic-point work
 _CHUNK = 1 << 16
-_WORKERS = os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -239,7 +236,7 @@ def _fixed_points_vec(a, b, c, d, domain) -> np.ndarray:
         raise ValueError("complex fixed point in a word composition")
     qq = -0.5 * (bb + np.where(bb >= 0.0, 1.0, -1.0)
                  * np.sqrt(np.maximum(disc, 0.0)))
-    del disc  # blocks of words run side by side; hold few temporaries
+    del disc  # a block holds up to _CHUNK words; keep few temporaries
     with np.errstate(divide="ignore", invalid="ignore"):
         x1 = np.where(c != 0.0, qq / np.where(c != 0.0, c, 1.0), b / bb)
         x2 = np.where(qq != 0.0, -b / np.where(qq != 0.0, qq, 1.0), 0.0)
@@ -272,25 +269,12 @@ def _extend(rows: np.ndarray, letters: np.ndarray) -> np.ndarray:
 
 
 def _map_blocks(fn, total: int, size: int) -> np.ndarray:
-    """fn(lo, hi) over the blocks [lo, lo + size) of range(total), joined
-    in index order.  Blocks run on up to one worker per core, each
-    writing its own slice, so the bytes do not depend on the worker
-    count."""
-    if total <= size:
-        return fn(0, total)
+    """fn(lo, hi) over the blocks [lo, lo + size) of range(total), each
+    written in turn into its slice of one array."""
     out = np.empty(total)
-
-    def run(lo):
+    for lo in range(0, total, size):
         hi = min(lo + size, total)
         out[lo:hi] = fn(lo, hi)
-
-    starts = range(0, total, size)
-    if _WORKERS > 1:
-        with ThreadPoolExecutor(min(len(starts), _WORKERS)) as pool:
-            list(pool.map(run, starts))
-    else:
-        for lo in starts:
-            run(lo)
     return out
 
 
@@ -311,12 +295,13 @@ def _geometric_levels(ifs: IfsSystem, levels):
     The pass holds whole the word matrices of the deepest level so far
     with at most _CHUNK words, extending it one letter per level.  A
     requested level of at most _CHUNK words is that held level; a
-    deeper one is composed in blocks of at most _CHUNK words, each
-    block extending a run of the held rows letter by letter.  Every matrix is the one a
-    left-to-right composition of the word forms, so the sums do not
-    depend on the block size.  Levels are composed only as the caller
-    asks for them, none deeper than the last it takes.  Letters are
-    scaled to determinant one, so S_k phi = -2 log|c x + d|.
+    deeper one is composed in blocks of at most _CHUNK words, one after
+    another, each block extending a run of the held rows letter by
+    letter.  Every matrix is the one a left-to-right composition of the
+    word forms, so the sums do not depend on the block size.  Levels
+    are composed only as the caller asks for them, none deeper than the
+    last it takes.  Letters are scaled to determinant one, so
+    S_k phi = -2 log|c x + d|.
     """
     m = ifs.alphabet_size
     scale = np.exp([-0.5 * mp.log_det for mp in ifs.maps])
@@ -374,14 +359,14 @@ def periodic_sums(ifs: IfsSystem, psi: Potential, k: int,
                   geometric: np.ndarray | None = None) -> np.ndarray:
     """S_k psi at the periodic point of every length-k word, in lex order.
 
-    The level is computed in blocks of at most _CHUNK words on up to one
-    worker per core and joined in index order, so the contents depend
-    on neither the block size nor the core count.  psi's geometric term
-    on a non-affine system reads `geometric`, this level's sums of the
-    geometric potential phi, when given.  Otherwise a pass down the
-    word tree composes the word matrices down to level k and no deeper,
-    and fixed points are solved at level k only; `pressure` and
-    `cohomology_diagnostic` read all their levels from one such pass.
+    The level is computed in blocks of at most _CHUNK words, one after
+    another, each written into its slice, so the contents do not depend
+    on the block size.  psi's geometric term on a non-affine system
+    reads `geometric`, this level's sums of the geometric potential phi,
+    when given.  Otherwise a pass down the word tree composes the word
+    matrices down to level k and no deeper, and fixed points are solved
+    at level k only; `pressure` and `cohomology_diagnostic` read all
+    their levels from one such pass.
     """
     total = _check_level(ifs.alphabet_size, k)
     _check_system(ifs, psi)
@@ -534,8 +519,8 @@ def cohomology_diagnostic(ifs: IfsSystem, psi: Potential,
     A spread below 1e-8 flags the degenerate case in which the whole
     multifractal spectrum collapses to a point.
     """
-    if ell_max < 1:
-        raise ValueError("ell_max must be >= 1")
+    # refuse a level past the cap before composing any level below it
+    _check_level(ifs.alphabet_size, ell_max)
     phi = Potential.geometric(ifs)
     lo, hi = math.inf, -math.inf
     ells = range(1, ell_max + 1)

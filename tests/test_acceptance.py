@@ -212,16 +212,14 @@ def test_criterion_13_derivative_limit_probe(cantor, F_cantor, F_lebesgue):
 def test_criterion_14_csv_determinism(tmp_path, capsys, monkeypatch):
     with _Criterion(14):
         config = str(ROOT / "configs" / "cantor_14_34.json")
-        # the level of 4,096 words runs as 16 chunks, in turn on one
-        # worker and then over a pool of four
-        monkeypatch.setattr(thermodynamics, "_CHUNK", 256)
-        one = tmp_path / "workers1.csv"
-        four = tmp_path / "workers4.csv"
-        for out, workers in ((one, 1), (four, 4)):
-            monkeypatch.setattr(thermodynamics, "_WORKERS", workers)
+        # the level of 4,096 words runs as 16 chunks of 256, then as one
+        chunked = tmp_path / "chunk256.csv"
+        whole = tmp_path / "default.csv"
+        for out, chunk in ((chunked, 256), (whole, thermodynamics._CHUNK)):
+            monkeypatch.setattr(thermodynamics, "_CHUNK", chunk)
             code = cli_main(["spectrum", "--config", config, "--depth", "12",
                              "--out", str(out)])
             assert code == 0
         capsys.readouterr()
-        assert one.read_bytes() == four.read_bytes()
-        assert len(one.read_bytes()) > 0
+        assert chunked.read_bytes() == whole.read_bytes()
+        assert len(chunked.read_bytes()) > 0

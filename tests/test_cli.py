@@ -233,25 +233,26 @@ def test_threads_below_one_rejected(capsys):
 
 def test_beta_determinism_across_threads(tmp_path, capsys, monkeypatch):
     # the level-10 word matrices are composed as 16 blocks of 64 words,
-    # in turn on one worker and then over a pool of four
+    # then as one block of the default size; --threads is ignored
     blocks = []
     fixed_points = thermodynamics._fixed_points_vec
     monkeypatch.setattr(thermodynamics, "_fixed_points_vec",
                         lambda a, *rest: blocks.append(len(a))
                         or fixed_points(a, *rest))
-    monkeypatch.setattr(thermodynamics, "_CHUNK", 64)
     outs = []
-    for workers in (1, 4):
-        monkeypatch.setattr(thermodynamics, "_WORKERS", workers)
+    for chunk, threads, expected in ((64, "4", [64] * 32),
+                                     (thermodynamics._CHUNK, "1", [1024] * 2)):
+        monkeypatch.setattr(thermodynamics, "_CHUNK", chunk)
         blocks.clear()
-        out = tmp_path / f"workers{workers}.csv"
+        out = tmp_path / f"chunk{chunk}.csv"
         code, _, _ = run(capsys, "beta", "--config",
                          str(CONFIGS / "moebius_pair.json"), "--depth", "10",
-                         "--q-steps", "21", "--out", str(out))
+                         "--q-steps", "21", "--threads", threads,
+                         "--out", str(out))
         assert code == 0
         outs.append(out.read_bytes())
         # normalize and the shared build each compose level 10
-        assert blocks == [64] * 32
+        assert blocks == expected
     assert outs[0] == outs[1]
 
 
@@ -421,6 +422,10 @@ def test_depth_below_one_rejected(capsys, command):
     (("beta", "--q-min", "nan"), "--q-min: expected a finite number, got nan"),
     (("beta", "--q-max", "inf"), "--q-max: expected a finite number, got inf"),
     (("pressure", "--tol", "nan"), "--tol: expected a finite number, got nan"),
+    # a list of no points at all
+    (("detrend", "--points", ","), "--points: no points in ','"),
+    (("cdf", "--points", " , ,"), "--points: no points in ' , ,'"),
+    (("holder", "--points", ","), "--points: no points in ','"),
 ])
 def test_non_finite_flags_rejected(capsys, argv, message):
     code, out, err = run(capsys, *argv, "--config",
@@ -428,6 +433,16 @@ def test_non_finite_flags_rejected(capsys, argv, message):
     assert code == 2
     assert out == ""
     assert err.startswith("config error: " + message)
+
+
+def test_deep_coarse_refuses_before_allocating(capsys):
+    # 3**40 boxes of the Cantor domain do not fit in an int64 array
+    code, out, err = run(capsys, "coarse", "--config",
+                         str(CONFIGS / "cantor_14_34.json"), "--depth", "40")
+    assert code == 1
+    assert out == ""
+    assert err == ("error: delta 8.22526e-20 needs 12157665459056928768 "
+                   "boxes, over the cap 100000000\n")
 
 
 @pytest.mark.parametrize("command,section,field,value,message", [

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import (HealthCheck, assume, given, settings,
                         strategies as st)
 
-from mfgibbs.errors import (DomainError, NormalizationError, PrecisionError,
-                            ScaleError)
+from mfgibbs.errors import (CapacityError, DomainError, NormalizationError,
+                            PrecisionError, ScaleError)
 from mfgibbs.estimators import (DepthPolicy, DistributionFunction, Scales,
                                 coarse_spectrum, deep_policy,
                                 default_scale_base,
@@ -195,6 +195,13 @@ def test_coarse_spectrum_drops_rounding_sliver(cantor, cantor_psi):
     got = {round(b.alpha_center / 0.2 - 0.5): b.count for b in result.bins}
     assert sum(got.values()) == 1024
     assert got == dict(expected)
+
+
+def test_coarse_spectrum_refuses_boxes_past_the_cap(F_cantor):
+    # 3**17 boxes: over the enumeration cap, refused before any edge array
+    with pytest.raises(CapacityError,
+                       match=r"delta 7\.74352e-09 needs 129140163 boxes"):
+        coarse_spectrum(F_cantor, [3.0 ** -17])
 
 
 def _cylinder_ends(F, word):

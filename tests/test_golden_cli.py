@@ -63,12 +63,12 @@ def test_cli_output_matches_golden(config, variant):
     assert run_case(config, variant) == expected
 
 
-@pytest.mark.parametrize("workers", [1, 4])
+@pytest.mark.parametrize("chunk", [1 << 12, 1 << 19])
 @pytest.mark.parametrize("variant", ["pressure-deep", "beta-deep"])
-def test_deep_moebius_goldens_do_not_depend_on_workers(monkeypatch, variant,
-                                                       workers):
-    # level 19 is composed in several blocks, one worker or a pool of four
-    monkeypatch.setattr(thermodynamics, "_WORKERS", workers)
+def test_deep_moebius_goldens_do_not_depend_on_block_size(monkeypatch,
+                                                          variant, chunk):
+    # level 19 is composed in 128 blocks, then in one
+    monkeypatch.setattr(thermodynamics, "_CHUNK", chunk)
     expected = golden_path("moebius_pair", variant).read_text(encoding="utf-8")
     assert run_case("moebius_pair", variant) == expected
 

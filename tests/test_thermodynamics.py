@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -9,7 +10,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from mfgibbs import spectrum, thermodynamics
 from mfgibbs.cli import main
-from mfgibbs.errors import NormalizationError
+from mfgibbs.errors import CapacityError, NormalizationError
 from mfgibbs.ifs_geometry import (AffineMap, IfsSystem, MoebiusMap,
                                   matrix_fixed_point, word_matrix)
 from mfgibbs.spectrum import LevelSums
@@ -206,7 +207,7 @@ def test_potential_validation(cantor, moebius):
 @settings(max_examples=30, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(st.data())
-def test_moebius_periodic_sums_chunks_threads_and_block_sums(data):
+def test_moebius_periodic_sums_chunks_and_block_sums(data):
     ifs = data.draw(systems(moebius=True))
     m = ifs.alphabet_size
     k = data.draw(st.integers(1, 7 if m == 2 else 5))
@@ -217,26 +218,21 @@ def test_moebius_periodic_sums_chunks_threads_and_block_sums(data):
                            for _ in range(m**depth if depth else 0)],
                     shift=data.draw(st.floats(-2.0, 2.0)), system=ifs)
     geometric = Potential.geometric(ifs)
-    # one block of the whole level on one worker is the reference
+    # one block of the whole level is the reference
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(thermodynamics, "_CHUNK", total)
-        mp.setattr(thermodynamics, "_WORKERS", 1)
         whole = periodic_sums(ifs, psi, k)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(thermodynamics, "_CHUNK", data.draw(st.integers(1, total)))
-        # one worker maps the blocks in turn, four map them over a pool
-        for workers in (1, 4):
-            mp.setattr(thermodynamics, "_WORKERS", workers)
-            phi = periodic_sums(ifs, geometric, k)
-            assert np.array_equal(periodic_sums(ifs, psi, k), whole)
-            assert np.array_equal(periodic_sums(ifs, psi, k, geometric=phi),
-                                  whole)
-            # one pass yields every level as periodic_sums composes it alone
-            passed = list(thermodynamics._level_sums(ifs, psi,
-                                                     range(1, k + 1)))
-            assert np.array_equal(passed[-1], whole)
-            for j, sums in enumerate(passed[:-1], start=1):
-                assert np.array_equal(sums, periodic_sums(ifs, psi, j))
+        phi = periodic_sums(ifs, geometric, k)
+        assert np.array_equal(periodic_sums(ifs, psi, k), whole)
+        assert np.array_equal(periodic_sums(ifs, psi, k, geometric=phi),
+                              whole)
+        # one pass yields every level as periodic_sums composes it alone
+        passed = list(thermodynamics._level_sums(ifs, psi, range(1, k + 1)))
+        assert np.array_equal(passed[-1], whole)
+        for j, sums in enumerate(passed[:-1], start=1):
+            assert np.array_equal(sums, periodic_sums(ifs, psi, j))
     # the pass forms each word's products in word_matrix's order
     words = list(enumerate_words(m, k))
     coeffs, logdet = zip(*(word_matrix(ifs, w) for w in words))
@@ -330,11 +326,9 @@ def test_pressure_composes_only_the_levels_it_reads(moebius):
         "-0x1.7a938195d8237p-2"))
 
 
-@pytest.mark.parametrize("workers", [2, 4])
-def test_level_19_stays_in_bounded_memory(monkeypatch, moebius, workers):
-    # 32 MB is eight times the 4 MB of one level-19 array of sums; blocks
-    # in flight on several workers each hold their own temporaries
-    monkeypatch.setattr(thermodynamics, "_WORKERS", workers)
+def test_level_19_stays_in_bounded_memory(moebius):
+    # 20 MiB is five times the 4 MiB of one level-19 array of sums; the
+    # level's word matrices held whole take 16 MiB before any temporary
     phi = Potential.geometric(moebius)
     psi = normalize(moebius, phi, k_max=19)
     for run in (lambda: pressure(moebius, psi, k_max=19),
@@ -345,7 +339,33 @@ def test_level_19_stays_in_bounded_memory(monkeypatch, moebius, workers):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 32 * 2**20
+        assert peak <= 20 * 2**20
+
+
+def test_library_starts_no_thread(monkeypatch, moebius, moebius_psi):
+    # level 19 is composed in 8 blocks of _CHUNK words
+    def refuse(self):
+        raise AssertionError(f"thread {self.name} started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    pressure(moebius, moebius_psi, k_max=19)
+    config = (Path(__file__).resolve().parent.parent / "configs" /
+              "moebius_pair.json")
+    assert main(["pressure", "--config", str(config), "--depth", "19"]) == 0
+
+
+@pytest.mark.parametrize("ifs", ["cantor", "moebius"])
+def test_diagnostic_refuses_a_level_past_the_cap_first(monkeypatch, request,
+                                                       ifs):
+    # 2**27 words exceed the cap; no level below it is composed first
+    ifs = request.getfixturevalue(ifs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a level was composed before the cap check")
+
+    monkeypatch.setattr(thermodynamics, "periodic_sums", refuse)
+    with pytest.raises(CapacityError, match=r"2\*\*27"):
+        cohomology_diagnostic(ifs, Potential.geometric(ifs), ell_max=27)
 
 
 @settings(max_examples=200, deadline=None,
