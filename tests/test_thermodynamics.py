@@ -326,20 +326,25 @@ def test_pressure_composes_only_the_levels_it_reads(moebius):
         "-0x1.7a938195d8237p-2"))
 
 
-def test_level_19_stays_in_bounded_memory(moebius):
+@pytest.mark.parametrize("split", [2, 4])
+def test_level_19_stays_in_bounded_memory(monkeypatch, moebius, split):
     # 20 MiB is five times the 4 MiB of one level-19 array of sums; the
-    # level's word matrices held whole take 16 MiB before any temporary
+    # level's word matrices held whole take 16 MiB before any temporary.
+    # The bound holds at the default block size and at one `split` times
+    # smaller, where the pass holds a shallower level and runs more blocks
     phi = Potential.geometric(moebius)
     psi = normalize(moebius, phi, k_max=19)
-    for run in (lambda: pressure(moebius, psi, k_max=19),
-                lambda: periodic_sums(moebius, phi, 19)):
-        tracemalloc.start()
-        try:
-            run()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 20 * 2**20
+    for chunk in (thermodynamics._CHUNK, thermodynamics._CHUNK // split):
+        monkeypatch.setattr(thermodynamics, "_CHUNK", chunk)
+        for run in (lambda: pressure(moebius, psi, k_max=19),
+                    lambda: periodic_sums(moebius, phi, 19)):
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 20 * 2**20
 
 
 def test_library_starts_no_thread(monkeypatch, moebius, moebius_psi):
