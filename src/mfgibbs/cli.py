@@ -247,11 +247,16 @@ def _parse_points(text: str, where: str) -> list[float]:
 def _config_points(args, cfg, key: str) -> list[float]:
     if args.points:
         return _parse_points(args.points, "--points")
-    pts = _block(cfg, key).get("points", cfg.get("points"))
+    block = _block(cfg, key)
+    where = f"{key}.points" if "points" in block else "points"
+    pts = block.get("points", cfg.get("points"))
     if pts is None:
         raise ConfigError(f"no points given: pass --points or set "
                           f"{key}.points in the config")
-    return [_num(v, f"{key}.points") for v in _list(pts, f"{key}.points")]
+    points = [_num(v, where) for v in _list(pts, where)]
+    if not points:
+        raise ConfigError(f"{where}: need at least one point")
+    return points
 
 
 def _scales_from(cfg: dict, ifs: IfsSystem) -> Scales:
@@ -469,7 +474,11 @@ def _cmd_verify_prop(args, cfg, ifs, psi, level):
 def _cmd_detrend(args, cfg, ifs, psi, level):
     block = _block(cfg, "detrend")
     if args.points:
-        t0 = _parse_points(args.points, "--points")[0]
+        points = _parse_points(args.points, "--points")
+        if len(points) != 1:
+            raise ConfigError(f"--points: detrend takes one point, "
+                              f"got {len(points)}")
+        t0 = points[0]
     else:
         t0 = _num(_get(block, "t0", "detrend"), "detrend.t0")
     alpha_hat = block.get("alpha_hat")

@@ -5,11 +5,13 @@ P_k(beta, q) = (1/k) log sum exp(beta*S_k phi + q*S_k psi), where phi is
 the geometric potential.  P_k is convex in beta and, since every
 S_k phi < 0, strictly decreasing, so Newton's method from any start
 lands at or left of the root after one step and then rises to it
-monotonically.  Each step is one pass over the level's sums, which also
-yields the Gibbs averages <phi> and <psi>; at the root they give the
-exact alpha(q) = -beta'(q) = <psi>/<phi> and beta*(alpha(q)) =
-beta(q) + q*alpha(q).  Along a q grid each root starts from the tangent
-of the previous one, which lies below the convex curve beta(q).
+monotonically.  Each step is one pass over the level's distinct
+(S_k phi, S_k psi) pairs, each weighted by the number of words that
+carry it.  The pass also yields the Gibbs averages <phi> and <psi>; at
+the root they give the exact alpha(q) = -beta'(q) = <psi>/<phi> and
+beta*(alpha(q)) = beta(q) + q*alpha(q).  Along a q grid each root
+starts from the tangent of the previous one, which lies below the
+convex curve beta(q).
 
 The Legendre transform beta*(alpha) = inf_q {beta(q) + alpha*q} of the
 sampled curve predicts the Hausdorff spectrum on [alpha_minus,
@@ -42,14 +44,21 @@ DEFAULT_Q_STEPS = 201
 class LevelSums:
     """Periodic sums of phi and psi at one depth, shared across root solves.
 
-    The pressure of beta*phi + q*psi at this depth is a log-sum-exp of
-    a linear combination of the two arrays, so every (beta, q)
-    evaluation is a cheap vector operation.
+    The arrays hold each distinct (S_k phi, S_k psi) pair of the level
+    once, in the order of the first word that carries it, and `counts`
+    how many words carry it.  The words of one cycle share one periodic
+    orbit, so on a Moebius level most words share their pair with
+    others.  Only pairs equal as floats are merged, so sums over the
+    level still run over the multiset of its words' floats.
+    The pressure of beta*phi + q*psi at this depth is a weighted
+    log-sum-exp of a linear combination of the two arrays, so every
+    (beta, q) evaluation is a cheap vector operation.
     """
 
     level: int
     geometric: np.ndarray
     potential: np.ndarray
+    counts: np.ndarray
 
     @classmethod
     def build(cls, ifs: IfsSystem, psi: Potential,
@@ -60,8 +69,19 @@ class LevelSums:
         if k is None:
             k = default_level(ifs, psi)
         geometric = periodic_sums(ifs, Potential.geometric(ifs), k)
-        return cls(level=k, geometric=geometric,
-                   potential=periodic_sums(ifs, psi, k, geometric=geometric))
+        potential = periodic_sums(ifs, psi, k, geometric=geometric)
+        # lexsort is stable, so each run of equal pairs starts at its
+        # first word; the counts sit at those words, which keeps the
+        # pairs in word order and a level without repeats unchanged
+        order = np.lexsort((potential, geometric))
+        g, p = geometric[order], potential[order]
+        starts = np.flatnonzero(np.concatenate(
+            ([True], (g[1:] != g[:-1]) | (p[1:] != p[:-1]))))
+        counts = np.zeros(g.size, dtype=np.int64)
+        counts[order[starts]] = np.diff(starts, append=g.size)
+        first = np.flatnonzero(counts)
+        return cls(level=k, geometric=geometric[first],
+                   potential=potential[first], counts=counts[first])
 
     def gibbs_averages(self, beta: float,
                        q: float) -> tuple[float, float, float]:
@@ -72,7 +92,7 @@ class LevelSums:
         """
         z = beta * self.geometric + q * self.potential
         zmax = float(np.max(z))
-        e = np.exp(z - zmax)
+        e = np.exp(z - zmax) * self.counts
         total = float(e.sum())
         k = self.level
         return ((zmax + math.log(total)) / k,

@@ -307,6 +307,9 @@ def test_beta_determinism_across_threads(tmp_path, capsys, monkeypatch):
      "scales.j_max: must exceed scales.j_min, got 5 <= 5"),
     ("endpoints", "endpoints", {"ell_max": 0},
      "endpoints.ell_max: must be positive, got 0"),
+    ("cdf", "cdf", {"points": []}, "cdf.points: need at least one point"),
+    ("holder", "holder", {"points": []},
+     "holder.points: need at least one point"),
 ])
 def test_config_faults_name_the_field(tmp_path, capsys, command, field,
                                       value, message):
@@ -426,6 +429,9 @@ def test_depth_below_one_rejected(capsys, command):
     (("detrend", "--points", ","), "--points: no points in ','"),
     (("cdf", "--points", " , ,"), "--points: no points in ' , ,'"),
     (("holder", "--points", ","), "--points: no points in ','"),
+    # detrend reads one point
+    (("detrend", "--points", "0.25,0.9"),
+     "--points: detrend takes one point, got 2"),
 ])
 def test_non_finite_flags_rejected(capsys, argv, message):
     code, out, err = run(capsys, *argv, "--config",

@@ -6,12 +6,14 @@ number on purpose rewrites the files with
 
     PYTHONPATH=src python tests/test_golden_cli.py
 
-and names each moved number in its change notes.
+which prints each rewritten file whose content changed, with the
+number of moved numbers and the largest move, for its change notes.
 """
 
 import contextlib
 import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -57,6 +59,48 @@ def golden_path(config: str, variant: str) -> Path:
     return GOLDEN / config / f"{variant}.txt"
 
 
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
+                     r"|[-+]?(?:nan|inf)")
+
+
+def moved_numbers(old: str, new: str) -> tuple[int, float] | None:
+    """How many numbers differ between two outputs and the largest
+    |difference|, or None when the text between the numbers differs."""
+    if _NUMBER.split(old) != _NUMBER.split(new):
+        return None
+    moved = [abs(float(a) - float(b)) for a, b
+             in zip(_NUMBER.findall(old), _NUMBER.findall(new)) if a != b]
+    return len(moved), max(moved, default=0.0)
+
+
+def rewrite_goldens() -> None:
+    """Write every case's golden and report those whose content changed."""
+    for config, variant in CASES:
+        path = golden_path(config, variant)
+        old = path.read_text(encoding="utf-8") if path.exists() else None
+        new = run_case(config, variant)
+        if new == old:
+            continue
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(new, encoding="utf-8")
+        name = path.relative_to(ROOT)
+        if old is None:
+            print(f"{name}: new file")
+        elif (moved := moved_numbers(old, new)) is None:
+            print(f"{name}: text changed")
+        else:
+            print(f"{name}: {moved[0]} numbers moved, "
+                  f"largest |delta| {moved[1]:.3g}")
+
+
+def test_moved_numbers_counts_each_move_and_the_largest():
+    old = "exit 0\nq,beta\n-1,0.5\n0,2e-17\n1,-3\n"
+    assert moved_numbers(old, old) == (0, 0.0)
+    new = "exit 0\nq,beta\n-1,0.25\n0,2e-17\n1,-3.5\n"
+    assert moved_numbers(old, new) == (2, 0.5)
+    assert moved_numbers(old, old.replace("beta", "alpha")) is None
+
+
 @pytest.mark.parametrize("config,variant", CASES)
 def test_cli_output_matches_golden(config, variant):
     expected = golden_path(config, variant).read_text(encoding="utf-8")
@@ -94,8 +138,4 @@ def test_goldens_do_not_depend_on_blas_threads():
 
 
 if __name__ == "__main__":
-    for config, variant in CASES:
-        path = golden_path(config, variant)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(run_case(config, variant), encoding="utf-8")
-    print(f"wrote {len(CASES)} golden files under {GOLDEN}", file=sys.stderr)
+    rewrite_goldens()

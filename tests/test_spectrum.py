@@ -1,5 +1,7 @@
 import math
+from collections import Counter
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -8,7 +10,7 @@ from mfgibbs import spectrum
 from mfgibbs.spectrum import (LevelSums, beta_grid, beta_of_q, endpoints,
                               hausdorff_spectrum_prediction, legendre,
                               packing_spectrum_prediction, spectrum_curve)
-from mfgibbs.thermodynamics import Potential, normalize
+from mfgibbs.thermodynamics import Potential, normalize, periodic_sums
 from strategies import GEOMETRIC_LEVEL, potentials, systems
 
 LOG3 = math.log(3.0)
@@ -200,3 +202,72 @@ def test_newton_steps_per_warm_root(moebius, monkeypatch):
     steps = [n - 1 for n in evaluations]
     assert len(steps) == len(samples) == 101
     assert max(steps) <= 8
+
+
+def word_sums(ifs, psi, k):
+    """S_k phi and S_k psi of every length-k word, one entry per word."""
+    geometric = periodic_sums(ifs, Potential.geometric(ifs), k)
+    return geometric, periodic_sums(ifs, psi, k, geometric=geometric)
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_grouped_sums_match_the_per_word_evaluation(data):
+    ifs = data.draw(systems())
+    psi = data.draw(potentials(ifs))
+    k = data.draw(st.sampled_from([1, 2, 4, 7]))
+    beta = data.draw(st.floats(-5.0, 5.0))
+    q = data.draw(st.floats(-5.0, 5.0))
+    sums = LevelSums.build(ifs, psi, k)
+    assert sums.counts.sum() == ifs.alphabet_size ** k
+    g, p = word_sums(ifs, psi, k)
+    z = beta * g + q * p
+    zmax = float(np.max(z))
+    e = np.exp(z - zmax)
+    total = float(e.sum())
+    plain = ((zmax + math.log(total)) / k,
+             float((e * g).sum()) / total / k,
+             float((e * p).sum()) / total / k)
+    got = sums.gibbs_averages(beta, q)
+    for a, b in zip(got, plain):
+        assert a == pytest.approx(b, rel=1e-13, abs=1e-13)
+    if sums.counts.max() == 1:
+        assert got == plain
+
+
+def test_moebius_level_groups_its_words(moebius, moebius_psi):
+    # the words of one cycle share their sums, mostly to the last bit
+    sums = LevelSums.build(moebius, moebius_psi, 15)
+    assert sums.counts.sum() == 2 ** 15
+    assert sums.counts.size <= 2 ** 15 // 10
+
+
+def mp_root(g, p, q):
+    """The root in beta of sum exp(beta*g + q*p) = 1 over the given
+    float sums, by Newton's method at 40 digits, and each float pair
+    counted as often as words carry it."""
+    with mpmath.workdps(40):
+        pairs = Counter(zip(g.tolist(), p.tolist()))
+        terms = [(mpmath.mpf(a), mpmath.mpf(q) * b, n)
+                 for (a, b), n in pairs.items()]
+        beta = mpmath.mpf(0)
+        for _ in range(100):
+            w = [n * mpmath.exp(beta * a + b) for a, b, n in terms]
+            total = mpmath.fsum(w)
+            step = mpmath.log(total) * total / mpmath.fsum(
+                x * a for x, (a, _, _) in zip(w, terms))
+            beta -= step
+            if abs(step) < mpmath.mpf(10) ** -35:
+                return beta
+    raise AssertionError("the mpmath Newton iteration did not settle")
+
+
+@pytest.mark.parametrize("k", [10, 15])
+def test_moebius_beta_matches_the_mpmath_root(moebius, k):
+    psi = normalize(moebius, Potential.geometric(moebius), k_max=k)
+    g, p = word_sums(moebius, psi, k)
+    qs = [-5.0, 0.0, 1.0, 5.0]
+    for s in beta_grid(moebius, psi, qs, k=k):
+        exact = mp_root(g, p, s.q)
+        assert abs(s.beta - exact) <= 1e-15 * max(1.0, abs(s.beta))
