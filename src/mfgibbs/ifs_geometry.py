@@ -194,6 +194,10 @@ class IfsSystem:
     domain: tuple[float, float]
     maps: tuple[ContractionMap, ...]
     osc_report: OscReport = field(init=False, repr=False)
+    # (k, S_k phi) of the one level `thermodynamics.periodic_sums` last
+    # composed, held until a pass down the word tree reaches level k
+    _phi_handoff: tuple | None = field(default=None, init=False, repr=False,
+                                       compare=False)
 
     def __post_init__(self):
         lo, hi = _check_domain(self.domain)

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -146,8 +147,17 @@ class SpectrumSample:
     beta_star: float
 
 
+def _column(values) -> np.ndarray:
+    arr = np.array(values)
+    arr.flags.writeable = False  # one array serves every caller
+    return arr
+
+
 @dataclass(frozen=True)
 class SpectrumCurve:
+    """The sampled curve; each column of the samples is built once, on
+    first use, since `legendre` reads qs and betas at every alpha."""
+
     samples: tuple[SpectrumSample, ...]
     alpha_minus: float
     alpha_plus: float
@@ -155,21 +165,21 @@ class SpectrumCurve:
     dimension: float
     alpha_zero: float
 
-    @property
+    @cached_property
     def qs(self) -> np.ndarray:
-        return np.array([s.q for s in self.samples])
+        return _column([s.q for s in self.samples])
 
-    @property
+    @cached_property
     def betas(self) -> np.ndarray:
-        return np.array([s.beta for s in self.samples])
+        return _column([s.beta for s in self.samples])
 
-    @property
+    @cached_property
     def alphas(self) -> np.ndarray:
-        return np.array([s.alpha for s in self.samples])
+        return _column([s.alpha for s in self.samples])
 
-    @property
+    @cached_property
     def beta_stars(self) -> np.ndarray:
-        return np.array([s.beta_star for s in self.samples])
+        return _column([s.beta_star for s in self.samples])
 
 
 def beta_grid(ifs: IfsSystem, psi: Potential, qs, k: int | None = None

@@ -25,7 +25,14 @@ all their levels from one pass, `periodic_sums` its one level.  No
 piece of that work spans more than _CHUNK words: the pass holds whole
 only a level of at most that many, and composes deeper levels in
 blocks of at most that many, one after another, which bounds its
-memory.  The bytes do not depend on the block size.
+memory.  The bytes do not depend on the block size.  A word's S_k phi
+is read from its matrix's leading eigenvalue, the cycle-expansion view
+of a periodic orbit.
+
+The level `periodic_sums` composes is left on the system, and the next
+pass that reaches that level takes it instead of composing it again:
+normalizing psi at level k and then computing pressure or beta at
+level k composes level k once.
 """
 
 from __future__ import annotations
@@ -227,24 +234,40 @@ def _symbol_columns(m: int, k: int, lo: int, hi: int) -> np.ndarray:
     return cols
 
 
-def _fixed_points_vec(a, b, c, d, domain) -> np.ndarray:
+def _phi_sums(a, b, c, d, domain) -> np.ndarray:
+    """S_k phi of the cycles whose word matrices (determinant one) are
+    the arrays a, b, c, d.
+
+    Every word map is increasing, so c x + d at its attracting fixed
+    point x is the matrix's larger eigenvalue lam > 1, the derivative
+    there is 1/lam**2 and S_k phi = -2 log lam.  lam comes from the
+    trace and the fixed-point discriminant (a - d)**2 + 4 b c, which
+    is t**2 - 4 for t = a + d but loses no digits to cancellation when
+    t is near 2.  The fixed point itself is only checked to lie in the
+    base interval: x = (lam - d)/c, or b/(lam - a) for the words where
+    c vanishes or is small enough for that quotient to miss.
+    """
     lo, hi = domain
     slack = 1e-9 * (hi - lo)
-    bb = d - a
-    disc = bb * bb + 4.0 * c * b
+    disc = a - d
+    disc *= disc
+    disc += 4.0 * b * c
     if np.any(disc < -1e-12):
         raise ValueError("complex fixed point in a word composition")
-    qq = -0.5 * (bb + np.where(bb >= 0.0, 1.0, -1.0)
-                 * np.sqrt(np.maximum(disc, 0.0)))
-    del disc  # a block holds up to _CHUNK words; keep few temporaries
+    lam = np.sqrt(np.maximum(disc, 0.0, out=disc), out=disc)
+    lam += a + d
+    lam *= 0.5
     with np.errstate(divide="ignore", invalid="ignore"):
-        x1 = np.where(c != 0.0, qq / np.where(c != 0.0, c, 1.0), b / bb)
-        x2 = np.where(qq != 0.0, -b / np.where(qq != 0.0, qq, 1.0), 0.0)
-    in1 = (x1 >= lo - slack) & (x1 <= hi + slack)
-    x = np.where(in1, x1, x2)
-    if np.any((x < lo - slack) | (x > hi + slack) | ~np.isfinite(x)):
-        raise ValueError("fixed point escaped the base interval")
-    return x
+        x = lam - d
+        x /= c
+        out = ~((x >= lo - slack) & (x <= hi + slack))
+        if out.any():
+            x = b[out] / (lam[out] - a[out])
+            if not np.all((x >= lo - slack) & (x <= hi + slack)):
+                raise ValueError("fixed point escaped the base interval")
+    np.log(lam, out=lam)
+    lam *= -2.0
+    return lam
 
 
 def _extend(rows: np.ndarray, letters: np.ndarray) -> np.ndarray:
@@ -292,16 +315,18 @@ def _geometric_levels(ifs: IfsSystem, levels):
     """S_k phi at the periodic points of the level-k words, in lex order,
     for each k of the increasing `levels`, one pass down the word tree.
 
-    The pass holds whole the word matrices of the deepest level so far
-    with at most _CHUNK words, extending it one letter per level.  A
-    requested level of at most _CHUNK words is that held level; a
-    deeper one is composed in blocks of at most _CHUNK words, one after
-    another, each block extending a run of the held rows letter by
-    letter.  Every matrix is the one a left-to-right composition of the
-    word forms, so the sums do not depend on the block size.  Levels
-    are composed only as the caller asks for them, none deeper than the
-    last it takes.  Letters are scaled to determinant one, so
-    S_k phi = -2 log|c x + d|.
+    The pass holds whole the word matrices of the deepest level it has
+    composed with at most _CHUNK words, extending it one letter per
+    level.  A requested level of at most _CHUNK words is that held
+    level; a deeper one is composed in blocks of at most _CHUNK words,
+    one after another, each block extending a run of the held rows
+    letter by letter.  Every matrix is the one a left-to-right
+    composition of the word forms, so the sums do not depend on the
+    block size.  Levels are composed only as the caller asks for them,
+    none deeper than the last it takes.  A level whose sums
+    periodic_sums left on ifs is taken from there, not composed.
+    Letters are scaled to determinant one, so S_k phi is read from
+    each word matrix's eigenvalue (`_phi_sums`).
     """
     m = ifs.alphabet_size
     scale = np.exp([-0.5 * mp.log_det for mp in ifs.maps])
@@ -312,19 +337,25 @@ def _geometric_levels(ifs: IfsSystem, levels):
         rows = held[:, lo // span:hi // span]
         for _ in range(k - held_level):
             rows = _extend(rows, letters)
-        a, b, c, d = rows
-        x = _fixed_points_vec(a, b, c, d, ifs.domain)
-        return -2.0 * np.log(np.abs(c * x + d))
+        return _phi_sums(*rows, ifs.domain)
 
-    k = 1
-    for want in levels:
-        total = _check_level(m, want)
-        while k < want:
-            k += 1
-            if m**k <= _CHUNK:
-                held, held_level = _extend(held, letters), k
+    for k in levels:
+        total = _check_level(m, k)
+        if ifs._phi_handoff is not None and ifs._phi_handoff[0] == k:
+            yield _take_handoff(ifs)
+            continue
+        while held_level < k and m ** (held_level + 1) <= _CHUNK:
+            held, held_level = _extend(held, letters), held_level + 1
         span = m ** (k - held_level)
         yield _map_blocks(block, total, max(1, _CHUNK // span) * span)
+
+
+def _take_handoff(ifs: IfsSystem) -> np.ndarray:
+    """The sums periodic_sums left on ifs, cleared from it, so that the
+    pass taking them holds the only reference."""
+    sums = ifs._phi_handoff[1]
+    object.__setattr__(ifs, "_phi_handoff", None)
+    return sums
 
 
 def _sums_chunk(ifs: IfsSystem, psi: Potential, k: int, lo: int, hi: int,
@@ -364,9 +395,10 @@ def periodic_sums(ifs: IfsSystem, psi: Potential, k: int,
     on the block size.  psi's geometric term on a non-affine system
     reads `geometric`, this level's sums of the geometric potential phi,
     when given.  Otherwise a pass down the word tree composes the word
-    matrices down to level k and no deeper, and fixed points are solved
-    at level k only; `pressure` and `cohomology_diagnostic` read all
-    their levels from one such pass.
+    matrices down to level k and no deeper, and reads S_k phi at level
+    k only; `pressure` and `cohomology_diagnostic` read all their levels
+    from one such pass.  Those sums stay on ifs until the next pass
+    that reaches level k takes them.
     """
     total = _check_level(ifs.alphabet_size, k)
     _check_system(ifs, psi)
@@ -375,6 +407,9 @@ def periodic_sums(ifs: IfsSystem, psi: Potential, k: int,
                          f"level {k} has {total}")
     if geometric is None and _composes(ifs, psi):
         geometric = next(_geometric_levels(ifs, (k,)))
+        # the next pass down the word tree that reaches level k takes
+        # these sums instead of composing the level again
+        object.__setattr__(ifs, "_phi_handoff", (k, geometric))
 
     def chunk(lo, hi):
         return _sums_chunk(ifs, psi, k, lo, hi, None if geometric is None
@@ -394,8 +429,12 @@ def _level_sums(ifs: IfsSystem, psi: Potential, levels):
 
 
 def _logsumexp(arr: np.ndarray) -> float:
+    """log sum exp(arr), computed in arr, which every caller owns: a
+    level's sums take no second array of their size."""
     amax = float(np.max(arr))
-    return amax + math.log(float(np.sum(np.exp(arr - amax))))
+    arr -= amax
+    np.exp(arr, out=arr)
+    return amax + math.log(float(np.sum(arr)))
 
 
 def pressure_at_level(ifs: IfsSystem, psi: Potential, k: int) -> float:

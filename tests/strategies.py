@@ -2,14 +2,18 @@
 
 from hypothesis import strategies as st
 
-from mfgibbs.ifs_geometry import IfsSystem
+from mfgibbs.ifs_geometry import AffineMap, IfsSystem, MoebiusMap
 from mfgibbs.thermodynamics import Potential, normalize
+
+DOMAIN = (0.0, 1.0)
 
 
 @st.composite
-def systems(draw, moebius=None):
+def systems(draw, moebius=None, mixed=False):
     """A random valid 2- or 3-map affine or Moebius system on [0, 1];
-    `moebius` fixes the family instead of drawing it."""
+    `moebius` fixes the family instead of drawing it, and `mixed` draws
+    each map's family on its own, so affine and Moebius maps can share
+    one system."""
     m = draw(st.sampled_from([2, 3]))
     widths = [draw(st.floats(0.08, 0.9 / m)) for _ in range(m)]
     # gap weights; a zero weight makes neighbouring images touch
@@ -21,17 +25,19 @@ def systems(draw, moebius=None):
     maps = []
     u = gaps[0] * scale
     for k, w in enumerate(widths):
+        if mixed:
+            moebius = draw(st.booleans())
         if moebius:
             # x -> u + w (1+t) x / (1 + t x): increasing, images [u, u+w]
             t = draw(st.integers(-5, 10)) / 10
-            maps.append((u * t + w * (1 + t), u, t, 1.0))
+            maps.append(MoebiusMap(u * t + w * (1 + t), u, t, 1.0, DOMAIN))
         else:
-            maps.append((w, u))
+            maps.append(AffineMap(w, u, DOMAIN))
         u += w + gaps[k + 1] * scale
         if gaps[k + 1] == 0:
             # touching images may also overlap within the OSC tolerance
             u -= draw(st.sampled_from([0.0, 1e-13]))
-    return (IfsSystem.moebius if moebius else IfsSystem.affine)((0.0, 1.0), maps)
+    return IfsSystem(DOMAIN, tuple(maps))
 
 
 # normalize's level for the geometric potentials drawn below; the other

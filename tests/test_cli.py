@@ -235,13 +235,13 @@ def test_beta_determinism_across_threads(tmp_path, capsys, monkeypatch):
     # the level-10 word matrices are composed as 16 blocks of 64 words,
     # then as one block of the default size; --threads is ignored
     blocks = []
-    fixed_points = thermodynamics._fixed_points_vec
-    monkeypatch.setattr(thermodynamics, "_fixed_points_vec",
+    kernel = thermodynamics._phi_sums
+    monkeypatch.setattr(thermodynamics, "_phi_sums",
                         lambda a, *rest: blocks.append(len(a))
-                        or fixed_points(a, *rest))
+                        or kernel(a, *rest))
     outs = []
-    for chunk, threads, expected in ((64, "4", [64] * 32),
-                                     (thermodynamics._CHUNK, "1", [1024] * 2)):
+    for chunk, threads, expected in ((64, "4", [64] * 16),
+                                     (thermodynamics._CHUNK, "1", [1024])):
         monkeypatch.setattr(thermodynamics, "_CHUNK", chunk)
         blocks.clear()
         out = tmp_path / f"chunk{chunk}.csv"
@@ -251,7 +251,7 @@ def test_beta_determinism_across_threads(tmp_path, capsys, monkeypatch):
                          "--out", str(out))
         assert code == 0
         outs.append(out.read_bytes())
-        # normalize and the shared build each compose level 10
+        # normalize composes level 10, the shared build takes it
         assert blocks == expected
     assert outs[0] == outs[1]
 

@@ -71,6 +71,15 @@ def test_legendre_duality(cantor_curve):
     assert worst < 1e-6
 
 
+def test_curve_columns_are_built_once(cantor_curve):
+    # legendre reads qs and betas at every alpha of a predict-packing grid
+    for column in ("qs", "betas", "alphas", "beta_stars"):
+        arr = getattr(cantor_curve, column)
+        assert getattr(cantor_curve, column) is arr
+        assert not arr.flags.writeable
+    assert cantor_curve.qs.tolist() == [s.q for s in cantor_curve.samples]
+
+
 def test_legendre_at_dimension_peak(cantor_curve):
     peak = legendre(cantor_curve, cantor_curve.alpha_zero)
     assert peak.interior

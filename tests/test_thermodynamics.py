@@ -4,6 +4,7 @@ import threading
 import tracemalloc
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -12,7 +13,7 @@ from mfgibbs import spectrum, thermodynamics
 from mfgibbs.cli import main
 from mfgibbs.errors import CapacityError, NormalizationError
 from mfgibbs.ifs_geometry import (AffineMap, IfsSystem, MoebiusMap,
-                                  matrix_fixed_point, word_matrix)
+                                  word_matrix)
 from mfgibbs.spectrum import LevelSums
 from mfgibbs.symbolic import PeriodicWord, Word, enumerate_words
 from mfgibbs.thermodynamics import (Potential, cohomology_diagnostic,
@@ -24,6 +25,8 @@ from periodic_weights import periodic_weights
 from strategies import systems
 
 LOG3 = math.log(3.0)
+MOEBIUS_PAIR = (Path(__file__).resolve().parent.parent / "configs" /
+                "moebius_pair.json")
 
 
 def test_block_sums_on_the_01_cycle(cantor, cantor_psi):
@@ -237,9 +240,8 @@ def test_moebius_periodic_sums_chunks_and_block_sums(data):
     words = list(enumerate_words(m, k))
     coeffs, logdet = zip(*(word_matrix(ifs, w) for w in words))
     a, b, c, d = np.array(coeffs).T
-    x = thermodynamics._fixed_points_vec(a, b, c, d, ifs.domain)
-    assert np.array_equal(phi, np.array(logdet)
-                          - 2.0 * np.log(np.abs(c * x + d)))
+    assert np.array_equal(phi, np.array(logdet) + thermodynamics._phi_sums(
+        a, b, c, d, ifs.domain))
     for idx, w in enumerate(words):
         assert whole[idx] == pytest.approx(psi.block_sum(PeriodicWord(w)),
                                            rel=1e-12, abs=1e-12)
@@ -258,37 +260,57 @@ def test_mixed_system_geometric_sums_match_block_sums():
         assert np.max(np.abs(periodic_sums(ifs, phi, k) - expected)) <= 1e-12
 
 
+def fresh(ifs: IfsSystem) -> IfsSystem:
+    """An equal system that holds no level's sums handed off."""
+    return dataclasses.replace(ifs)
+
+
 @pytest.fixture
 def compositions(monkeypatch):
-    """One list per pass down the Moebius word tree: the levels it yields."""
-    passes = []
-    compose = thermodynamics._geometric_levels
+    """The words of each block whose S_k phi the kernel computes, in call
+    order; a level taken from the hand-off calls no kernel."""
+    blocks = []
+    kernel = thermodynamics._phi_sums
 
-    def counted(ifs, levels):
-        yielded = []
-        passes.append(yielded)
-        for k, sums in zip(levels, compose(ifs, levels)):
-            yielded.append(k)
-            yield sums
+    def counted(a, *rest):
+        blocks.append(len(a))
+        return kernel(a, *rest)
 
-    monkeypatch.setattr(thermodynamics, "_geometric_levels", counted)
-    return passes
+    monkeypatch.setattr(thermodynamics, "_phi_sums", counted)
+    return blocks
 
 
 def test_level_sums_and_diagnostic_compose_phi_once(moebius, moebius_psi,
                                                     compositions):
-    LevelSums.build(moebius, moebius_psi, 6)
-    assert compositions == [[6]]
+    ifs = fresh(moebius)
+    LevelSums.build(ifs, moebius_psi, 6)
+    assert compositions == [64]
     compositions.clear()
-    cohomology_diagnostic(moebius, moebius_psi, ell_max=5)
-    assert compositions == [[1, 2, 3, 4, 5]]
+    cohomology_diagnostic(ifs, moebius_psi, ell_max=5)
+    assert compositions == [2, 4, 8, 16, 32]
 
 
 def test_pressure_reads_every_level_from_one_pass(moebius, moebius_psi,
                                                   compositions):
-    result = pressure(moebius, moebius_psi, k_max=10)
+    result = pressure(fresh(moebius), moebius_psi, k_max=10)
     assert len(result.levels) == 10
-    assert compositions == [list(range(1, 11))]
+    assert compositions == [2**k for k in range(1, 11)]
+
+
+def test_pressure_takes_the_level_normalize_composed(moebius, compositions):
+    # normalize composes level 10 and leaves its sums on the system;
+    # pressure's pass composes levels 1..9 and takes level 10 from there
+    ifs = fresh(moebius)
+    psi = normalize(ifs, Potential.geometric(ifs), k_max=10)
+    assert compositions == [1024]
+    result = pressure(ifs, psi, k_max=10)
+    assert len(result.levels) == 10
+    assert compositions == [1024] + [2**k for k in range(1, 10)]
+    assert ifs._phi_handoff is None
+    # the sums taken are those a pass composes afresh, to the byte
+    compositions.clear()
+    assert pressure(fresh(moebius), psi, k_max=10) == result
+    assert compositions == [2**k for k in range(1, 11)]
 
 
 def test_beta_command_builds_one_level(monkeypatch, capsys, compositions):
@@ -300,22 +322,34 @@ def test_beta_command_builds_one_level(monkeypatch, capsys, compositions):
         return build(cls, *args, **kwargs)
 
     monkeypatch.setattr(spectrum.LevelSums, "build", classmethod(counted))
-    config = (Path(__file__).resolve().parent.parent / "configs" /
-              "moebius_pair.json")
-    code = main(["beta", "--config", str(config), "--q-steps", "21",
+    code = main(["beta", "--config", str(MOEBIUS_PAIR), "--q-steps", "21",
                  "--depth", "8", "--threads", "1"])
     assert code == 0
     assert capsys.readouterr().out.count("\n") == 22
     assert len(builds) == 1
-    # normalizing the potential composes level 8 once, the shared build
-    # once more: CHANGES.md's FOUND note on `normalize` and `pressure`
-    # each enumerating the deepest level
-    assert compositions == [[8], [8]]
+    # normalizing the potential composes level 8, the shared build takes it
+    assert compositions == [256]
+
+
+@pytest.mark.parametrize("argv,levels", [
+    (["pressure", "--depth", "12"], [12, *range(1, 12)]),
+    (["spectrum", "--depth", "15"], [15, *range(1, 7)]),
+    (["predict-packing", "--depth", "15"], [15, *range(1, 7)]),
+])
+def test_commands_compose_each_level_once(capsys, compositions, argv,
+                                          levels):
+    # normalize composes the command's level first; the cohomology scan
+    # composes levels 1..6, and the level is read from the hand-off
+    assert main([*argv, "--config", str(MOEBIUS_PAIR)]) == 0
+    assert compositions == [2**k for k in levels]
 
 
 def test_pressure_composes_only_the_levels_it_reads(moebius):
     # tol stops the loop at level 9; a pass that composed up to k_max
-    # first would hit the enumeration cap near level 27
+    # first would hit the enumeration cap near level 27.  Against mpmath
+    # on the same float letters, level 9 is off by 1.32e-16; read from
+    # the fixed point instead of the eigenvalue it was ...237p-2, off by
+    # 1.88e-16.  Levels 1-8 are the same either way.
     result = pressure(moebius, Potential.geometric(moebius), k_max=40,
                       tol=1e-4)
     assert result.levels == tuple(float.fromhex(h) for h in (
@@ -323,7 +357,7 @@ def test_pressure_composes_only_the_levels_it_reads(moebius):
         "-0x1.6f52472f7b1afp-2", "-0x1.75eb50f9dc9cbp-2",
         "-0x1.78a1142717ce0p-2", "-0x1.79c6de15cb4a0p-2",
         "-0x1.7a4518e3891e0p-2", "-0x1.7a7bbeb201912p-2",
-        "-0x1.7a938195d8237p-2"))
+        "-0x1.7a938195d8238p-2"))
 
 
 @pytest.mark.parametrize("split", [2, 4])
@@ -331,20 +365,39 @@ def test_level_19_stays_in_bounded_memory(monkeypatch, moebius, split):
     # 20 MiB is five times the 4 MiB of one level-19 array of sums; the
     # level's word matrices held whole take 16 MiB before any temporary.
     # The bound holds at the default block size and at one `split` times
-    # smaller, where the pass holds a shallower level and runs more blocks
+    # smaller, where the pass holds a shallower level and runs more blocks.
+    # Each run starts from a system holding no hand-off, so pressure
+    # composes level 19 itself.
     phi = Potential.geometric(moebius)
-    psi = normalize(moebius, phi, k_max=19)
+    psi = normalize(fresh(moebius), phi, k_max=19)
     for chunk in (thermodynamics._CHUNK, thermodynamics._CHUNK // split):
         monkeypatch.setattr(thermodynamics, "_CHUNK", chunk)
-        for run in (lambda: pressure(moebius, psi, k_max=19),
-                    lambda: periodic_sums(moebius, phi, 19)):
+        for run in (lambda ifs: pressure(ifs, psi, k_max=19),
+                    lambda ifs: periodic_sums(ifs, phi, 19)):
+            ifs = fresh(moebius)
             tracemalloc.start()
             try:
-                run()
+                run(ifs)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
             assert peak <= 20 * 2**20
+
+
+def test_deep_pressure_command_stays_in_bounded_memory(capsys):
+    # normalize leaves level 19's 4 MiB of sums on the system for
+    # pressure to take, so they stay alive through normalize's
+    # log-sum-exp; computed in place, it takes no further array that size
+    tracemalloc.start()
+    try:
+        code = main(["pressure", "--config", str(MOEBIUS_PAIR),
+                     "--depth", "19"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert capsys.readouterr().out.count("\n") == 20
+    assert peak <= 13.5 * 2**20
 
 
 def test_library_starts_no_thread(monkeypatch, moebius, moebius_psi):
@@ -353,10 +406,9 @@ def test_library_starts_no_thread(monkeypatch, moebius, moebius_psi):
         raise AssertionError(f"thread {self.name} started")
 
     monkeypatch.setattr(threading.Thread, "start", refuse)
-    pressure(moebius, moebius_psi, k_max=19)
-    config = (Path(__file__).resolve().parent.parent / "configs" /
-              "moebius_pair.json")
-    assert main(["pressure", "--config", str(config), "--depth", "19"]) == 0
+    pressure(fresh(moebius), moebius_psi, k_max=19)
+    assert main(["pressure", "--config", str(MOEBIUS_PAIR),
+                 "--depth", "19"]) == 0
 
 
 @pytest.mark.parametrize("ifs", ["cantor", "moebius"])
@@ -373,17 +425,57 @@ def test_diagnostic_refuses_a_level_past_the_cap_first(monkeypatch, request,
         cohomology_diagnostic(ifs, Potential.geometric(ifs), ell_max=27)
 
 
-@settings(max_examples=200, deadline=None,
+def _mp_phi_sum(ifs, word):
+    """S_k phi of the cycle of `word` from the exact product of the
+    maps' float matrices, in 50 digits: log det - 2 log of the larger
+    eigenvalue."""
+    with mpmath.workdps(50):
+        mat = mpmath.eye(2)
+        for s in word.symbols:
+            ma, mb, mc, md = ifs.maps[s].coefficients()
+            mat = mat * mpmath.matrix([[ma, mb], [mc, md]])
+        t = mat[0, 0] + mat[1, 1]
+        det = mpmath.det(mat)
+        lam = (t + mpmath.sqrt(t * t - 4 * det)) / 2
+        return mpmath.log(det) - 2 * mpmath.log(lam)
+
+
+def test_phi_sums_match_mpmath(moebius):
+    # 12 seeded words of every level 1..16 of moebius_pair's maps
+    rng = np.random.default_rng(16)
+    phi = Potential.geometric(moebius)
+    for k in range(1, 17):
+        sums = periodic_sums(fresh(moebius), phi, k)
+        for idx in rng.choice(2**k, size=min(12, 2**k), replace=False):
+            word = Word(tuple(int(v) for v in np.binary_repr(idx, k)))
+            exact = _mp_phi_sum(moebius, word)
+            assert abs((sums[idx] - exact) / exact) <= 1e-15, word
+
+
+@settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(ifs=systems())
-def test_fixed_point_twins_agree(ifs):
-    # matrix_fixed_point sets every coded point and _fixed_points_vec
-    # every periodic sum; fed the same matrices they give the same floats
+@given(st.data())
+def test_phi_sums_match_block_sums(data):
+    # the trace route against the scalar one, the fixed point from
+    # matrix_fixed_point, on Moebius systems and on mixed ones, whose
+    # affine letters enter the kernel scaled to determinant one
+    ifs = data.draw(systems(moebius=True) | systems(mixed=True))
     m = ifs.alphabet_size
-    words = [w for k in range(1, 6 if m == 2 else 4)
-             for w in enumerate_words(m, k)]
-    coeffs = [word_matrix(ifs, w)[0] for w in words]
-    scalar = [matrix_fixed_point(cf, ifs.domain) for cf in coeffs]
-    a, b, c, d = np.array(coeffs).T
-    vec = thermodynamics._fixed_points_vec(a, b, c, d, ifs.domain)
-    assert np.array(scalar).tobytes() == vec.tobytes()
+    phi = Potential.geometric(ifs)
+    for k in range(1, 7 if m == 2 else 5):
+        expected = [phi.block_sum(PeriodicWord(w))
+                    for w in enumerate_words(m, k)]
+        assert np.max(np.abs(periodic_sums(ifs, phi, k) - expected)) <= 1e-13
+
+
+def test_phi_sums_refuse_words_without_an_attracting_fixed_point():
+    # trace 1.8 < 2 at determinant one: an elliptic matrix, no real
+    # fixed point
+    rot = [np.array([v]) for v in (0.9, -0.19, 1.0, 0.9)]
+    with pytest.raises(ValueError, match="complex fixed point"):
+        thermodynamics._phi_sums(*rot, (0.0, 1.0))
+    # x -> x/2 + 2 scaled to determinant one attracts to 4, off [0, 1]
+    s = math.sqrt(2.0)
+    off = [np.array([v]) for v in (1 / s, 2 * s, 0.0, s)]
+    with pytest.raises(ValueError, match="fixed point escaped the base"):
+        thermodynamics._phi_sums(*off, (0.0, 1.0))
