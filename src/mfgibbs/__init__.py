@@ -21,10 +21,9 @@ from .holder_lab import (DetrendResult, PerturbationExperiment, SecantSlope,
 from .ifs_geometry import (AffineMap, IfsSystem, MoebiusMap, check_osc,
                            cylinder_interval, max_safe_depth, periodic_point,
                            stream_point)
-from .spectrum import (LegendreValue, PredictedPoint, SpectrumCurve,
-                       SpectrumSample, beta_grid, beta_of_q, endpoints,
-                       hausdorff_spectrum_prediction, legendre,
-                       packing_spectrum_prediction, spectrum_curve)
+from .spectrum import (LegendreValue, SpectrumCurve, beta_grid, beta_of_q,
+                       endpoints, legendre, spectrum_curve,
+                       spectrum_predictions)
 from .symbolic import PeriodicWord, SymbolStream, Word, enumerate_words
 from .thermodynamics import (CohomologyReport, Potential,
                              cohomology_diagnostic, effective_range,

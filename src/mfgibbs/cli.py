@@ -14,13 +14,13 @@ import sys
 
 from .errors import ConfigError, NormalizationError, ToolkitError
 from .estimators import (DepthPolicy, DistributionFunction, Scales,
-                         coarse_spectrum, deep_policy, default_scale_base,
-                         holder_exponent_estimate)
+                         coarse_spectrum, deep_policy, default_policy,
+                         default_scale_base, holder_exponent_estimate)
 from .holder_lab import (PROBE_MIN_DEPTHS, derivative_limit_probe,
                          detrend_exponent_test)
 from .ifs_geometry import IfsSystem, stream_point
-from .spectrum import (beta_grid, endpoints, hausdorff_spectrum_prediction,
-                       packing_spectrum_prediction, spectrum_curve)
+from .spectrum import (beta_grid, endpoints, spectrum_curve,
+                       spectrum_predictions)
 from .symbolic import PeriodicWord, Word
 from .thermodynamics import (Potential, cohomology_diagnostic,
                              default_level, effective_range, normalize,
@@ -346,8 +346,8 @@ def _cmd_beta(args, cfg, ifs, psi, level):
     q_min, q_max, steps = _q_grid(args, cfg, min_steps=2)
     _require_normalized(cfg, ifs, psi)
     qs = [q_min + (q_max - q_min) * i / (steps - 1) for i in range(steps)]
-    samples = beta_grid(ifs, psi, qs, k=level)
-    _write_csv(args.out, ("q", "beta"), [(s.q, s.beta) for s in samples])
+    qs, betas, _ = beta_grid(ifs, psi, qs, k=level)
+    _write_csv(args.out, ("q", "beta"), zip(qs.tolist(), betas.tolist()))
     _summary(f"beta: {steps} points on [{q_min:g}, {q_max:g}]")
     return 0
 
@@ -357,8 +357,9 @@ def _cmd_spectrum(args, cfg, ifs, psi, level):
     _require_normalized(cfg, ifs, psi)
     curve = spectrum_curve(ifs, psi, k=level, q_min=q_min, q_max=q_max,
                            q_steps=steps)
-    rows = [(s.q, s.beta, s.alpha, s.beta_star) for s in curve.samples]
-    _write_csv(args.out, ("q", "beta", "alpha", "beta_star"), rows)
+    columns = (curve.qs, curve.betas, curve.alphas, curve.beta_stars)
+    _write_csv(args.out, ("q", "beta", "alpha", "beta_star"),
+               zip(*(column.tolist() for column in columns)))
     _summary(f"spectrum: alpha_minus={curve.alpha_minus:.6f} "
              f"alpha_plus={curve.alpha_plus:.6f} "
              f"alpha_zero={curve.alpha_zero:.6f} "
@@ -380,11 +381,10 @@ def _cmd_endpoints(args, cfg, ifs, psi, level):
 
 def _cmd_cdf(args, cfg, ifs, psi, level):
     points = _config_points(args, cfg, "cdf")
-    policy = None
-    if args.depth is not None or args.tol is not None:
-        policy = DepthPolicy(
-            max_depth=args.depth if args.depth is not None else 60,
-            mass_tol=args.tol if args.tol is not None else 1e-8)
+    default = default_policy(ifs)
+    policy = DepthPolicy(
+        max_depth=args.depth if args.depth is not None else default.max_depth,
+        mass_tol=args.tol if args.tol is not None else default.mass_tol)
     F = DistributionFunction(ifs, psi, policy)
     rows = []
     worst = 0.0
@@ -406,7 +406,7 @@ def _cmd_holder(args, cfg, ifs, psi, level):
         est = holder_exponent_estimate(F, t0, scales)
         rows.append((t0, est.exponent, len(est.scale_pairs)))
     _write_csv(args.out, ("t0", "exponent", "usable_scales"), rows)
-    _summary(f"holder: {len(points)} points, method=regression_min")
+    _summary(f"holder: {len(points)} points, method=regression")
     return 0
 
 
@@ -520,11 +520,8 @@ def _cmd_predict_packing(args, cfg, ifs, psi, level):
                               f"got {n}")
         lo, hi = curve.alpha_minus, curve.alpha_plus
         alphas = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
-    haus = hausdorff_spectrum_prediction(curve, alphas)
-    pack = packing_spectrum_prediction(curve, alphas)
-    rows = [(h.alpha, h.dim, p.dim, h.empty)
-            for h, p in zip(haus, pack)]
-    _write_csv(args.out, ("alpha", "hausdorff", "packing", "empty"), rows)
+    _write_csv(args.out, ("alpha", "hausdorff", "packing", "empty"),
+               spectrum_predictions(curve, alphas))
     _summary(f"predict-packing: plateau={curve.dimension:.6f} on "
              f"[{curve.alpha_minus:.6f}, {curve.alpha_zero:.6f}]")
     return 0

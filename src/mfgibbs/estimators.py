@@ -67,7 +67,7 @@ _LEAF_POINTS = 16
 class DepthPolicy:
     """Descent cutoffs: stop at max_depth or when cylinder mass < mass_tol."""
 
-    max_depth: int = 60
+    max_depth: int
     mass_tol: float = 1e-8
 
     def __post_init__(self):
@@ -98,10 +98,7 @@ class DistributionFunction:
         require_normalized(system, potential)
         self.system = system
         self.potential = potential
-        if policy is None:
-            # keep the default descent above the width floor
-            policy = DepthPolicy(max_depth=min(60, max_safe_depth(system)))
-        self.policy = policy
+        self.policy = policy or default_policy(system)
         self._domain = system.domain
         self._coeffs = [mp.coefficients() for mp in system.maps]
         self._logdets = [mp.log_det for mp in system.maps]
@@ -272,6 +269,12 @@ def _monotone_ends(ends: list[float]) -> bool:
             and all(a <= b for a, b in zip(hs, hs[1:])))
 
 
+def default_policy(ifs: IfsSystem) -> DepthPolicy:
+    """The descent a DistributionFunction takes when given none: depth 60
+    or the precision floor's safe depth, whichever is shallower."""
+    return DepthPolicy(max_depth=min(60, max_safe_depth(ifs)))
+
+
 def deep_policy(ifs: IfsSystem) -> DepthPolicy:
     """Descend to the precision floor; for point studies near coded points."""
     return DepthPolicy(max_depth=max_safe_depth(ifs), mass_tol=0.0)
@@ -325,10 +328,12 @@ class HolderEstimate:
     scale_pairs: tuple[tuple[float, float], ...]
 
 
-_WINDOW = 5
+# fewer usable scales than this leave the slope to the additive constants
+_MIN_SCALES = 5
 
 
-def _window_slope(pairs) -> float:
+def _slope(pairs) -> float:
+    """Least-squares slope of y on x over the (x, y) pairs."""
     xs = [p[0] for p in pairs]
     ys = [p[1] for p in pairs]
     xm = sum(xs) / len(xs)
@@ -340,16 +345,17 @@ def _window_slope(pairs) -> float:
 
 def holder_exponent_estimate(F: DistributionFunction, t0: float,
                              scales: Scales | None = None) -> HolderEstimate:
-    """Liminf of log mu(B(t0, r)) / log r over sampled radii.
+    """Liminf of log mu(B(t0, r)) / log r, estimated over sampled radii.
 
     Radii where the ball mass is within a factor 10 of its own error
     bound are skipped, and so are radii beyond the distance from t0 to
     the nearer end of the domain, where the ball is cut off.  A t0
     closer to an end than the smallest radius (the end itself, or a
     coded point that rounds next to it) counts as that end, and no
-    radius is skipped.  The estimate is the minimum least-squares slope
-    over sliding windows of 5 scales, which cancels the additive
-    constants that bias the raw ratio log mu / log r.
+    radius is skipped.  The estimate is one least-squares slope over
+    every usable radius, at least 5, which cancels the additive constant
+    that biases the raw ratio and follows the average letter frequencies
+    of t0's coding, where a minimum over short windows reads low.
     """
     if scales is None:
         scales = Scales(base=default_scale_base(F.system))
@@ -366,11 +372,10 @@ def holder_exponent_estimate(F: DistributionFunction, t0: float,
         if mb.value <= 0.0 or mb.value < 10.0 * mb.error_bound:
             continue
         pairs.append((math.log(r), math.log(mb.value)))
-    if len(pairs) < _WINDOW:
-        raise ScaleError(f"only {len(pairs)} usable scales, need {_WINDOW}")
-    exponent = min(_window_slope(pairs[i:i + _WINDOW])
-                   for i in range(len(pairs) - _WINDOW + 1))
-    return HolderEstimate(t0=t0, exponent=max(0.0, exponent),
+    if len(pairs) < _MIN_SCALES:
+        raise ScaleError(f"only {len(pairs)} usable scales, "
+                         f"need {_MIN_SCALES}")
+    return HolderEstimate(t0=t0, exponent=max(0.0, _slope(pairs)),
                           scale_pairs=tuple(pairs))
 
 

@@ -26,8 +26,7 @@ a one-point spectrum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -140,69 +139,44 @@ def endpoints(ifs: IfsSystem, psi: Potential,
 
 
 @dataclass(frozen=True)
-class SpectrumSample:
-    q: float
-    beta: float
-    alpha: float
-    beta_star: float
-
-
-def _column(values) -> np.ndarray:
-    arr = np.array(values)
-    arr.flags.writeable = False  # one array serves every caller
-    return arr
-
-
-@dataclass(frozen=True)
 class SpectrumCurve:
-    """The sampled curve; each column of the samples is built once, on
-    first use, since `legendre` reads qs and betas at every alpha."""
+    """The sampled curve, one read-only array per column: q, beta(q),
+    alpha(q) and beta*(alpha(q)) at each grid point."""
 
-    samples: tuple[SpectrumSample, ...]
+    qs: np.ndarray
+    betas: np.ndarray
+    alphas: np.ndarray
+    beta_stars: np.ndarray
     alpha_minus: float
     alpha_plus: float
     degenerate: bool
     dimension: float
     alpha_zero: float
 
-    @cached_property
-    def qs(self) -> np.ndarray:
-        return _column([s.q for s in self.samples])
-
-    @cached_property
-    def betas(self) -> np.ndarray:
-        return _column([s.beta for s in self.samples])
-
-    @cached_property
-    def alphas(self) -> np.ndarray:
-        return _column([s.alpha for s in self.samples])
-
-    @cached_property
-    def beta_stars(self) -> np.ndarray:
-        return _column([s.beta_star for s in self.samples])
+    def __post_init__(self):
+        for column in (self.qs, self.betas, self.alphas, self.beta_stars):
+            column.flags.writeable = False  # one array serves every caller
 
 
 def beta_grid(ifs: IfsSystem, psi: Potential, qs, k: int | None = None
-              ) -> tuple[SpectrumSample, ...]:
-    """beta, alpha = <psi>/<phi> and beta* = beta + q*alpha at each q.
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The arrays (qs, betas, alphas): beta and alpha = <psi>/<phi> at each q.
 
     One level of sums serves every root.  Each root after the first
     starts from the tangent beta - alpha*dq of the previous one.
     """
     sums = LevelSums.build(ifs, psi, k)
-    samples = []
+    qs = [float(q) for q in qs]
+    betas, alphas = [], []
     start = 0.0
-    for q in qs:
-        q = float(q)
-        if samples:
-            prev = samples[-1]
-            start = prev.beta - prev.alpha * (q - prev.q)
+    for i, q in enumerate(qs):
+        if i:
+            start = betas[-1] - alphas[-1] * (q - qs[i - 1])
         beta = beta_of_q(ifs, psi, q, sums=sums, start=start)
         _, phi, psi_avg = sums.gibbs_averages(beta, q)
-        alpha = psi_avg / phi
-        samples.append(SpectrumSample(q=q, beta=beta, alpha=alpha,
-                                      beta_star=beta + q * alpha))
-    return tuple(samples)
+        betas.append(beta)
+        alphas.append(psi_avg / phi)
+    return np.array(qs), np.array(betas), np.array(alphas)
 
 
 def spectrum_curve(ifs: IfsSystem, psi: Potential, k: int | None = None,
@@ -226,17 +200,19 @@ def spectrum_curve(ifs: IfsSystem, psi: Potential, k: int | None = None,
     if diag.degenerate:
         c = 0.5 * (a_lo + a_hi)
         s = beta_of_q(ifs, psi, 0.0, k=k)
-        samples = tuple(SpectrumSample(q=float(q), beta=s - c * float(q),
-                                       alpha=c, beta_star=s) for q in qs)
-        return SpectrumCurve(samples=samples, alpha_minus=a_lo,
+        return SpectrumCurve(qs=qs, betas=s - c * qs,
+                             alphas=np.full(q_steps, c),
+                             beta_stars=np.full(q_steps, s), alpha_minus=a_lo,
                              alpha_plus=a_hi, degenerate=True,
                              dimension=s, alpha_zero=c)
     # q = 0 is solved on its own, so a grid without it still reads
     # the dimension and alpha_0 exactly
-    *samples, zero = beta_grid(ifs, psi, [*qs, 0.0], k)
-    return SpectrumCurve(samples=tuple(samples), alpha_minus=a_lo,
-                         alpha_plus=a_hi, degenerate=False,
-                         dimension=zero.beta, alpha_zero=zero.alpha)
+    qs, betas, alphas = beta_grid(ifs, psi, np.append(qs, 0.0), k)
+    return SpectrumCurve(qs=qs[:-1], betas=betas[:-1], alphas=alphas[:-1],
+                         beta_stars=betas[:-1] + qs[:-1] * alphas[:-1],
+                         alpha_minus=a_lo, alpha_plus=a_hi, degenerate=False,
+                         dimension=float(betas[-1]),
+                         alpha_zero=float(alphas[-1]))
 
 
 @dataclass(frozen=True)
@@ -263,32 +239,25 @@ def legendre(curve: SpectrumCurve, alpha: float) -> LegendreValue:
     return LegendreValue(value=value, interior=True)
 
 
-@dataclass(frozen=True)
-class PredictedPoint:
-    alpha: float
-    dim: float
-    empty: bool
+def spectrum_predictions(curve: SpectrumCurve, alphas
+                         ) -> list[tuple[float, float, float, bool]]:
+    """The rows (alpha, hausdorff, packing, empty), one per alpha.
 
-
-def hausdorff_spectrum_prediction(curve: SpectrumCurve,
-                                  alpha_grid) -> list[PredictedPoint]:
-    """beta*(alpha) on [alpha_minus, alpha_plus]; empty marker outside."""
-    out = []
+    The Hausdorff spectrum is beta*(alpha) on [alpha_minus, alpha_plus]
+    (within 1e-9); outside it both spectra are NaN and the row is marked
+    empty.  The packing spectrum agrees right of alpha_zero and is the
+    constant beta*(alpha_zero) = beta(0), the curve's dimension, to the
+    left.
+    """
+    rows = []
     tol = 1e-9
-    for alpha in alpha_grid:
+    for alpha in alphas:
         a = float(alpha)
         if a < curve.alpha_minus - tol or a > curve.alpha_plus + tol:
-            out.append(PredictedPoint(alpha=a, dim=math.nan, empty=True))
+            rows.append((a, math.nan, math.nan, True))
         else:
-            out.append(PredictedPoint(alpha=a, dim=legendre(curve, a).value,
-                                      empty=False))
-    return out
-
-
-def packing_spectrum_prediction(curve: SpectrumCurve,
-                                alpha_grid) -> list[PredictedPoint]:
-    """Constant beta*(alpha_zero) left of alpha_zero, Legendre to the right."""
-    plateau = legendre(curve, curve.alpha_zero).value
-    return [replace(p, dim=plateau)
-            if not p.empty and p.alpha <= curve.alpha_zero else p
-            for p in hausdorff_spectrum_prediction(curve, alpha_grid)]
+            dim = legendre(curve, a).value
+            rows.append((a, dim,
+                         curve.dimension if a <= curve.alpha_zero else dim,
+                         False))
+    return rows

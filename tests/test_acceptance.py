@@ -15,11 +15,13 @@ from mfgibbs import thermodynamics
 from mfgibbs.cli import main as cli_main
 from mfgibbs.errors import ToolkitError
 from mfgibbs.estimators import (DistributionFunction, Scales, coarse_spectrum,
-                                deep_policy, holder_exponent_estimate)
+                                deep_policy, exact_exponent_at_coded_point,
+                                holder_exponent_estimate)
 from mfgibbs.holder_lab import (derivative_limit_probe, detrend_exponent_test,
                                 ratio_scaling_experiment, secant_slope)
 from mfgibbs.ifs_geometry import stream_point
-from mfgibbs.spectrum import beta_of_q, endpoints, legendre, spectrum_curve
+from mfgibbs.spectrum import (beta_grid, beta_of_q, endpoints, legendre,
+                              spectrum_curve)
 from mfgibbs.symbolic import PeriodicWord, Word
 from mfgibbs.thermodynamics import (Potential, cohomology_diagnostic,
                                     pressure)
@@ -76,9 +78,11 @@ def test_criterion_03_endpoints(cantor, cantor_psi):
 def test_criterion_04_legendre_duality(cantor_curve):
     with _Criterion(4):
         worst = 0.0
-        for s in cantor_curve.samples[1:-1]:
-            dual = legendre(cantor_curve, s.alpha).value
-            worst = max(worst, abs(dual - (s.beta + s.q * s.alpha)))
+        for q, beta, alpha in zip(cantor_curve.qs[1:-1],
+                                  cantor_curve.betas[1:-1],
+                                  cantor_curve.alphas[1:-1]):
+            dual = legendre(cantor_curve, alpha).value
+            worst = max(worst, abs(dual - (beta + q * alpha)))
         assert worst < 1e-6
 
 
@@ -223,3 +227,25 @@ def test_criterion_14_csv_determinism(tmp_path, capsys, monkeypatch):
         capsys.readouterr()
         assert chunked.read_bytes() == whole.read_bytes()
         assert len(chunked.read_bytes()) > 0
+
+
+def test_criterion_15_holder_exponent_at_mu_q_typical_points(
+        cantor, cantor_psi, F_cantor):
+    # the multifractal formalism pointwise: where the letter 1 has the
+    # frequency w_1 of the equilibrium state mu_q, F has exponent alpha(q)
+    with _Criterion(15):
+        qs = [-1.0, 0.0, 0.5, 1.0, 2.0]
+        _, betas, alphas = beta_grid(cantor, cantor_psi, qs)
+        for q, beta, alpha in zip(qs, betas.tolist(), alphas.tolist()):
+            w1 = 0.75 ** q * (1 / 3) ** beta
+            n1 = round(8 * w1)
+            # the Christoffel word of length 8 with n1 letters 1
+            word = PeriodicWord(Word(tuple(
+                (i + 1) * n1 // 8 - i * n1 // 8 for i in range(8))))
+            x = stream_point(cantor, word.stream())
+            h = holder_exponent_estimate(F_cantor, x,
+                                         Scales(3.0, 1, 20)).exponent
+            exact = exact_exponent_at_coded_point(cantor, cantor_psi, word)
+            assert abs(h - exact) <= 0.01
+            # the exponent moves one for one with the frequency of 1
+            assert abs(h - alpha) <= abs(n1 / 8 - w1) + 0.01

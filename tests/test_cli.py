@@ -55,6 +55,17 @@ def test_cdf_lebesgue_identity(capsys):
     assert values == [0.25, 0.5, 0.75]
 
 
+def test_cdf_tol_alone_keeps_the_safe_depth(capsys):
+    # the default descent stops at the precision floor's safe depth,
+    # 27 on the Cantor set, also when only --tol is given
+    config = str(CONFIGS / "cantor_14_34.json")
+    tol_only = run(capsys, "cdf", "--config", config, "--points", "0.3,0.7",
+                   "--tol", "0")
+    assert tol_only[0] == 0
+    assert tol_only == run(capsys, "cdf", "--config", config, "--points",
+                           "0.3,0.7", "--depth", "27", "--tol", "0")
+
+
 def test_spectrum_csv_layout(tmp_path, capsys):
     out_file = tmp_path / "curve.csv"
     code, _, err = run(capsys, "spectrum", "--config",

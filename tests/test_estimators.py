@@ -123,7 +123,7 @@ def test_holder_at_coded_endpoints(F_cantor):
 
 
 def test_holder_methods_agree_at_clean_points(F_cantor):
-    # the windowed regression against the raw ratio log mu / log r
+    # the regression slope against the raw ratio log mu / log r
     est = holder_exponent_estimate(F_cantor, 0.0)
     raw = min(y / x for x, y in est.scale_pairs)
     assert abs(est.exponent - raw) < 0.05

@@ -1,0 +1,16 @@
+"""The python blocks of README.md run as written, in order, in one
+namespace, as a reader would paste the tour."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_python_blocks_run():
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(
+        encoding="utf-8"), re.S | re.M)
+    assert blocks
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), namespace)

@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -7,12 +8,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from mfgibbs import spectrum
+from mfgibbs.cli import main
 from mfgibbs.spectrum import (LevelSums, beta_grid, beta_of_q, endpoints,
-                              hausdorff_spectrum_prediction, legendre,
-                              packing_spectrum_prediction, spectrum_curve)
+                              legendre, spectrum_curve, spectrum_predictions)
 from mfgibbs.thermodynamics import Potential, normalize, periodic_sums
 from strategies import GEOMETRIC_LEVEL, potentials, systems
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 LOG3 = math.log(3.0)
 
 
@@ -52,7 +54,7 @@ def test_endpoints_collapse_when_degenerate(cantor, uniform_psi):
 
 
 def test_curve_shape(cantor_curve):
-    assert len(cantor_curve.samples) == 201
+    assert len(cantor_curve.qs) == 201
     assert not cantor_curve.degenerate
     betas = cantor_curve.betas
     second = betas[:-2] - 2 * betas[1:-1] + betas[2:]
@@ -65,19 +67,23 @@ def test_curve_shape(cantor_curve):
 
 def test_legendre_duality(cantor_curve):
     worst = 0.0
-    for s in cantor_curve.samples[1:-1]:
-        dual = legendre(cantor_curve, s.alpha)
-        worst = max(worst, abs(dual.value - (s.beta + s.q * s.alpha)))
+    for alpha, beta_star in zip(cantor_curve.alphas[1:-1],
+                                cantor_curve.beta_stars[1:-1]):
+        dual = legendre(cantor_curve, alpha)
+        worst = max(worst, abs(dual.value - beta_star))
     assert worst < 1e-6
 
 
 def test_curve_columns_are_built_once(cantor_curve):
-    # legendre reads qs and betas at every alpha of a predict-packing grid
+    # legendre reads qs and betas at every alpha of a predict-packing
+    # grid, so the curve holds them as arrays that no caller may change
     for column in ("qs", "betas", "alphas", "beta_stars"):
         arr = getattr(cantor_curve, column)
-        assert getattr(cantor_curve, column) is arr
+        assert isinstance(arr, np.ndarray) and arr.shape == (201,)
         assert not arr.flags.writeable
-    assert cantor_curve.qs.tolist() == [s.q for s in cantor_curve.samples]
+    assert cantor_curve.qs.tolist() == np.linspace(-10.0, 10.0, 201).tolist()
+    assert (cantor_curve.beta_stars == cantor_curve.betas
+            + cantor_curve.qs * cantor_curve.alphas).all()
 
 
 def test_legendre_at_dimension_peak(cantor_curve):
@@ -97,12 +103,13 @@ def test_legendre_edge_flag(cantor_curve):
 def test_alpha_and_beta_star_match_closed_form(cantor, p):
     curve = spectrum_curve(cantor, Potential.from_probabilities(p))
     assert curve.degenerate == (p[0] == p[1])
-    for s in curve.samples:
-        alpha = closed_form_alpha(s.q, p)
-        assert s.beta == pytest.approx(closed_form_beta(s.q, p), abs=1e-12)
-        assert s.alpha == pytest.approx(alpha, abs=1e-12)
-        assert s.beta_star == pytest.approx(
-            closed_form_beta(s.q, p) + s.q * alpha, abs=1e-12)
+    for q, beta, alpha, beta_star in zip(curve.qs, curve.betas, curve.alphas,
+                                         curve.beta_stars):
+        exact = closed_form_alpha(q, p)
+        assert beta == pytest.approx(closed_form_beta(q, p), abs=1e-12)
+        assert alpha == pytest.approx(exact, abs=1e-12)
+        assert beta_star == pytest.approx(
+            closed_form_beta(q, p) + q * exact, abs=1e-12)
 
 
 def test_dimension_and_alpha_zero_off_the_grid(cantor, cantor_psi):
@@ -120,10 +127,12 @@ def test_degenerate_curve_short_circuits(cantor, uniform_psi):
     assert curve.degenerate
     s = math.log(2) / LOG3
     assert curve.alpha_zero == pytest.approx(s, abs=1e-9)
-    for sample in curve.samples[::50]:
-        assert sample.beta == pytest.approx(s * (1 - sample.q), abs=1e-9)
-        assert sample.alpha == pytest.approx(s, abs=1e-9)
-        assert sample.beta_star == pytest.approx(s, abs=1e-9)
+    for q, beta, alpha, beta_star in zip(curve.qs[::50], curve.betas[::50],
+                                         curve.alphas[::50],
+                                         curve.beta_stars[::50]):
+        assert beta == pytest.approx(s * (1 - q), abs=1e-9)
+        assert alpha == pytest.approx(s, abs=1e-9)
+        assert beta_star == pytest.approx(s, abs=1e-9)
 
 
 def test_moebius_normalized_beta_one(moebius, moebius_psi):
@@ -135,18 +144,33 @@ def test_predictions_plateau_and_support(cantor_curve):
     az = cantor_curve.alpha_zero
     grid = np.linspace(cantor_curve.alpha_minus - 0.1,
                        cantor_curve.alpha_plus + 0.1, 41)
-    haus = hausdorff_spectrum_prediction(cantor_curve, grid)
-    pack = packing_spectrum_prediction(cantor_curve, grid)
-    plateau = legendre(cantor_curve, az).value
-    for h, p in zip(haus, pack):
-        if h.empty:
-            assert p.empty and math.isnan(h.dim)
+    for alpha, haus, pack, empty in spectrum_predictions(cantor_curve, grid):
+        if empty:
+            assert math.isnan(haus) and math.isnan(pack)
             continue
-        if h.alpha <= az:
-            assert p.dim == pytest.approx(plateau, abs=1e-12)
-            assert p.dim >= h.dim - 1e-9  # packing dominates on the left
+        assert haus == legendre(cantor_curve, alpha).value
+        if alpha <= az:
+            # the plateau is beta*(alpha_0) = beta(0) itself
+            assert pack == cantor_curve.dimension
+            assert pack >= haus - 1e-9  # packing dominates on the left
         else:
-            assert p.dim == pytest.approx(h.dim, abs=1e-12)
+            assert pack == haus
+
+
+def test_one_legendre_step_per_alpha(monkeypatch, capsys):
+    calls = []
+    solve = spectrum.legendre
+
+    def counted(curve, alpha):
+        calls.append(alpha)
+        return solve(curve, alpha)
+
+    monkeypatch.setattr(spectrum, "legendre", counted)
+    assert main(["predict-packing", "--config",
+                 str(CONFIGS / "cantor_14_34.json")]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    # the default grid of 101 alphas, every one inside the support
+    assert len(rows) == len(calls) == 101
 
 
 @settings(max_examples=30, deadline=None,
@@ -156,17 +180,15 @@ def test_warm_started_roots(data):
     ifs = data.draw(systems())
     psi = data.draw(potentials(ifs))
     qs = np.linspace(-6.0, 6.0, 25)
-    samples = beta_grid(ifs, psi, qs)
+    qs, betas, alphas = beta_grid(ifs, psi, qs)
     sums = LevelSums.build(ifs, psi)
-    for s in samples:
-        cold = beta_of_q(ifs, psi, s.q, sums=sums)
-        assert s.beta == pytest.approx(cold, abs=1e-13)
-    betas = np.array([s.beta for s in samples])
+    for q, beta in zip(qs, betas):
+        cold = beta_of_q(ifs, psi, q, sums=sums)
+        assert beta == pytest.approx(cold, abs=1e-13)
     assert (np.diff(betas) < 0.0).all()
     assert (betas[:-2] - 2.0 * betas[1:-1] + betas[2:] >= -1e-12).all()
     lo, hi = endpoints(ifs, psi)
-    for s in samples:
-        assert lo - 1e-9 <= s.alpha <= hi + 1e-9
+    assert ((lo - 1e-9 <= alphas) & (alphas <= hi + 1e-9)).all()
 
 
 @settings(max_examples=30, deadline=None,
@@ -206,10 +228,10 @@ def test_newton_steps_per_warm_root(moebius, monkeypatch):
 
     monkeypatch.setattr(LevelSums, "gibbs_averages", counted_averages)
     monkeypatch.setattr(spectrum, "beta_of_q", counted_solve)
-    samples = beta_grid(moebius, psi, np.linspace(-5.0, 5.0, 101), k=15)
+    qs, _, _ = beta_grid(moebius, psi, np.linspace(-5.0, 5.0, 101), k=15)
     # beyond one evaluation per step, the grid reads alpha at each root
     steps = [n - 1 for n in evaluations]
-    assert len(steps) == len(samples) == 101
+    assert len(steps) == len(qs) == 101
     assert max(steps) <= 8
 
 
@@ -277,6 +299,6 @@ def test_moebius_beta_matches_the_mpmath_root(moebius, k):
     psi = normalize(moebius, Potential.geometric(moebius), k_max=k)
     g, p = word_sums(moebius, psi, k)
     qs = [-5.0, 0.0, 1.0, 5.0]
-    for s in beta_grid(moebius, psi, qs, k=k):
-        exact = mp_root(g, p, s.q)
-        assert abs(s.beta - exact) <= 1e-15 * max(1.0, abs(s.beta))
+    for q, beta in zip(*beta_grid(moebius, psi, qs, k=k)[:2]):
+        exact = mp_root(g, p, q)
+        assert abs(beta - exact) <= 1e-15 * max(1.0, abs(beta))
