@@ -8,6 +8,7 @@ so CSV golden files round-trip through binary64 exactly.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -547,6 +548,9 @@ _FLAG_TYPES = {"--depth": int, "--tol": float, "--q-min": float,
                "--q-max": float, "--q-steps": int, "--points": str}
 
 
+# one parser per process: parse_args reads it and changes nothing, and
+# a parser built per call leaves its subparsers in reference cycles
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mfgibbs",

@@ -14,17 +14,29 @@ mass and the descent recurses.  Landing exactly on a child endpoint
 also terminates exactly; shared endpoints of touching cylinders resolve
 to the right child, keeping F right-continuous.
 
-Each level is one node expansion, ifs_geometry.node_children, the one
-place where a descent forms a node's children: m child compositions
-from the node's matrix, with the float operations of word_matrix, and
-the last child holding x.  The scalar walk here, the node walk of
-cdf_many and holder_lab's coding of a point all expand through it.
-Non-constant splits add m fixed points per level: a child's split is
-the cycle sum of the matrix the expansion has just composed
-(Potential.cycle_sum), and no word is recomposed from its first
-letter.  The node carries its log determinant as word_matrix
-accumulates it, letter by letter, and its word only when the splits
-are not constant.
+A level the descent does not share with the previous one is one node
+expansion, ifs_geometry.node_children, the one place where a descent
+forms a node's children: m child compositions from the node's matrix,
+with the float operations of word_matrix, and the last child holding
+x.  The scalar walk here, the node walk of cdf_many and holder_lab's
+coding of a point all expand through it.  Non-constant splits add m
+fixed points per expanded level: a child's split is the cycle sum of
+the matrix the expansion has just composed (Potential.cycle_sum), and
+no word is recomposed from its first letter.  The node carries its log
+determinant as word_matrix accumulates it, letter by letter, and its
+word only when the splits are not constant.
+
+A scalar descent resumes below the deepest node it shares with the
+previous one.  F keeps the last descent's path: per level the node's
+children, splits and state, and the child it took, O(max_depth * m) in
+all.  While x enters the same child strictly inside, the walk steps
+down the path with node_children's choice remade from the stored child
+ends; it reads the node where x leaves the path from it too, and
+expands only the nodes below.  The state it resumes from was computed
+by the same float operations in the same order, so values are those
+of a fresh F.  A descent reads the path once and replaces it with one
+assignment, never changing a path in place, so neither call order nor
+threads sharing F change a value; they can at worst miss the path.
 
 cdf_many walks cylinder nodes instead of points.  The points are sorted
 once (not at all when already non-decreasing, as box edges are), and
@@ -34,12 +46,13 @@ points left of a child or in a gap get the sequential prefix sum of the
 sibling masses, points on a child end get the exact value, and points
 strictly inside a child become that child's slice.  Nodes with few
 points, or whose child ends are not in order, finish each point with
-the scalar walk from the node's state.  The float operations and their
-order are those of the scalar descent, so values and error bounds are
-bit-identical to cdf; on PrecisionError the points are replayed through
-cdf in input order, so the same error escapes.  Beyond the outputs
-(and the sort permutation of unsorted input) the walk keeps O(nodes)
-state: slices, never per-point masks or indices.
+the scalar walk from the node's state, on a path of the node's own.
+The float operations and their order are those of the scalar descent,
+so values and error bounds are bit-identical to cdf; on PrecisionError
+the points are replayed through cdf in input order, so the same error
+escapes.  Beyond the outputs (and the sort permutation of unsorted
+input) the walk keeps O(nodes) state: slices, never per-point masks or
+indices.
 """
 
 from __future__ import annotations
@@ -103,6 +116,8 @@ class DistributionFunction:
         self._coeffs = [mp.coefficients() for mp in system.maps]
         self._logdets = [mp.log_det for mp in system.maps]
         self._m = system.alphabet_size
+        # the last scalar descent's nodes, see _walk
+        self._path: list = []
         # any potential reading one symbol has constant child splits
         self._const_conds: tuple[float, ...] | None = None
         if effective_range(system, potential) == 1:
@@ -134,13 +149,27 @@ class DistributionFunction:
             return 0.0, 0.0
         if x >= hi:
             return 1.0, 0.0
-        return self._walk(x, 0.0, 1.0, (), (1.0, 0.0, 0.0, 1.0), 0.0, 0)
+        # one read of the last path and one assignment of the new one:
+        # a descent never changes a path it did not make
+        acc, mass, self._path = self._walk(
+            x, 0.0, 1.0, (), (1.0, 0.0, 0.0, 1.0), 0.0, 0, self._path)
+        return acc, mass
 
     def _walk(self, x: float, acc: float, mass: float, word: tuple[int, ...],
               mat: tuple[float, float, float, float], logdet: float,
-              depth: int) -> tuple[float, float]:
+              depth: int, path: list) -> tuple[float, float, list]:
         """Scalar descent of x from the node (acc, mass, word, mat, logdet,
-        depth); logdet is the log determinant of the node's matrix."""
+        depth); logdet is the log determinant of the node's matrix.
+
+        path is an earlier descent from the same node: path[i] = (kids,
+        conds, took, acc, mass, logdet, word) for the node i levels down,
+        with took the child that descent entered or stopped at.  While x
+        enters the same child strictly inside, the walk steps to the next
+        node of path and takes its state from there; the node where x
+        leaves path is read from it too, and only the nodes below it are
+        expanded.  Returns the value, the error bound and this descent's
+        path; the given path is never changed.
+        """
         coeffs = self._coeffs
         logdets = self._logdets
         const_conds = self._const_conds
@@ -148,31 +177,68 @@ class DistributionFunction:
         lo, hi = self._domain
         mass_tol = self.policy.mass_tol
         max_depth = self.policy.max_depth
+        last_first = range(m - 1, -1, -1)
+        shared = len(path)  # the levels of path on x's way
+        # step down path while x enters took strictly inside: on the way
+        # the earlier descent passed every check with the numbers x would
+        # compute, and it reached node i with the state path[i] holds
+        i = 0
+        while i < shared:
+            entry = path[i]
+            kids = entry[0]
+            took = entry[2]
+            # node_children's choice: the last child holding x
+            for chosen in last_first:
+                kid = kids[chosen]
+                if kid[0] <= x <= kid[1]:
+                    break
+            else:
+                chosen = -1
+            if chosen != took or i + 1 == shared or x == kid[0] or x == kid[1]:
+                break
+            i += 1
+        if shared:
+            _, conds, _, acc, mass, logdet, word = path[i]
+            depth += i
+        # read only to expand the node the walk starts from
         a_, b_, c_, d_ = mat
+        owned = False  # whether path is this descent's own list
         while True:
-            if mass < mass_tol or depth >= max_depth:
-                return acc, mass
-            kids, chosen = node_children(coeffs, a_, b_, c_, d_, lo, hi, x)
-            conds = const_conds or self._conds(word, logdet, kids)
+            if i >= shared:
+                # a node read from path passed these cutoffs before
+                if mass < mass_tol or depth >= max_depth:
+                    return acc, mass, path
+                kids, chosen = node_children(coeffs, a_, b_, c_, d_, lo, hi, x)
+                conds = const_conds or self._conds(word, logdet, kids)
+                if not owned:
+                    path = path[:i]
+                    owned = True
+                path.append((kids, conds, chosen, acc, mass, logdet, word))
             if chosen < 0:
                 # x sits in a gap: everything to the left is exact
                 for j in range(m):
                     if kids[j][1] <= x:
                         acc += mass * conds[j]
-                return acc, 0.0
+                return acc, 0.0, path
             l_j, h_j, a_, b_, c_, d_ = kids[chosen]
             if x == l_j:
                 for j in range(chosen):
                     acc += mass * conds[j]
-                return acc, 0.0
+                return acc, 0.0, path
             if x == h_j:
                 for j in range(chosen + 1):
                     acc += mass * conds[j]
-                return acc, 0.0
+                return acc, 0.0, path
             if h_j - l_j < WIDTH_FLOOR:
                 raise PrecisionError(
                     f"cylinder width {h_j - l_j:.3e} under the precision floor "
                     f"at depth {depth + 1}")
+            if i < shared and chosen != took:
+                # x leaves path at node i: the nodes below are expanded
+                path = path[:i]
+                path.append((kids, conds, chosen, acc, mass, logdet, word))
+                owned = True
+                shared = i + 1
             for j in range(chosen):
                 acc += mass * conds[j]
             mass *= conds[chosen]
@@ -181,6 +247,7 @@ class DistributionFunction:
                 # only _conds reads the word
                 word += (chosen,)
             depth += 1
+            i += 1
 
     def cdf(self, x: float) -> CdfValue:
         value, err = self._descend(float(x))
@@ -255,8 +322,10 @@ class DistributionFunction:
                     values[i0 + pos:i1] = acc
                     continue
             walk = self._walk
+            path = []  # the leaf's own path, from its node down
             for i, x in enumerate(s[i0:i1].tolist(), i0):
-                values[i], errors[i] = walk(x, acc, mass, word, mat, logdet, depth)
+                values[i], errors[i], path = walk(x, acc, mass, word, mat,
+                                                  logdet, depth, path)
         return values, errors
 
 

@@ -1,3 +1,5 @@
+import argparse
+import gc
 import json
 import math
 from pathlib import Path
@@ -585,6 +587,46 @@ def test_each_subcommand_parses_only_the_flags_it_reads(capsys, command):
             parser.parse_args(argv)
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+# each subcommand on cantor_14_34 in milliseconds, and one run of each
+# failing exit code
+WARM_RUNS = [((command,) + flags, 0) for command, flags in {
+    "check": (), "pressure": ("--depth", "6"), "beta": ("--q-steps", "5"),
+    "spectrum": ("--q-steps", "5"), "predict-packing": ("--q-steps", "5"),
+    "endpoints": (), "coarse": ("--depth", "5"), "verify-prop": (),
+    "cdf": ("--points", "0.3,0.7"), "holder": ("--points", "0.3"),
+    "detrend": ("--points", "0.3")}.items()]
+WARM_RUNS += [(("cdf", "--points", "0.3", "--depth", "40", "--tol", "0"), 1),
+              (("cdf", "--points", "nan"), 2)]
+
+
+@pytest.mark.parametrize("argv, code", WARM_RUNS,
+                         ids=[" ".join(argv) for argv, _ in WARM_RUNS])
+def test_warm_main_leaves_no_cyclic_garbage(capsys, monkeypatch, argv, code):
+    # the parser is built once per process, so a command after the first
+    # frees everything it made by reference counting alone
+    argv = [argv[0], "--config", str(CONFIGS / "cantor_14_34.json"),
+            *argv[1:]]
+    assert main(argv) == code
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    gc.collect()
+    gc.disable()
+    try:
+        assert main(argv) == code
+        garbage = gc.collect()
+    finally:
+        gc.enable()
+    capsys.readouterr()
+    assert garbage == 0
+    assert built == []
+    assert _build_parser() is _build_parser()
 
 
 # every config field the CLI reads, with a subcommand that reads it

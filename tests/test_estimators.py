@@ -1,5 +1,8 @@
+import functools
 import math
 import random
+import sys
+import threading
 from collections import Counter
 from pathlib import Path
 
@@ -12,10 +15,10 @@ from mfgibbs.errors import (CapacityError, DomainError, NormalizationError,
                             PrecisionError, ScaleError)
 from mfgibbs.estimators import (DepthPolicy, DistributionFunction, Scales,
                                 coarse_spectrum, deep_policy,
-                                default_scale_base,
+                                default_policy, default_scale_base,
                                 exact_exponent_at_coded_point,
                                 holder_exponent_estimate, measure_ball)
-from mfgibbs import ifs_geometry, thermodynamics
+from mfgibbs import estimators, ifs_geometry, thermodynamics
 from mfgibbs.cli import build_potential, build_system, load_config
 from mfgibbs.ifs_geometry import (AffineMap, IfsSystem, MoebiusMap,
                                   cylinder_interval, periodic_point,
@@ -401,6 +404,7 @@ def compositions(monkeypatch):
     counted(thermodynamics, "matrix_fixed_point", "matrix_fixed_point")
     counted(Potential, "block_sum", "block_sum")
     counted(DistributionFunction, "_conds", "levels")
+    counted(estimators, "node_children", "node_children")
     return calls
 
 
@@ -425,6 +429,180 @@ def test_descent_composes_no_word(compositions):
     assert 0 < compositions["levels"] <= len(xs) * F.policy.max_depth
     assert compositions["word_matrix"] == compositions["block_sum"] == 0
     assert compositions["matrix_fixed_point"] <= m * compositions["levels"]
+
+
+@functools.cache
+def _config_cascade(config):
+    cfg = load_config(str(CONFIGS / f"{config}.json"))
+    ifs = build_system(cfg)
+    return ifs, build_potential(cfg, ifs)
+
+
+def _config_F(config, policy=deep_policy):
+    ifs, psi = _config_cascade(config)
+    return DistributionFunction(ifs, psi, policy(ifs))
+
+
+@pytest.mark.parametrize("config", ["cantor_14_34", "moebius_pair"])
+def test_repeated_point_expands_no_node(compositions, config):
+    F = _config_F(config)
+    ifs = F.system
+    for x in (0.3, 1 / 3, periodic_point(ifs, PeriodicWord.parse("011")),
+              cylinder_interval(ifs, Word.parse("0110"))[1], math.nan):
+        first = F.cdf(x)
+        compositions.clear()
+        assert F.cdf(x) == first
+        assert compositions["node_children"] == compositions["levels"] == 0
+
+
+def _taken(F, x, monkeypatch):
+    """The child a fresh descent of x takes at each node it expands."""
+    taken = []
+    expand = estimators.node_children
+
+    def recording(*args):
+        kids, chosen = expand(*args)
+        taken.append(chosen)
+        return kids, chosen
+    with monkeypatch.context() as patch:
+        patch.setattr(estimators, "node_children", recording)
+        DistributionFunction(F.system, F.potential, F.policy).cdf(x)
+    return taken
+
+
+def test_nearby_point_expands_below_the_parting_depth(compositions,
+                                                       monkeypatch):
+    F = _config_F("moebius_pair")
+    ifs = F.system
+    pairs = []
+    for w in ("011", "01", "0010"):
+        x = periodic_point(ifs, PeriodicWord.parse(w))
+        # x + r lands in a gap at some depth; y shares x's first 2|w|
+        # letters and goes down to the depth cap
+        pairs += [(x, x + r) for r in (1e-3, 1e-5, 1e-6)]
+        y = stream_point(ifs, SymbolStream(Word.parse(w * 2 + "1"),
+                                           PeriodicWord.parse("01")))
+        pairs.append((x, y))
+    expanded = []
+    for x, y in pairs:
+        taken_x, taken_y = _taken(F, x, monkeypatch), _taken(F, y, monkeypatch)
+        part = next(i for i, (a, b) in enumerate(zip(taken_x, taken_y))
+                    if a != b)
+        F.cdf(x)
+        compositions.clear()
+        F.cdf(y)
+        # the node where the codings part is read from x's descent, the
+        # nodes below it are expanded, and each expansion takes its splits
+        assert compositions["node_children"] == len(taken_y) - part - 1
+        assert compositions["levels"] == compositions["node_children"]
+        expanded.append(compositions["node_children"])
+    # each y parts from x at depth 2|w| and is expanded below it
+    assert expanded[3::4] == [F.policy.max_depth - 2 * len(w) - 1
+                              for w in ("011", "01", "0010")]
+
+
+def _bits(F, x):
+    """F(x) on F as its exact float bits, or the PrecisionError message."""
+    try:
+        v = F.cdf(x)
+    except PrecisionError as exc:
+        return str(exc)
+    return v.value.hex(), v.error_bound.hex()
+
+
+def _to_the_floor(ifs):
+    # deep enough that descents near the attractor meet the width floor
+    return DepthPolicy(60, mass_tol=0.0)
+
+
+@st.composite
+def _point_sequences(draw, ifs):
+    """Points in the order a study asks for them: domain ends, NaN, 1/3,
+    cylinder_interval ends and uniform points, with repeats and
+    neighbours from one ulp to 1e-6 away."""
+    lo, hi = ifs.domain
+    m = ifs.alphabet_size
+    pool = [lo, hi, math.nan, 1 / 3]
+    pool += draw(st.lists(st.floats(lo, hi), max_size=8))
+    for w in draw(st.lists(st.lists(st.integers(0, m - 1), min_size=1,
+                                    max_size=12), max_size=6)):
+        pool += cylinder_interval(ifs, Word(tuple(w)))
+    xs = []
+    for _ in range(draw(st.integers(20, 60))):
+        x = draw(st.sampled_from(xs + pool))
+        step = draw(st.sampled_from([None, 0.0, 1e-12, 1e-9, 1e-6]))
+        if step is None:
+            x = math.nextafter(x, draw(st.sampled_from([-math.inf, math.inf])))
+        else:
+            x += draw(st.sampled_from([-1, 1])) * step
+        xs.append(x)
+    return xs
+
+
+@pytest.mark.parametrize("policy", [default_policy, deep_policy,
+                                    _to_the_floor])
+@pytest.mark.parametrize("config", ["lebesgue", "uniform_cantor",
+                                    "cantor_14_34", "moebius_pair"])
+@settings(max_examples=8, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_warm_distribution_function_is_a_fresh_one(config, policy, data):
+    F = _config_F(config, policy)
+    xs = data.draw(_point_sequences(F.system))
+    ref = [_bits(_config_F(config, policy), x) for x in xs]
+    assert [_bits(F, x) for x in xs] == ref
+    # a batch after any scalar calls is still the scalar path
+    errors = [r for r in ref if isinstance(r, str)]
+    if errors:
+        with pytest.raises(PrecisionError) as exc:
+            F.cdf_many(xs)
+        assert str(exc.value) == errors[0]
+    else:
+        values, bounds = F.cdf_many(xs)
+        assert [(v.hex(), e.hex()) for v, e in
+                zip(values.tolist(), bounds.tolist())] == ref
+
+
+@pytest.mark.parametrize("config", ["moebius_pair", "lebesgue"])
+def test_threads_sharing_a_distribution_function(config):
+    F = _config_F(config)
+    ifs = F.system
+    # 200 points: sorted uniform ones, ball ends t0 +- 2**-j around coded
+    # points, a cylinder end, the domain ends and NaN
+    rng = random.Random(17)
+    xs = sorted(rng.random() for _ in range(100))
+    for w in ("01", "011", "0010", "1101"):
+        t0 = periodic_point(ifs, PeriodicWord.parse(w))
+        xs += [t0 + s * 2.0 ** -j for j in range(1, 13) for s in (1, -1)]
+    xs += [cylinder_interval(ifs, Word.parse("0110"))[0], 0.0, 1.0, math.nan]
+    ref = [_bits(_config_F(config), x) for x in xs]
+    got = {}
+
+    def study(k):
+        # each thread asks for every point in five orders of its own
+        shuffle = random.Random(k).shuffle
+        order = list(range(len(xs)))
+        got[k] = []
+        for _ in range(5):
+            shuffle(order)
+            got[k].append({i: _bits(F, xs[i]) for i in order})
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=study, args=(k,))
+                   for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(got) == 4
+    for passes in got.values():
+        for values in passes:
+            assert [values[i] for i in range(len(xs))] == ref
 
 
 @settings(max_examples=30, deadline=None,
