@@ -1,5 +1,12 @@
 """Command line front end: JSON config in, CSV out.
 
+Every setting is resolved by one reader, `_setting`: the flag when it is
+given, else the config field, else the default.  It returns where the
+value came from, and its checks name that flag or field, so every fault
+in the input exits 2 with its source named.  Each subcommand returns its
+table, a header, rows and a one-line summary; `main` writes the rows as
+CSV, to --out or stdout, and the summary to stderr.
+
 Output is byte-identical for a given config, regardless of --threads
 (accepted and ignored).  Numbers are printed with 17 significant digits
 so CSV golden files round-trip through binary64 exactly.
@@ -38,27 +45,15 @@ DEFAULT_BATTERY = (
 
 
 def _num(value, where: str) -> float:
-    if isinstance(value, bool):
-        raise ConfigError(f"{where}: expected a number")
-    if isinstance(value, (int, float)):
-        number = float(value)
-    elif isinstance(value, str) and "/" in value:
-        p, _, q = value.partition("/")
-        try:
-            den = float(q)
-            if den == 0.0:
-                raise ValueError
-            number = float(p) / den
-        except ValueError:
-            raise ConfigError(f"{where}: bad rational {value!r}") from None
-    elif isinstance(value, str):
-        try:
-            number = float(value)
-        except ValueError:
-            raise ConfigError(f"{where}: bad number {value!r}") from None
-    else:
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
         raise ConfigError(f"{where}: expected a number, got "
                           f"{type(value).__name__}")
+    p, slash, q = str(value).partition("/")
+    try:
+        number = float(p) / float(q) if slash else float(value)
+    except (ValueError, ArithmeticError):
+        kind = "rational" if slash else "number"
+        raise ConfigError(f"{where}: bad {kind} {value!r}") from None
     if not math.isfinite(number):
         raise ConfigError(f"{where}: expected a finite number, got {value!r}")
     return number
@@ -78,6 +73,48 @@ def _list(value, where: str) -> list:
     return value
 
 
+def _each(read, unit: str = ""):
+    """A reader of lists whose entries `read` reads; given a unit, the
+    list must hold at least one."""
+    def read_list(value, where: str) -> list:
+        values = [read(v, where) for v in _list(value, where)]
+        if unit and not values:
+            raise ConfigError(f"{where}: need at least one {unit}")
+        return values
+    return read_list
+
+
+def _at_least(n: int, unit: str):
+    """A reader of integers of at least n, counting `unit`."""
+    def read(value, where: str) -> int:
+        v = _int(value, where)
+        if v < n:
+            raise ConfigError(f"{where}: need at least {n} {unit}, got {v}")
+        return v
+    return read
+
+
+def _positive(read):
+    """`read`, refusing a value of 0 or below."""
+    def read_positive(value, where: str):
+        v = read(value, where)
+        if v <= 0:
+            raise ConfigError(f"{where}: must be positive, got {v:g}")
+        return v
+    return read_positive
+
+
+def _within(lo: float, hi: float, ends: bool = True):
+    """A reader of numbers from lo to hi, the ends included if `ends`."""
+    def read(value, where: str) -> float:
+        v = _num(value, where)
+        if not (lo <= v <= hi if ends else lo < v < hi):
+            span = f"[{lo}, {hi}]" if ends else f"({lo}, {hi})"
+            raise ConfigError(f"{where}: {v} is outside {span}")
+        return v
+    return read
+
+
 def _block(cfg: dict, key: str) -> dict:
     """Optional config section `key`; absent means all defaults."""
     block = cfg.get(key, {})
@@ -91,6 +128,29 @@ def _get(mapping, key, where: str):
     if not isinstance(mapping, dict) or key not in mapping:
         raise ConfigError(f"{where}: missing field {key!r}")
     return mapping[key]
+
+
+def _setting(args, cfg: dict, flag, field: str, default, read):
+    """One setting as `(value, where)`, where naming its source.
+
+    The value is the flag's when the flag is given, else the config
+    field `section.key` (a bare `key` is top-level), else `default`; a
+    field with no default must be set.  `read(value, where)` checks and
+    converts it, so its faults name the flag or field.
+    """
+    section, _, key = field.rpartition(".")
+    block = _block(cfg, section) if section else cfg
+    value = getattr(args, flag[2:].replace("-", "_"), None) if flag else None
+    if value is not None:
+        return read(value, flag), flag
+    value = (_get(block, key, section) if default is None
+             else block.get(key, default))
+    return read(value, field), field
+
+
+def _field(cfg: dict, field: str, default, read):
+    """The value of a config field that no flag sets."""
+    return _setting(None, cfg, None, field, default, read)[0]
 
 
 def load_config(path: str) -> dict:
@@ -120,58 +180,58 @@ def build_system(cfg: dict) -> IfsSystem:
     maps = _get(sys_cfg, "maps", "system")
     if not isinstance(maps, list) or len(maps) < 2:
         raise ConfigError("system.maps: need a list of at least two maps")
+    if family not in ("affine", "moebius"):
+        raise ConfigError(f"system.family: unknown family {family!r}")
+    keys = ("ratio", "offset") if family == "affine" else ("a", "b", "c", "d")
+    entries = [tuple(_num(_get(mp, key, f"maps[{i}]"), f"maps[{i}].{key}")
+                     for key in keys) for i, mp in enumerate(maps)]
     try:
         if family == "affine":
-            entries = [( _num(_get(mp, "ratio", f"maps[{i}]"), f"maps[{i}].ratio"),
-                         _num(_get(mp, "offset", f"maps[{i}]"), f"maps[{i}].offset"))
-                       for i, mp in enumerate(maps)]
             return IfsSystem.affine(domain, entries)
-        if family == "moebius":
-            entries = [tuple(_num(_get(mp, key, f"maps[{i}]"),
-                                  f"maps[{i}].{key}")
-                             for key in ("a", "b", "c", "d"))
-                       for i, mp in enumerate(maps)]
-            return IfsSystem.moebius(domain, entries)
+        return IfsSystem.moebius(domain, entries)
     except ValueError as exc:
         raise ConfigError(f"system: {exc}") from None
-    raise ConfigError(f"system.family: unknown family {family!r}")
 
 
 def _potential(cfg: dict, ifs: IfsSystem) -> Potential:
     """The config's potential as written, before any normalization."""
     _get(cfg, "potential", "config")
-    pot_cfg = _block(cfg, "potential")
-    kind = _get(pot_cfg, "kind", "potential")
+    kind = _get(_block(cfg, "potential"), "kind", "potential")
     m = ifs.alphabet_size
+    nums = _each(_num)
     try:
         if kind == "bernoulli":
-            if "probabilities" in pot_cfg:
-                vals = [_num(v, "potential.probabilities") for v in _list(
-                    pot_cfg["probabilities"], "potential.probabilities")]
+            if "probabilities" in cfg["potential"]:
+                vals = _field(cfg, "potential.probabilities", None, nums)
                 psi = Potential.from_probabilities(vals)
             else:
-                vals = [_num(v, "potential.log_weights") for v in _list(
-                    _get(pot_cfg, "log_weights", "potential"),
-                    "potential.log_weights")]
+                vals = _field(cfg, "potential.log_weights", None, nums)
                 psi = Potential.bernoulli(vals)
             if len(vals) != m:
                 raise ConfigError(
                     f"potential: {len(vals)} weights for {m} maps")
         elif kind == "finite_range":
-            r = _int(_get(pot_cfg, "depth", "potential"), "potential.depth")
-            table = [_num(v, "potential.table") for v in _list(
-                _get(pot_cfg, "table", "potential"), "potential.table")]
-            psi = Potential.finite_range(r, m, table)
+            psi = Potential.finite_range(
+                _field(cfg, "potential.depth", None, _int), m,
+                _field(cfg, "potential.table", None, nums))
         elif kind == "geometric_multiple":
-            coeff = _num(_get(pot_cfg, "coefficient", "potential"),
-                         "potential.coefficient")
-            shift = _num(pot_cfg.get("shift", 0.0), "potential.shift")
-            psi = Potential.geometric(ifs, coeff, shift)
+            psi = Potential.geometric(
+                ifs, _field(cfg, "potential.coefficient", None, _num),
+                _field(cfg, "potential.shift", 0.0, _num))
         else:
             raise ConfigError(f"potential.kind: unknown kind {kind!r}")
     except ValueError as exc:
         raise ConfigError(f"potential: {exc}") from None
     return psi
+
+
+def _normalizes(cfg: dict) -> bool:
+    """Whether the config asks for its potential normalized."""
+    norm = _block(cfg, "potential").get("normalize", False)
+    if not isinstance(norm, bool):
+        raise ConfigError(f"potential.normalize: expected true or false, "
+                          f"got {norm!r}")
+    return norm
 
 
 def build_potential(cfg: dict, ifs: IfsSystem, threads=None,
@@ -182,11 +242,7 @@ def build_potential(cfg: dict, ifs: IfsSystem, threads=None,
     passes a thread count there, which would otherwise become `depth`.
     """
     psi = _potential(cfg, ifs)
-    norm = _block(cfg, "potential").get("normalize", False)
-    if not isinstance(norm, bool):
-        raise ConfigError(f"potential.normalize: expected true or false, "
-                          f"got {norm!r}")
-    if norm:
+    if _normalizes(cfg):
         psi = normalize(ifs, psi, k_max=depth)
     return psi
 
@@ -204,15 +260,10 @@ def _level(args, cfg: dict, ifs: IfsSystem) -> int:
     pressure, beta and the spectra solve at it, so beta(1) = 0 holds
     at the level of the roots; no other `--depth` moves it.
     """
-    if args.command in _LEVEL_COMMANDS and args.depth is not None:
-        return args.depth
-    block = _block(cfg, "pressure")
-    if "depth" in block:
-        depth = _int(block["depth"], "pressure.depth")
-        if depth < 1:
-            raise ConfigError(f"pressure.depth: must be positive, got {depth}")
-        return depth
-    return default_level(ifs, _potential(cfg, ifs))
+    flag = "--depth" if args.command in _LEVEL_COMMANDS else None
+    return _setting(args, cfg, flag, "pressure.depth",
+                    default_level(ifs, _potential(cfg, ifs)),
+                    _positive(_int))[0]
 
 
 def _fmt(value) -> str:
@@ -223,50 +274,25 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(out_path, header, rows) -> None:
-    text = ",".join(header) + "\n" + "".join(
-        ",".join(_fmt(v) for v in row) + "\n" for row in rows)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _summary(line: str) -> None:
-    print(line, file=sys.stderr)
-
-
-def _parse_points(text: str, where: str) -> list[float]:
-    points = [_num(tok.strip(), where)
-              for tok in text.split(",") if tok.strip()]
-    if not points:
-        raise ConfigError(f"{where}: no points in {text!r}")
-    return points
-
-
-def _config_points(args, cfg, key: str) -> list[float]:
-    if args.points:
-        return _parse_points(args.points, "--points")
-    block = _block(cfg, key)
-    where = f"{key}.points" if "points" in block else "points"
-    pts = block.get("points", cfg.get("points"))
-    if pts is None:
-        raise ConfigError(f"no points given: pass --points or set "
-                          f"{key}.points in the config")
-    points = [_num(v, where) for v in _list(pts, where)]
-    if not points:
-        raise ConfigError(f"{where}: need at least one point")
-    return points
+def _points(args, cfg: dict, section: str, read) -> list:
+    """--points, else the config's `section.points`, else its top-level
+    `points`, each point read by `read`."""
+    field = f"{section}.points"
+    if "points" not in _block(cfg, section):
+        if args.points is None and "points" not in cfg:
+            raise ConfigError(f"no points given: pass --points or set "
+                              f"{field} in the config")
+        field = "points"
+    return _setting(args, cfg, "--points", field, None,
+                    _each(read, "point"))[0]
 
 
 def _scales_from(cfg: dict, ifs: IfsSystem) -> Scales:
     if "scales" not in cfg:
         return Scales(default_scale_base(ifs))
-    block = _block(cfg, "scales")
-    base = _num(_get(block, "base", "scales"), "scales.base")
-    j_min = _int(block.get("j_min", 1), "scales.j_min")
-    j_max = _int(block.get("j_max", 20), "scales.j_max")
+    base = _field(cfg, "scales.base", None, _num)
+    j_min = _field(cfg, "scales.j_min", 1, _int)
+    j_max = _field(cfg, "scales.j_max", 20, _int)
     if base <= 1.0:
         raise ConfigError(f"scales.base: must exceed 1, got {base:g}")
     if j_max <= j_min:
@@ -275,34 +301,28 @@ def _scales_from(cfg: dict, ifs: IfsSystem) -> Scales:
     return Scales(base, j_min, j_max)
 
 
-def _require_normalized(cfg, ifs, psi) -> None:
-    """Refuse a potential of nonzero pressure before any beta(q) root.
-
-    One the config asks to normalize has zero pressure by construction.
-    """
-    if not _block(cfg, "potential").get("normalize", False):
-        require_normalized(ifs, psi)
-
-
-def _q_grid(args, cfg, min_steps: int = 3):
-    """The q grid from the flags, else the config; a fault names the flag
-    or field its value came from."""
-    block = _block(cfg, "q_grid")
-    at_min = "--q-min" if args.q_min is not None else "q_grid.min"
-    at_steps = "--q-steps" if args.q_steps is not None else "q_grid.steps"
-    q_min = args.q_min if args.q_min is not None else _num(
-        block.get("min", -10.0), at_min)
-    q_max = args.q_max if args.q_max is not None else _num(
-        block.get("max", 10.0), "q_grid.max")
-    steps = args.q_steps if args.q_steps is not None else _int(
-        block.get("steps", 201), at_steps)
-    if steps < min_steps:
-        raise ConfigError(f"{at_steps}: need at least {min_steps} points, "
-                          f"got {steps}")
+def _q_grid(args, cfg, ifs, psi, min_steps: int = 3):
+    """The q grid from the flags, else the config, for a potential of
+    zero pressure: one the config normalizes, or one that passes the
+    gate before any beta(q) root."""
+    q_min, at_min = _setting(args, cfg, "--q-min", "q_grid.min", -10.0, _num)
+    q_max, _ = _setting(args, cfg, "--q-max", "q_grid.max", 10.0, _num)
+    steps, _ = _setting(args, cfg, "--q-steps", "q_grid.steps", 201,
+                        _at_least(min_steps, "points"))
     if q_min >= q_max:
         raise ConfigError(f"{at_min}: {q_min:g} is not below the grid's "
                           f"upper end {q_max:g}")
+    if not _normalizes(cfg):
+        require_normalized(ifs, psi)
     return q_min, q_max, steps
+
+
+def _curve(args, cfg, ifs, psi, level):
+    """The spectrum curve on the q grid, for `spectrum` and
+    `predict-packing`."""
+    q_min, q_max, steps = _q_grid(args, cfg, ifs, psi)
+    return spectrum_curve(ifs, psi, k=level, q_min=q_min, q_max=q_max,
+                          q_steps=steps)
 
 
 def _cmd_check(args, cfg, ifs, psi, level):
@@ -320,72 +340,63 @@ def _cmd_check(args, cfg, ifs, psi, level):
         ("ratio_max", diag.ratio_max),
         ("degenerate", diag.degenerate),
     ]
-    _write_csv(args.out, ("property", "value"), rows)
-    _summary(f"check: osc={_fmt(osc.satisfied)} "
-             f"degenerate={_fmt(diag.degenerate)}")
-    return 0
+    return (("property", "value"), rows,
+            f"check: osc={_fmt(osc.satisfied)} "
+            f"degenerate={_fmt(diag.degenerate)}")
 
 
 def _cmd_pressure(args, cfg, ifs, psi, level):
-    tol = args.tol if args.tol is not None else _num(
-        _block(cfg, "pressure").get("tol", 1e-12), "pressure.tol")
+    tol, _ = _setting(args, cfg, "--tol", "pressure.tol", 1e-12,
+                      _within(0.0, math.inf))
     r = effective_range(ifs, psi)
     if level < 2 and (r is None or r > level):
         # short of the potential's range the bound needs two levels
         at = "--depth" if args.depth is not None else "pressure.depth"
         raise ConfigError(f"{at}: need at least 2 levels, got {level}")
     result = pressure(ifs, psi, k_max=level, tol=tol)
-    rows = [(i + 1, v) for i, v in enumerate(result.levels)]
-    _write_csv(args.out, ("level", "pressure"), rows)
-    _summary(f"pressure: value={_fmt(result.value)} "
-             f"error_bound={_fmt(result.error_bound)} "
-             f"levels={len(result.levels)}")
-    return 0
+    return (("level", "pressure"),
+            [(i + 1, v) for i, v in enumerate(result.levels)],
+            f"pressure: value={_fmt(result.value)} "
+            f"error_bound={_fmt(result.error_bound)} "
+            f"levels={len(result.levels)}")
 
 
 def _cmd_beta(args, cfg, ifs, psi, level):
-    q_min, q_max, steps = _q_grid(args, cfg, min_steps=2)
-    _require_normalized(cfg, ifs, psi)
+    q_min, q_max, steps = _q_grid(args, cfg, ifs, psi, min_steps=2)
     qs = [q_min + (q_max - q_min) * i / (steps - 1) for i in range(steps)]
     qs, betas, _ = beta_grid(ifs, psi, qs, k=level)
-    _write_csv(args.out, ("q", "beta"), zip(qs.tolist(), betas.tolist()))
-    _summary(f"beta: {steps} points on [{q_min:g}, {q_max:g}]")
-    return 0
+    return (("q", "beta"), zip(qs.tolist(), betas.tolist()),
+            f"beta: {steps} points on [{q_min:g}, {q_max:g}]")
 
 
 def _cmd_spectrum(args, cfg, ifs, psi, level):
-    q_min, q_max, steps = _q_grid(args, cfg)
-    _require_normalized(cfg, ifs, psi)
-    curve = spectrum_curve(ifs, psi, k=level, q_min=q_min, q_max=q_max,
-                           q_steps=steps)
+    curve = _curve(args, cfg, ifs, psi, level)
     columns = (curve.qs, curve.betas, curve.alphas, curve.beta_stars)
-    _write_csv(args.out, ("q", "beta", "alpha", "beta_star"),
-               zip(*(column.tolist() for column in columns)))
-    _summary(f"spectrum: alpha_minus={curve.alpha_minus:.6f} "
-             f"alpha_plus={curve.alpha_plus:.6f} "
-             f"alpha_zero={curve.alpha_zero:.6f} "
-             f"beta_star_alpha_zero={curve.dimension:.6f} "
-             f"degenerate={_fmt(curve.degenerate)}")
-    return 0
+    return (("q", "beta", "alpha", "beta_star"),
+            zip(*(column.tolist() for column in columns)),
+            f"spectrum: alpha_minus={curve.alpha_minus:.6f} "
+            f"alpha_plus={curve.alpha_plus:.6f} "
+            f"alpha_zero={curve.alpha_zero:.6f} "
+            f"beta_star_alpha_zero={curve.dimension:.6f} "
+            f"degenerate={_fmt(curve.degenerate)}")
 
 
 def _cmd_endpoints(args, cfg, ifs, psi, level):
-    ell_max = args.depth if args.depth is not None else _int(
-        _block(cfg, "endpoints").get("ell_max", 6), "endpoints.ell_max")
-    if ell_max < 1:
-        raise ConfigError(f"endpoints.ell_max: must be positive, got {ell_max}")
+    ell_max, _ = _setting(args, cfg, "--depth", "endpoints.ell_max", 6,
+                          _positive(_int))
     lo, hi = endpoints(ifs, psi, ell_max=ell_max)
-    _write_csv(args.out, ("alpha_minus", "alpha_plus"), [(lo, hi)])
-    _summary(f"endpoints: [{lo:.6f}, {hi:.6f}] at ell_max={ell_max}")
-    return 0
+    return (("alpha_minus", "alpha_plus"), [(lo, hi)],
+            f"endpoints: [{lo:.6f}, {hi:.6f}] at ell_max={ell_max}")
 
 
 def _cmd_cdf(args, cfg, ifs, psi, level):
-    points = _config_points(args, cfg, "cdf")
+    # outside the domain F is 0 or 1, so any finite point is valid
+    points = _points(args, cfg, "cdf", _num)
     default = default_policy(ifs)
     policy = DepthPolicy(
-        max_depth=args.depth if args.depth is not None else default.max_depth,
-        mass_tol=args.tol if args.tol is not None else default.mass_tol)
+        max_depth=args.depth or default.max_depth,
+        mass_tol=default.mass_tol if args.tol is None
+        else _within(0.0, math.inf)(args.tol, "--tol"))
     F = DistributionFunction(ifs, psi, policy)
     rows = []
     worst = 0.0
@@ -393,38 +404,31 @@ def _cmd_cdf(args, cfg, ifs, psi, level):
         val = F.cdf(x)
         worst = max(worst, val.error_bound)
         rows.append((x, val.value, val.error_bound))
-    _write_csv(args.out, ("x", "value", "error_bound"), rows)
-    _summary(f"cdf: {len(points)} points, max error bound {_fmt(worst)}")
-    return 0
+    return (("x", "value", "error_bound"), rows,
+            f"cdf: {len(points)} points, max error bound {_fmt(worst)}")
 
 
 def _cmd_holder(args, cfg, ifs, psi, level):
-    points = _config_points(args, cfg, "holder")
+    points = _points(args, cfg, "holder", _within(*ifs.domain))
     scales = _scales_from(cfg, ifs)
     F = DistributionFunction(ifs, psi, deep_policy(ifs))
     rows = []
     for t0 in points:
         est = holder_exponent_estimate(F, t0, scales)
         rows.append((t0, est.exponent, len(est.scale_pairs)))
-    _write_csv(args.out, ("t0", "exponent", "usable_scales"), rows)
-    _summary(f"holder: {len(points)} points, method=regression")
-    return 0
+    return (("t0", "exponent", "usable_scales"), rows,
+            f"holder: {len(points)} points, method=regression")
 
 
 def _cmd_coarse(args, cfg, ifs, psi, level):
-    block = _block(cfg, "coarse")
     if args.depth is not None:
-        base = default_scale_base(ifs)
-        deltas = [base ** (-args.depth)]
+        deltas = [default_scale_base(ifs) ** (-args.depth)]
     else:
-        deltas = [_num(v, "coarse.deltas") for v in _list(
-            _get(block, "deltas", "coarse"), "coarse.deltas")]
-        if not deltas:
-            raise ConfigError("coarse.deltas: need at least one box size")
-    width = _num(block.get("alpha_bin_width", 0.2), "coarse.alpha_bin_width")
-    if width <= 0.0:
-        raise ConfigError(f"coarse.alpha_bin_width: must be positive, "
-                          f"got {width:g}")
+        # the box sizes below the domain's width
+        lo, hi = ifs.domain
+        deltas = _field(cfg, "coarse.deltas", None,
+                        _each(_within(0.0, hi - lo, ends=False), "box size"))
+    width = _field(cfg, "coarse.alpha_bin_width", 0.2, _positive(_num))
     F = DistributionFunction(ifs, psi)
     rows = []
     kept = []
@@ -432,100 +436,96 @@ def _cmd_coarse(args, cfg, ifs, psi, level):
         kept.append(result.kept_mass)
         for b in result.bins:
             rows.append((result.delta, b.alpha_center, b.count, b.f_alpha))
-    _write_csv(args.out, ("delta", "alpha_center", "count", "f_alpha"), rows)
-    _summary(f"coarse: {len(deltas)} deltas, {len(rows)} bins, "
-             f"kept_mass_min={min(kept):.6f}")
-    return 0
+    return (("delta", "alpha_center", "count", "f_alpha"), rows,
+            f"coarse: {len(deltas)} deltas, {len(rows)} bins, "
+            f"kept_mass_min={min(kept):.6f}")
 
 
 def _cmd_verify_prop(args, cfg, ifs, psi, level):
-    block = _block(cfg, "probe")
-    words = _list(block.get("words", list(DEFAULT_BATTERY)), "probe.words")
-    ks = [_int(v, "probe.ks") for v in _list(block.get("ks", [1, 3]),
-                                             "probe.ks")]
-    at_n_max = "--depth" if args.depth is not None else "probe.n_max"
-    n_max = args.depth if args.depth is not None else _int(
-        block.get("n_max", 25), at_n_max)
-    if n_max < PROBE_MIN_DEPTHS:
-        raise ConfigError(f"{at_n_max}: need at least {PROBE_MIN_DEPTHS} "
-                          f"depths, got {n_max}")
+    m = ifs.alphabet_size
+
+    def word(value, where):
+        text = str(value)
+        try:
+            parsed = Word.parse(text)
+        except ValueError:
+            parsed = Word(())
+        if not parsed or max(parsed) >= m:
+            raise ConfigError(f"{where}: {text!r} is not a word on the "
+                              f"symbols 0 to {m - 1}")
+        return text, parsed
+
+    def odd(value, where):
+        k = _int(value, where)
+        if k < 1 or k % 2 == 0:
+            raise ConfigError(f"{where}: k must be a positive odd integer, "
+                              f"got {k}")
+        return k
+    words = _field(cfg, "probe.words", list(DEFAULT_BATTERY), _each(word))
+    ks = _field(cfg, "probe.ks", [1, 3], _each(odd))
+    n_max, _ = _setting(args, cfg, "--depth", "probe.n_max", 25,
+                        _at_least(PROBE_MIN_DEPTHS, "depths"))
     F = DistributionFunction(ifs, psi, deep_policy(ifs))
     scales = Scales(2.0, 1, n_max)
     rows = []
     finite = violations = 0
-    for text in words:
-        word = Word.parse(str(text))
-        x = stream_point(ifs, PeriodicWord(word).stream())
+    for text, parsed in words:
+        x = stream_point(ifs, PeriodicWord(parsed).stream())
         for k in ks:
             probe = derivative_limit_probe(F, x, k, scales)
             hit = probe.classification == "finite_limit"
             finite += hit
             violations += hit and not probe.degenerate_hypothesis
-            rows.append((str(text), k, x, probe.classification,
+            rows.append((text, k, x, probe.classification,
                          math.nan if probe.limit_value is None
                          else probe.limit_value,
                          probe.degenerate_hypothesis))
-    _write_csv(args.out, ("word", "k", "x", "classification", "limit_value",
-                          "degenerate_hypothesis"), rows)
-    _summary(f"verify-prop: {len(rows)} probes, finite_limit={finite}, "
-             f"violations={violations}")
-    return 1 if violations else 0
+    return (("word", "k", "x", "classification", "limit_value",
+             "degenerate_hypothesis"), rows,
+            f"verify-prop: {len(rows)} probes, finite_limit={finite}, "
+            f"violations={violations}", 1 if violations else 0)
 
 
 def _cmd_detrend(args, cfg, ifs, psi, level):
-    block = _block(cfg, "detrend")
-    if args.points:
-        points = _parse_points(args.points, "--points")
-        if len(points) != 1:
-            raise ConfigError(f"--points: detrend takes one point, "
-                              f"got {len(points)}")
-        t0 = points[0]
+    in_domain = _within(*ifs.domain)
+    if args.points is None:
+        t0 = _field(cfg, "detrend.t0", None, in_domain)
+    elif len(args.points) == 1:
+        t0 = in_domain(args.points[0], "--points")
     else:
-        t0 = _num(_get(block, "t0", "detrend"), "detrend.t0")
-    alpha_hat = block.get("alpha_hat")
+        raise ConfigError(f"--points: detrend takes one point, "
+                          f"got {len(args.points)}")
+    alpha_hat = _block(cfg, "detrend").get("alpha_hat")
     if alpha_hat is not None:
         alpha_hat = _num(alpha_hat, "detrend.alpha_hat")
-    windows = _int(block.get("windows", 8), "detrend.windows")
-    if windows < 2:
-        raise ConfigError(f"detrend.windows: need at least 2 windows, "
-                          f"got {windows}")
+    windows = _field(cfg, "detrend.windows", 8, _at_least(2, "windows"))
     F = DistributionFunction(ifs, psi, deep_policy(ifs))
     result = detrend_exponent_test(F, t0, alpha_hat, windows=windows)
     rows = []
     for j, per_window in enumerate(result.coefficients, start=1):
         for i, coeff in enumerate(per_window):
             rows.append((j, i + 1, result.window_radii[i], coeff))
-    _write_csv(args.out, ("degree", "window", "radius", "coefficient"), rows)
     residual = (math.nan if result.residual_exponent is None
                 else result.residual_exponent)
-    _summary(f"detrend: t0={t0:g} alpha_hat={result.alpha_hat:.6f} "
-             f"residual={residual:.6f} passed={_fmt(result.passed)} "
-             f"skipped={_fmt(result.skipped)} "
-             f"violation={_fmt(result.hypothesis_violation)}")
-    return 0
+    return (("degree", "window", "radius", "coefficient"), rows,
+            f"detrend: t0={t0:g} alpha_hat={result.alpha_hat:.6f} "
+            f"residual={residual:.6f} passed={_fmt(result.passed)} "
+            f"skipped={_fmt(result.skipped)} "
+            f"violation={_fmt(result.hypothesis_violation)}")
 
 
 def _cmd_predict_packing(args, cfg, ifs, psi, level):
-    q_min, q_max, steps = _q_grid(args, cfg)
-    _require_normalized(cfg, ifs, psi)
-    curve = spectrum_curve(ifs, psi, k=level, q_min=q_min, q_max=q_max,
-                           q_steps=steps)
-    block = _block(cfg, "packing")
-    if "alphas" in block:
-        alphas = [_num(v, "packing.alphas")
-                  for v in _list(block["alphas"], "packing.alphas")]
+    curve = _curve(args, cfg, ifs, psi, level)
+    if "alphas" in _block(cfg, "packing"):
+        alphas = _field(cfg, "packing.alphas", None, _each(_num))
     else:
-        n = _int(block.get("alpha_steps", 101), "packing.alpha_steps")
-        if n < 2:
-            raise ConfigError(f"packing.alpha_steps: need at least 2 points, "
-                              f"got {n}")
+        n = _field(cfg, "packing.alpha_steps", 101, _at_least(2, "points"))
         lo, hi = curve.alpha_minus, curve.alpha_plus
         alphas = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
-    _write_csv(args.out, ("alpha", "hausdorff", "packing", "empty"),
-               spectrum_predictions(curve, alphas))
-    _summary(f"predict-packing: plateau={curve.dimension:.6f} on "
-             f"[{curve.alpha_minus:.6f}, {curve.alpha_zero:.6f}]")
-    return 0
+    return (("alpha", "hausdorff", "packing", "empty"),
+            spectrum_predictions(curve, alphas),
+            f"predict-packing: plateau={curve.dimension:.6f} on "
+            f"[{curve.alpha_minus:.6f}, {curve.alpha_zero:.6f}]")
 
 
 _Q_FLAGS = ("--depth", "--q-min", "--q-max", "--q-steps")
@@ -569,16 +569,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _check_args(args) -> None:
-    flags = vars(args)
+    """The flag faults found before the config is read; --points becomes
+    the list of its comma-separated points."""
     if args.threads < 1:
         raise ConfigError("--threads must be positive")
-    if flags.get("depth") is not None and args.depth < 1:
+    if getattr(args, "depth", None) is not None and args.depth < 1:
         raise ConfigError("--depth must be positive")
-    # argparse reads these floats itself and accepts "nan" and "inf"
-    for flag in ("--q-min", "--q-max", "--tol"):
-        value = flags.get(flag[2:].replace("-", "_"))
-        if value is not None:
-            _num(value, flag)
+    text = getattr(args, "points", None)
+    if text is not None:
+        args.points = [tok for tok in map(str.strip, text.split(",")) if tok]
+        if not args.points:
+            raise ConfigError(f"--points: no points in {text!r}")
 
 
 def main(argv=None) -> int:
@@ -590,9 +591,10 @@ def main(argv=None) -> int:
         level = _level(args, cfg, ifs)
         psi = build_potential(cfg, ifs, depth=level)
         try:
-            return _COMMANDS[args.command][0](args, cfg, ifs, psi, level)
+            header, rows, summary, *code = _COMMANDS[args.command][0](
+                args, cfg, ifs, psi, level)
         except NormalizationError as exc:
-            if not _block(cfg, "potential").get("normalize", False):
+            if not _normalizes(cfg):
                 raise
             # the distribution function checks the pressure deeper than
             # a shallow level pins it to zero
@@ -600,6 +602,15 @@ def main(argv=None) -> int:
                 f"pressure.depth: level {level} is too shallow to "
                 f"normalize at; the potential keeps pressure "
                 f"{exc.value:.3e}, not zero within {exc.bound:.3e}") from None
+        text = "".join(",".join(map(_fmt, row)) + "\n"
+                       for row in (header, *rows))
+        if args.out:
+            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+        print(summary, file=sys.stderr)
+        return code[0] if code else 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -401,14 +401,16 @@ class HolderEstimate:
 _MIN_SCALES = 5
 
 
-def _slope(pairs) -> float:
-    """Least-squares slope of y on x over the (x, y) pairs."""
-    xs = [p[0] for p in pairs]
-    ys = [p[1] for p in pairs]
+def _slope(xs, groups) -> float:
+    """Least-squares slope of y on x shared by every list of ys in
+    `groups`, each list read at the xs and fitted with its own
+    intercept."""
     xm = sum(xs) / len(xs)
-    ym = sum(ys) / len(ys)
-    num = sum((x - xm) * (y - ym) for x, y in zip(xs, ys))
-    den = sum((x - xm) ** 2 for x in xs)
+    den = sum((x - xm) ** 2 for x in xs) * len(groups)
+    num = 0.0
+    for ys in groups:
+        ym = sum(ys) / len(ys)
+        num += sum((x - xm) * (y - ym) for x, y in zip(xs, ys))
     return num / den
 
 
@@ -444,7 +446,8 @@ def holder_exponent_estimate(F: DistributionFunction, t0: float,
     if len(pairs) < _MIN_SCALES:
         raise ScaleError(f"only {len(pairs)} usable scales, "
                          f"need {_MIN_SCALES}")
-    return HolderEstimate(t0=t0, exponent=max(0.0, _slope(pairs)),
+    xs, ys = zip(*pairs)
+    return HolderEstimate(t0=t0, exponent=max(0.0, _slope(xs, [ys])),
                           scale_pairs=tuple(pairs))
 
 

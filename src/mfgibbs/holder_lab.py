@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .errors import (BlockSearchError, DomainError, PrecisionError,
                      ScaleError, SeparatorError)
-from .estimators import (DistributionFunction, Scales, deep_policy,
+from .estimators import (DistributionFunction, Scales, _slope, deep_policy,
                          default_scale_base, holder_exponent_estimate)
 from .ifs_geometry import (WIDTH_FLOOR, IfsSystem, cylinder_interval,
                            max_safe_depth, node_children, stream_point)
@@ -174,21 +174,6 @@ class PerturbationExperiment:
     residual_spread_by_N: tuple[float, ...]
 
 
-def _common_slope(rows: dict[int, list[float]], Ns: list[int]):
-    # shared slope across groups, one intercept per group
-    nbar = sum(Ns) / len(Ns)
-    den = sum((N - nbar) ** 2 for N in Ns) * len(rows)
-    num = 0.0
-    for ys in rows.values():
-        ybar = sum(ys) / len(ys)
-        num += sum((N - nbar) * (y - ybar) for N, y in zip(Ns, ys))
-    slope = num / den
-    resid = {n: [y - (sum(ys) / len(ys)) - slope * (N - nbar)
-                 for N, y in zip(Ns, ys)]
-             for n, ys in rows.items()}
-    return slope, resid
-
-
 def ratio_scaling_experiment(ifs: IfsSystem, psi: Potential, omega,
                              tau: Word, k: int, n_set,
                              N_range) -> PerturbationExperiment:
@@ -235,16 +220,17 @@ def ratio_scaling_experiment(ifs: IfsSystem, psi: Potential, omega,
             lr.append(math.log(abs(r)))
         log_slopes[n] = ls
         log_rs[n] = lr
-    fit_slope, resid_slope = _common_slope(log_slopes, Ns)
-    fit_r, _ = _common_slope(log_rs, Ns)
+    fit_slope = _slope(Ns, log_slopes.values())
+    fit_r = _slope(Ns, log_rs.values())
+    # each depth's residuals from the shared slope and its own intercept
+    nbar = sum(Ns) / len(Ns)
+    resid = [[y - (sum(ys) / len(ys)) - fit_slope * (N - nbar)
+              for N, y in zip(Ns, ys)] for ys in log_slopes.values()]
     pw = PeriodicWord(tau)
     phi = Potential.geometric(ifs)
     exp_slope = psi.block_sum(pw) - k * phi.block_sum(pw)
     exp_r = -phi.block_sum(pw)
-    spread = tuple(
-        max(resid_slope[n][i] for n in resid_slope)
-        - min(resid_slope[n][i] for n in resid_slope)
-        for i in range(len(Ns)))
+    spread = tuple(max(column) - min(column) for column in zip(*resid))
     return PerturbationExperiment(
         tau=tau, ell=len(tau), k=k,
         n_set=tuple(n for n, _ in usable), N_range=tuple(Ns),

@@ -381,11 +381,6 @@ def _sums_chunk(ifs: IfsSystem, psi: Potential, k: int, lo: int, hi: int,
     return out
 
 
-def _composes(ifs: IfsSystem, psi: Potential) -> bool:
-    """Whether psi's periodic sums need the composed word matrices."""
-    return psi.geom != 0.0 and not ifs.is_affine()
-
-
 def periodic_sums(ifs: IfsSystem, psi: Potential, k: int,
                   geometric: np.ndarray | None = None) -> np.ndarray:
     """S_k psi at the periodic point of every length-k word, in lex order.
@@ -405,7 +400,7 @@ def periodic_sums(ifs: IfsSystem, psi: Potential, k: int,
     if geometric is not None and len(geometric) != total:
         raise ValueError(f"geometric sums hold {len(geometric)} words, "
                          f"level {k} has {total}")
-    if geometric is None and _composes(ifs, psi):
+    if geometric is None and effective_range(ifs, psi) is None:
         geometric = next(_geometric_levels(ifs, (k,)))
         # the next pass down the word tree that reaches level k takes
         # these sums instead of composing the level again
@@ -422,8 +417,8 @@ def _level_sums(ifs: IfsSystem, psi: Potential, levels):
     """periodic_sums(ifs, psi, k) for each k of the increasing `levels`,
     the word matrices composed in one pass and only as they are asked
     for."""
-    phis = (_geometric_levels(ifs, levels) if _composes(ifs, psi)
-            else itertools.repeat(None))
+    phis = (_geometric_levels(ifs, levels)
+            if effective_range(ifs, psi) is None else itertools.repeat(None))
     for k in levels:
         yield periodic_sums(ifs, psi, k, geometric=next(phis))
 

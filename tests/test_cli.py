@@ -323,6 +323,28 @@ def test_beta_determinism_across_threads(tmp_path, capsys, monkeypatch):
     ("cdf", "cdf", {"points": []}, "cdf.points: need at least one point"),
     ("holder", "holder", {"points": []},
      "holder.points: need at least one point"),
+    # probe entries the library would refuse in the middle of the battery
+    ("verify-prop", "probe", {"ks": [2]},
+     "probe.ks: k must be a positive odd integer, got 2"),
+    ("verify-prop", "probe", {"ks": [0]},
+     "probe.ks: k must be a positive odd integer, got 0"),
+    ("verify-prop", "probe", {"words": ["ab"]},
+     "probe.words: 'ab' is not a word on the symbols 0 to 1"),
+    ("verify-prop", "probe", {"words": ["012"]},
+     "probe.words: '012' is not a word on the symbols 0 to 1"),
+    ("verify-prop", "probe", {"words": [""]},
+     "probe.words: '' is not a word on the symbols 0 to 1"),
+    # ranges the library would refuse later without naming the field
+    ("coarse", "coarse", {"deltas": [1.0]},
+     "coarse.deltas: 1.0 is outside (0.0, 1.0)"),
+    ("coarse", "coarse", {"deltas": ["1/81", -0.1]},
+     "coarse.deltas: -0.1 is outside (0.0, 1.0)"),
+    ("pressure", "pressure", {"tol": -1},
+     "pressure.tol: -1.0 is outside [0.0, inf]"),
+    ("holder", "holder", {"points": [0, 7]},
+     "holder.points: 7.0 is outside [0.0, 1.0]"),
+    ("detrend", "detrend", {"t0": -0.5},
+     "detrend.t0: -0.5 is outside [0.0, 1.0]"),
 ])
 def test_config_faults_name_the_field(tmp_path, capsys, command, field,
                                       value, message):
@@ -445,6 +467,12 @@ def test_depth_below_one_rejected(capsys, command):
     # detrend reads one point
     (("detrend", "--points", "0.25,0.9"),
      "--points: detrend takes one point, got 2"),
+    # ranges the library would refuse later without naming the flag
+    (("cdf", "--points", "0.5", "--tol", "-1"),
+     "--tol: -1.0 is outside [0.0, inf]"),
+    (("pressure", "--tol", "-0.5"), "--tol: -0.5 is outside [0.0, inf]"),
+    (("holder", "--points", "0,7"), "--points: 7.0 is outside [0.0, 1.0]"),
+    (("detrend", "--points", "7"), "--points: 7.0 is outside [0.0, 1.0]"),
 ])
 def test_non_finite_flags_rejected(capsys, argv, message):
     code, out, err = run(capsys, *argv, "--config",
@@ -488,6 +516,20 @@ def test_non_finite_config_numbers_rejected(tmp_path, capsys, command,
     assert code == 2
     assert out == ""
     assert err.startswith("config error: " + message)
+
+
+def test_points_outside_the_domain(capsys):
+    # F is 0 left of the domain and 1 right of it; the Hoelder estimate
+    # and the detrending test take the domain's ends but nothing beyond
+    config = str(CONFIGS / "cantor_14_34.json")
+    code, out, _ = run(capsys, "cdf", "--config", config,
+                       "--points=-1,2")
+    assert code == 0
+    assert out.splitlines()[1:] == ["-1,0,0", "2,1,0"]
+    for command in ("holder", "detrend"):
+        code, _, _ = run(capsys, command, "--config", config,
+                         "--points", "1")
+        assert code == 0
 
 
 def test_system_map_infinity_rejected(tmp_path, capsys):
@@ -653,7 +695,11 @@ FUZZ_TARGETS = (
     ("predict-packing", "packing.alphas"),
     ("predict-packing", "packing.alpha_steps"),
 )
-HOSTILE = (0, -1, 1, 2.5, "x", "1/0", None, True, [], {})
+HOSTILE = (0, -1, 1, 2.5, "x", "1/0", None, True, [], {},
+           [2], [-1], [""], ["x"])
+# the list fields; no entry of one is left for the library to refuse
+LIST_FIELDS = ("probe.words", "probe.ks", "coarse.deltas", "cdf.points",
+               "holder.points", "packing.alphas")
 # sample-config settings that keep each run to milliseconds
 CHEAP = {"q_grid": {"steps": 5}, "coarse": {"deltas": ["1/81"]},
          "probe": {"words": ["01"], "n_max": 10}, "detrend": {"t0": 0},
@@ -668,6 +714,13 @@ CHEAP = {"q_grid": {"steps": 5}, "coarse": {"deltas": ["1/81"]},
          target=("predict-packing", "packing.alpha_steps"), value=1)
 @example(config="moebius_pair", target=("pressure", "pressure.depth"),
          value=0)
+@example(config="moebius_pair", target=("verify-prop", "probe.words"),
+         value=[""])
+@example(config="moebius_pair", target=("verify-prop", "probe.ks"),
+         value=[2])
+@example(config="lebesgue", target=("holder", "holder.points"), value=[-1])
+@example(config="uniform_cantor", target=("coarse", "coarse.deltas"),
+         value=[2])
 @given(config=st.sampled_from(["cantor_14_34", "lebesgue", "moebius_pair",
                                "uniform_cantor"]),
        target=st.sampled_from(FUZZ_TARGETS), value=st.sampled_from(HOSTILE))
@@ -689,5 +742,11 @@ def test_hostile_config_field_exits_cleanly(tmp_path, capsys, config,
         cfg[section] = value
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
-    code, _, _ = run(capsys, command, "--config", str(path))
+    code, _, err = run(capsys, command, "--config", str(path))
     assert code in (0, 1, 2)
+    if field in LIST_FIELDS:
+        assert code != 1, err
+    if code == 2:
+        # the fault names the field, its section, or the missing points
+        assert err.startswith(tuple(f"config error: {name}" for name
+                                    in (field, section, "no points"))), err
