@@ -161,6 +161,8 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"cannot read config: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}: {exc.msg}") from None
+    except (ValueError, RecursionError) as exc:  # a long integer, deep nesting
+        raise ConfigError(f"{path}: {exc}") from None
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be an object")
     version = cfg.get("schema_version")
@@ -605,8 +607,11 @@ def main(argv=None) -> int:
         text = "".join(",".join(map(_fmt, row)) + "\n"
                        for row in (header, *rows))
         if args.out:
-            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(text)
+            try:
+                with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise ConfigError(f"--out: {exc}") from None
         else:
             sys.stdout.write(text)
         print(summary, file=sys.stderr)

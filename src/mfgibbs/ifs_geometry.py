@@ -1,12 +1,14 @@
 """Iterated function systems of increasing contractions on an interval.
 
-Two map families are supported: affine maps r*x + b and Moebius maps
-(a*x + b)/(c*x + d).  Both are closed under composition via their 2x2
-coefficient matrices, which gives exact chain-rule derivatives and
-closed-form fixed points for periodic words; that identity is what the
-pressure machinery leans on.  Every point of the attractor handed out
-here, a coded point or a cylinder end, is a word matrix applied to a
-point, formed with the float operations of the CDF descent.
+Every map is one 2x2 coefficient matrix, x -> (a*x + b)/(c*x + d), a
+`ContractionMap`.  Two constructors build it: `AffineMap` keeps
+r*x + b as (r, b, 0, 1), and `MoebiusMap` rescales (a, b, c, d) to
+determinant one.  Maps compose as their matrices, which gives exact
+chain-rule derivatives and closed-form fixed points for periodic
+words; that identity is what the pressure machinery leans on.  Every
+point of the attractor handed out here, a coded point or a cylinder
+end, is a word matrix applied to a point, formed with the float
+operations of the CDF descent.
 
 Geometry conventions: the base interval X = [x_lo, x_hi] is explicit,
 maps are strictly increasing, map images must stay inside X, and the
@@ -18,11 +20,11 @@ overlapping systems can still be built and inspected.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Sequence
 
 from .errors import DomainError, PrecisionError
-from .symbolic import PeriodicWord, SymbolStream, Word
+from .symbolic import MAX_ALPHABET, PeriodicWord, SymbolStream, Word
 
 DOMAIN_TOL = 1e-12
 WIDTH_FLOOR = 1e-13
@@ -36,120 +38,45 @@ def _check_domain(domain) -> tuple[float, float]:
 
 
 @dataclass(frozen=True)
-class AffineMap:
-    """x -> ratio*x + offset, certified as a contraction of `domain`."""
+class ContractionMap:
+    """x -> (a*x + b)/(c*x + d) with det = ad - bc > 0 and c*x + d > 0
+    on `domain`, certified as an increasing contraction of it.
 
-    ratio: float
-    offset: float
-    domain: tuple[float, float]
-
-    def __post_init__(self):
-        lo, hi = _check_domain(self.domain)
-        object.__setattr__(self, "domain", (lo, hi))
-        if not (0.0 < self.ratio < 1.0):
-            raise ValueError(f"affine ratio {self.ratio} not in (0, 1)")
-        if self.apply(lo, check=False) < lo - DOMAIN_TOL or \
-           self.apply(hi, check=False) > hi + DOMAIN_TOL:
-            raise ValueError("affine map does not send the interval into itself")
-
-    @property
-    def r_min(self) -> float:
-        return self.ratio
-
-    @property
-    def r_max(self) -> float:
-        return self.ratio
-
-    @property
-    def log_det(self) -> float:
-        # matrix [[r, b], [0, 1]] has determinant r
-        return math.log(self.ratio)
-
-    def apply(self, x: float, check: bool = True) -> float:
-        if check:
-            _require_inside(x, self.domain)
-        return self.ratio * x + self.offset
-
-    def derivative(self, x: float, check: bool = True) -> float:
-        if check:
-            _require_inside(x, self.domain)
-        return self.ratio
-
-    def coefficients(self) -> tuple[float, float, float, float]:
-        return (self.ratio, self.offset, 0.0, 1.0)
-
-
-@dataclass(frozen=True)
-class MoebiusMap:
-    """x -> (a*x + b)/(c*x + d) with ad - bc > 0, pole outside the interval.
-
-    Coefficients are rescaled on construction so that ad - bc = 1 and
-    c*x + d > 0 on the interval.  The Moebius map itself is unchanged;
-    the normal form keeps long coefficient products well conditioned and
-    makes the derivative simply 1/(c*x + d)^2.
+    The derivative det/(c*x + d)^2 is monotone on the pole-free
+    interval, and so are its rounded values, so r_min and r_max, its
+    values at the two ends, bound it everywhere.  `family` names the
+    constructor in the messages of a map that fails the certificate.
     """
 
     a: float
     b: float
     c: float
     d: float
+    det: float
     domain: tuple[float, float]
+    family: InitVar[str]
+    log_det: float = field(init=False)
+    r_min: float = field(init=False)
+    r_max: float = field(init=False)
 
-    def __post_init__(self):
-        lo, hi = _check_domain(self.domain)
-        object.__setattr__(self, "domain", (lo, hi))
-        det = self.a * self.d - self.b * self.c
-        if det <= 0.0:
-            raise ValueError("need ad - bc > 0 for an increasing Moebius map")
-        s = 1.0 / math.sqrt(det)
-        a, b, c, d = self.a * s, self.b * s, self.c * s, self.d * s
-        # the pole -d/c must not fall inside the interval
-        if c != 0.0:
-            pole = -d / c
-            if lo - DOMAIN_TOL <= pole <= hi + DOMAIN_TOL:
-                raise ValueError(f"Moebius pole {pole} inside the interval")
-        if c * lo + d < 0.0:
-            a, b, c, d = -a, -b, -c, -d
-        for name, val in (("a", a), ("b", b), ("c", c), ("d", d)):
-            object.__setattr__(self, name, val)
-        r_lo = self.derivative(lo, check=False)
-        r_hi = self.derivative(hi, check=False)
-        object.__setattr__(self, "_r_min", min(r_lo, r_hi))
-        object.__setattr__(self, "_r_max", max(r_lo, r_hi))
-        if self._r_min <= 0.0:
-            raise ValueError("Moebius map is not increasing on the interval")
-        if self._r_max >= 1.0:
-            raise ValueError(f"Moebius map is not a contraction (r_max={self._r_max})")
-        if self.apply(lo, check=False) < lo - DOMAIN_TOL or \
-           self.apply(hi, check=False) > hi + DOMAIN_TOL:
-            raise ValueError("Moebius map does not send the interval into itself")
-        # derivative is monotone on a pole-free interval; sample to confirm
-        # the endpoint bounds really bracket it
-        prev = r_lo
-        direction = 0
-        for k in range(1, 10):
-            x = lo + (hi - lo) * k / 9.0
-            dv = self.derivative(x, check=False)
-            if not (self._r_min * (1 - 1e-9) <= dv <= self._r_max * (1 + 1e-9)):
-                raise ValueError("sampled derivative escapes certified bounds")
-            step = dv - prev
-            if step > 0 and direction < 0 or step < 0 and direction > 0:
-                raise ValueError("derivative is not monotone on the interval")
-            if step != 0.0:
-                direction = 1 if step > 0 else -1
-            prev = dv
-
-    @property
-    def r_min(self) -> float:
-        return self._r_min
-
-    @property
-    def r_max(self) -> float:
-        return self._r_max
-
-    @property
-    def log_det(self) -> float:
-        return 0.0  # normalized to determinant one
+    def __post_init__(self, family):
+        lo, hi = self.domain
+        object.__setattr__(self, "log_det", math.log(self.det))
+        try:
+            ends = (self.derivative(lo, check=False),
+                    self.derivative(hi, check=False))
+        except ZeroDivisionError:  # (c*x + d)^2 underflows at an end
+            ends = (math.inf,)
+        object.__setattr__(self, "r_min", min(ends))
+        object.__setattr__(self, "r_max", max(ends))
+        # r_min also reads 0 where (c*x + d)^2 overflows at an end
+        if not self.r_min > 0.0:
+            raise ValueError(f"{family} map is not increasing on the interval")
+        if self.r_max >= 1.0:
+            raise ValueError(f"{family} map is not a contraction (r_max={self.r_max})")
+        if not (self.apply(lo, check=False) >= lo - DOMAIN_TOL
+                and self.apply(hi, check=False) <= hi + DOMAIN_TOL):
+            raise ValueError(f"{family} map does not send the interval into itself")
 
     def apply(self, x: float, check: bool = True) -> float:
         if check:
@@ -160,13 +87,46 @@ class MoebiusMap:
         if check:
             _require_inside(x, self.domain)
         q = self.c * x + self.d
-        return 1.0 / (q * q)
+        return self.det / (q * q)
 
     def coefficients(self) -> tuple[float, float, float, float]:
         return (self.a, self.b, self.c, self.d)
 
 
-ContractionMap = AffineMap | MoebiusMap
+def AffineMap(ratio: float, offset: float, domain) -> ContractionMap:
+    """x -> ratio*x + offset, certified as a contraction of `domain`."""
+    lo, hi = _check_domain(domain)
+    if not (0.0 < ratio < 1.0):
+        raise ValueError(f"affine ratio {ratio} not in (0, 1)")
+    return ContractionMap(float(ratio), float(offset), 0.0, 1.0, float(ratio),
+                          (lo, hi), "affine")
+
+
+def MoebiusMap(a: float, b: float, c: float, d: float,
+               domain) -> ContractionMap:
+    """x -> (a*x + b)/(c*x + d) with ad - bc > 0, pole outside the interval.
+
+    Coefficients are rescaled so that ad - bc = 1 and c*x + d > 0 on the
+    interval.  The Moebius map itself is unchanged; the normal form
+    keeps long coefficient products well conditioned and makes the
+    derivative simply 1/(c*x + d)^2.
+    """
+    lo, hi = _check_domain(domain)
+    det = a * d - b * c
+    if det <= 0.0:
+        raise ValueError("need ad - bc > 0 for an increasing Moebius map")
+    s = 1.0 / math.sqrt(det)
+    a, b, c, d = a * s, b * s, c * s, d * s
+    if not all(map(math.isfinite, (det, a, b, c, d))):
+        raise ValueError(f"Moebius coefficients overflow (ad - bc = {det})")
+    # the pole -d/c must not fall inside the interval, nor c*x + d
+    # change sign across it in rounding
+    if c != 0.0 and (lo - DOMAIN_TOL <= -d / c <= hi + DOMAIN_TOL
+                     or (c * lo + d > 0.0) != (c * hi + d > 0.0)):
+        raise ValueError(f"Moebius pole {-d / c} inside the interval")
+    if c * lo + d < 0.0:
+        a, b, c, d = -a, -b, -c, -d
+    return ContractionMap(a, b, c, d, 1.0, (lo, hi), "Moebius")
 
 
 def _require_inside(x: float, domain: tuple[float, float]) -> None:
@@ -206,8 +166,8 @@ class IfsSystem:
         m = len(self.maps)
         if m < 2:
             raise ValueError("need at least two maps")
-        if m > 64:
-            raise ValueError("alphabet sizes beyond 64 are not supported")
+        if m > MAX_ALPHABET:
+            raise ValueError(f"alphabet sizes beyond {MAX_ALPHABET} are not supported")
         for k, mp in enumerate(self.maps):
             if mp.domain != self.domain:
                 raise ValueError(f"map {k} certified on a different interval")
@@ -245,7 +205,8 @@ class IfsSystem:
         return max(mp.r_max for mp in self.maps)
 
     def is_affine(self) -> bool:
-        return all(isinstance(mp, AffineMap) for mp in self.maps)
+        # a Moebius map with c = 0 and d = 1 would have slope 1
+        return all(mp.c == 0.0 and mp.d == 1.0 for mp in self.maps)
 
 
 def check_osc(ifs: IfsSystem) -> OscReport:

@@ -444,16 +444,25 @@ class PressureResult:
     levels: tuple[float, ...] = ()
 
 
-def _transfer_pressure(ifs: IfsSystem, psi: Potential, r: int) -> float:
-    """Exact pressure of a potential reading r symbols.
+def _transfer_pressure(ifs: IfsSystem, psi: Potential,
+                       r: int) -> tuple[float, float]:
+    """Pressure of a potential reading r symbols, and a bound on its
+    error.
 
-    For r = 1 the partition sums factor exactly.  For r >= 2 the
-    pressure is the log spectral radius of the transfer matrix on
-    (r-1)-blocks, computed with a dense eigenvalue solve.
+    For r = 1 the partition sums factor exactly, and the bound covers
+    the rounding of their log-sum-exp.  For r >= 2 the pressure is the
+    log spectral radius of the transfer matrix on (r-1)-blocks,
+    computed with a dense eigenvalue solve, and the bound is 0.
     """
     table = range_table(ifs, psi, r)
     if r == 1:
-        return _logsumexp(table)
+        top, spread = float(table.max()), float(table.max() - table.min())
+        value = _logsumexp(table)
+        # in units u = 2^-53: each exp(t - top) is off by (spread + 2) u,
+        # their sum by (size - 1) u more, log by 2 u |value - top| and the
+        # last add by u |value|; 2^-52 doubles each term
+        return value, 2.0**-52 * (spread + table.size + 2
+                                  + 2 * abs(value - top) + abs(value))
     m = ifs.alphabet_size
     size = m ** (r - 1)
     if size > 4096:
@@ -463,23 +472,23 @@ def _transfer_pressure(ifs: IfsSystem, psi: Potential, r: int) -> float:
     idx = np.arange(m**r)
     A[idx // m, idx % size] = np.exp(table - tmax)
     lam = float(np.max(np.abs(np.linalg.eigvals(A))))
-    return tmax + math.log(lam)
+    return tmax + math.log(lam), 0.0
 
 
 def pressure(ifs: IfsSystem, psi: Potential, k_max: int = 10,
              tol: float = 1e-12) -> PressureResult:
     """Best available pressure value with an honest error bound.
 
-    Potentials of finite range are evaluated exactly (error 0) once
-    k_max reaches the range.  Otherwise successive levels are computed
-    up to k_max and the geometric tail is removed by Aitken
-    extrapolation; the error bound combines the last level difference
-    with the extrapolation step and a distortion allowance.
+    Potentials of finite range are evaluated in closed form once k_max
+    reaches the range, with the bound `_transfer_pressure` gives.
+    Otherwise successive levels are computed up to k_max and the
+    geometric tail is removed by Aitken extrapolation; the error bound
+    combines the last level difference with the extrapolation step and
+    a distortion allowance.
     """
     r = effective_range(ifs, psi)
     if r is not None and r <= k_max:
-        return PressureResult(value=_transfer_pressure(ifs, psi, r),
-                              error_bound=0.0)
+        return PressureResult(*_transfer_pressure(ifs, psi, r))
     if k_max < 2:
         raise ValueError("k_max must be >= 2")
     levels = []
@@ -530,7 +539,7 @@ def normalize(ifs: IfsSystem, psi: Potential, k_max: int = 10) -> Potential:
     """
     r = effective_range(ifs, psi)
     if r is not None and r <= k_max:
-        c = _transfer_pressure(ifs, psi, r)
+        c = _transfer_pressure(ifs, psi, r)[0]
     else:
         c = pressure_at_level(ifs, psi, k_max)
     return replace(psi, shift=psi.shift - c)

@@ -14,6 +14,14 @@ def systems(draw, moebius=None, mixed=False):
     `moebius` fixes the family instead of drawing it, and `mixed` draws
     each map's family on its own, so affine and Moebius maps can share
     one system."""
+    return IfsSystem(DOMAIN, tuple(mp for _, mp in draw(maps(moebius, mixed))))
+
+
+@st.composite
+def maps(draw, moebius=None, mixed=False):
+    """The maps of a `systems` draw, each as (raw, map): raw holds the
+    coefficients (a, b, c, d) the map was built from, (ratio, offset,
+    0, 1) for an affine map."""
     m = draw(st.sampled_from([2, 3]))
     widths = [draw(st.floats(0.08, 0.9 / m)) for _ in range(m)]
     # gap weights; a zero weight makes neighbouring images touch
@@ -22,7 +30,7 @@ def systems(draw, moebius=None, mixed=False):
     scale = (1.0 - sum(widths)) / sum(gaps)
     if moebius is None:
         moebius = draw(st.booleans())
-    maps = []
+    built = []
     u = gaps[0] * scale
     for k, w in enumerate(widths):
         if mixed:
@@ -30,14 +38,15 @@ def systems(draw, moebius=None, mixed=False):
         if moebius:
             # x -> u + w (1+t) x / (1 + t x): increasing, images [u, u+w]
             t = draw(st.integers(-5, 10)) / 10
-            maps.append(MoebiusMap(u * t + w * (1 + t), u, t, 1.0, DOMAIN))
+            raw = (u * t + w * (1 + t), u, t, 1.0)
+            built.append((raw, MoebiusMap(*raw, DOMAIN)))
         else:
-            maps.append(AffineMap(w, u, DOMAIN))
+            built.append(((w, u, 0.0, 1.0), AffineMap(w, u, DOMAIN)))
         u += w + gaps[k + 1] * scale
         if gaps[k + 1] == 0:
             # touching images may also overlap within the OSC tolerance
             u -= draw(st.sampled_from([0.0, 1e-13]))
-    return IfsSystem(DOMAIN, tuple(maps))
+    return built
 
 
 # normalize's level for the geometric potentials drawn below; the other

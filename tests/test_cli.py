@@ -543,6 +543,94 @@ def test_system_map_infinity_rejected(tmp_path, capsys):
                           "number, got inf")
 
 
+AFFINE_PAIR = [{"ratio": 0.5, "offset": 0}, {"ratio": 0.5, "offset": 0.5}]
+MOEBIUS_MAP = {"a": 2, "b": 2, "c": 1, "d": 3}
+
+
+@pytest.mark.parametrize("family,domain,maps,message", [
+    ("affine", [1, 0], AFFINE_PAIR, "system: bad base interval [1.0, 0.0]"),
+    ("affine", [0, 1], [{"ratio": 1.5, "offset": 0}, AFFINE_PAIR[1]],
+     "system: affine ratio 1.5 not in (0, 1)"),
+    ("affine", [0, 1], [AFFINE_PAIR[0], {"ratio": 0.5, "offset": 0.6}],
+     "system: affine map does not send the interval into itself"),
+    ("moebius", [0, 1], [{"a": 1, "b": 1.2, "c": 0, "d": 2}, MOEBIUS_MAP],
+     "system: Moebius map does not send the interval into itself"),
+    ("moebius", [0, 1], [{"a": 0, "b": 1, "c": 1, "d": 0}, MOEBIUS_MAP],
+     "system: need ad - bc > 0 for an increasing Moebius map"),
+    ("moebius", [0, 1], [{"a": -2, "b": 0, "c": 1, "d": -0.5}, MOEBIUS_MAP],
+     "system: Moebius pole 0.5 inside the interval"),
+    # (c x + d)^2 overflows, so the slope at 0 reads 0
+    ("moebius", [0, 1],
+     [{"a": 1e-160, "b": 0, "c": 1e160, "d": 1e160}, MOEBIUS_MAP],
+     "system: Moebius map is not increasing on the interval"),
+    ("moebius", [0, 1], [{"a": 1, "b": 0, "c": 0, "d": 1}, MOEBIUS_MAP],
+     "system: Moebius map is not a contraction (r_max=1.0)"),
+    # (c x + d)^2 underflows, so the slope is unbounded
+    ("moebius", [0, 1], [{"a": 1e200, "b": 0, "c": 0, "d": 1e-200},
+                         MOEBIUS_MAP],
+     "system: Moebius map is not a contraction (r_max=inf)"),
+    # ad - bc overflows, or is inf - inf
+    ("moebius", [0, 1],
+     [{"a": 1e200, "b": 0, "c": 1e200, "d": 2e200}, MOEBIUS_MAP],
+     "system: Moebius coefficients overflow (ad - bc = inf)"),
+    ("moebius", [0, 1],
+     [{"a": 1e200, "b": 1e200, "c": 1e200, "d": 2e200}, MOEBIUS_MAP],
+     "system: Moebius coefficients overflow (ad - bc = nan)"),
+    ("affine", [0, 1], AFFINE_PAIR[::-1],
+     "system: maps must be indexed left to right"),
+    ("affine", [0, 1], AFFINE_PAIR[:1],
+     "system.maps: need a list of at least two maps"),
+    ("affine", [0, 1], [{"ratio": 0.01, "offset": k / 65} for k in range(65)],
+     "system: alphabet sizes beyond 64 are not supported"),
+])
+def test_map_construction_faults_exit_two(tmp_path, capsys, family, domain,
+                                          maps, message):
+    cfg = json.loads((CONFIGS / "lebesgue.json").read_text())
+    cfg["system"] = {"family": family, "domain": domain, "maps": maps}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run(capsys, "check", "--config", str(path))
+    assert (code, out, err) == (2, "", f"config error: {message}\n")
+
+
+def test_out_in_a_missing_directory_exits_two(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.csv"
+    code, out, err = run(capsys, "check", "--config",
+                         str(CONFIGS / "lebesgue.json"), "--out", str(target))
+    assert (code, out) == (2, "")
+    assert err == f"config error: --out: [Errno 2] No such file or " \
+                  f"directory: {str(target)!r}\n"
+
+
+def test_failing_run_leaves_out_untouched(tmp_path, capsys):
+    cfg = json.loads((CONFIGS / "moebius_pair.json").read_text())
+    cfg["potential"]["normalize"] = False
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    target = tmp_path / "x.csv"
+    target.write_text("kept\n")
+    code, _, _ = run(capsys, "cdf", "--config", str(path), "--points", "0.5",
+                     "--out", str(target))
+    assert code == 1
+    assert target.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("field,message", [
+    ('"pressure": {"depth": ' + "1" * 4401 + "}",
+     "Exceeds the limit (4300 digits) for integer string conversion"),
+    ('"points": ' + "[" * 100_000 + "]" * 100_000,
+     "maximum recursion depth exceeded"),
+], ids=["long-integer", "deep-nesting"])
+def test_unreadable_config_value_exits_two(tmp_path, capsys, field, message):
+    path = tmp_path / "cfg.json"
+    text = (CONFIGS / "lebesgue.json").read_text()
+    path.write_text(text.replace('"schema_version": 1,',
+                                 f'"schema_version": 1, {field},'))
+    code, out, err = run(capsys, "check", "--config", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"config error: {path}: {message}")
+
+
 def _moebius_at_level(tmp_path, depth):
     cfg = json.loads((CONFIGS / "moebius_pair.json").read_text())
     cfg["pressure"]["depth"] = depth

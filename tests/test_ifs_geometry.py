@@ -3,16 +3,17 @@ from pathlib import Path
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mfgibbs.ifs_geometry import (AffineMap, IfsSystem, MoebiusMap, check_osc,
                                   cylinder_interval, matrix_fixed_point,
                                   max_safe_depth, node_children,
                                   periodic_point, stream_point, word_matrix)
 from mfgibbs.cli import DEFAULT_BATTERY, build_system, load_config
+from mfgibbs.errors import ConfigError
 from mfgibbs.symbolic import PeriodicWord, SymbolStream, Word
 from mfgibbs.thermodynamics import Potential
-from strategies import systems
+from strategies import maps, systems
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -166,3 +167,68 @@ def test_node_children_are_the_child_words(data):
     holding = [j for j, kid in enumerate(kids) if kid[0] <= x <= kid[1]]
     assert node_children(coeffs, a, b, c, d, lo, hi, x) == (
         kids, holding[-1] if holding else -1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(maps(mixed=True))
+def test_maps_match_their_raw_coefficients(built):
+    # what the constructors normalize away must not move a value: apply
+    # and derivative against (a x + b)/(c x + d) and (ad - bc)/(c x + d)^2
+    # of the coefficients the map was built from, and the end slopes
+    # bound the slope everywhere on a grid
+    for (a, b, c, d), mp in built:
+        for x in [k / 16 for k in range(17)]:
+            with mpmath.workdps(40):
+                q = mpmath.mpf(c) * x + d
+                value = float((mpmath.mpf(a) * x + b) / q)
+                slope = float((mpmath.mpf(a) * d - mpmath.mpf(b) * c) / q**2)
+            assert mp.apply(x) == pytest.approx(value, rel=1e-14, abs=1e-16)
+            assert mp.derivative(x) == pytest.approx(slope, rel=1e-14)
+            assert mp.r_min <= mp.derivative(x) <= mp.r_max
+
+
+# coefficients and domain ends from 1e-300 to 1e300 in size, either
+# sign, zero, and a few small values that make valid maps likely
+_MAGNITUDES = st.builds(lambda sign, mant, exp: sign * mant * 10.0**exp,
+                        st.sampled_from([-1.0, 1.0]), st.floats(1.0, 9.99),
+                        st.integers(-300, 299))
+_COEFFS = st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0, 3.0]) | _MAGNITUDES
+
+
+@st.composite
+def _system_sections(draw):
+    """A `system` section: a valid system's, with any of its domain,
+    map count or coefficients replaced."""
+    moebius = draw(st.booleans())
+    keys = ("a", "b", "c", "d") if moebius else ("ratio", "offset")
+    entries = [dict(zip(keys, raw)) for raw, _ in draw(maps(moebius))]
+    for entry in entries:
+        for key in keys:
+            if draw(st.booleans()):
+                entry[key] = draw(_COEFFS)
+    lo, hi = sorted([draw(_COEFFS), draw(_COEFFS)])
+    domain = draw(st.sampled_from([[0, 1], [lo, hi], [hi, lo], [lo, lo]]))
+    return {"family": "moebius" if moebius else "affine", "domain": domain,
+            "maps": entries[:draw(st.sampled_from([3, 2, 1]))]}
+
+
+@settings(max_examples=300, deadline=None)
+@example({"family": "moebius", "domain": [0, 1], "maps": [
+    {"a": 1e200, "b": 0, "c": 1e200, "d": 2e200},
+    {"a": 2, "b": 2, "c": 1, "d": 3}]})
+@example({"family": "moebius", "domain": [0, 1], "maps": [
+    {"a": 1e200, "b": 1e200, "c": 1e200, "d": 2e200},
+    {"a": 2, "b": 2, "c": 1, "d": 3}]})
+@example({"family": "moebius", "domain": [0, 1], "maps": [
+    {"a": 1e200, "b": 0, "c": 0, "d": 1e-200},
+    {"a": 2, "b": 2, "c": 1, "d": 3}]})
+@given(_system_sections())
+def test_any_system_section_builds_a_certified_system_or_names_it(section):
+    try:
+        ifs = build_system({"system": section})
+    except ConfigError as exc:
+        assert str(exc).startswith("system"), exc
+        return
+    for mp in ifs.maps:
+        assert all(math.isfinite(v) for v in mp.coefficients())
+        assert 0.0 < mp.r_min <= mp.r_max < 1.0

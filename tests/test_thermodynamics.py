@@ -78,16 +78,34 @@ def test_periodic_sums_exact_level_two(cantor, cantor_psi):
 
 
 def test_probability_weights_have_zero_pressure(cantor, cantor_psi):
+    # the log-sum-exp rounds, and its bound holds the true 0
     result = pressure(cantor, cantor_psi)
-    assert result.value == pytest.approx(0.0, abs=1e-14)
-    assert result.error_bound == 0.0
+    assert abs(result.value) <= result.error_bound < 1e-14
 
 
 def test_unnormalized_bernoulli_pressure(cantor):
     psi = Potential.bernoulli((math.log(0.3), math.log(0.5)))
     result = pressure(cantor, psi)
     assert result.value == pytest.approx(math.log(0.8), abs=1e-14)
-    assert result.error_bound == 0.0
+    assert 0.0 < result.error_bound < 1e-14
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_closed_form_pressure_bound_holds_the_log_sum_exp(data):
+    # the truth is the log-sum-exp of the same float table in 60 digits
+    m = data.draw(st.integers(2, 64))
+    ifs = IfsSystem.affine((0.0, 1.0), [(1 / (m + 1), k / m) for k in range(m)])
+    values = st.floats(-1e3, 1e3) | st.floats(-1.0, 1.0)
+    psi = Potential(geom=data.draw(values), depth=1,
+                    table=[data.draw(values) for _ in range(m)],
+                    shift=data.draw(values), system=ifs)
+    table = range_table(ifs, psi, 1)
+    result = pressure(ifs, psi)
+    with mpmath.workdps(60):
+        truth = mpmath.log(mpmath.fsum(mpmath.exp(mpmath.mpf(float(t)))
+                                       for t in table))
+        assert abs(result.value - truth) <= result.error_bound < 1e-11
 
 
 def test_finite_range_transfer_matrix(cantor):
