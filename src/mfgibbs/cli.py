@@ -29,7 +29,7 @@ from .holder_lab import (PROBE_MIN_DEPTHS, derivative_limit_probe,
 from .ifs_geometry import IfsSystem, stream_point
 from .spectrum import (beta_grid, endpoints, spectrum_curve,
                        spectrum_predictions)
-from .symbolic import PeriodicWord, Word
+from .symbolic import ENUMERATION_CAP, PeriodicWord, Word
 from .thermodynamics import (Potential, cohomology_diagnostic,
                              default_level, effective_range, normalize,
                              pressure, require_normalized)
@@ -85,11 +85,15 @@ def _each(read, unit: str = ""):
 
 
 def _at_least(n: int, unit: str):
-    """A reader of integers of at least n, counting `unit`."""
+    """A reader of integers of at least n, counting `unit`, and at most
+    the cap on enumerated counts."""
     def read(value, where: str) -> int:
         v = _int(value, where)
         if v < n:
             raise ConfigError(f"{where}: need at least {n} {unit}, got {v}")
+        if v > ENUMERATION_CAP:
+            raise ConfigError(f"{where}: at most {ENUMERATION_CAP} {unit}, "
+                              f"got {v}")
         return v
     return read
 
@@ -300,6 +304,9 @@ def _scales_from(cfg: dict, ifs: IfsSystem) -> Scales:
     if j_max <= j_min:
         raise ConfigError(f"scales.j_max: must exceed scales.j_min, got "
                           f"{j_max} <= {j_min}")
+    if base ** -j_max == 0.0:
+        raise ConfigError(f"scales.j_max: radius {base:g}**-{j_max} "
+                          f"underflows to 0")
     return Scales(base, j_min, j_max)
 
 
@@ -619,8 +626,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ToolkitError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ToolkitError, ValueError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -393,7 +393,9 @@ def detrend_exponent_test(F: DistributionFunction, t0: float,
     Exponents below 1 make every polynomial term trivial; the test is
     then skipped (with a small allowance so estimates of exactly 1 are
     still exercised).  Decay compares the first window with the last,
-    so there must be at least two.
+    so there must be at least two.  Each window's radius is formed when
+    the fit reaches it; ScaleError names the first window whose samples
+    all round onto t0, which leaves its fit nothing to divide by.
     """
     if windows < 2:
         raise ValueError("need at least 2 windows")
@@ -411,9 +413,11 @@ def detrend_exponent_test(F: DistributionFunction, t0: float,
     degree_max = max(1, math.floor(alpha_hat))
     lo, hi = F.system.domain
     f0 = F.cdf(t0).value
-    radii = tuple(scales.base ** (-(i + 1)) for i in range(windows))
+    radii = []
     coeffs: list[list[float]] = [[] for _ in range(degree_max)]
-    for h in radii:
+    for i in range(1, windows + 1):
+        h = scales.base ** -i
+        radii.append(h)
         ts = []
         for u in range(1, DETREND_SAMPLES_PER_SIDE + 1):
             for sgn in (1.0, -1.0):
@@ -424,6 +428,10 @@ def detrend_exponent_test(F: DistributionFunction, t0: float,
         for j in range(1, degree_max + 1):
             ws = [(tt - t0) ** j for tt in ts]
             den = sum(w * w for w in ws)
+            if den == 0.0:
+                raise ScaleError(f"window {i}: every sample at radius {h:g} "
+                                 f"rounds onto t0 = {t0!r}, leaving nothing "
+                                 f"to fit")
             coeffs[j - 1].append(sum(y * w for y, w in zip(ys, ws)) / den)
     decays = []
     for seq in coeffs:
@@ -437,7 +445,7 @@ def detrend_exponent_test(F: DistributionFunction, t0: float,
     passed = all(decays) and abs(residual - alpha_hat) <= 0.05
     violation = (not passed) and F.cohomology.degenerate
     return DetrendResult(t0=t0, alpha_hat=alpha_hat, degree_max=degree_max,
-                         window_radii=radii,
+                         window_radii=tuple(radii),
                          coefficients=tuple(tuple(c) for c in coeffs),
                          residual_exponent=residual, passed=passed,
                          skipped=False, hypothesis_violation=violation)

@@ -64,12 +64,13 @@ class LevelSums:
     def build(cls, ifs: IfsSystem, psi: Potential,
               k: int | None = None) -> "LevelSums":
         """Sums at depth k; None picks `default_level`, the range of psi
-        or 10.  The words are composed once, for phi; psi reads phi's sums.
+        or 10.  The words are composed once, for phi; psi's call takes
+        the level phi's call left on ifs.
         """
         if k is None:
             k = default_level(ifs, psi)
         geometric = periodic_sums(ifs, Potential.geometric(ifs), k)
-        potential = periodic_sums(ifs, psi, k, geometric=geometric)
+        potential = periodic_sums(ifs, psi, k)
         # lexsort is stable, so each run of equal pairs starts at its
         # first word; the counts sit at those words, which keeps the
         # pairs in word order and a level without repeats unchanged

@@ -17,22 +17,24 @@ in the parts a given kind needs; `normalize` moves only the shift.
 The geometric potential of an affine system collapses to a depth-one
 potential, which is why the classical Cantor benchmarks are exact at
 level one.  On any other system its periodic sums need every word's
-2x2 matrix.  One pass down the word tree composes them level after
-level, each level's matrices extending the level above by one letter
-on the right, and yields the sums of only the levels its caller reads,
-only when it reads them: `pressure` and `cohomology_diagnostic` take
-all their levels from one pass, `periodic_sums` its one level.  No
-piece of that work spans more than _CHUNK words: the pass holds whole
-only a level of at most that many, and composes deeper levels in
-blocks of at most that many, one after another, which bounds its
-memory.  The bytes do not depend on the block size.  A word's S_k phi
-is read from its matrix's leading eigenvalue, the cycle-expansion view
-of a periodic orbit.
+2x2 matrix.  Every periodic level is formed by one pass, `_level_sums`:
+it composes the word matrices down the word tree level after level,
+each level's matrices extending the level above by one letter on the
+right, and yields, for each level its caller reads and only when it
+reads it, S_k phi and the sums of every potential asked for.
+`pressure` and `cohomology_diagnostic` take all their levels from one
+pass, `periodic_sums` its one level.  No piece of that work spans more
+than _CHUNK words: the pass holds whole only a level of at most that
+many, and composes deeper levels in blocks of at most that many, one
+after another, which bounds its memory.  The bytes do not depend on the
+block size.  A word's S_k phi is read from its matrix's leading
+eigenvalue, the cycle-expansion view of a periodic orbit.
 
-The level `periodic_sums` composes is left on the system, and the next
-pass that reaches that level takes it instead of composing it again:
-normalizing psi at level k and then computing pressure or beta at
-level k composes level k once.
+There is one hand-off: the S_k phi that `periodic_sums` composes is
+left on the system, and the next pass that reaches level k takes it
+instead of composing it again.  So the sums of phi and then of psi at
+one level, or normalizing psi at level k and then computing pressure or
+beta at level k, compose level k once.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -324,9 +327,9 @@ def _geometric_levels(ifs: IfsSystem, levels):
     composition of the word forms, so the sums do not depend on the
     block size.  Levels are composed only as the caller asks for them,
     none deeper than the last it takes.  A level whose sums
-    periodic_sums left on ifs is taken from there, not composed.
-    Letters are scaled to determinant one, so S_k phi is read from
-    each word matrix's eigenvalue (`_phi_sums`).
+    periodic_sums left on ifs is taken from there, not composed, and
+    cleared from ifs.  Letters are scaled to determinant one, so S_k phi
+    is read from each word matrix's eigenvalue (`_phi_sums`).
     """
     m = ifs.alphabet_size
     scale = np.exp([-0.5 * mp.log_det for mp in ifs.maps])
@@ -340,32 +343,25 @@ def _geometric_levels(ifs: IfsSystem, levels):
         return _phi_sums(*rows, ifs.domain)
 
     for k in levels:
-        total = _check_level(m, k)
-        if ifs._phi_handoff is not None and ifs._phi_handoff[0] == k:
-            yield _take_handoff(ifs)
+        handoff = ifs._phi_handoff
+        if handoff is not None and handoff[0] == k:
+            object.__setattr__(ifs, "_phi_handoff", None)
+            yield handoff[1]
             continue
         while held_level < k and m ** (held_level + 1) <= _CHUNK:
             held, held_level = _extend(held, letters), held_level + 1
         span = m ** (k - held_level)
-        yield _map_blocks(block, total, max(1, _CHUNK // span) * span)
+        yield _map_blocks(block, m**k, max(1, _CHUNK // span) * span)
 
 
-def _take_handoff(ifs: IfsSystem) -> np.ndarray:
-    """The sums periodic_sums left on ifs, cleared from it, so that the
-    pass taking them holds the only reference."""
-    sums = ifs._phi_handoff[1]
-    object.__setattr__(ifs, "_phi_handoff", None)
-    return sums
-
-
-def _sums_chunk(ifs: IfsSystem, psi: Potential, k: int, lo: int, hi: int,
-                geometric: np.ndarray | None = None) -> np.ndarray:
+def _sums_chunk(ifs: IfsSystem, psi: Potential, k: int,
+                phi: np.ndarray | None, lo: int, hi: int) -> np.ndarray:
     m = ifs.alphabet_size
     sym = None
     out = np.full(hi - lo, psi.shift * k, dtype=float)
     if psi.geom != 0.0:
-        if geometric is not None:
-            out += psi.geom * geometric
+        if phi is not None:
+            out += psi.geom * phi[lo:hi]
         else:  # an affine system: phi sums the letters' log ratios
             sym = _symbol_columns(m, k, lo, hi)
             logr = np.array([math.log(mp.r_min) for mp in ifs.maps])
@@ -381,46 +377,45 @@ def _sums_chunk(ifs: IfsSystem, psi: Potential, k: int, lo: int, hi: int,
     return out
 
 
-def periodic_sums(ifs: IfsSystem, psi: Potential, k: int,
-                  geometric: np.ndarray | None = None) -> np.ndarray:
+def _level_sums(ifs: IfsSystem, psis, levels):
+    """For each k of the increasing `levels`, S_k phi and the list of
+    S_k psi for each psi of `psis`, at the periodic points of the
+    length-k words in lex order.
+
+    S_k phi comes from one `_geometric_levels` pass, composed only as
+    the levels are asked for, and is None when no psi reads it (no psi
+    has a geometric term on a non-affine system).  Each S_k psi is
+    computed in blocks of at most _CHUNK words, one after another, each
+    written into its slice, so its contents do not depend on the block
+    size.  next() leaves no level's sums held while the pass composes
+    the next.
+    """
+    phis = (_geometric_levels(ifs, levels)
+            if None in [effective_range(ifs, psi) for psi in psis]
+            else itertools.repeat(None))
+
+    def level(phi):
+        return phi, [_map_blocks(partial(_sums_chunk, ifs, psi, k, phi),
+                                 total, _CHUNK) for psi in psis]
+
+    for k in levels:
+        total = _check_level(ifs.alphabet_size, k)
+        yield level(next(phis))
+
+
+def periodic_sums(ifs: IfsSystem, psi: Potential, k: int) -> np.ndarray:
     """S_k psi at the periodic point of every length-k word, in lex order.
 
-    The level is computed in blocks of at most _CHUNK words, one after
-    another, each written into its slice, so the contents do not depend
-    on the block size.  psi's geometric term on a non-affine system
-    reads `geometric`, this level's sums of the geometric potential phi,
-    when given.  Otherwise a pass down the word tree composes the word
-    matrices down to level k and no deeper, and reads S_k phi at level
-    k only; `pressure` and `cohomology_diagnostic` read all their levels
-    from one such pass.  Those sums stay on ifs until the next pass
-    that reaches level k takes them.
+    The one level of `_level_sums`.  The S_k phi it composes stays on
+    ifs until the next pass that reaches level k takes it, so that
+    periodic sums of phi and then of psi at one level, or normalizing
+    psi at level k and then computing pressure or beta there, compose
+    level k once.
     """
-    total = _check_level(ifs.alphabet_size, k)
-    _check_system(ifs, psi)
-    if geometric is not None and len(geometric) != total:
-        raise ValueError(f"geometric sums hold {len(geometric)} words, "
-                         f"level {k} has {total}")
-    if geometric is None and effective_range(ifs, psi) is None:
-        geometric = next(_geometric_levels(ifs, (k,)))
-        # the next pass down the word tree that reaches level k takes
-        # these sums instead of composing the level again
-        object.__setattr__(ifs, "_phi_handoff", (k, geometric))
-
-    def chunk(lo, hi):
-        return _sums_chunk(ifs, psi, k, lo, hi, None if geometric is None
-                           else geometric[lo:hi])
-
-    return _map_blocks(chunk, total, _CHUNK)
-
-
-def _level_sums(ifs: IfsSystem, psi: Potential, levels):
-    """periodic_sums(ifs, psi, k) for each k of the increasing `levels`,
-    the word matrices composed in one pass and only as they are asked
-    for."""
-    phis = (_geometric_levels(ifs, levels)
-            if effective_range(ifs, psi) is None else itertools.repeat(None))
-    for k in levels:
-        yield periodic_sums(ifs, psi, k, geometric=next(phis))
+    phi, (sums,) = next(_level_sums(ifs, (psi,), (k,)))
+    if phi is not None:
+        object.__setattr__(ifs, "_phi_handoff", (k, phi))
+    return sums
 
 
 def _logsumexp(arr: np.ndarray) -> float:
@@ -494,9 +489,9 @@ def pressure(ifs: IfsSystem, psi: Potential, k_max: int = 10,
     levels = []
     ks = range(1, k_max + 1)
     # next() leaves no level's sums held while the pass composes the next
-    sums = _level_sums(ifs, psi, ks)
+    sums = _level_sums(ifs, (psi,), ks)
     for k in ks:
-        levels.append(_logsumexp(next(sums)) / k)
+        levels.append(_logsumexp(next(sums)[1][0]) / k)
         if k >= 3 and abs(levels[-1] - levels[-2]) < tol:
             break
     value = levels[-1]
@@ -564,11 +559,9 @@ def cohomology_diagnostic(ifs: IfsSystem, psi: Potential,
     """
     # refuse a level past the cap before composing any level below it
     _check_level(ifs.alphabet_size, ell_max)
-    phi = Potential.geometric(ifs)
     lo, hi = math.inf, -math.inf
-    ells = range(1, ell_max + 1)
-    for ell, s_phi in zip(ells, _level_sums(ifs, phi, ells)):
-        s_psi = periodic_sums(ifs, psi, ell, geometric=s_phi)
+    for _, (s_phi, s_psi) in _level_sums(ifs, (Potential.geometric(ifs), psi),
+                                         range(1, ell_max + 1)):
         ratios = s_psi / s_phi
         lo = min(lo, float(ratios.min()))
         hi = max(hi, float(ratios.max()))

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from mfgibbs import thermodynamics
+from mfgibbs import cli, thermodynamics
 from mfgibbs.cli import _build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -137,6 +137,55 @@ def test_detrend_flags_violation(capsys):
     assert code == 0
     assert "passed=false" in err
     assert "violation=true" in err
+
+
+def test_detrend_window_below_the_float_spacing_exits_one(tmp_path,
+                                                         capsys):
+    cfg = json.loads((CONFIGS / "lebesgue.json").read_text())
+    cfg["detrend"] = {"t0": "1/2", "windows": 55}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run(capsys, "detrend", "--config", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: window 55: every sample at radius ")
+
+
+@pytest.mark.parametrize("command,field,unit", [
+    ("beta", "--q-steps", "points"),
+    ("beta", "q_grid.steps", "points"),
+    ("spectrum", "q_grid.steps", "points"),
+    ("predict-packing", "packing.alpha_steps", "points"),
+    ("detrend", "detrend.windows", "windows"),
+    ("verify-prop", "probe.n_max", "depths"),
+])
+def test_counts_above_the_enumeration_cap_exit_two(tmp_path, capsys,
+                                                   monkeypatch, command,
+                                                   field, unit):
+    # a cap of 250 stands in for 10**8, so no run here allocates much;
+    # it stays above the defaults of the other counts, 201 at most
+    monkeypatch.setattr(cli, "ENUMERATION_CAP", 250)
+    cfg = json.loads((CONFIGS / "cantor_14_34.json").read_text())
+    flags = ()
+    if field.startswith("--"):
+        flags = (field, "251")
+    else:
+        section, _, key = field.partition(".")
+        cfg.setdefault(section, {})[key] = 251
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run(capsys, command, "--config", str(path), *flags)
+    assert (code, out) == (2, "")
+    assert err == f"config error: {field}: at most 250 {unit}, got 251\n"
+
+
+def test_memory_error_exits_one(capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "beta_grid", exhausted)
+    code, out, err = run(capsys, "beta", "--config",
+                         str(CONFIGS / "cantor_14_34.json"))
+    assert (code, out, err) == (1, "", "error: MemoryError\n")
 
 
 def test_predict_packing_grid(capsys):
@@ -345,6 +394,9 @@ def test_beta_determinism_across_threads(tmp_path, capsys, monkeypatch):
      "holder.points: 7.0 is outside [0.0, 1.0]"),
     ("detrend", "detrend", {"t0": -0.5},
      "detrend.t0: -0.5 is outside [0.0, 1.0]"),
+    # 3**-700 is below the smallest subnormal float
+    ("holder", "scales", {"base": 3, "j_min": 1, "j_max": 700},
+     "scales.j_max: radius 3**-700 underflows to 0"),
 ])
 def test_config_faults_name_the_field(tmp_path, capsys, command, field,
                                       value, message):

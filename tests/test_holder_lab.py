@@ -246,6 +246,16 @@ def test_detrend_needs_two_windows(F_lebesgue):
         detrend_exponent_test(F_lebesgue, 0.5, 1.0, windows=1)
 
 
+def test_detrend_names_the_window_whose_samples_round_onto_t0(F_lebesgue):
+    # at radius 2^-55 every sample 1/2 + h*u/12 rounds to 1/2 itself
+    result = detrend_exponent_test(F_lebesgue, 0.5, 1.0, windows=54)
+    assert result.window_radii[-1] == 2.0**-54
+    with pytest.raises(ScaleError, match=r"^window 55: every sample at "
+                                         r"radius 2\.77556e-17 rounds onto "
+                                         r"t0 = 0\.5"):
+        detrend_exponent_test(F_lebesgue, 0.5, 1.0, windows=55)
+
+
 def test_probe_rejects_gap_points(F_cantor):
     with pytest.raises(DomainError):
         derivative_limit_probe(F_cantor, 0.5, 1)

@@ -36,6 +36,22 @@ def test_beta_matches_closed_form(cantor, cantor_psi):
             assert got == pytest.approx(closed_form_beta(q), abs=1e-11)
 
 
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_beta_at_zero_is_the_moran_dimension(data):
+    # beta(0) is the root s of sum r_i^s = 1 on any affine system
+    ifs = data.draw(systems(moebius=False))
+    psi = data.draw(potentials(ifs, kinds=("bernoulli",)))
+    ratios = [mpmath.mpf(mp.r_min) for mp in ifs.maps]
+    with mpmath.workdps(40):
+        dim = float(mpmath.findroot(
+            lambda s: mpmath.fsum(r**s for r in ratios) - 1, (0.01, 1.0),
+            solver="anderson"))
+    assert abs(beta_of_q(ifs, psi, 0.0) - dim) <= 1e-14
+    assert abs(beta_of_q(ifs, psi, 1.0)) <= 1e-14
+
+
 def test_beta_normalization_identities(cantor, cantor_psi):
     assert beta_of_q(cantor, cantor_psi, 1.0) == pytest.approx(0.0, abs=1e-12)
     assert beta_of_q(cantor, cantor_psi, 0.0) == pytest.approx(
@@ -238,7 +254,7 @@ def test_newton_steps_per_warm_root(moebius, monkeypatch):
 def word_sums(ifs, psi, k):
     """S_k phi and S_k psi of every length-k word, one entry per word."""
     geometric = periodic_sums(ifs, Potential.geometric(ifs), k)
-    return geometric, periodic_sums(ifs, psi, k, geometric=geometric)
+    return geometric, periodic_sums(ifs, psi, k)
 
 
 @settings(max_examples=30, deadline=None,

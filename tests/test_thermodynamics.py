@@ -247,12 +247,12 @@ def test_moebius_periodic_sums_chunks_and_block_sums(data):
         mp.setattr(thermodynamics, "_CHUNK", data.draw(st.integers(1, total)))
         phi = periodic_sums(ifs, geometric, k)
         assert np.array_equal(periodic_sums(ifs, psi, k), whole)
-        assert np.array_equal(periodic_sums(ifs, psi, k, geometric=phi),
-                              whole)
-        # one pass yields every level as periodic_sums composes it alone
-        passed = list(thermodynamics._level_sums(ifs, psi, range(1, k + 1)))
-        assert np.array_equal(passed[-1], whole)
-        for j, sums in enumerate(passed[:-1], start=1):
+        # one pass yields every level as periodic_sums composes it alone,
+        # S_k phi included
+        passed = list(thermodynamics._level_sums(ifs, (geometric, psi),
+                                                 range(1, k + 1)))
+        for j, (s_phi, (_, sums)) in enumerate(passed, start=1):
+            assert np.array_equal(s_phi, periodic_sums(ifs, geometric, j))
             assert np.array_equal(sums, periodic_sums(ifs, psi, j))
     # the pass forms each word's products in word_matrix's order
     words = list(enumerate_words(m, k))
