@@ -304,6 +304,11 @@ def _scales_from(cfg: dict, ifs: IfsSystem) -> Scales:
     if j_max <= j_min:
         raise ConfigError(f"scales.j_max: must exceed scales.j_min, got "
                           f"{j_max} <= {j_min}")
+    try:
+        base ** -j_min  # the largest radius: if any overflows, this one does
+    except OverflowError:
+        raise ConfigError(f"scales.j_min: radius {base:g}**{-j_min} "
+                          f"overflows") from None
     if base ** -j_max == 0.0:
         raise ConfigError(f"scales.j_max: radius {base:g}**-{j_max} "
                           f"underflows to 0")

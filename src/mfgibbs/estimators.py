@@ -15,16 +15,18 @@ also terminates exactly; shared endpoints of touching cylinders resolve
 to the right child, keeping F right-continuous.
 
 A level the descent does not share with the previous one is one node
-expansion, ifs_geometry.node_children, the one place where a descent
-forms a node's children: m child compositions from the node's matrix,
-with the float operations of word_matrix, and the last child holding
-x.  The scalar walk here, the node walk of cdf_many and holder_lab's
-coding of a point all expand through it.  Non-constant splits add m
-fixed points per expanded level: a child's split is the cycle sum of
-the matrix the expansion has just composed (Potential.cycle_sum), and
-no word is recomposed from its first letter.  The node carries its log
-determinant as word_matrix accumulates it, letter by letter, and its
-word only when the splits are not constant.
+expansion, ifs_geometry.node_children, the one place where a scalar
+descent forms a node's children: m child compositions from the node's
+matrix, with the float operations of word_matrix, and the last child
+holding x.  The scalar walk here and holder_lab's coding of a point
+expand through it; cdf_many does its float operations elementwise over
+a level's nodes (numpy fuses no multiply-add, so the children are the
+same floats).  Non-constant splits add m fixed points per expanded
+level: a child's split is the cycle sum of the matrix the expansion has
+just composed (Potential.cycle_sum), and no word is recomposed from its
+first letter.  The node carries its log determinant as word_matrix
+accumulates it, letter by letter, and its word only when the splits are
+not constant.
 
 A scalar descent resumes below the deepest node it shares with the
 previous one.  F keeps the last descent's path: per level the node's
@@ -38,21 +40,27 @@ of a fresh F.  A descent reads the path once and replaces it with one
 assignment, never changing a path in place, so neither call order nor
 threads sharing F change a value; they can at worst miss the path.
 
-cdf_many walks cylinder nodes instead of points.  The points are sorted
-once (not at all when already non-decreasing, as box edges are), and
-each node owns a contiguous slice of them.  A node expands once and
-splits its slice with searchsorted on the child ends:
-points left of a child or in a gap get the sequential prefix sum of the
-sibling masses, points on a child end get the exact value, and points
-strictly inside a child become that child's slice.  Nodes with few
-points, or whose child ends are not in order, finish each point with
-the scalar walk from the node's state, on a path of the node's own.
-The float operations and their order are those of the scalar descent,
-so values and error bounds are bit-identical to cdf; on PrecisionError
-the points are replayed through cdf in input order, so the same error
-escapes.  Beyond the outputs (and the sort permutation of unsorted
-input) the walk keeps O(nodes) state: slices, never per-point masks or
-indices.
+cdf_many walks cylinder nodes instead of points, one level at a time.
+The points are sorted once (not at all when already non-decreasing, as
+box edges are), and each node owns a contiguous slice of them.  A
+level's live nodes are arrays in position order, and one numpy pass
+expands them all: their children at once, then one searchsorted per
+side over every child end, clipped to each node's slice, which splits
+every slice.  Points left of a child or in a gap get the sequential
+prefix sum of the sibling masses, points on a child end get the exact
+value, and points strictly inside a child become that child's slice
+at the next level.  A node whose child ends are not in order finishes
+each point with the scalar walk from the node's state, on a path of
+the node's own.  The float operations and their order are those of the
+scalar descent, so values and error bounds are bit-identical to cdf;
+on PrecisionError the points are replayed through cdf in input order,
+so the same error escapes.  A level of more than _BLOCK nodes takes one
+pass per block of _BLOCK nodes, deepest blocks first, so beyond the
+outputs (and the sort permutation of unsorted input) the walk keeps
+O(nodes) state: the slices and node arrays of at most max_depth * m
+blocks.  A run of points that resolves at one value is written by slice
+assignment, or, when short, through one index array of at most
+_LONG_RUN points per run; there is never a per-point mask.
 """
 
 from __future__ import annotations
@@ -60,6 +68,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 
 import numpy as np
 
@@ -70,10 +79,6 @@ from .symbolic import ENUMERATION_CAP, PeriodicWord
 from .thermodynamics import (CohomologyReport, Potential,
                              cohomology_diagnostic, effective_range,
                              range_table, require_normalized)
-
-
-# a node holding at most this many points finishes each with the scalar walk
-_LEAF_POINTS = 16
 
 
 @dataclass(frozen=True)
@@ -272,7 +277,8 @@ class DistributionFunction:
             raise
 
     def _cdf_sorted(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Node walk over non-decreasing points (NaN last), see module doc."""
+        """Level-synchronous node walk over non-decreasing points (NaN
+        last), see module doc."""
         values = np.empty(len(s))
         errors = np.zeros(len(s))
         lo, hi = self._domain
@@ -281,61 +287,122 @@ class DistributionFunction:
         values[stop:first_nan] = 1.0
         # NaN sorts last, after hi; it takes the scalar path's value, (0, 0)
         values[first_nan:], errors[first_nan:] = self._descend(math.nan)
-        coeffs = self._coeffs
-        logdets = self._logdets
-        m = self._m
-        mass_tol = self.policy.mass_tol
-        max_depth = self.policy.max_depth
-        stack = [(start, stop, 0.0, 1.0, (), (1.0, 0.0, 0.0, 1.0), 0.0, 0)]
-        while stack:
-            i0, i1, acc, mass, word, mat, logdet, depth = stack.pop()
-            if mass < mass_tol or depth >= max_depth:
-                values[i0:i1] = acc
-                errors[i0:i1] = mass
-                continue
-            if i1 - i0 > _LEAF_POINTS:
-                kids, _ = node_children(coeffs, *mat, lo, hi, math.nan)
-                ends = [e for kid in kids for e in kid[:2]]
-                if _monotone_ends(ends):
-                    seg = s[i0:i1]
-                    left = seg.searchsorted(ends).tolist()
-                    right = seg.searchsorted(ends, side="right").tolist()
-                    left.append(i1 - i0)  # l_m = +inf
-                    conds = self._const_conds or self._conds(word, logdet, kids)
-                    pos = 0
-                    for j in range(m):
-                        # [pos, b): the gap left of child j and x == l_j;
-                        # [b, c): inside child j; [c, ...): x == h_j onward
-                        end = min(right[2 * j + 1], left[2 * j + 2])
-                        b = min(right[2 * j], end)
-                        c = max(b, min(left[2 * j + 1], end))
-                        values[i0 + pos:i0 + b] = acc
-                        if c > b:
-                            if ends[2 * j + 1] - ends[2 * j] < WIDTH_FLOOR:
-                                # cdf_many replays the scalar path for the message
-                                raise PrecisionError("cylinder under the width floor")
-                            stack.append((i0 + b, i0 + c, acc, mass * conds[j],
-                                          word + (j,), kids[j][2:],
-                                          logdet + logdets[j], depth + 1))
-                        acc += mass * conds[j]
-                        pos = c
-                    values[i0 + pos:i1] = acc
-                    continue
-            walk = self._walk
-            path = []  # the leaf's own path, from its node down
-            for i, x in enumerate(s[i0:i1].tolist(), i0):
-                values[i], errors[i], path = walk(x, acc, mass, word, mat,
-                                                  logdet, depth, path)
+        # the root: depth 0, all points in the domain, acc 0, mass 1, the
+        # identity matrix, log determinant 0 and the empty word
+        blocks = [(0, np.array([[start], [stop]]), np.array(
+            [[0.0], [1.0], [1.0], [0.0], [0.0], [1.0], [0.0]]), [()])]
+        while blocks:
+            blocks += self._expand(s, values, errors, *blocks.pop())
         return values, errors
 
+    def _expand(self, s, values, errors, depth, slices, state, words):
+        """One numpy pass over a block of nodes of one level, in position
+        order, one column per node: slices holds each node's slice of s,
+        state its (acc, mass, a, b, c, d, logdet), and words its word,
+        only for non-constant splits.  Writes the values the nodes
+        resolve and returns their children as blocks of the next level."""
+        lo, hi = self._domain
+        const = self._const_conds
+        m = self._m
+        live = ((state[1] >= self.policy.mass_tol)
+                & (depth < self.policy.max_depth))
+        _fill(values, slices[:, ~live], state[0, ~live])
+        _fill(errors, slices[:, ~live], state[1, ~live])
+        if not live.any():
+            return []
+        slices, state = slices[:, live], state[:, live]
+        if const is None:
+            words = list(compress(words, live.tolist()))
+        # node_children's float operations, for every child of the block;
+        # kids[:7, k, j] is child j of node k, laid out as state, and
+        # kids[7:] its ends
+        ka, kb, kc, kd = np.array(self._coeffs).T
+        acc, mass, a, b, c, d, logdet = state
+        kids = np.empty((9, len(acc), m))
+        kids[2] = a[:, None] * ka + b[:, None] * kc
+        kids[3] = a[:, None] * kb + b[:, None] * kd
+        kids[4] = c[:, None] * ka + d[:, None] * kc
+        kids[5] = c[:, None] * kb + d[:, None] * kd
+        kids[6] = logdet[:, None] + np.array(self._logdets)
+        kids[7] = (kids[2] * lo + kids[3]) / (kids[4] * lo + kids[5])
+        kids[8] = (kids[2] * hi + kids[3]) / (kids[4] * hi + kids[5])
+        ls, hs = kids[7:]
+        # l_j <= h_j and both sides non-decreasing in j: each child's
+        # points form one sorted run
+        ok = ((ls <= hs).all(1) & (ls[:, :-1] <= ls[:, 1:]).all(1)
+              & (hs[:, :-1] <= hs[:, 1:]).all(1))
+        for k in np.flatnonzero(~ok).tolist():
+            # the scalar walk finishes the node's points, on a path of the
+            # node's own; the emptied slice then resolves no run and
+            # enters no child
+            node_acc, node_mass, *mat, node_logdet = state[:, k].tolist()
+            path = []
+            for i in range(slices[0, k], slices[1, k]):
+                values[i], errors[i], path = self._walk(
+                    float(s[i]), node_acc, node_mass,
+                    words[k] if const is None else (), tuple(mat),
+                    node_logdet, depth, path)
+            slices[1, k] = slices[0, k]
+        conds = np.array(const or [
+            self._conds(w, ld, kk) for w, ld, kk in zip(
+                words, logdet.tolist(),
+                np.moveaxis(kids[[7, 8, 2, 3, 4, 5]], 0, -1).tolist())])
+        # one searchsorted per side over the block's child ends, which
+        # arrive sorted; clipped to a node's slice it is the node's own
+        i0, i1 = slices[:, :, None]
+        ends = np.stack([ls, hs], axis=-1).reshape(len(ls), 2 * m)
+        left = np.minimum(np.maximum(s.searchsorted(ends), i0), i1)
+        right = np.minimum(np.maximum(s.searchsorted(ends, "right"), i0), i1)
+        # runs[k] = [i0, b_0, c_0, ..., b_m-1, c_m-1, i1] for node k:
+        # [c_j-1, b_j) is the gap left of child j and x == l_j, with c_-1
+        # = i0; [b_j, c_j) is inside child j; x == h_j onward goes to the
+        # next run, and [c_m-1, i1) is past the last child
+        end = right[:, 1::2]  # min(index past h_j, index of l_j+1)
+        np.minimum(end[:, :-1], left[:, 2::2], out=end[:, :-1])
+        runs = np.empty((len(ls), 2 * m + 2), dtype=np.intp)
+        runs[:, :1], runs[:, -1:] = i0, i1
+        b_ = np.minimum(right[:, 0::2], end, out=runs[:, 1:-1:2])
+        c_ = np.maximum(b_, np.minimum(left[:, 1::2], end), out=runs[:, 2:-1:2])
+        # a run's value is acc plus the sibling masses before it, added in
+        # child order as the scalar walk adds them
+        kids[1] = mass[:, None] * conds
+        accs = np.cumsum(np.hstack([acc[:, None], kids[1]]), axis=1)
+        _fill(values, runs.reshape(-1, 2).T, accs.ravel())
+        kids[0] = accs[:, :m]
+        inside = c_ > b_
+        if (inside & (hs - ls < WIDTH_FLOOR)).any():
+            # cdf_many replays the scalar path for the message
+            raise PrecisionError("cylinder under the width floor")
+        slices = runs[:, 1:-1].reshape(-1, m, 2)[inside].T
+        state = kids[:7, inside]
+        if const is None:
+            words = [words[k] + (j,) for k, j in zip(*np.nonzero(inside))]
+        return [(depth + 1, slices[:, k:k + _BLOCK], state[:, k:k + _BLOCK],
+                 words[k:k + _BLOCK]) for k in range(0, len(state[0]), _BLOCK)]
 
-def _monotone_ends(ends: list[float]) -> bool:
-    """Child ends [l_0, h_0, l_1, h_1, ...] with l_j <= h_j and both sides
-    non-decreasing in j, so each child's points form one sorted run."""
-    ls, hs = ends[0::2], ends[1::2]
-    return (all(l <= h for l, h in zip(ls, hs))
-            and all(a <= b for a, b in zip(ls, ls[1:]))
-            and all(a <= b for a, b in zip(hs, hs[1:])))
+
+# a run of more points than this is filled by slice assignment
+_LONG_RUN = 64
+# cdf_many expands at most this many nodes of a level in one pass
+_BLOCK = 4096
+
+
+def _fill(out: np.ndarray, runs: np.ndarray, vals: np.ndarray) -> None:
+    """out[i:j] = v for every run (i, j) = runs[:, k] and v = vals[k].
+
+    Runs of more than _LONG_RUN points take one slice assignment each,
+    at most len(out) / _LONG_RUN in all; the rest share one indexed
+    write, whose index array is at most _LONG_RUN points per run.
+    """
+    lens = runs[1] - runs[0]
+    long = lens > _LONG_RUN
+    if long.any():
+        for i, j, v in zip(*runs[:, long].tolist(), vals[long].tolist()):
+            out[i:j] = v
+        runs, vals, lens = runs[:, ~long], vals[~long], lens[~long]
+    # the points of run k are runs[0, k] + (0 .. lens[k] - 1)
+    first = np.repeat(runs[0] - (np.cumsum(lens) - lens), lens)
+    out[first + np.arange(len(first))] = np.repeat(vals, lens)
 
 
 def default_policy(ifs: IfsSystem) -> DepthPolicy:
@@ -504,13 +571,10 @@ def coarse_spectrum(F: DistributionFunction, delta_list,
         keep = (masses > 0.0) & (masses >= 10.0 * errs)
         alphas = np.log(masses[keep]) / math.log(d)
         idx = np.floor(alphas / alpha_bin_width).astype(int)
-        bins = []
-        for b in sorted(set(int(v) for v in idx)):
-            count = int(np.sum(idx == b))
-            bins.append(CoarseBin(
-                alpha_center=(b + 0.5) * alpha_bin_width,
-                count=count,
-                f_alpha=math.log(count) / (-math.log(d))))
+        ids, counts = np.unique(idx, return_counts=True)
+        bins = [CoarseBin(alpha_center=(b + 0.5) * alpha_bin_width,
+                          count=count, f_alpha=math.log(count) / (-math.log(d)))
+                for b, count in zip(ids.tolist(), counts.tolist())]
         kept = float(masses[keep].sum())
         if kept > 1.0 + 1e-9:
             raise PrecisionError(f"kept box masses sum to {kept} > 1")

@@ -397,6 +397,9 @@ def test_beta_determinism_across_threads(tmp_path, capsys, monkeypatch):
     # 3**-700 is below the smallest subnormal float
     ("holder", "scales", {"base": 3, "j_min": 1, "j_max": 700},
      "scales.j_max: radius 3**-700 underflows to 0"),
+    # 3**2000 is above the largest float
+    ("holder", "scales", {"base": 3, "j_min": -2000, "j_max": -1000},
+     "scales.j_min: radius 3**2000 overflows"),
 ])
 def test_config_faults_name_the_field(tmp_path, capsys, command, field,
                                       value, message):

@@ -309,6 +309,77 @@ def test_cdf_many_raises_the_scalar_precision_error(moebius, moebius_psi):
     assert len(messages) == 2
 
 
+@pytest.mark.parametrize("to_the_floor", [False, True])
+@pytest.mark.parametrize("config, base, j", [("cantor_14_34", 3, 9),
+                                             ("uniform_cantor", 3, 9),
+                                             ("moebius_pair", 2, 12),
+                                             ("lebesgue", 2, 12)])
+def test_cdf_many_matches_scalar_cdf_on_a_box_edge_grid(config, base, j,
+                                                        to_the_floor):
+    # every box edge at once keeps thousands of nodes live per level
+    ifs, psi = _config_cascade(config)
+    delta = float(base) ** -j
+    F = DistributionFunction(ifs, psi,
+                             DepthPolicy(30, 0.0) if to_the_floor else None)
+    lo, hi = ifs.domain
+    xs = lo + delta * np.arange(round((hi - lo) / delta) + 1)
+    xs[-1] = hi
+    ref = _scalar_cdf(F, xs)
+    got = _batched_cdf(F, xs)
+    if isinstance(ref, str):
+        assert got == ref
+    else:
+        assert np.array_equal(got[0], ref[0])
+        assert np.array_equal(got[1], ref[1])
+
+
+@pytest.mark.parametrize("config", ["cantor_14_34", "moebius_pair"])
+def test_cdf_many_in_blocks_matches_scalar_cdf(config, monkeypatch):
+    # levels wider than a block take one pass per block, deepest first
+    monkeypatch.setattr(estimators, "_BLOCK", 3)
+    ifs, psi = _config_cascade(config)
+    F = DistributionFunction(ifs, psi)
+    rng = np.random.default_rng(5)
+    xs = np.sort(np.concatenate([rng.random(200), np.linspace(0, 1, 730)]))
+    ref = _scalar_cdf(F, xs)
+    got = F.cdf_many(xs)
+    assert np.array_equal(got[0], ref[0])
+    assert np.array_equal(got[1], ref[1])
+
+
+@pytest.mark.parametrize("constant_splits", [True, False])
+def test_cdf_many_finishes_out_of_order_nodes_with_the_scalar_walk(
+        constant_splits, monkeypatch):
+    # image 1, 1e-13 wide, starts inside image 0 (the overlap is within
+    # DOMAIN_TOL) and ends 450 ulps past it: from depth 9 on, the two
+    # right child ends round out of order
+    dom = (0.0, 1.0)
+    ifs = IfsSystem(dom, (AffineMap(0.5 + 0.5e-13, 0.0, dom),
+                          AffineMap(1e-13, 0.5, dom),
+                          AffineMap(0.4, 0.6, dom)))
+    if constant_splits:
+        psi = Potential.from_probabilities([0.3, 0.2, 0.5])
+    else:
+        psi = normalize(ifs, Potential.finite_range(
+            2, 3, [0.1, -0.3, 0.5, 0.2, 0.0, -0.1, 0.4, 0.3, -0.2]))
+    F = DistributionFunction(ifs, psi, DepthPolicy(30, 1e-12))
+    rng = np.random.default_rng(1)
+    xs = np.sort(np.concatenate([rng.random(300), np.linspace(0, 1, 257)]))
+    ref = _scalar_cdf(F, xs)
+    walked = []
+    walk = DistributionFunction._walk
+
+    def recorded(self, x, acc, mass, word, mat, logdet, depth, path):
+        walked.append(depth)
+        return walk(self, x, acc, mass, word, mat, logdet, depth, path)
+
+    monkeypatch.setattr(DistributionFunction, "_walk", recorded)
+    got = F.cdf_many(xs)
+    assert min(d for d in walked if d > 0) == 9
+    assert np.array_equal(got[0], ref[0])
+    assert np.array_equal(got[1], ref[1])
+
+
 @pytest.mark.parametrize("config", ["cantor_14_34", "moebius_pair"])
 def test_cdf_exact_at_every_cylinder_end(config):
     # cylinder_interval and stream_point form their points with the float
