@@ -66,34 +66,34 @@ def _int(value, where: str) -> int:
     return int(v)
 
 
-def _list(value, where: str) -> list:
-    if not isinstance(value, list):
-        raise ConfigError(f"{where}: expected a list, got "
-                          f"{type(value).__name__}")
-    return value
-
-
 def _each(read, unit: str = ""):
     """A reader of lists whose entries `read` reads; given a unit, the
     list must hold at least one."""
     def read_list(value, where: str) -> list:
-        values = [read(v, where) for v in _list(value, where)]
+        if not isinstance(value, list):
+            raise ConfigError(f"{where}: expected a list, got "
+                              f"{type(value).__name__}")
+        values = [read(v, where) for v in value]
         if unit and not values:
             raise ConfigError(f"{where}: need at least one {unit}")
         return values
     return read_list
 
 
-def _at_least(n: int, unit: str):
+# a q or alpha grid point costs a root or a Legendre step
+_GRID_POINTS = 10**6
+
+
+def _at_least(n: int, unit: str, cap: float = math.inf):
     """A reader of integers of at least n, counting `unit`, and at most
-    the cap on enumerated counts."""
+    `cap` and the cap on enumerated counts."""
     def read(value, where: str) -> int:
         v = _int(value, where)
         if v < n:
             raise ConfigError(f"{where}: need at least {n} {unit}, got {v}")
-        if v > ENUMERATION_CAP:
-            raise ConfigError(f"{where}: at most {ENUMERATION_CAP} {unit}, "
-                              f"got {v}")
+        top = min(cap, ENUMERATION_CAP)
+        if v > top:
+            raise ConfigError(f"{where}: at most {top} {unit}, got {v}")
         return v
     return read
 
@@ -322,7 +322,7 @@ def _q_grid(args, cfg, ifs, psi, min_steps: int = 3):
     q_min, at_min = _setting(args, cfg, "--q-min", "q_grid.min", -10.0, _num)
     q_max, _ = _setting(args, cfg, "--q-max", "q_grid.max", 10.0, _num)
     steps, _ = _setting(args, cfg, "--q-steps", "q_grid.steps", 201,
-                        _at_least(min_steps, "points"))
+                        _at_least(min_steps, "points", _GRID_POINTS))
     if q_min >= q_max:
         raise ConfigError(f"{at_min}: {q_min:g} is not below the grid's "
                           f"upper end {q_max:g}")
@@ -412,12 +412,8 @@ def _cmd_cdf(args, cfg, ifs, psi, level):
         mass_tol=default.mass_tol if args.tol is None
         else _within(0.0, math.inf)(args.tol, "--tol"))
     F = DistributionFunction(ifs, psi, policy)
-    rows = []
-    worst = 0.0
-    for x in points:
-        val = F.cdf(x)
-        worst = max(worst, val.error_bound)
-        rows.append((x, val.value, val.error_bound))
+    rows = [(x, *F.cdf(x)) for x in points]
+    worst = max([0.0] + [bound for _, _, bound in rows])
     return (("x", "value", "error_bound"), rows,
             f"cdf: {len(points)} points, max error bound {_fmt(worst)}")
 
@@ -426,10 +422,8 @@ def _cmd_holder(args, cfg, ifs, psi, level):
     points = _points(args, cfg, "holder", _within(*ifs.domain))
     scales = _scales_from(cfg, ifs)
     F = DistributionFunction(ifs, psi, deep_policy(ifs))
-    rows = []
-    for t0 in points:
-        est = holder_exponent_estimate(F, t0, scales)
-        rows.append((t0, est.exponent, len(est.scale_pairs)))
+    ests = [holder_exponent_estimate(F, t0, scales) for t0 in points]
+    rows = [(est.t0, est.exponent, len(est.scale_pairs)) for est in ests]
     return (("t0", "exponent", "usable_scales"), rows,
             f"holder: {len(points)} points, method=regression")
 
@@ -438,21 +432,27 @@ def _cmd_coarse(args, cfg, ifs, psi, level):
     if args.depth is not None:
         deltas = [default_scale_base(ifs) ** (-args.depth)]
     else:
-        # the box sizes below the domain's width
-        lo, hi = ifs.domain
+        # the box sizes below the domain's width, at most the cap in boxes
+        diam = ifs.diameter
         deltas = _field(cfg, "coarse.deltas", None,
-                        _each(_within(0.0, hi - lo, ends=False), "box size"))
+                        _each(_within(0.0, diam, ends=False), "box size"))
+        if diam / min(deltas) > ENUMERATION_CAP:
+            raise ConfigError(f"coarse.deltas: box size {min(deltas):g} "
+                              f"needs over {ENUMERATION_CAP} boxes")
+        if 1.0 in deltas:
+            raise ConfigError("coarse.deltas: box size 1 has log 0, which "
+                              "leaves no exponent")
     width = _field(cfg, "coarse.alpha_bin_width", 0.2, _positive(_num))
     F = DistributionFunction(ifs, psi)
-    rows = []
-    kept = []
-    for result in coarse_spectrum(F, deltas, alpha_bin_width=width):
-        kept.append(result.kept_mass)
-        for b in result.bins:
-            rows.append((result.delta, b.alpha_center, b.count, b.f_alpha))
+    try:
+        results = coarse_spectrum(F, deltas, alpha_bin_width=width)
+    except ValueError as exc:  # the width's bins leave int64
+        raise ConfigError(f"coarse.alpha_bin_width: {exc}") from None
+    # a bin is (alpha_center, count, f_alpha)
+    rows = [(result.delta, *b) for result in results for b in result.bins]
     return (("delta", "alpha_center", "count", "f_alpha"), rows,
             f"coarse: {len(deltas)} deltas, {len(rows)} bins, "
-            f"kept_mass_min={min(kept):.6f}")
+            f"kept_mass_min={min(r.kept_mass for r in results):.6f}")
 
 
 def _cmd_verify_prop(args, cfg, ifs, psi, level):
@@ -509,9 +509,8 @@ def _cmd_detrend(args, cfg, ifs, psi, level):
     else:
         raise ConfigError(f"--points: detrend takes one point, "
                           f"got {len(args.points)}")
-    alpha_hat = _block(cfg, "detrend").get("alpha_hat")
-    if alpha_hat is not None:
-        alpha_hat = _num(alpha_hat, "detrend.alpha_hat")
+    alpha_hat = (_field(cfg, "detrend.alpha_hat", None, _num)
+                 if "alpha_hat" in _block(cfg, "detrend") else None)
     windows = _field(cfg, "detrend.windows", 8, _at_least(2, "windows"))
     F = DistributionFunction(ifs, psi, deep_policy(ifs))
     result = detrend_exponent_test(F, t0, alpha_hat, windows=windows)
@@ -533,7 +532,8 @@ def _cmd_predict_packing(args, cfg, ifs, psi, level):
     if "alphas" in _block(cfg, "packing"):
         alphas = _field(cfg, "packing.alphas", None, _each(_num))
     else:
-        n = _field(cfg, "packing.alpha_steps", 101, _at_least(2, "points"))
+        n = _field(cfg, "packing.alpha_steps", 101,
+                   _at_least(2, "points", _GRID_POINTS))
         lo, hi = curve.alpha_minus, curve.alpha_plus
         alphas = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
     return (("alpha", "hausdorff", "packing", "empty"),

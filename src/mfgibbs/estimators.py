@@ -69,6 +69,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
+from typing import NamedTuple
 
 import numpy as np
 
@@ -95,8 +96,7 @@ class DepthPolicy:
             raise ValueError("mass_tol must be >= 0")
 
 
-@dataclass(frozen=True)
-class CdfValue:
+class CdfValue(NamedTuple):
     value: float
     error_bound: float
 
@@ -457,8 +457,7 @@ def default_scale_base(ifs: IfsSystem) -> float:
     return 2.0
 
 
-@dataclass(frozen=True)
-class HolderEstimate:
+class HolderEstimate(NamedTuple):
     t0: float
     exponent: float
     scale_pairs: tuple[tuple[float, float], ...]
@@ -524,15 +523,13 @@ def exact_exponent_at_coded_point(ifs: IfsSystem, psi: Potential,
     return psi.block_sum(w) / Potential.geometric(ifs).block_sum(w)
 
 
-@dataclass(frozen=True)
-class CoarseBin:
+class CoarseBin(NamedTuple):
     alpha_center: float
     count: int
     f_alpha: float
 
 
-@dataclass(frozen=True)
-class CoarseSpectrum:
+class CoarseSpectrum(NamedTuple):
     delta: float
     bin_width: float
     bins: tuple[CoarseBin, ...]
@@ -555,10 +552,14 @@ def coarse_spectrum(F: DistributionFunction, delta_list,
         d = float(delta)
         if not 0.0 < d < diam:
             raise DomainError(f"delta {d} outside (0, {diam})")
-        n = int(math.ceil(diam / d))
+        if d == 1.0:
+            raise DomainError("delta 1 has log 0, which leaves no exponent")
+        n = diam / d  # inf where the quotient overflows
         if n > ENUMERATION_CAP:
-            raise CapacityError(f"delta {d:g} needs {n} boxes, over the "
-                                f"cap {ENUMERATION_CAP}")
+            raise CapacityError(f"delta {d:g} needs "
+                                f"{math.ceil(n) if n < math.inf else n} "
+                                f"boxes, over the cap {ENUMERATION_CAP}")
+        n = math.ceil(n)
         edges = lo + d * np.arange(n + 1)
         if hi - edges[n - 1] < 1e-9 * d:
             # diam/d rounded up past an integer: drop the rounding-noise box
@@ -570,8 +571,11 @@ def coarse_spectrum(F: DistributionFunction, delta_list,
         errs = errors[:-1] + errors[1:]
         keep = (masses > 0.0) & (masses >= 10.0 * errs)
         alphas = np.log(masses[keep]) / math.log(d)
-        idx = np.floor(alphas / alpha_bin_width).astype(int)
-        ids, counts = np.unique(idx, return_counts=True)
+        idx = np.floor(alphas / alpha_bin_width)
+        if not (np.abs(idx) < 2.0**63).all():
+            raise ValueError(f"bin width {alpha_bin_width:g} puts an "
+                             f"exponent at delta {d:g} in a bin past int64")
+        ids, counts = np.unique(idx.astype(int), return_counts=True)
         bins = [CoarseBin(alpha_center=(b + 0.5) * alpha_bin_width,
                           count=count, f_alpha=math.log(count) / (-math.log(d)))
                 for b, count in zip(ids.tolist(), counts.tolist())]

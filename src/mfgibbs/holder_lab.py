@@ -13,7 +13,7 @@ the separation, fit the predicted rates, and classify observed limits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (BlockSearchError, DomainError, PrecisionError,
                      ScaleError, SeparatorError)
@@ -42,8 +42,16 @@ def _as_stream(omega) -> SymbolStream:
     return omega.stream() if isinstance(omega, PeriodicWord) else omega
 
 
-@dataclass(frozen=True)
-class SecantSlope:
+def _secant_power(h: float, k: int, where: str) -> float:
+    """h**k, the base of a secant quotient; PrecisionError where it
+    underflows to 0 and leaves the quotient nothing to divide by."""
+    if h ** k == 0.0:
+        raise PrecisionError(f"{where}: secant base {h:.3e} to the power "
+                             f"k = {k} underflows to 0")
+    return h ** k
+
+
+class SecantSlope(NamedTuple):
     total: float
     decomposition_check: float
 
@@ -62,9 +70,9 @@ def secant_slope(F: DistributionFunction, s: float, x: float, t: float,
     _require_odd(k)
     if t - s < 1e-13:
         raise PrecisionError("secant base below the precision floor")
-    fs = F.cdf(s).value
-    fx = F.cdf(x).value
-    ft = F.cdf(t).value
+    # the shorter part of the base underflows first
+    _secant_power(min(t - x, x - s), k, f"secant over [{s!r}, {t!r}]")
+    fs, fx, ft = (F.cdf(v).value for v in (s, x, t))
     total = (ft - fs) / (t - s) ** k
     r = (t - x) / (t - s)
     recomposed = (r ** k * (ft - fx) / (t - x) ** k
@@ -73,8 +81,7 @@ def secant_slope(F: DistributionFunction, s: float, x: float, t: float,
                        decomposition_check=abs(total - recomposed))
 
 
-@dataclass(frozen=True)
-class TauBlock:
+class TauBlock(NamedTuple):
     tau: Word
     value: float
 
@@ -101,8 +108,7 @@ def find_tau_block(ifs: IfsSystem, psi: Potential, k: int) -> TauBlock:
         f"the potentials look cohomologous")
 
 
-@dataclass(frozen=True)
-class Separator:
+class Separator(NamedTuple):
     word: Word
     case: int
     interval: tuple[float, float]
@@ -148,8 +154,7 @@ def find_separator(ifs: IfsSystem, omega, n: int, tau: Word) -> Separator:
     return Separator(word=sep, case=case, interval=(s_lo, s_hi))
 
 
-@dataclass(frozen=True)
-class ScalingRecord:
+class ScalingRecord(NamedTuple):
     n: int
     N: int
     s: float
@@ -159,8 +164,7 @@ class ScalingRecord:
     separator: Word
 
 
-@dataclass(frozen=True)
-class PerturbationExperiment:
+class PerturbationExperiment(NamedTuple):
     tau: Word
     ell: int
     k: int
@@ -209,7 +213,8 @@ def ratio_scaling_experiment(ifs: IfsSystem, psi: Potential, omega,
         ls, lr = [], []
         for N in Ns:
             s, t = cylinder_interval(ifs, prefix + tau.repeat(N))
-            slope = (F.cdf(t).value - F.cdf(s).value) / (t - s) ** k
+            slope = ((F.cdf(t).value - F.cdf(s).value)
+                     / _secant_power(t - s, k, f"n={n}, N={N}"))
             r = (t - x) / (t - s)
             if slope <= 0.0 or r == 0.0:
                 raise PrecisionError(
@@ -240,16 +245,14 @@ def ratio_scaling_experiment(ifs: IfsSystem, psi: Potential, omega,
         residual_spread_by_N=spread)
 
 
-@dataclass(frozen=True)
-class SlopeRecord:
+class SlopeRecord(NamedTuple):
     n: int
     s: float
     t: float
     slope_k: float
 
 
-@dataclass(frozen=True)
-class SlopeProbe:
+class SlopeProbe(NamedTuple):
     x: float
     omega_prefix: Word
     k: int
@@ -289,9 +292,10 @@ def _locate_coding(ifs: IfsSystem, x: float, depth: int
     return word, ends
 
 
-def _tail_period(word: list[int], max_period: int = 8) -> int:
+def _tail_period(word: list[int]) -> int:
+    """The shortest period up to 8 of the second half of word, else 1."""
     half = len(word) // 2
-    for p in range(1, max_period + 1):
+    for p in range(1, 9):
         if all(word[i] == word[i + p] for i in range(half, len(word) - p)):
             return p
     return 1
@@ -321,20 +325,18 @@ def derivative_limit_probe(F: DistributionFunction, x: float, k: int,
     coding, ends = _locate_coding(ifs, x, depth)
     fx = F.cdf(x).value
     records = []
-    vals = []
     for n in range(n_lo, depth + 1):
         s, t = ends[n]
         if t - s < WIDTH_FLOOR and n > 0:
             raise PrecisionError(
                 f"cylinder width {t - s:.3e} below floor {WIDTH_FLOOR}")
         y = t if t - x >= x - s else s
-        v = (F.cdf(y).value - fx) / (y - x) ** k
+        v = (F.cdf(y).value - fx) / _secant_power(y - x, k, f"depth {n}")
         records.append(SlopeRecord(n=n, s=s, t=t, slope_k=v))
-        vals.append(v)
-    pos = [v for v in vals if v > 0.0]
-    if len(pos) < len(vals):
+    vals = [rec.slope_k for rec in records]
+    if not all(v > 0.0 for v in vals):
         raise PrecisionError("nonpositive secant quotient; depth too large")
-    logs = [math.log(v) for v in pos]
+    logs = [math.log(v) for v in vals]
     ell = _tail_period(coding)
     window = max(PROBE_MIN_DEPTHS, 3 * ell)
     tail = logs[max(0, len(logs) - window):]
@@ -363,8 +365,7 @@ def derivative_limit_probe(F: DistributionFunction, x: float, k: int,
                       degenerate_hypothesis=F.cohomology.degenerate)
 
 
-@dataclass(frozen=True)
-class DetrendResult:
+class DetrendResult(NamedTuple):
     t0: float
     alpha_hat: float
     degree_max: int
@@ -395,7 +396,9 @@ def detrend_exponent_test(F: DistributionFunction, t0: float,
     still exercised).  Decay compares the first window with the last,
     so there must be at least two.  Each window's radius is formed when
     the fit reaches it; ScaleError names the first window whose samples
-    all round onto t0, which leaves its fit nothing to divide by.
+    all round onto t0, or whose powers of a degree square to 0, which
+    leaves its fit nothing to divide by; a degree's fit starts at the
+    first window, so no degree past the first one that fails is tried.
     """
     if windows < 2:
         raise ValueError("need at least 2 windows")
@@ -414,7 +417,9 @@ def detrend_exponent_test(F: DistributionFunction, t0: float,
     lo, hi = F.system.domain
     f0 = F.cdf(t0).value
     radii = []
-    coeffs: list[list[float]] = [[] for _ in range(degree_max)]
+    # each degree's coefficients, made when the first window fits it, so
+    # a huge alpha_hat stops at the first degree no window can fit
+    coeffs: dict[int, list[float]] = {}
     for i in range(1, windows + 1):
         h = scales.base ** -i
         radii.append(h)
@@ -429,12 +434,14 @@ def detrend_exponent_test(F: DistributionFunction, t0: float,
             ws = [(tt - t0) ** j for tt in ts]
             den = sum(w * w for w in ws)
             if den == 0.0:
+                fault = (f"has (t - t0)**{j} square to 0 at degree {j}" if ts
+                         else f"rounds onto t0 = {t0!r}")
                 raise ScaleError(f"window {i}: every sample at radius {h:g} "
-                                 f"rounds onto t0 = {t0!r}, leaving nothing "
-                                 f"to fit")
-            coeffs[j - 1].append(sum(y * w for y, w in zip(ys, ws)) / den)
+                                 f"{fault}, leaving nothing to fit")
+            coeffs.setdefault(j, []).append(
+                sum(y * w for y, w in zip(ys, ws)) / den)
     decays = []
-    for seq in coeffs:
+    for seq in coeffs.values():
         mags = [abs(a) for a in seq]
         monotone = all(mags[i + 1] <= mags[i] + 1e-12
                        for i in range(len(mags) - 1))
@@ -446,6 +453,6 @@ def detrend_exponent_test(F: DistributionFunction, t0: float,
     violation = (not passed) and F.cohomology.degenerate
     return DetrendResult(t0=t0, alpha_hat=alpha_hat, degree_max=degree_max,
                          window_radii=tuple(radii),
-                         coefficients=tuple(tuple(c) for c in coeffs),
+                         coefficients=tuple(map(tuple, coeffs.values())),
                          residual_exponent=residual, passed=passed,
                          skipped=False, hypothesis_violation=violation)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import DomainError, PrecisionError
 from .symbolic import MAX_ALPHABET, PeriodicWord, SymbolStream, Word
@@ -134,8 +134,7 @@ def _require_inside(x: float, domain: tuple[float, float]) -> None:
         raise DomainError(f"point {x} outside [{domain[0]}, {domain[1]}]")
 
 
-@dataclass(frozen=True)
-class OscReport:
+class OscReport(NamedTuple):
     """Outcome of the open set condition check on first-level images."""
 
     satisfied: bool

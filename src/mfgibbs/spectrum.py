@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,8 +41,7 @@ DEFAULT_Q_MAX = 10.0
 DEFAULT_Q_STEPS = 201
 
 
-@dataclass(frozen=True)
-class LevelSums:
+class LevelSums(NamedTuple):
     """Periodic sums of phi and psi at one depth, shared across root solves.
 
     The arrays hold each distinct (S_k phi, S_k psi) pair of the level
@@ -216,8 +216,7 @@ def spectrum_curve(ifs: IfsSystem, psi: Potential, k: int | None = None,
                          alpha_zero=float(alphas[-1]))
 
 
-@dataclass(frozen=True)
-class LegendreValue:
+class LegendreValue(NamedTuple):
     value: float
     interior: bool
 

@@ -43,6 +43,7 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -106,7 +107,9 @@ class Potential:
         table = tuple(table)
         if depth < 1:
             raise ValueError("depth must be at least 1")
-        if len(table) != alphabet_size**depth:
+        # m >= 2, so m**depth exceeds the table for a depth past its bit
+        # length: the power stops there, not at a depth the user gives
+        if len(table) != alphabet_size**min(depth, len(table).bit_length()):
             raise ValueError("table size must be alphabet_size**depth")
         return cls(depth=depth, table=table)
 
@@ -308,7 +311,8 @@ def _check_level(m: int, k: int) -> int:
     """Number of level-k words; CapacityError above the enumeration cap."""
     if k < 1:
         raise ValueError("level k must be >= 1")
-    if m**k > ENUMERATION_CAP:
+    # m >= 2, so a k this long is over the cap before m**k is formed
+    if k >= ENUMERATION_CAP.bit_length() or m**k > ENUMERATION_CAP:
         raise CapacityError(f"{m}**{k} periodic points exceed cap "
                             f"{ENUMERATION_CAP}")
     return m**k
@@ -432,8 +436,7 @@ def pressure_at_level(ifs: IfsSystem, psi: Potential, k: int) -> float:
     return _logsumexp(periodic_sums(ifs, psi, k)) / k
 
 
-@dataclass(frozen=True)
-class PressureResult:
+class PressureResult(NamedTuple):
     value: float
     error_bound: float
     levels: tuple[float, ...] = ()
@@ -516,9 +519,10 @@ def pressure(ifs: IfsSystem, psi: Potential, k_max: int = 10,
     return PressureResult(value=value, error_bound=err, levels=tuple(levels))
 
 
-def require_normalized(ifs: IfsSystem, psi: Potential, k_max: int = 8) -> None:
-    """Refuse psi unless its pressure is 0 within max(1e-8, its bound)."""
-    pres = pressure(ifs, psi, k_max=k_max)
+def require_normalized(ifs: IfsSystem, psi: Potential) -> None:
+    """Refuse psi unless its pressure, from levels up to 8, is 0 within
+    max(1e-8, its bound)."""
+    pres = pressure(ifs, psi, k_max=8)
     if abs(pres.value) > max(1e-8, pres.error_bound):
         raise NormalizationError(pres.value, pres.error_bound)
 
@@ -540,8 +544,7 @@ def normalize(ifs: IfsSystem, psi: Potential, k_max: int = 10) -> Potential:
     return replace(psi, shift=psi.shift - c)
 
 
-@dataclass(frozen=True)
-class CohomologyReport:
+class CohomologyReport(NamedTuple):
     """Range of periodic ratios S_l psi / S_l phi up to a level cap."""
 
     ratio_min: float

@@ -400,6 +400,21 @@ def test_beta_determinism_across_threads(tmp_path, capsys, monkeypatch):
     # 3**2000 is above the largest float
     ("holder", "scales", {"base": 3, "j_min": -2000, "j_max": -1000},
      "scales.j_min: radius 3**2000 overflows"),
+    # 1/5e-324 overflows to inf boxes, far over the cap
+    ("coarse", "coarse", {"deltas": ["1/81", 5e-324]},
+     "coarse.deltas: box size 4.94066e-324 needs over 100000000 boxes"),
+    # an exponent near 1 over a width of 1e-300 is a bin index near 1e300
+    ("coarse", "coarse", {"deltas": ["1/729"], "alpha_bin_width": 1e-300},
+     "coarse.alpha_bin_width: bin width 1e-300 puts an exponent at delta "
+     "0.00137174 in a bin past int64"),
+    # every grid point is a root or a Legendre step
+    ("beta", "q_grid", {"steps": 10**6 + 1},
+     "q_grid.steps: at most 1000000 points, got 1000001"),
+    ("predict-packing", "packing", {"alpha_steps": 10**6 + 1},
+     "packing.alpha_steps: at most 1000000 points, got 1000001"),
+    # a null alpha_hat is a fault, not a request for the estimate
+    ("detrend", "detrend", {"t0": 0, "alpha_hat": None},
+     "detrend.alpha_hat: expected a number, got NoneType"),
 ])
 def test_config_faults_name_the_field(tmp_path, capsys, command, field,
                                       value, message):
@@ -545,6 +560,47 @@ def test_deep_coarse_refuses_before_allocating(capsys):
     assert out == ""
     assert err == ("error: delta 8.22526e-20 needs 12157665459056928768 "
                    "boxes, over the cap 100000000\n")
+
+
+def test_box_size_one_is_refused_by_name(tmp_path, capsys):
+    # on a domain of width 2 a box size of 1 is inside it, but its log is
+    # 0, the denominator of every coarse exponent
+    cfg = json.loads((CONFIGS / "lebesgue.json").read_text())
+    cfg["system"]["domain"] = [0, 2]
+    cfg["system"]["maps"] = [{"ratio": 0.5, "offset": 0},
+                             {"ratio": 0.5, "offset": 1}]
+    cfg["coarse"] = {"deltas": ["1/4", 1]}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run(capsys, "coarse", "--config", str(path))
+    assert (code, out) == (2, "")
+    assert err == ("config error: coarse.deltas: box size 1 has log 0, "
+                   "which leaves no exponent\n")
+
+
+@pytest.mark.parametrize("config,command,section,value,start,end", [
+    # (y - x)**27 underflows to 0 on the depth-25 cylinders of 0.25
+    ("cantor_14_34", "verify-prop", "probe", {"words": ["01"], "ks": [27]},
+     "error: depth 25: secant base ", " to the power k = 27 underflows to 0"),
+    # the squares of (t - t0)**340 underflow at every radius, so degree
+    # 340 is the last tried, not degree 10**308
+    ("cantor_14_34", "detrend", "detrend", {"t0": 0.3, "alpha_hat": 1e308},
+     "error: window 1: every sample at radius 0.333333 has (t - t0)**340 "
+     "square to 0 at degree 340", ""),
+    # 2**(10**308) words are refused before the power is formed
+    ("moebius_pair", "endpoints", "endpoints", {"ell_max": 1e308},
+     "error: 2**10000000000000000", " periodic points exceed cap 100000000"),
+])
+def test_runs_past_the_float_range_exit_one(tmp_path, capsys, config,
+                                            command, section, value, start,
+                                            end):
+    cfg = json.loads((CONFIGS / f"{config}.json").read_text())
+    cfg[section] = value
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run(capsys, command, "--config", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith(start) and err.endswith(end + "\n"), err
 
 
 @pytest.mark.parametrize("command,section,field,value,message", [
@@ -839,7 +895,8 @@ FUZZ_TARGETS = (
     ("predict-packing", "packing.alpha_steps"),
 )
 HOSTILE = (0, -1, 1, 2.5, "x", "1/0", None, True, [], {},
-           [2], [-1], [""], ["x"])
+           [2], [-1], [""], ["x"], 10**8, 1e308, 5e-324, [1e308], [5e-324],
+           [41])
 # the list fields; no entry of one is left for the library to refuse
 LIST_FIELDS = ("probe.words", "probe.ks", "coarse.deltas", "cdf.points",
                "holder.points", "packing.alphas")

@@ -207,6 +207,24 @@ def test_coarse_spectrum_refuses_boxes_past_the_cap(F_cantor):
         coarse_spectrum(F_cantor, [3.0 ** -17])
 
 
+def test_coarse_spectrum_refuses_what_leaves_the_float_range(F_cantor):
+    # 1/5e-324 boxes overflow to inf, refused like any count over the cap
+    with pytest.raises(CapacityError, match=r"delta 4\.94066e-324 needs inf "
+                                            r"boxes, over the cap"):
+        coarse_spectrum(F_cantor, [5e-324])
+    # exponents near 1 over a width of 1e-300 are bin indices near 1e300
+    with pytest.raises(ValueError, match="bin width 1e-300 puts an exponent "
+                                         "at delta 0.00137174 in a bin past "
+                                         "int64"):
+        coarse_spectrum(F_cantor, [3.0 ** -6], alpha_bin_width=1e-300)
+    # a box of size 1, inside a domain of width 2, has log 0
+    wide = IfsSystem.affine((0.0, 2.0), [(0.5, 0.0), (0.5, 1.0)])
+    F_wide = DistributionFunction(wide, Potential.from_probabilities(
+        (0.5, 0.5)))
+    with pytest.raises(DomainError, match="delta 1 has log 0"):
+        coarse_spectrum(F_wide, [1.0])
+
+
 def _cylinder_ends(F, word):
     """Ends of a cylinder composed in the descent's own operation order."""
     a_, b_, c_, d_ = 1.0, 0.0, 0.0, 1.0

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import pytest
 
@@ -254,6 +255,26 @@ def test_detrend_names_the_window_whose_samples_round_onto_t0(F_lebesgue):
                                          r"radius 2\.77556e-17 rounds onto "
                                          r"t0 = 0\.5"):
         detrend_exponent_test(F_lebesgue, 0.5, 1.0, windows=55)
+
+
+def test_secant_bases_that_underflow_raise_precision_error(F_cantor):
+    # (y - x)**27 underflows to 0 on the depth-25 cylinders of 0.25, and
+    # (1e-9)**41 at once; either would leave the quotient a division by 0
+    with pytest.raises(PrecisionError, match=r"^depth 25: secant base .* "
+                                             r"to the power k = 27 "
+                                             r"underflows to 0"):
+        derivative_limit_probe(F_cantor, 0.25, 27, Scales(2.0, 1, 25))
+    with pytest.raises(PrecisionError, match="k = 41 underflows to 0"):
+        secant_slope(F_cantor, 0.25 - 1e-9, 0.25, 0.25 + 1e-9, 41)
+
+
+def test_detrend_stops_at_the_first_degree_no_window_fits(F_cantor):
+    # the squares of (t - t0)**340 underflow at the widest window, so the
+    # fit stops there instead of making 10**308 coefficient lists
+    start = time.perf_counter()
+    with pytest.raises(ScaleError, match=r"^window 1: .* at degree 340"):
+        detrend_exponent_test(F_cantor, 0.3, 1e308)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_probe_rejects_gap_points(F_cantor):

@@ -212,6 +212,22 @@ def test_potential_parts_add_up(moebius):
     assert level[0b0110] == pytest.approx(expected, abs=1e-12)
 
 
+def test_cap_checks_do_not_form_the_power():
+    # 2**10**7 alone is a 1.25 MB integer; both refusals are decided
+    # before any power of a level or depth the caller gives
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match=r"^2\*\*10000000 periodic "
+                                                r"points exceed cap"):
+            thermodynamics._check_level(2, 10**7)
+        with pytest.raises(ValueError, match=r"alphabet_size\*\*depth"):
+            Potential.finite_range(10**7, 2, [0.0] * 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**10
+
+
 def test_potential_validation(cantor, moebius):
     with pytest.raises(ValueError):
         Potential.bernoulli((0.0,))
