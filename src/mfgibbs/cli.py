@@ -24,8 +24,8 @@ from .errors import ConfigError, NormalizationError, ToolkitError
 from .estimators import (DepthPolicy, DistributionFunction, Scales,
                          coarse_spectrum, deep_policy, default_policy,
                          default_scale_base, holder_exponent_estimate)
-from .holder_lab import (PROBE_MIN_DEPTHS, derivative_limit_probe,
-                         detrend_exponent_test)
+from .holder_lab import (PROBE_MAX_PERIOD, PROBE_MIN_DEPTHS,
+                         derivative_limit_probe, detrend_exponent_test)
 from .ifs_geometry import IfsSystem, stream_point
 from .spectrum import (beta_grid, endpoints, spectrum_curve,
                        spectrum_predictions)
@@ -221,9 +221,18 @@ def _potential(cfg: dict, ifs: IfsSystem) -> Potential:
                 _field(cfg, "potential.depth", None, _int), m,
                 _field(cfg, "potential.table", None, nums))
         elif kind == "geometric_multiple":
-            psi = Potential.geometric(
-                ifs, _field(cfg, "potential.coefficient", None, _num),
-                _field(cfg, "potential.shift", 0.0, _num))
+            coeff = _field(cfg, "potential.coefficient", None, _num)
+            shift = _field(cfg, "potential.shift", 0.0, _num)
+            # S_k psi adds k terms coeff * phi + shift, |phi| <= -log r_min,
+            # and no level past the cap's bit length is composed
+            top = sys.float_info.max / (2 * ENUMERATION_CAP.bit_length())
+            for name, value, size in (
+                    ("coefficient", coeff, abs(coeff) * -math.log(ifs.r_min)),
+                    ("shift", shift, abs(shift))):
+                if size > top:
+                    raise ConfigError(f"potential.{name}: {value:g} makes "
+                                      f"the periodic sums overflow")
+            psi = Potential.geometric(ifs, coeff, shift)
         else:
             raise ConfigError(f"potential.kind: unknown kind {kind!r}")
     except ValueError as exc:
@@ -257,6 +266,15 @@ def build_potential(cfg: dict, ifs: IfsSystem, threads=None,
 _LEVEL_COMMANDS = ("pressure", "beta", "spectrum", "predict-packing")
 
 
+def _refuse_past_cap(level: int, m: int, where: str) -> None:
+    """Refuse a periodic level the run composes whose m**level words
+    exceed the enumeration cap."""
+    # m >= 2, so a level this long is over the cap before m**level is formed
+    if level >= ENUMERATION_CAP.bit_length() or m**level > ENUMERATION_CAP:
+        raise ConfigError(f"{where}: {m}**{level} periodic points exceed "
+                          f"cap {ENUMERATION_CAP}")
+
+
 def _level(args, cfg: dict, ifs: IfsSystem) -> int:
     """The one periodic-point level of a run.
 
@@ -264,12 +282,21 @@ def _level(args, cfg: dict, ifs: IfsSystem) -> int:
     config's pressure.depth, else the library default (the potential's
     range, or 10).  The potential is normalized at this level and
     pressure, beta and the spectra solve at it, so beta(1) = 0 holds
-    at the level of the roots; no other `--depth` moves it.
+    at the level of the roots; no other `--depth` moves it.  A level
+    the run composes is refused past the enumeration cap: beta and the
+    spectra always compose it, pressure and normalization only short of
+    the potential's range.
     """
+    psi = _potential(cfg, ifs)
     flag = "--depth" if args.command in _LEVEL_COMMANDS else None
-    return _setting(args, cfg, flag, "pressure.depth",
-                    default_level(ifs, _potential(cfg, ifs)),
-                    _positive(_int))[0]
+    level, where = _setting(args, cfg, flag, "pressure.depth",
+                            default_level(ifs, psi), _positive(_int))
+    r = effective_range(ifs, psi)
+    if (args.command in ("beta", "spectrum", "predict-packing")
+            or (r is None or r > level)
+            and (args.command == "pressure" or _normalizes(cfg))):
+        _refuse_past_cap(level, ifs.alphabet_size, where)
+    return level
 
 
 def _fmt(value) -> str:
@@ -396,8 +423,9 @@ def _cmd_spectrum(args, cfg, ifs, psi, level):
 
 
 def _cmd_endpoints(args, cfg, ifs, psi, level):
-    ell_max, _ = _setting(args, cfg, "--depth", "endpoints.ell_max", 6,
-                          _positive(_int))
+    ell_max, where = _setting(args, cfg, "--depth", "endpoints.ell_max", 6,
+                              _positive(_int))
+    _refuse_past_cap(ell_max, ifs.alphabet_size, where)
     lo, hi = endpoints(ifs, psi, ell_max=ell_max)
     return (("alpha_minus", "alpha_plus"), [(lo, hi)],
             f"endpoints: [{lo:.6f}, {hi:.6f}] at ell_max={ell_max}")
@@ -467,6 +495,12 @@ def _cmd_verify_prop(args, cfg, ifs, psi, level):
         if not parsed or max(parsed) >= m:
             raise ConfigError(f"{where}: {text!r} is not a word on the "
                               f"symbols 0 to {m - 1}")
+        w = parsed.symbols
+        period = next(p for p in range(1, len(w) + 1) if w == w[p:] + w[:p])
+        if period > PROBE_MAX_PERIOD:
+            raise ConfigError(f"{where}: {text!r} has period {period}; the "
+                              f"probe resolves periods up to "
+                              f"{PROBE_MAX_PERIOD}")
         return text, parsed
 
     def odd(value, where):

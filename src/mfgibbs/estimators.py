@@ -15,18 +15,15 @@ also terminates exactly; shared endpoints of touching cylinders resolve
 to the right child, keeping F right-continuous.
 
 A level the descent does not share with the previous one is one node
-expansion, ifs_geometry.node_children, the one place where a scalar
-descent forms a node's children: m child compositions from the node's
-matrix, with the float operations of word_matrix, and the last child
-holding x.  The scalar walk here and holder_lab's coding of a point
-expand through it; cdf_many does its float operations elementwise over
-a level's nodes (numpy fuses no multiply-add, so the children are the
-same floats).  Non-constant splits add m fixed points per expanded
-level: a child's split is the cycle sum of the matrix the expansion has
-just composed (Potential.cycle_sum), and no word is recomposed from its
-first letter.  The node carries its log determinant as word_matrix
-accumulates it, letter by letter, and its word only when the splits are
-not constant.
+expansion: ifs_geometry.node_children for a scalar descent (the walk
+here and holder_lab's coding of a point), ifs_geometry.child_matrices
+for a block of cdf_many's nodes.  Both follow the float recipe that
+ifs_geometry states, so the children are the same floats either way.
+Non-constant splits add m fixed points per expanded level: a child's
+split is the cycle sum of the matrix the expansion has just composed
+(Potential.cycle_sum), and no word is recomposed from its first letter.
+The node carries its log determinant as word_matrix accumulates it,
+letter by letter, and its word only when the splits are not constant.
 
 A scalar descent resumes below the deepest node it shares with the
 previous one.  F keeps the last descent's path: per level the node's
@@ -44,21 +41,21 @@ cdf_many walks cylinder nodes instead of points, one level at a time.
 The points are sorted once (not at all when already non-decreasing, as
 box edges are), and each node owns a contiguous slice of them.  A
 level's live nodes are arrays in position order, and one numpy pass
-expands them all: their children at once, then one searchsorted per
-side over every child end, clipped to each node's slice, which splits
-every slice.  Points left of a child or in a gap get the sequential
-prefix sum of the sibling masses, points on a child end get the exact
-value, and points strictly inside a child become that child's slice
-at the next level.  A node whose child ends are not in order finishes
-each point with the scalar walk from the node's state, on a path of
-the node's own.  The float operations and their order are those of the
-scalar descent, so values and error bounds are bit-identical to cdf;
-on PrecisionError the points are replayed through cdf in input order,
-so the same error escapes.  A level of more than _BLOCK nodes takes one
-pass per block of _BLOCK nodes, deepest blocks first, so beyond the
-outputs (and the sort permutation of unsorted input) the walk keeps
-O(nodes) state: the slices and node arrays of at most max_depth * m
-blocks.  A run of points that resolves at one value is written by slice
+expands them all: their children at once (child_matrices), then one
+searchsorted per side over every child end, clipped to each node's
+slice, which splits every slice.  Points left of a child or in a gap
+get the sequential prefix sum of the sibling masses, points on a child
+end get the exact value, and points strictly inside a child become that
+child's slice at the next level.  A node whose child ends are not in
+order finishes each point with the scalar walk from the node's state,
+on a path of the node's own.  The float operations and their order are
+those of the scalar descent, so values and error bounds are
+bit-identical to cdf; on PrecisionError the points are replayed through
+cdf in input order, so the same error escapes.  A level of more than
+_BLOCK nodes takes one pass per block of _BLOCK nodes, deepest blocks
+first, so beyond the outputs (and the sort permutation of unsorted
+input) the walk keeps O(nodes) state: the slices and node arrays of at
+most max_depth * m blocks.  A run of points that resolves at one value is written by slice
 assignment, or, when short, through one index array of at most
 _LONG_RUN points per run; there is never a per-point mask.
 """
@@ -74,8 +71,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CapacityError, DomainError, PrecisionError, ScaleError
-from .ifs_geometry import (WIDTH_FLOOR, IfsSystem, max_safe_depth,
-                           node_children)
+from .ifs_geometry import (WIDTH_FLOOR, IfsSystem, child_matrices,
+                           max_safe_depth, node_children)
 from .symbolic import ENUMERATION_CAP, PeriodicWord
 from .thermodynamics import (CohomologyReport, Potential,
                              cohomology_diagnostic, effective_range,
@@ -119,6 +116,7 @@ class DistributionFunction:
         self.policy = policy or default_policy(system)
         self._domain = system.domain
         self._coeffs = [mp.coefficients() for mp in system.maps]
+        self._letters = np.array(self._coeffs).T
         self._logdets = [mp.log_det for mp in system.maps]
         self._m = system.alphabet_size
         # the last scalar descent's nodes, see _walk
@@ -313,16 +311,11 @@ class DistributionFunction:
         slices, state = slices[:, live], state[:, live]
         if const is None:
             words = list(compress(words, live.tolist()))
-        # node_children's float operations, for every child of the block;
         # kids[:7, k, j] is child j of node k, laid out as state, and
         # kids[7:] its ends
-        ka, kb, kc, kd = np.array(self._coeffs).T
-        acc, mass, a, b, c, d, logdet = state
+        acc, mass, *_, logdet = state
         kids = np.empty((9, len(acc), m))
-        kids[2] = a[:, None] * ka + b[:, None] * kc
-        kids[3] = a[:, None] * kb + b[:, None] * kd
-        kids[4] = c[:, None] * ka + d[:, None] * kc
-        kids[5] = c[:, None] * kb + d[:, None] * kd
+        kids[2:6] = child_matrices(state[2:6], self._letters)
         kids[6] = logdet[:, None] + np.array(self._logdets)
         kids[7] = (kids[2] * lo + kids[3]) / (kids[4] * lo + kids[5])
         kids[8] = (kids[2] * hi + kids[3]) / (kids[4] * hi + kids[5])
@@ -571,7 +564,8 @@ def coarse_spectrum(F: DistributionFunction, delta_list,
         errs = errors[:-1] + errors[1:]
         keep = (masses > 0.0) & (masses >= 10.0 * errs)
         alphas = np.log(masses[keep]) / math.log(d)
-        idx = np.floor(alphas / alpha_bin_width)
+        with np.errstate(over="ignore"):  # an infinite index is refused
+            idx = np.floor(alphas / alpha_bin_width)
         if not (np.abs(idx) < 2.0**63).all():
             raise ValueError(f"bin width {alpha_bin_width:g} puts an "
                              f"exponent at delta {d:g} in a bin past int64")

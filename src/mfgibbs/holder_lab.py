@@ -27,6 +27,9 @@ from .thermodynamics import Potential
 # derivative_limit_probe classifies from the last max(PROBE_MIN_DEPTHS,
 # 3 * period) depths, and refuses to run on fewer than this many
 PROBE_MIN_DEPTHS = 8
+# derivative_limit_probe strides by the coding's tail period, which it
+# resolves up to this
+PROBE_MAX_PERIOD = 8
 # find_tau_block searches blocks of length 2 up to this
 TAU_MAX_LENGTH = 6
 # detrend_exponent_test samples this many points each side of t0 per window
@@ -293,12 +296,16 @@ def _locate_coding(ifs: IfsSystem, x: float, depth: int
 
 
 def _tail_period(word: list[int]) -> int:
-    """The shortest period up to 8 of the second half of word, else 1."""
-    half = len(word) // 2
-    for p in range(1, 9):
-        if all(word[i] == word[i + p] for i in range(half, len(word) - p)):
+    """The shortest period p, up to PROBE_MAX_PERIOD, of the second half
+    of word or of its last 2p letters, whichever is longer: a period the
+    tail shows twice in full.  ScaleError when the tail shows none."""
+    n = len(word)
+    for p in range(1, min(PROBE_MAX_PERIOD, n // 2) + 1):
+        if all(word[i] == word[i + p]
+               for i in range(min(n // 2, n - 2 * p), n - p)):
             return p
-    return 1
+    raise ScaleError(f"the coding's {n} letters end in no period up to "
+                     f"{PROBE_MAX_PERIOD} that they repeat in full")
 
 
 def derivative_limit_probe(F: DistributionFunction, x: float, k: int,
@@ -323,6 +330,7 @@ def derivative_limit_probe(F: DistributionFunction, x: float, k: int,
         raise ScaleError(f"depths {n_lo}..{depth} are fewer than "
                          f"{PROBE_MIN_DEPTHS}")
     coding, ends = _locate_coding(ifs, x, depth)
+    ell = _tail_period(coding)
     fx = F.cdf(x).value
     records = []
     for n in range(n_lo, depth + 1):
@@ -337,7 +345,6 @@ def derivative_limit_probe(F: DistributionFunction, x: float, k: int,
     if not all(v > 0.0 for v in vals):
         raise PrecisionError("nonpositive secant quotient; depth too large")
     logs = [math.log(v) for v in vals]
-    ell = _tail_period(coding)
     window = max(PROBE_MIN_DEPTHS, 3 * ell)
     tail = logs[max(0, len(logs) - window):]
     stride = ell if ell < len(tail) else 1

@@ -10,6 +10,14 @@ point of the attractor handed out here, a coded point or a cylinder
 end, is a word matrix applied to a point, formed with the float
 operations of the CDF descent.
 
+Words are composed with one float recipe, left to right: the child of
+the matrix (a, b, c, d) by a letter (ka, kb, kc, kd) is (a*ka + b*kc,
+a*kb + b*kd, c*ka + d*kc, c*kb + d*kd), each product rounded on its
+own.  word_matrix applies it letter by letter, node_children to one
+node's m children, and child_matrices to the children of a whole block
+of nodes at once, for the CDF's level-synchronous descent and the
+periodic-level pass alike; so the three give the same floats.
+
 Geometry conventions: the base interval X = [x_lo, x_hi] is explicit,
 maps are strictly increasing, map images must stay inside X, and the
 first-level images must already be indexed left to right.  The open set
@@ -22,6 +30,8 @@ from __future__ import annotations
 import math
 from dataclasses import InitVar, dataclass, field
 from typing import NamedTuple, Sequence
+
+import numpy as np
 
 from .errors import DomainError, PrecisionError
 from .symbolic import MAX_ALPHABET, PeriodicWord, SymbolStream, Word
@@ -298,6 +308,32 @@ def node_children(coeffs, a: float, b: float, c: float, d: float,
             chosen = len(kids)
         kids.append((l_j, h_j, na, nb, nc, nd))
     return kids, chosen
+
+
+def child_matrices(rows: np.ndarray, letters: np.ndarray) -> np.ndarray:
+    """The one-letter children of every word matrix in `rows`.
+
+    rows (4 x n) holds the a, b, c, d of n word matrices and letters
+    (4 x m) those of the m letters.  Returns an array out (4 x n x m),
+    where out[:, p, j] is the matrix of word p followed by letter j, so
+    a reshape to 4 x n*m lists the children in lex order.  Each letter's
+    column is written in place with node_children's float operations
+    (numpy fuses no multiply-add), so every child is the matrix that a
+    left-to-right composition of its word's letters forms, as in
+    word_matrix.  Every descent or pass that composes a whole block of
+    nodes at once forms the children here.
+    """
+    a, b, c, d = rows
+    ma, mb, mc, md = letters
+    out = np.empty((4, len(a), len(ma)))
+    tmp = np.empty(len(a))
+    for j in range(len(ma)):
+        for col, p, q, u, v in ((out[0], a, b, ma, mc), (out[1], a, b, mb, md),
+                                (out[2], c, d, ma, mc), (out[3], c, d, mb, md)):
+            np.multiply(p, u[j], out=col[:, j])
+            np.multiply(q, v[j], out=tmp)
+            col[:, j] += tmp
+    return out
 
 
 def matrix_fixed_point(coeffs: tuple[float, float, float, float],

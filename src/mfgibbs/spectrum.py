@@ -33,8 +33,8 @@ import numpy as np
 
 from .errors import NonConvergenceError
 from .ifs_geometry import IfsSystem
-from .thermodynamics import (Potential, cohomology_diagnostic,
-                             default_level, periodic_sums)
+from .thermodynamics import (Potential, _level_sums, cohomology_diagnostic,
+                             default_level)
 
 DEFAULT_Q_MIN = -10.0
 DEFAULT_Q_MAX = 10.0
@@ -64,13 +64,13 @@ class LevelSums(NamedTuple):
     def build(cls, ifs: IfsSystem, psi: Potential,
               k: int | None = None) -> "LevelSums":
         """Sums at depth k; None picks `default_level`, the range of psi
-        or 10.  The words are composed once, for phi; psi's call takes
-        the level phi's call left on ifs.
+        or 10.  Both come from one `_level_sums` pass, which composes
+        the level's words once, or takes the level normalize left on ifs.
         """
         if k is None:
             k = default_level(ifs, psi)
-        geometric = periodic_sums(ifs, Potential.geometric(ifs), k)
-        potential = periodic_sums(ifs, psi, k)
+        _, (geometric, potential) = next(_level_sums(
+            ifs, (Potential.geometric(ifs), psi), (k,)))
         # lexsort is stable, so each run of equal pairs starts at its
         # first word; the counts sit at those words, which keeps the
         # pairs in word order and a level without repeats unchanged
@@ -114,14 +114,16 @@ def beta_of_q(ifs: IfsSystem, psi: Potential, q: float, k: int | None = None,
     if sums is None:
         sums = LevelSums.build(ifs, psi, k)
     beta = start
-    for _ in range(50):
-        value, slope, _ = sums.gibbs_averages(beta, q)
-        step = value / slope
-        beta -= step
-        if abs(step) <= 1e-15 * max(1.0, abs(beta)):
-            break
-    else:
-        value = sums.gibbs_averages(beta, q)[0]
+    # a q whose sums overflow leaves a NaN residual, refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(50):
+            value, slope, _ = sums.gibbs_averages(beta, q)
+            step = value / slope
+            beta -= step
+            if abs(step) <= 1e-15 * max(1.0, abs(beta)):
+                break
+        else:
+            value = sums.gibbs_averages(beta, q)[0]
     if not abs(value) <= 1e-10:  # a NaN residual fails too
         raise NonConvergenceError(f"residual pressure above 1e-10 at q={q}")
     return beta

@@ -19,22 +19,23 @@ potential, which is why the classical Cantor benchmarks are exact at
 level one.  On any other system its periodic sums need every word's
 2x2 matrix.  Every periodic level is formed by one pass, `_level_sums`:
 it composes the word matrices down the word tree level after level,
-each level's matrices extending the level above by one letter on the
-right, and yields, for each level its caller reads and only when it
-reads it, S_k phi and the sums of every potential asked for.
-`pressure` and `cohomology_diagnostic` take all their levels from one
-pass, `periodic_sums` its one level.  No piece of that work spans more
-than _CHUNK words: the pass holds whole only a level of at most that
-many, and composes deeper levels in blocks of at most that many, one
-after another, which bounds its memory.  The bytes do not depend on the
-block size.  A word's S_k phi is read from its matrix's leading
-eigenvalue, the cycle-expansion view of a periodic orbit.
+each level's matrices the one-letter children of the level above
+(ifs_geometry.child_matrices, which states the float recipe), and
+yields, for each level its caller reads and only when it reads it,
+S_k phi and the sums of every potential asked for.  `pressure`,
+`cohomology_diagnostic` and spectrum's `LevelSums` take all their
+levels from one pass, `periodic_sums` its one level.  No piece of that
+work spans more than _CHUNK words: the pass holds whole only a level of
+at most that many, and composes deeper levels in blocks of at most that
+many, one after another, which bounds its memory.  The bytes do not
+depend on the block size.  A word's S_k phi is read from its matrix's
+leading eigenvalue, the cycle-expansion view of a periodic orbit.
 
-There is one hand-off: the S_k phi that `periodic_sums` composes is
-left on the system, and the next pass that reaches level k takes it
-instead of composing it again.  So the sums of phi and then of psi at
-one level, or normalizing psi at level k and then computing pressure or
-beta at level k, compose level k once.
+There is one hand-off: the S_k phi that `periodic_sums` composes, for
+`normalize` at level k, is left on the system, and the next pass that
+reaches level k takes it instead of composing it again.  So normalizing
+psi at level k and then computing pressure or beta at level k composes
+level k once.
 """
 
 from __future__ import annotations
@@ -48,8 +49,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CapacityError, NormalizationError
-from .ifs_geometry import (IfsSystem, matrix_fixed_point, stream_point,
-                           word_matrix)
+from .ifs_geometry import (IfsSystem, child_matrices, matrix_fixed_point,
+                           stream_point, word_matrix)
 from .symbolic import (ENUMERATION_CAP, PeriodicWord, SymbolStream, Word,
                        distortion_bound)
 
@@ -276,27 +277,6 @@ def _phi_sums(a, b, c, d, domain) -> np.ndarray:
     return lam
 
 
-def _extend(rows: np.ndarray, letters: np.ndarray) -> np.ndarray:
-    """The one-letter children of every word matrix in `rows` (4 x n).
-
-    Child j of row p lands at p*m + j, so lex order carries over; each
-    letter's column is written in place with the products and sums a
-    left-to-right composition of the word forms.
-    """
-    a, b, c, d = rows
-    ma, mb, mc, md = letters
-    n, m = len(a), len(ma)
-    out = np.empty((4, n, m))
-    tmp = np.empty(n)
-    for j in range(m):
-        for col, p, q, u, v in ((out[0], a, b, ma, mc), (out[1], a, b, mb, md),
-                                (out[2], c, d, ma, mc), (out[3], c, d, mb, md)):
-            np.multiply(p, u[j], out=col[:, j])
-            np.multiply(q, v[j], out=tmp)
-            col[:, j] += tmp
-    return out.reshape(4, n * m)
-
-
 def _map_blocks(fn, total: int, size: int) -> np.ndarray:
     """fn(lo, hi) over the blocks [lo, lo + size) of range(total), each
     written in turn into its slice of one array."""
@@ -343,7 +323,7 @@ def _geometric_levels(ifs: IfsSystem, levels):
     def block(lo, hi):
         rows = held[:, lo // span:hi // span]
         for _ in range(k - held_level):
-            rows = _extend(rows, letters)
+            rows = child_matrices(rows, letters).reshape(4, -1)
         return _phi_sums(*rows, ifs.domain)
 
     for k in levels:
@@ -353,7 +333,8 @@ def _geometric_levels(ifs: IfsSystem, levels):
             yield handoff[1]
             continue
         while held_level < k and m ** (held_level + 1) <= _CHUNK:
-            held, held_level = _extend(held, letters), held_level + 1
+            held = child_matrices(held, letters).reshape(4, -1)
+            held_level += 1
         span = m ** (k - held_level)
         yield _map_blocks(block, m**k, max(1, _CHUNK // span) * span)
 
@@ -412,9 +393,8 @@ def periodic_sums(ifs: IfsSystem, psi: Potential, k: int) -> np.ndarray:
 
     The one level of `_level_sums`.  The S_k phi it composes stays on
     ifs until the next pass that reaches level k takes it, so that
-    periodic sums of phi and then of psi at one level, or normalizing
-    psi at level k and then computing pressure or beta there, compose
-    level k once.
+    normalizing psi at level k and then computing pressure or beta
+    there composes level k once.
     """
     phi, (sums,) = next(_level_sums(ifs, (psi,), (k,)))
     if phi is not None:

@@ -9,6 +9,8 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from mfgibbs import cli, thermodynamics
 from mfgibbs.cli import _build_parser, main
+from mfgibbs.symbolic import PeriodicWord
+from mfgibbs.thermodynamics import Potential
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -123,6 +125,51 @@ def test_verify_prop_small_battery(tmp_path, capsys):
     assert out.count("\n") == 4  # header + 3 probes
 
 
+def _necklaces(n):
+    """The primitive binary words of length n that are their own least
+    rotation: one word per periodic orbit of period n."""
+    words = (format(i, f"0{n}b") for i in range(2**n))
+    return [w for w in words
+            if all(w < w[p:] + w[:p] for p in range(1, n))]
+
+
+def test_verify_prop_classifies_or_refuses_each_period(tmp_path, capsys):
+    # the oracle is the sign of S_l(psi - k*phi)/l, the quotient's trend
+    # per level, where it is at least 0.05; the probe strides by the
+    # coding's period, so a period it cannot resolve must be refused
+    ifs = cli.build_system(cli.load_config(str(CONFIGS / "cantor_14_34.json")))
+    psi = Potential.from_probabilities((0.25, 0.75))
+    phi = Potential.geometric(ifs)
+    cfg = json.loads((CONFIGS / "cantor_14_34.json").read_text())
+    path = tmp_path / "cfg.json"
+    for n in range(1, 15):
+        words = _necklaces(n)
+        expected = {}
+        for w in words:
+            pw = PeriodicWord.parse(w)
+            for k in (1, 3):
+                trend = (psi.block_sum(pw) - k * phi.block_sum(pw)) / n
+                if abs(trend) >= 0.05:
+                    expected[w, str(k)] = ("tends_to_infinity" if trend > 0
+                                           else "tends_to_zero")
+        for batch in ([words] if n <= 8 else [[w] for w in words]):
+            cfg["probe"] = {"words": batch, "ks": [1, 3]}
+            path.write_text(json.dumps(cfg))
+            code, out, err = run(capsys, "verify-prop", "--config", str(path))
+            if n > 8:
+                assert (code, out) == (2, ""), batch
+                assert err.startswith(f"config error: probe.words: "
+                                      f"'{batch[0]}' has period {n};")
+                continue
+            # a finite limit where the trend is below 0.05 exits 1
+            rows = out.splitlines()[1:]
+            assert code in (0, 1) and len(rows) == 2 * len(words), err
+            for row in rows:
+                word, k, _, classification, *_ = row.split(",")
+                want = expected.get((word, k), classification)
+                assert classification == want, row
+
+
 def test_detrend_summary(capsys):
     code, _, err = run(capsys, "detrend", "--config",
                        str(CONFIGS / "cantor_14_34.json"))
@@ -208,6 +255,36 @@ def test_malformed_json_line_number(tmp_path, capsys):
     code, _, err = run(capsys, "check", "--config", str(path))
     assert code == 2
     assert "broken.json:3" in err
+
+
+@pytest.mark.parametrize("config,command,message", [
+    ([{"schema_version": 1}], "check", "config root must be an object"),
+    # no --points, no cdf.points and no top-level points
+    ({"points": None}, "cdf", "no points given: pass --points or set "
+                             "cdf.points in the config"),
+])
+def test_config_without_its_shape_exits_two(tmp_path, capsys, config,
+                                            command, message):
+    if isinstance(config, dict):
+        cfg = json.loads((CONFIGS / "cantor_14_34.json").read_text())
+        cfg.update(config)
+        config = {k: v for k, v in cfg.items() if v is not None}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run(capsys, command, "--config", str(path))
+    assert (code, out, err) == (2, "", f"config error: {message}\n")
+
+
+def test_log_weights_read_as_the_probabilities_logs(tmp_path, capsys):
+    cfg = json.loads((CONFIGS / "cantor_14_34.json").read_text())
+    cfg["potential"] = {"kind": "bernoulli",
+                        "log_weights": [math.log(0.25), math.log(0.75)]}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    expected = run(capsys, "cdf", "--config",
+                   str(CONFIGS / "cantor_14_34.json"))
+    assert expected[0] == 0
+    assert run(capsys, "cdf", "--config", str(path)) == expected
 
 
 def test_unknown_family_rejected(tmp_path, capsys):
@@ -415,6 +492,20 @@ def test_beta_determinism_across_threads(tmp_path, capsys, monkeypatch):
     # a null alpha_hat is a fault, not a request for the estimate
     ("detrend", "detrend", {"t0": 0, "alpha_hat": None},
      "detrend.alpha_hat: expected a number, got NoneType"),
+    # the probe strides by a period it resolves only up to 8 letters
+    ("verify-prop", "probe", {"words": ["00110100101100"], "ks": [1]},
+     "probe.words: '00110100101100' has period 14; the probe resolves "
+     "periods up to 8"),
+    ("verify-prop", "probe", {"words": ["0101", "0000010011"]},
+     "probe.words: '0000010011' has period 10; the probe resolves "
+     "periods up to 8"),
+    # S_k psi would sum terms near the float range's end
+    ("pressure", "potential", {"kind": "geometric_multiple",
+                               "coefficient": 1e308},
+     "potential.coefficient: 1e+308 makes the periodic sums overflow"),
+    ("pressure", "potential", {"kind": "geometric_multiple",
+                               "coefficient": 1, "shift": -1e308},
+     "potential.shift: -1e+308 makes the periodic sums overflow"),
 ])
 def test_config_faults_name_the_field(tmp_path, capsys, command, field,
                                       value, message):
@@ -587,9 +678,6 @@ def test_box_size_one_is_refused_by_name(tmp_path, capsys):
     ("cantor_14_34", "detrend", "detrend", {"t0": 0.3, "alpha_hat": 1e308},
      "error: window 1: every sample at radius 0.333333 has (t - t0)**340 "
      "square to 0 at degree 340", ""),
-    # 2**(10**308) words are refused before the power is formed
-    ("moebius_pair", "endpoints", "endpoints", {"ell_max": 1e308},
-     "error: 2**10000000000000000", " periodic points exceed cap 100000000"),
 ])
 def test_runs_past_the_float_range_exit_one(tmp_path, capsys, config,
                                             command, section, value, start,
@@ -601,6 +689,53 @@ def test_runs_past_the_float_range_exit_one(tmp_path, capsys, config,
     code, out, err = run(capsys, command, "--config", str(path))
     assert (code, out) == (1, "")
     assert err.startswith(start) and err.endswith(end + "\n"), err
+
+
+@pytest.mark.parametrize("config,argv,section,value,source,level", [
+    ("moebius_pair", ("pressure",), "pressure", {"depth": 10**8},
+     "pressure.depth", 10**8),
+    ("moebius_pair", ("check",), "pressure", {"depth": 27},
+     "pressure.depth", 27),
+    ("cantor_14_34", ("endpoints", "--depth", "30"), None, None, "--depth",
+     30),
+    ("moebius_pair", ("spectrum", "--depth", "27"), None, None, "--depth",
+     27),
+    ("cantor_14_34", ("beta", "--depth", "27"), None, None, "--depth", 27),
+    # 2**(10**308) words are refused before the power is formed
+    ("moebius_pair", ("endpoints",), "endpoints", {"ell_max": 1e308},
+     "endpoints.ell_max", int(1e308)),
+], ids=["pressure.depth", "check-pressure.depth", "endpoints--depth",
+        "spectrum--depth", "beta--depth", "endpoints.ell_max"])
+def test_levels_past_the_cap_exit_two(tmp_path, capsys, config, argv,
+                                      section, value, source, level):
+    # each run composes its level, which holds over 10**8 words
+    cfg = json.loads((CONFIGS / f"{config}.json").read_text())
+    if section:
+        cfg[section] = value
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run(capsys, *argv, "--config", str(path))
+    assert (code, out) == (2, "")
+    assert err == (f"config error: {source}: 2**{level} periodic points "
+                   f"exceed cap 100000000\n")
+
+
+@pytest.mark.parametrize("config,argv,normalize", [
+    # a range-1 potential's pressure reads the transfer matrix
+    ("cantor_14_34", ("pressure", "--depth", "40"), True),
+    # nothing in check composes the level of a potential left as it is
+    ("moebius_pair", ("check",), False),
+])
+def test_levels_no_run_composes_stay_valid(tmp_path, capsys, config, argv,
+                                           normalize):
+    cfg = json.loads((CONFIGS / f"{config}.json").read_text())
+    cfg["potential"]["normalize"] = normalize
+    cfg["pressure"] = {"depth": 10**8}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run(capsys, *argv, "--config", str(path))
+    assert code == 0, err
+    assert out
 
 
 @pytest.mark.parametrize("command,section,field,value,message", [
@@ -875,7 +1010,9 @@ FUZZ_TARGETS = (
     ("check", "schema_version"), ("check", "system.family"),
     ("check", "system.domain"), ("check", "system.maps"),
     ("check", "potential.kind"), ("check", "potential.probabilities"),
-    ("check", "potential.coefficient"), ("check", "potential.normalize"),
+    ("check", "potential.coefficient"), ("check", "potential.shift"),
+    ("pressure", "potential.coefficient"), ("pressure", "potential.shift"),
+    ("check", "potential.normalize"),
     ("check", "pressure.depth"), ("pressure", "pressure"),
     ("pressure", "pressure.depth"), ("pressure", "pressure.tol"),
     ("beta", "q_grid"), ("beta", "q_grid.min"), ("beta", "q_grid.max"),
@@ -914,6 +1051,8 @@ CHEAP = {"q_grid": {"steps": 5}, "coarse": {"deltas": ["1/81"]},
          target=("predict-packing", "packing.alpha_steps"), value=1)
 @example(config="moebius_pair", target=("pressure", "pressure.depth"),
          value=0)
+@example(config="moebius_pair", target=("pressure", "potential.coefficient"),
+         value=1e308)
 @example(config="moebius_pair", target=("verify-prop", "probe.words"),
          value=[""])
 @example(config="moebius_pair", target=("verify-prop", "probe.ks"),
@@ -942,10 +1081,21 @@ def test_hostile_config_field_exits_cleanly(tmp_path, capsys, config,
         cfg[section] = value
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
-    code, _, err = run(capsys, command, "--config", str(path))
+    code, out, err = run(capsys, command, "--config", str(path))
     assert code in (0, 1, 2)
     if field in LIST_FIELDS:
         assert code != 1, err
+    if code == 0:
+        # every printed number is finite, apart from verify-prop's
+        # limit_value, NaN where no limit is found, and predict-packing's
+        # rows marked empty
+        header, *rows = (line.split(",") for line in out.splitlines())
+        for row in rows:
+            if command == "predict-packing" and row[-1] == "true":
+                continue
+            for name, cell in zip(header, row):
+                if name != "limit_value":
+                    assert cell.lower() not in ("nan", "inf", "-inf"), row
     if code == 2:
         # the fault names the field, its section, or the missing points
         assert err.startswith(tuple(f"config error: {name}" for name

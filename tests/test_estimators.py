@@ -113,6 +113,9 @@ def test_default_scale_base(cantor, lebesgue, moebius):
     assert default_scale_base(cantor) == 3.0
     assert default_scale_base(lebesgue) == 2.0
     assert default_scale_base(moebius) == 2.0
+    # 1/0.4 = 2.5 is no integer base, so the radii follow the ratio itself
+    wide = IfsSystem.affine((0.0, 1.0), [(0.4, 0.0), (0.4, 0.6)])
+    assert default_scale_base(wide) == 2.5
 
 
 def test_holder_at_coded_endpoints(F_cantor):

@@ -277,6 +277,33 @@ def test_detrend_stops_at_the_first_degree_no_window_fits(F_cantor):
     assert time.perf_counter() - start < 1.0
 
 
+def test_probe_refuses_a_coding_without_a_repeated_period(F_cantor, cantor):
+    # 25 letters of a period-14 coding show no period of at most 8 twice
+    x = stream_point(cantor, PeriodicWord.parse("00110100101100").stream())
+    with pytest.raises(ScaleError, match="no period up to 8"):
+        derivative_limit_probe(F_cantor, x, 1)
+    assert holder_lab._tail_period([0, 1] * 6 + [0]) == 2
+    # a pre-period of up to half the coding is skipped
+    assert holder_lab._tail_period([1, 1, 0, 1] + [0] * 4) == 1
+
+
+@pytest.mark.xfail(strict=True, reason="FOUND: the last 12 of the 25 "
+                   "letters of this period-13 coding repeat 0001, so the "
+                   "probe strides by 4 and reads the wrong trend")
+def test_probe_on_a_long_period_classifies_or_refuses(F_cantor, cantor,
+                                                      cantor_psi):
+    pw = PeriodicWord.parse("0001000100011")
+    x = stream_point(cantor, pw.stream())
+    phi = Potential.geometric(cantor)
+    trend = (cantor_psi.block_sum(pw) - phi.block_sum(pw)) / 13
+    assert trend > 0.05
+    try:
+        probe = derivative_limit_probe(F_cantor, x, 1)
+    except ScaleError:
+        return
+    assert probe.classification == "tends_to_infinity"
+
+
 def test_probe_rejects_gap_points(F_cantor):
     with pytest.raises(DomainError):
         derivative_limit_probe(F_cantor, 0.5, 1)
