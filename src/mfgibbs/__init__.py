@@ -18,7 +18,7 @@ from .holder_lab import (DetrendResult, PerturbationExperiment, SecantSlope,
                          derivative_limit_probe, detrend_exponent_test,
                          find_separator, find_tau_block,
                          ratio_scaling_experiment, secant_slope)
-from .ifs_geometry import (AffineMap, IfsSystem, MoebiusMap, check_osc,
+from .ifs_geometry import (AffineMap, IfsSystem, MoebiusMap,
                            cylinder_interval, max_safe_depth, periodic_point,
                            stream_point)
 from .spectrum import (LegendreValue, SpectrumCurve, beta_grid, beta_of_q,

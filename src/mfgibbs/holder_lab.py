@@ -71,7 +71,7 @@ def secant_slope(F: DistributionFunction, s: float, x: float, t: float,
     if not s < x < t:
         raise ValueError("need s < x < t")
     _require_odd(k)
-    if t - s < 1e-13:
+    if t - s < WIDTH_FLOOR:
         raise PrecisionError("secant base below the precision floor")
     # the shorter part of the base underflows first
     _secant_power(min(t - x, x - s), k, f"secant over [{s!r}, {t!r}]")
@@ -319,13 +319,19 @@ def derivative_limit_probe(F: DistributionFunction, x: float, k: int,
     oscillation of a periodic point exactly; what remains after
     removing the trend decides between oscillation and a limit.  A
     finite positive limit contradicts the non-degenerate theory, so
-    the result carries the cohomology flag alongside.  ScaleError when
-    fewer than PROBE_MIN_DEPTHS depths are available.
+    the result carries the cohomology flag alongside.
+
+    The depths run from scales.j_min to scales.j_max (1 to 25 by
+    default), and stop at max_safe_depth, where cylinders reach the
+    width floor, and one short of F's max_depth: at that depth F cuts
+    its descent off at the probed cylinder itself, so the secant there
+    would read no mass.  ScaleError when fewer than PROBE_MIN_DEPTHS
+    depths are left.
     """
     _require_odd(k)
     ifs = F.system
     n_lo, n_hi = (scales.j_min, scales.j_max) if scales else (1, 25)
-    depth = min(n_hi, max_safe_depth(ifs))
+    depth = min(n_hi, max_safe_depth(ifs), F.policy.max_depth - 1)
     if depth - n_lo + 1 < PROBE_MIN_DEPTHS:
         raise ScaleError(f"depths {n_lo}..{depth} are fewer than "
                          f"{PROBE_MIN_DEPTHS}")

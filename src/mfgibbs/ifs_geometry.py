@@ -56,6 +56,9 @@ class ContractionMap:
     interval, and so are its rounded values, so r_min and r_max, its
     values at the two ends, bound it everywhere.  `family` names the
     constructor in the messages of a map that fails the certificate.
+    apply and derivative take points of the domain only, within
+    DOMAIN_TOL, and raise DomainError for any other: the certificate
+    holds there and nowhere else.
     """
 
     a: float
@@ -73,8 +76,7 @@ class ContractionMap:
         lo, hi = self.domain
         object.__setattr__(self, "log_det", math.log(self.det))
         try:
-            ends = (self.derivative(lo, check=False),
-                    self.derivative(hi, check=False))
+            ends = (self.derivative(lo), self.derivative(hi))
         except ZeroDivisionError:  # (c*x + d)^2 underflows at an end
             ends = (math.inf,)
         object.__setattr__(self, "r_min", min(ends))
@@ -84,18 +86,16 @@ class ContractionMap:
             raise ValueError(f"{family} map is not increasing on the interval")
         if self.r_max >= 1.0:
             raise ValueError(f"{family} map is not a contraction (r_max={self.r_max})")
-        if not (self.apply(lo, check=False) >= lo - DOMAIN_TOL
-                and self.apply(hi, check=False) <= hi + DOMAIN_TOL):
+        if not (self.apply(lo) >= lo - DOMAIN_TOL
+                and self.apply(hi) <= hi + DOMAIN_TOL):
             raise ValueError(f"{family} map does not send the interval into itself")
 
-    def apply(self, x: float, check: bool = True) -> float:
-        if check:
-            _require_inside(x, self.domain)
+    def apply(self, x: float) -> float:
+        _require_inside(x, self.domain)
         return (self.a * x + self.b) / (self.c * x + self.d)
 
-    def derivative(self, x: float, check: bool = True) -> float:
-        if check:
-            _require_inside(x, self.domain)
+    def derivative(self, x: float) -> float:
+        _require_inside(x, self.domain)
         q = self.c * x + self.d
         return self.det / (q * q)
 
@@ -145,7 +145,12 @@ def _require_inside(x: float, domain: tuple[float, float]) -> None:
 
 
 class OscReport(NamedTuple):
-    """Outcome of the open set condition check on first-level images."""
+    """Outcome of the open set condition check on first-level images.
+
+    Touching endpoints are allowed; an overlap of width beyond
+    DOMAIN_TOL between interiors is a violation (i, j, width), one per
+    pair.  Every IfsSystem holds its own, as `osc_report`.
+    """
 
     satisfied: bool
     violations: tuple[tuple[int, int, float], ...] = ()
@@ -180,12 +185,19 @@ class IfsSystem:
         for k, mp in enumerate(self.maps):
             if mp.domain != self.domain:
                 raise ValueError(f"map {k} certified on a different interval")
-        images = [(mp.apply(lo, check=False), mp.apply(hi, check=False))
-                  for mp in self.maps]
+        images = [(mp.apply(lo), mp.apply(hi)) for mp in self.maps]
         for i in range(m - 1):
             if images[i + 1][0] < images[i][0]:
                 raise ValueError("maps must be indexed left to right")
-        object.__setattr__(self, "osc_report", check_osc(self))
+        violations = []
+        for i in range(m):
+            for j in range(i + 1, m):
+                width = (min(images[i][1], images[j][1])
+                         - max(images[i][0], images[j][0]))
+                if width > DOMAIN_TOL:
+                    violations.append((i, j, width))
+        object.__setattr__(self, "osc_report",
+                           OscReport(not violations, tuple(violations)))
 
     @classmethod
     def affine(cls, domain, ratios_offsets: Sequence[tuple[float, float]]) -> "IfsSystem":
@@ -216,24 +228,6 @@ class IfsSystem:
     def is_affine(self) -> bool:
         # a Moebius map with c = 0 and d = 1 would have slope 1
         return all(mp.c == 0.0 and mp.d == 1.0 for mp in self.maps)
-
-
-def check_osc(ifs: IfsSystem) -> OscReport:
-    """Pairwise interior-overlap diagnostic of the first-level images.
-
-    Touching endpoints are allowed; an overlap of width beyond
-    DOMAIN_TOL between interiors is a violation and is reported per pair.
-    """
-    lo, hi = ifs.domain
-    images = [(mp.apply(lo, check=False), mp.apply(hi, check=False)) for mp in ifs.maps]
-    violations = []
-    m = len(images)
-    for i in range(m):
-        for j in range(i + 1, m):
-            width = min(images[i][1], images[j][1]) - max(images[i][0], images[j][0])
-            if width > DOMAIN_TOL:
-                violations.append((i, j, width))
-    return OscReport(satisfied=not violations, violations=tuple(violations))
 
 
 def cylinder_interval(ifs: IfsSystem, word: Word) -> tuple[float, float]:

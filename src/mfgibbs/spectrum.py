@@ -109,7 +109,10 @@ def beta_of_q(ifs: IfsSystem, psi: Potential, q: float, k: int | None = None,
     is the attractor dimension.  Newton runs from `start` until a step
     falls below 1e-15*max(1, |beta|), at most 50 steps.
     NonConvergenceError if the pressure at the last point evaluated, one
-    such step from the returned root, exceeds 1e-10.
+    such step from the returned root, exceeds max(1e-10, 8 * 2**-52 *
+    (|beta*<phi>| + |q*<psi>|)), the averages taken at that point: the
+    pressure sums terms of those sizes, so at large |q| its rounding
+    alone passes 1e-10.
     """
     if sums is None:
         sums = LevelSums.build(ifs, psi, k)
@@ -117,15 +120,17 @@ def beta_of_q(ifs: IfsSystem, psi: Potential, q: float, k: int | None = None,
     # a q whose sums overflow leaves a NaN residual, refused below
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(50):
-            value, slope, _ = sums.gibbs_averages(beta, q)
+            value, slope, psi_avg = sums.gibbs_averages(beta, q)
             step = value / slope
             beta -= step
             if abs(step) <= 1e-15 * max(1.0, abs(beta)):
                 break
         else:
-            value = sums.gibbs_averages(beta, q)[0]
-    if not abs(value) <= 1e-10:  # a NaN residual fails too
-        raise NonConvergenceError(f"residual pressure above 1e-10 at q={q}")
+            value, slope, psi_avg = sums.gibbs_averages(beta, q)
+    bound = max(1e-10, 8 * 2.0**-52 * (abs(beta * slope) + abs(q * psi_avg)))
+    if not abs(value) <= bound:  # a NaN residual fails too
+        raise NonConvergenceError(f"residual pressure above {bound:g} "
+                                  f"at q={q}")
     return beta
 
 

@@ -92,10 +92,6 @@ class PeriodicWord:
     def parse(cls, text: str) -> "PeriodicWord":
         return cls(Word.parse(text))
 
-    @property
-    def period_length(self) -> int:
-        return len(self.period)
-
     def symbol_at(self, i: int) -> int:
         return self.period.symbols[i % len(self.period)]
 
@@ -103,9 +99,6 @@ class PeriodicWord:
         ell = len(self.period)
         k %= ell
         return PeriodicWord(self.period[k:] + self.period[:k])
-
-    def head(self, n: int) -> Word:
-        return Word(tuple(self.symbol_at(i) for i in range(n)))
 
     def stream(self) -> "SymbolStream":
         return SymbolStream(Word(()), self)

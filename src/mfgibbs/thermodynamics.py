@@ -12,7 +12,7 @@ Every potential is one `Potential`: psi = geom*phi + table[first depth
 symbols] + shift, with phi the geometric potential (the log derivative
 of the first coded map at the shifted point).  The constructors
 `bernoulli`, `from_probabilities`, `finite_range` and `geometric` fill
-in the parts a given kind needs; `normalize` moves only the shift.
+in the parts a given kind needs; `normalize` sets only the shift.
 
 The geometric potential of an affine system collapses to a depth-one
 potential, which is why the classical Cantor benchmarks are exact at
@@ -137,8 +137,7 @@ class Potential:
         if self.geom != 0.0:
             sym = stream.symbol_at(0)
             x = stream_point(self.system, stream.shift(1))
-            total += self.geom * math.log(
-                self.system.maps[sym].derivative(x, check=False))
+            total += self.geom * math.log(self.system.maps[sym].derivative(x))
         if self.depth:
             total += self._table_at(stream.symbol_at)
         return total
@@ -508,14 +507,18 @@ def require_normalized(ifs: IfsSystem, psi: Potential) -> None:
 
 
 def normalize(ifs: IfsSystem, psi: Potential, k_max: int = 10) -> Potential:
-    """Shift psi by a constant so its pressure vanishes.
+    """psi with its shift set so that its pressure vanishes.
 
-    Finite-range potentials subtract their exact pressure.  For the
-    rest the depth-k_max level value is subtracted, which pins the
-    level-k_max pressure of the result to zero exactly; root solves run
-    at that same level, so downstream identities like beta(1) = 0 hold
-    to solver precision rather than to extrapolation error.
+    The shift psi carries is dropped first, and the result's shift is
+    -P, with P the pressure of psi without it: a shift large enough to
+    swamp the rest of psi in the periodic sums then costs no digit.
+    Finite-range potentials take their exact pressure.  For the rest P
+    is the depth-k_max level value, which pins the level-k_max pressure
+    of the result to zero exactly; root solves run at that same level,
+    so downstream identities like beta(1) = 0 hold to solver precision
+    rather than to extrapolation error.
     """
+    psi = replace(psi, shift=0.0)
     r = effective_range(ifs, psi)
     if r is not None and r <= k_max:
         c = _transfer_pressure(ifs, psi, r)[0]

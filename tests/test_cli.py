@@ -170,6 +170,63 @@ def test_verify_prop_classifies_or_refuses_each_period(tmp_path, capsys):
                 assert classification == want, row
 
 
+@pytest.mark.parametrize("config,n_max", [("moebius_pair", 25),
+                                           ("cantor_14_34", 27)])
+def test_default_battery_classifies_down_to_the_depth_cap(tmp_path, capsys,
+                                                          config, n_max):
+    # at F's max_depth the probed cylinder is where F stops, so the probe
+    # stops one level short of it; each probe then reads the sign of
+    # S_l(psi - k*phi), the quotient's trend per level
+    cfg = cli.load_config(str(CONFIGS / f"{config}.json"))
+    ifs = cli.build_system(cfg)
+    psi = cli.build_potential(cfg, ifs)  # moebius_pair's level is 10
+    phi = Potential.geometric(ifs)
+    code, out, err = run(capsys, "verify-prop", "--config",
+                         str(CONFIGS / f"{config}.json"), "--depth",
+                         str(n_max))
+    rows = out.splitlines()[1:]
+    assert code == 0 and len(rows) == 2 * len(cli.DEFAULT_BATTERY), err
+    for row in rows:
+        word, k, _, classification, *_ = row.split(",")
+        pw = PeriodicWord.parse(word)
+        trend = psi.block_sum(pw) - int(k) * phi.block_sum(pw)
+        assert abs(trend) >= 0.05 * len(word)
+        assert classification == ("tends_to_infinity" if trend > 0
+                                  else "tends_to_zero"), row
+
+
+def _with(tmp_path, config, **sections):
+    """The path of a copy of `config` with `sections` merged in."""
+    cfg = json.loads((CONFIGS / f"{config}.json").read_text())
+    for key, value in sections.items():
+        cfg[key] = {**cfg.get(key, {}), **value}
+    path = tmp_path / f"{config}.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [("pressure",), ("check",), ("spectrum",),
+                                  ("endpoints",), ("beta",),
+                                  ("cdf", "--points", "0.3,0.7")])
+def test_normalize_sets_the_shift_whatever_the_config_gives(tmp_path, capsys,
+                                                            argv):
+    # a shift of 1e306 swamps phi in every periodic sum unless normalize
+    # drops it before it takes the pressure
+    shifted = _with(tmp_path, "moebius_pair", potential={"shift": 1e306})
+    plain = run(capsys, argv[0], "--config",
+                str(CONFIGS / "moebius_pair.json"), *argv[1:])
+    assert plain[0] == 0
+    assert run(capsys, argv[0], "--config", shifted, *argv[1:]) == plain
+
+
+def test_beta_solves_at_q_where_rounding_passes_1e_10(tmp_path, capsys):
+    path = _with(tmp_path, "cantor_14_34",
+                 q_grid={"min": -10, "max": 1e8, "steps": 5})
+    code, out, err = run(capsys, "beta", "--config", path)
+    assert code == 0, err
+    assert out.splitlines()[-1] == "100000000,-26185950.714291479"
+
+
 def test_detrend_summary(capsys):
     code, _, err = run(capsys, "detrend", "--config",
                        str(CONFIGS / "cantor_14_34.json"))

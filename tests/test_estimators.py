@@ -101,6 +101,27 @@ def test_default_policy_stays_above_floor(cantor, cantor_psi):
     assert v.error_bound <= 1e-8
 
 
+@pytest.mark.parametrize("call,error,match", [
+    pytest.param(lambda F: DepthPolicy(max_depth=0), ValueError,
+                 "max_depth must be >= 1", id="depth-0"),
+    pytest.param(lambda F: DepthPolicy(5, mass_tol=-1.0), ValueError,
+                 "mass_tol must be >= 0", id="negative-mass-tol"),
+    pytest.param(lambda F: measure_ball(F, 0.5, 0.0), ValueError,
+                 "radius must be positive", id="radius-0"),
+    pytest.param(lambda F: Scales(1.0), ValueError, "base must exceed 1",
+                 id="base-1"),
+    pytest.param(lambda F: Scales(2.0, 5, 5), ValueError,
+                 "empty scale range", id="one-scale"),
+    pytest.param(lambda F: coarse_spectrum(F, [0.1], alpha_bin_width=0.0),
+                 ValueError, "must be positive", id="bin-width-0"),
+    pytest.param(lambda F: coarse_spectrum(F, [2.0]), DomainError,
+                 "outside", id="box-wider-than-the-domain"),
+])
+def test_estimator_refusals(F_cantor, call, error, match):
+    with pytest.raises(error, match=match):
+        call(F_cantor)
+
+
 def test_measure_ball_oracles(F_uniform, F_lebesgue):
     assert measure_ball(F_uniform, 0.0, 1 / 3).value == pytest.approx(
         0.5, abs=1e-12)

@@ -114,7 +114,8 @@ def test_separator_betweenness_both_sides(cantor):
         x = stream_point(cantor, omega.stream())
         s_lo, s_hi = sep.interval
         for N in (2, 3, 4):
-            p_lo, p_hi = cylinder_interval(cantor, omega.head(n) + tau.repeat(N))
+            p_lo, p_hi = cylinder_interval(
+                cantor, omega.stream().head(n) + tau.repeat(N))
             assert (x < s_lo and s_hi < p_lo) or (p_hi < s_lo and s_hi < x)
         assert len(sep.word) <= n + len(tau) + 1
 
@@ -125,7 +126,7 @@ def test_separator_width_bound(cantor):
     for n in (2, 3, 5):
         sep = find_separator(cantor, omega, n, tau)
         s_lo, s_hi = sep.interval
-        c_lo, c_hi = cylinder_interval(cantor, omega.head(n))
+        c_lo, c_hi = cylinder_interval(cantor, omega.stream().head(n))
         bound = (c_hi - c_lo) * cantor.r_min ** (len(tau) + 1)
         assert s_hi - s_lo >= bound * (1 - 1e-12)
 
@@ -307,6 +308,17 @@ def test_probe_on_a_long_period_classifies_or_refuses(F_cantor, cantor,
 def test_probe_rejects_gap_points(F_cantor):
     with pytest.raises(DomainError):
         derivative_limit_probe(F_cantor, 0.5, 1)
+    with pytest.raises(DomainError, match="outside the certified interval"):
+        derivative_limit_probe(F_cantor, 1.5, 1)
+
+
+def test_lab_refuses_blocks_of_one_letter_and_one_n(cantor, cantor_psi):
+    omega = PeriodicWord.parse("0")
+    with pytest.raises(ValueError, match="two distinct letters"):
+        find_separator(cantor, omega, 2, Word.parse("00"))
+    with pytest.raises(ValueError, match="two N values"):
+        ratio_scaling_experiment(cantor, cantor_psi, omega, Word.parse("01"),
+                                 1, n_set=(2, 3), N_range=(1,))
 
 
 def test_detrend_passes_on_singular_measure(F_cantor):

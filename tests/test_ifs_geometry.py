@@ -5,12 +5,12 @@ import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mfgibbs.ifs_geometry import (AffineMap, IfsSystem, MoebiusMap, check_osc,
+from mfgibbs.ifs_geometry import (AffineMap, IfsSystem, MoebiusMap,
                                   cylinder_interval, matrix_fixed_point,
                                   max_safe_depth, node_children,
                                   periodic_point, stream_point, word_matrix)
 from mfgibbs.cli import DEFAULT_BATTERY, build_system, load_config
-from mfgibbs.errors import ConfigError
+from mfgibbs.errors import ConfigError, DomainError, PrecisionError
 from mfgibbs.symbolic import PeriodicWord, SymbolStream, Word
 from mfgibbs.thermodynamics import Potential
 from strategies import maps, systems
@@ -37,6 +37,38 @@ def test_moebius_map_normalization_and_derivative():
 def test_maps_must_be_ordered():
     with pytest.raises(ValueError):
         IfsSystem.affine((0.0, 1.0), [(1 / 3, 2 / 3), (1 / 3, 0.0)])
+
+
+HALF = AffineMap(0.5, 0.0, (0.0, 1.0))
+
+
+@pytest.mark.parametrize("call,error,match", [
+    # a map certifies its points: the domain within DOMAIN_TOL
+    pytest.param(lambda ifs: HALF.apply(1.5), DomainError, "outside",
+                 id="apply-outside"),
+    pytest.param(lambda ifs: HALF.derivative(-0.5), DomainError, "outside",
+                 id="derivative-outside"),
+    pytest.param(lambda ifs: IfsSystem((0.0, 1.0), (HALF,)), ValueError,
+                 "at least two maps", id="one-map"),
+    pytest.param(lambda ifs: IfsSystem(
+        (0.0, 1.0), (HALF, AffineMap(0.5, 0.5, (0.0, 2.0)))), ValueError,
+        "map 1 certified on a different interval", id="foreign-map"),
+    pytest.param(lambda ifs: cylinder_interval(ifs, Word((0,) * 30)),
+                 PrecisionError, "below floor", id="cylinder-past-floor"),
+    pytest.param(lambda ifs: matrix_fixed_point((1.0, 0.5, 0.0, 1.0),
+                                                (0.0, 1.0)),
+                 ValueError, "no isolated fixed point", id="translation"),
+    pytest.param(lambda ifs: matrix_fixed_point((1.0, -1.0, 1.0, 1.0),
+                                                (0.0, 1.0)),
+                 ValueError, "no real fixed point", id="rotation"),
+    # x -> (x + 5)/(x + 1) fixes +-sqrt(5), both outside [0, 1]
+    pytest.param(lambda ifs: matrix_fixed_point((1.0, 5.0, 1.0, 1.0),
+                                                (0.0, 1.0)),
+                 ValueError, "no fixed point inside", id="fixed-point-outside"),
+])
+def test_geometry_refusals(cantor, call, error, match):
+    with pytest.raises(error, match=match):
+        call(cantor)
 
 
 def test_cylinder_intervals(cantor):
@@ -111,10 +143,9 @@ def test_max_safe_depth_is_the_width_floor(cantor, lebesgue, moebius):
 
 
 def test_osc_reports(cantor, lebesgue):
-    assert check_osc(cantor).satisfied
     assert cantor.osc_report.satisfied
     # touching interiors are allowed
-    assert check_osc(lebesgue).satisfied
+    assert lebesgue.osc_report.satisfied
     overlap = IfsSystem.affine((0.0, 1.0), [(0.6, 0.0), (0.6, 0.4)])
     assert not overlap.osc_report.satisfied
 

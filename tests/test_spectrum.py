@@ -81,6 +81,16 @@ def test_curve_shape(cantor_curve):
     assert alphas.max() <= cantor_curve.alpha_plus + 1e-6
 
 
+@pytest.mark.parametrize("grid,match", [
+    ({"q_steps": 2}, "at least 3 grid points"),
+    ({"q_min": 1.0, "q_max": 1.0}, "empty q range"),
+])
+def test_curve_refuses_a_grid_without_points(cantor, cantor_psi, grid,
+                                             match):
+    with pytest.raises(ValueError, match=match):
+        spectrum_curve(cantor, cantor_psi, **grid)
+
+
 def test_legendre_duality(cantor_curve):
     worst = 0.0
     for alpha, beta_star in zip(cantor_curve.alphas[1:-1],
@@ -126,6 +136,18 @@ def test_alpha_and_beta_star_match_closed_form(cantor, p):
         assert alpha == pytest.approx(exact, abs=1e-12)
         assert beta_star == pytest.approx(
             closed_form_beta(q, p) + q * exact, abs=1e-12)
+
+
+def test_beta_at_large_q_allows_for_the_rounding_of_its_terms(cantor,
+                                                              cantor_psi):
+    # at |q| of 1e8 the pressure's terms q*S psi carry rounding far past
+    # 1e-10; closed form as log(p0**q + p1**q)/log 3 without overflow
+    qs = np.linspace(-1e8, 1e8, 402)
+    _, betas, _ = beta_grid(cantor, cantor_psi, qs)
+    for q, beta in zip(qs.tolist(), betas.tolist()):
+        a, b = sorted((q * math.log(0.25), q * math.log(0.75)))
+        exact = (b + math.log1p(math.exp(a - b))) / LOG3
+        assert beta == pytest.approx(exact, rel=1e-14, abs=0.0)
 
 
 def test_dimension_and_alpha_zero_off_the_grid(cantor, cantor_psi):

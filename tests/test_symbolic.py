@@ -16,6 +16,10 @@ def test_word_parse_text_roundtrip():
     assert w.symbols == (0, 1, 2, 0)
     assert w.text() == "0120"
     assert len(w) == 4
+    # past one digit a symbol needs the dash-separated form, both ways
+    long = Word.parse("0-1-12")
+    assert long.symbols == (0, 1, 12)
+    assert long.text() == "0-1-12"
 
 
 def test_word_concat_repeat_slice():
@@ -50,12 +54,35 @@ def test_enumeration_cap():
         list(enumerate_words(2, 40))
 
 
+@pytest.mark.parametrize("call,match", [
+    pytest.param(lambda ifs: Word((0, -1)), "nonnegative ints",
+                 id="negative-symbol"),
+    pytest.param(lambda ifs: Word.of(0).repeat(-1), "repeat count",
+                 id="negative-repeat"),
+    pytest.param(lambda ifs: PeriodicWord(Word()), "nonempty",
+                 id="empty-period"),
+    pytest.param(lambda ifs: PeriodicWord.parse("0").stream().shift(-1),
+                 "shift must be nonnegative", id="negative-shift"),
+    pytest.param(lambda ifs: list(enumerate_words(1, 2)), "two symbols",
+                 id="one-letter-alphabet"),
+    pytest.param(lambda ifs: list(enumerate_words(65, 1)), "exceeds cap",
+                 id="alphabet-past-the-cap"),
+    pytest.param(lambda ifs: list(enumerate_words(2, -1)), "nonnegative",
+                 id="negative-length"),
+    pytest.param(lambda ifs: distortion_bound(
+        Potential.geometric(ifs), ifs, 0), "n >= 1", id="distortion-depth-0"),
+])
+def test_symbolic_refusals(cantor, call, match):
+    with pytest.raises(ValueError, match=match):
+        call(cantor)
+
+
 def test_periodic_word_cycle():
     pw = PeriodicWord.parse("011")
-    assert pw.period_length == 3
+    assert len(pw.period) == 3
     assert [pw.symbol_at(i) for i in range(7)] == [0, 1, 1, 0, 1, 1, 0]
     assert pw.rotate(1).period.symbols == (1, 1, 0)
-    assert pw.head(5).symbols == (0, 1, 1, 0, 1)
+    assert pw.stream().head(5).symbols == (0, 1, 1, 0, 1)
 
 
 def test_stream_shift_and_constant_tail():

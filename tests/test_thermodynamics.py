@@ -47,7 +47,7 @@ def test_moebius_chain_rule_consistency(moebius):
     geo = Potential.geometric(moebius)
     for text in ("01", "011", "0010"):
         pw = PeriodicWord.parse(text)
-        ell = pw.period_length
+        ell = len(pw.period)
         # orbit sum of pointwise values against the block-matrix formula
         orbit = math.fsum(geo.value_at(pw.stream().shift(j))
                           for j in range(ell))
@@ -135,6 +135,24 @@ def test_normalize_exact_shift(cantor):
     shifted = normalize(cantor, psi)
     assert shifted.shift == pytest.approx(-math.log(0.8), abs=1e-14)
     assert pressure(cantor, shifted).value == pytest.approx(0.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda m: Potential.geometric(m), id="geometric"),
+    pytest.param(lambda m: Potential.finite_range(
+        2, 2, (0.1, -0.4, 0.3, -0.2)), id="finite-range-2"),
+    pytest.param(lambda m: Potential.bernoulli((math.log(0.3),
+                                                math.log(0.5))),
+                 id="bernoulli"),
+])
+@pytest.mark.parametrize("shift", [1.5, -1e3, 1e306])
+def test_normalize_sets_the_shift(moebius, make, shift):
+    psi = make(moebius)
+    plain = normalize(moebius, psi)
+    shifted = normalize(moebius, dataclasses.replace(psi, shift=shift))
+    assert shifted == plain
+    assert math.copysign(1.0, shifted.shift) == math.copysign(1.0,
+                                                              plain.shift)
 
 
 def test_gibbs_weights_uniform(cantor, uniform_psi):
@@ -239,6 +257,31 @@ def test_potential_validation(cantor, moebius):
         Potential(geom=1.0)
     with pytest.raises(ValueError, match="different system"):
         periodic_sums(moebius, Potential.geometric(cantor), 2)
+
+
+@pytest.mark.parametrize("call,error,match", [
+    pytest.param(lambda c, m: Potential(depth=-1), ValueError,
+                 "depth must be >= 0", id="negative-depth"),
+    pytest.param(lambda c, m: Potential(table=(0.0, 1.0)), ValueError,
+                 "a table needs depth >= 1", id="table-without-depth"),
+    pytest.param(lambda c, m: Potential(depth=2, table=(0.0,) * 3),
+                 ValueError, r"alphabet_size\*\*depth", id="table-size"),
+    pytest.param(lambda c, m: Potential.finite_range(0, 2, ()), ValueError,
+                 "at least 1", id="finite-range-depth-0"),
+    pytest.param(lambda c, m: range_table(m, Potential.geometric(m), 3),
+                 ValueError, "reads more than 3 symbols", id="range-table"),
+    pytest.param(lambda c, m: periodic_sums(c, Potential.geometric(c), 0),
+                 ValueError, "level k must be >= 1", id="level-0"),
+    # the transfer matrix on 13-blocks has side 2**13
+    pytest.param(lambda c, m: pressure(c, Potential.finite_range(
+        14, 2, (0.0,) * 2**14), k_max=14), CapacityError,
+        "side 8192 is too large", id="transfer-matrix-too-large"),
+    pytest.param(lambda c, m: pressure(m, Potential.geometric(m), k_max=1),
+                 ValueError, "k_max must be >= 2", id="one-level"),
+])
+def test_thermodynamics_refusals(cantor, moebius, call, error, match):
+    with pytest.raises(error, match=match):
+        call(cantor, moebius)
 
 
 @settings(max_examples=30, deadline=None,
