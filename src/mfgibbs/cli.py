@@ -347,12 +347,15 @@ def _q_grid(args, cfg, ifs, psi, min_steps: int = 3):
     zero pressure: one the config normalizes, or one that passes the
     gate before any beta(q) root."""
     q_min, at_min = _setting(args, cfg, "--q-min", "q_grid.min", -10.0, _num)
-    q_max, _ = _setting(args, cfg, "--q-max", "q_grid.max", 10.0, _num)
+    q_max, at_max = _setting(args, cfg, "--q-max", "q_grid.max", 10.0, _num)
     steps, _ = _setting(args, cfg, "--q-steps", "q_grid.steps", 201,
                         _at_least(min_steps, "points", _GRID_POINTS))
     if q_min >= q_max:
         raise ConfigError(f"{at_min}: {q_min:g} is not below the grid's "
                           f"upper end {q_max:g}")
+    if q_max - q_min == math.inf:
+        raise ConfigError(f"{at_max}: the span from {q_min:g} to {q_max:g} "
+                          f"overflows")
     if not _normalizes(cfg):
         require_normalized(ifs, psi)
     return q_min, q_max, steps
@@ -404,7 +407,10 @@ def _cmd_pressure(args, cfg, ifs, psi, level):
 
 def _cmd_beta(args, cfg, ifs, psi, level):
     q_min, q_max, steps = _q_grid(args, cfg, ifs, psi, min_steps=2)
-    qs = [q_min + (q_max - q_min) * i / (steps - 1) for i in range(steps)]
+    span = q_max - q_min
+    # divide first only where span * i overflows
+    qs = [q_min + (span * i / (steps - 1) if span * i < math.inf
+                   else span / (steps - 1) * i) for i in range(steps)]
     qs, betas, _ = beta_grid(ifs, psi, qs, k=level)
     return (("q", "beta"), zip(qs.tolist(), betas.tolist()),
             f"beta: {steps} points on [{q_min:g}, {q_max:g}]")

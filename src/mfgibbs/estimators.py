@@ -58,11 +58,16 @@ input) the walk keeps O(nodes) state: the slices and node arrays of at
 most max_depth * m blocks.  A run of points that resolves at one value is written by slice
 assignment, or, when short, through one index array of at most
 _LONG_RUN points per run; there is never a per-point mask.
+
+coarse_spectrum reads a delta-grid in slabs of at most _SLAB boxes,
+one cdf_many call per slab, so its own arrays are at most three
+slab-sized float arrays (edges, values, errors) whatever the grid.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
@@ -378,6 +383,8 @@ class DistributionFunction:
 _LONG_RUN = 64
 # cdf_many expands at most this many nodes of a level in one pass
 _BLOCK = 4096
+# coarse_spectrum reads a delta-grid in slabs of at most this many boxes
+_SLAB = 1 << 20
 
 
 def _fill(out: np.ndarray, runs: np.ndarray, vals: np.ndarray) -> None:
@@ -535,6 +542,15 @@ def coarse_spectrum(F: DistributionFunction, delta_list,
 
     Boxes whose mass is below 10x its error bound are excluded; each
     occupied bin reports f = log(count)/(-log delta).
+
+    The grid is read in slabs of at most _SLAB boxes.  A slab's edges
+    are the floats lo + delta*i of the whole grid, with the last set to
+    hi, and take one cdf_many call; the slab's masses, 10x bounds and
+    exponents then overwrite its edge and value buffers, so at most
+    three slab-sized float arrays are alive at once.  The edge two slabs
+    share is evaluated in both, with the same value, so the bins are
+    those of the whole grid; kept_mass adds per-slab sums, and equals
+    the whole grid's sum when the grid is one slab.
     """
     if alpha_bin_width <= 0:
         raise ValueError("alpha_bin_width must be positive")
@@ -553,27 +569,39 @@ def coarse_spectrum(F: DistributionFunction, delta_list,
                                 f"{math.ceil(n) if n < math.inf else n} "
                                 f"boxes, over the cap {ENUMERATION_CAP}")
         n = math.ceil(n)
-        edges = lo + d * np.arange(n + 1)
-        if hi - edges[n - 1] < 1e-9 * d:
+        if hi - (lo + d * (n - 1)) < 1e-9 * d:
             # diam/d rounded up past an integer: drop the rounding-noise box
             n -= 1
-            edges = edges[:n + 1]
-        edges[-1] = hi
-        values, errors = F.cdf_many(edges)
-        masses = np.diff(values)
-        errs = errors[:-1] + errors[1:]
-        keep = (masses > 0.0) & (masses >= 10.0 * errs)
-        alphas = np.log(masses[keep]) / math.log(d)
-        with np.errstate(over="ignore"):  # an infinite index is refused
-            idx = np.floor(alphas / alpha_bin_width)
-        if not (np.abs(idx) < 2.0**63).all():
-            raise ValueError(f"bin width {alpha_bin_width:g} puts an "
-                             f"exponent at delta {d:g} in a bin past int64")
-        ids, counts = np.unique(idx.astype(int), return_counts=True)
+        counts, kept = Counter(), 0.0
+        for k0 in range(0, n, _SLAB):
+            k1 = min(k0 + _SLAB, n)
+            edges = lo + d * np.arange(k0, k1 + 1)
+            if k1 == n:
+                edges[-1] = hi
+            values, errors = F.cdf_many(edges)
+            # the masses overwrite the edges, and 10x their bounds the values
+            masses = np.subtract(values[1:], values[:-1], out=edges[:-1])
+            errs = np.add(errors[:-1], errors[1:], out=values[:-1])
+            errs *= 10.0
+            keep = (masses > 0.0) & (masses >= errs)
+            del edges, values, errors, errs
+            alphas = masses[keep]
+            del masses
+            kept += float(alphas.sum())
+            np.log(alphas, out=alphas)
+            alphas /= math.log(d)
+            with np.errstate(over="ignore"):  # an infinite index is refused
+                alphas /= alpha_bin_width
+            np.floor(alphas, out=alphas)  # the bin indices
+            if not (np.abs(alphas) < 2.0**63).all():
+                raise ValueError(f"bin width {alpha_bin_width:g} puts an "
+                                 f"exponent at delta {d:g} in a bin past int64")
+            ids, slab_counts = np.unique(alphas.astype(int), return_counts=True)
+            del alphas  # before the next slab's edges
+            counts.update(dict(zip(ids.tolist(), slab_counts.tolist())))
         bins = [CoarseBin(alpha_center=(b + 0.5) * alpha_bin_width,
                           count=count, f_alpha=math.log(count) / (-math.log(d)))
-                for b, count in zip(ids.tolist(), counts.tolist())]
-        kept = float(masses[keep].sum())
+                for b, count in sorted(counts.items())]
         if kept > 1.0 + 1e-9:
             raise PrecisionError(f"kept box masses sum to {kept} > 1")
         out.append(CoarseSpectrum(delta=d, bin_width=alpha_bin_width,

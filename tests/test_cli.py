@@ -227,6 +227,20 @@ def test_beta_solves_at_q_where_rounding_passes_1e_10(tmp_path, capsys):
     assert out.splitlines()[-1] == "100000000,-26185950.714291479"
 
 
+def test_beta_grid_reaches_the_float_maximum(tmp_path, capsys):
+    # (q_max - q_min) * i overflows from i = 2 on: those points divide
+    # first, and the grid is the one spectrum prints
+    path = _with(tmp_path, "cantor_14_34",
+                 q_grid={"min": -10, "max": 1e308, "steps": 5})
+    code, out, err = run(capsys, "beta", "--config", path)
+    assert code == 0, err
+    qs = [float(line.split(",")[0]) for line in out.splitlines()[1:]]
+    assert qs == [-10.0, 2.5e307, 5e307, 7.5e307, 1e308]
+    code, out, err = run(capsys, "spectrum", "--config", path)
+    assert code == 0, err
+    assert [float(line.split(",")[0]) for line in out.splitlines()[1:]] == qs
+
+
 def test_detrend_summary(capsys):
     code, _, err = run(capsys, "detrend", "--config",
                        str(CONFIGS / "cantor_14_34.json"))
@@ -563,6 +577,10 @@ def test_beta_determinism_across_threads(tmp_path, capsys, monkeypatch):
     ("pressure", "potential", {"kind": "geometric_multiple",
                                "coefficient": 1, "shift": -1e308},
      "potential.shift: -1e+308 makes the periodic sums overflow"),
+    # q_max - q_min overflows, so no grid point between them is finite
+    *((command, "q_grid", {"min": -1e308, "max": 1e308, "steps": 5},
+       "q_grid.max: the span from -1e+308 to 1e+308 overflows")
+      for command in ("beta", "spectrum", "predict-packing")),
 ])
 def test_config_faults_name_the_field(tmp_path, capsys, command, field,
                                       value, message):
@@ -585,6 +603,8 @@ def test_config_faults_name_the_field(tmp_path, capsys, command, field,
      "--q-min: 4 is not below the grid's upper end -4"),
     (("spectrum", "--q-min", "20"),
      "--q-min: 20 is not below the grid's upper end 10"),
+    (("predict-packing", "--q-min=-1e308", "--q-max", "1e308"),
+     "--q-max: the span from -1e+308 to 1e+308 overflows"),
 ])
 def test_q_grid_flag_faults_name_the_flag(capsys, argv, message):
     code, out, err = run(capsys, *argv, "--config",
@@ -1115,6 +1135,9 @@ CHEAP = {"q_grid": {"steps": 5}, "coarse": {"deltas": ["1/81"]},
 @example(config="moebius_pair", target=("verify-prop", "probe.ks"),
          value=[2])
 @example(config="lebesgue", target=("holder", "holder.points"), value=[-1])
+@example(config="lebesgue", target=("beta", "q_grid.max"), value=1e308)
+@example(config="cantor_14_34", target=("spectrum", "q_grid"),
+         value={"min": -1e308, "max": 1e308})
 @example(config="uniform_cantor", target=("coarse", "coarse.deltas"),
          value=[2])
 @given(config=st.sampled_from(["cantor_14_34", "lebesgue", "moebius_pair",

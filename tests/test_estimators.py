@@ -3,6 +3,7 @@ import math
 import random
 import sys
 import threading
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -13,9 +14,9 @@ from hypothesis import (HealthCheck, assume, given, settings,
 
 from mfgibbs.errors import (CapacityError, DomainError, NormalizationError,
                             PrecisionError, ScaleError)
-from mfgibbs.estimators import (DepthPolicy, DistributionFunction, Scales,
-                                coarse_spectrum, deep_policy,
-                                default_policy, default_scale_base,
+from mfgibbs.estimators import (CoarseBin, CoarseSpectrum, DepthPolicy,
+                                DistributionFunction, Scales, coarse_spectrum,
+                                deep_policy, default_policy, default_scale_base,
                                 exact_exponent_at_coded_point,
                                 holder_exponent_estimate, measure_ball)
 from mfgibbs import estimators, ifs_geometry, thermodynamics
@@ -222,6 +223,56 @@ def test_coarse_spectrum_drops_rounding_sliver(cantor, cantor_psi):
     got = {round(b.alpha_center / 0.2 - 0.5): b.count for b in result.bins}
     assert sum(got.values()) == 1024
     assert got == dict(expected)
+
+
+def _whole_grid_spectrum(F, d, width=0.2):
+    """coarse_spectrum's result from one cdf_many call over all edges."""
+    lo, hi = F.system.domain
+    n = math.ceil((hi - lo) / d)
+    edges = lo + d * np.arange(n + 1)
+    if hi - edges[n - 1] < 1e-9 * d:
+        n -= 1
+        edges = edges[:n + 1]
+    edges[-1] = hi
+    values, errors = F.cdf_many(edges)
+    masses = np.diff(values)
+    keep = (masses > 0.0) & (masses >= 10.0 * (errors[:-1] + errors[1:]))
+    idx = np.floor(np.log(masses[keep]) / math.log(d) / width).astype(int)
+    ids, counts = np.unique(idx, return_counts=True)
+    bins = tuple(CoarseBin((b + 0.5) * width, c, math.log(c) / -math.log(d))
+                 for b, c in zip(ids.tolist(), counts.tolist()))
+    return CoarseSpectrum(d, width, bins, float(masses[keep].sum()))
+
+
+@pytest.mark.parametrize("config,d,slab", [
+    ("cantor_14_34", 3.0 ** -9, 1000),
+    ("moebius_pair", 2.0 ** -12, 1000),
+    ("lebesgue", 2.0 ** -12, 1024),  # four slabs of exactly 1024 boxes
+    ("cantor_14_34", 3.0 ** -7, 729),  # three slabs of exactly 729 boxes
+    ("cantor_14_34", 3.0 ** -10, 1000),  # the sliver test's grid
+])
+def test_coarse_spectrum_slabs_change_nothing(monkeypatch, config, d, slab):
+    F = DistributionFunction(*_config_cascade(config))
+    whole = _whole_grid_spectrum(F, d)
+    # the default slab holds every grid here: the result is the reference
+    assert coarse_spectrum(F, [d]) == [whole]
+    monkeypatch.setattr(estimators, "_SLAB", slab)
+    (slabbed,) = coarse_spectrum(F, [d])
+    assert slabbed._replace(kept_mass=whole.kept_mass) == whole
+    assert abs(slabbed.kept_mass - whole.kept_mass) <= 1e-12
+
+
+@pytest.mark.parametrize("j,limit_mb", [(12, 16), (14, 64)])
+def test_coarse_spectrum_memory_stays_within_a_few_slabs(j, limit_mb):
+    # the whole grid at once peaked at 26.6 MB (3^-12) and 239 MB (3^-14)
+    F = DistributionFunction(*_config_cascade("cantor_14_34"))
+    tracemalloc.start()
+    try:
+        coarse_spectrum(F, [3.0 ** -j])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit_mb * 1e6
 
 
 def test_coarse_spectrum_refuses_boxes_past_the_cap(F_cantor):
