@@ -20,7 +20,8 @@ import json
 import math
 import sys
 
-from .errors import ConfigError, NormalizationError, ToolkitError
+from .errors import (ConfigError, NormalizationError, PrecisionError,
+                     ToolkitError)
 from .estimators import (DepthPolicy, DistributionFunction, Scales,
                          coarse_spectrum, deep_policy, default_policy,
                          default_scale_base, holder_exponent_estimate)
@@ -358,15 +359,20 @@ def _q_grid(args, cfg, ifs, psi, min_steps: int = 3):
                           f"overflows")
     if not _normalizes(cfg):
         require_normalized(ifs, psi)
-    return q_min, q_max, steps
+    return q_min, q_max, steps, at_min, at_max
 
 
 def _curve(args, cfg, ifs, psi, level):
     """The spectrum curve on the q grid, for `spectrum` and
     `predict-packing`."""
-    q_min, q_max, steps = _q_grid(args, cfg, ifs, psi)
-    return spectrum_curve(ifs, psi, k=level, q_min=q_min, q_max=q_max,
-                          q_steps=steps)
+    q_min, q_max, steps, at_min, at_max = _q_grid(args, cfg, ifs, psi)
+    try:
+        return spectrum_curve(ifs, psi, k=level, q_min=q_min, q_max=q_max,
+                              q_steps=steps)
+    except PrecisionError as exc:
+        # the grid end of larger |q| rounds beta + q*alpha the most
+        at = at_max if abs(q_max) >= abs(q_min) else at_min
+        raise ConfigError(f"{at}: {exc}") from None
 
 
 def _cmd_check(args, cfg, ifs, psi, level):
@@ -406,7 +412,7 @@ def _cmd_pressure(args, cfg, ifs, psi, level):
 
 
 def _cmd_beta(args, cfg, ifs, psi, level):
-    q_min, q_max, steps = _q_grid(args, cfg, ifs, psi, min_steps=2)
+    q_min, q_max, steps, *_ = _q_grid(args, cfg, ifs, psi, min_steps=2)
     span = q_max - q_min
     # divide first only where span * i overflows
     qs = [q_min + (span * i / (steps - 1) if span * i < math.inf

@@ -41,23 +41,29 @@ cdf_many walks cylinder nodes instead of points, one level at a time.
 The points are sorted once (not at all when already non-decreasing, as
 box edges are), and each node owns a contiguous slice of them.  A
 level's live nodes are arrays in position order, and one numpy pass
-expands them all: their children at once (child_matrices), then one
-searchsorted per side over every child end, clipped to each node's
-slice, which splits every slice.  Points left of a child or in a gap
-get the sequential prefix sum of the sibling masses, points on a child
-end get the exact value, and points strictly inside a child become that
-child's slice at the next level.  A node whose child ends are not in
-order finishes each point with the scalar walk from the node's state,
-on a path of the node's own.  The float operations and their order are
+expands them all: their children at once (child_matrices), then, where
+a node holds several points, one searchsorted per side over every child
+end, clipped to each node's slice, which splits every slice.  Points
+left of a child or in a gap get the sequential prefix sum of the
+sibling masses, points on a child end get the exact value, and points
+strictly inside a child become that child's slice at the next level.
+A block whose nodes each hold at most one point (the deep levels, where
+points near a cylinder end descend alone) searches nothing: clipped to
+a one-point slice the search is a comparison, so the point step
+compares each node's point with l_j, h_j and l_j+1, writes the values
+of the points in a gap in one indexed assignment and hands the others
+to the child that holds them.  A node whose child ends are not in order
+finishes each point with the scalar walk from the node's state, on a
+path of the node's own.  The float operations and their order are
 those of the scalar descent, so values and error bounds are
 bit-identical to cdf; on PrecisionError the points are replayed through
 cdf in input order, so the same error escapes.  A level of more than
 _BLOCK nodes takes one pass per block of _BLOCK nodes, deepest blocks
 first, so beyond the outputs (and the sort permutation of unsorted
 input) the walk keeps O(nodes) state: the slices and node arrays of at
-most max_depth * m blocks.  A run of points that resolves at one value is written by slice
-assignment, or, when short, through one index array of at most
-_LONG_RUN points per run; there is never a per-point mask.
+most max_depth * m blocks.  A run of points that resolves at one value
+is written by slice assignment, or, when short, through one index array
+of at most _LONG_RUN points per run; there is never a per-point mask.
 
 coarse_spectrum reads a delta-grid in slabs of at most _SLAB boxes,
 one cdf_many call per slab, so its own arrays are at most three
@@ -309,13 +315,14 @@ class DistributionFunction:
         m = self._m
         live = ((state[1] >= self.policy.mass_tol)
                 & (depth < self.policy.max_depth))
-        _fill(values, slices[:, ~live], state[0, ~live])
-        _fill(errors, slices[:, ~live], state[1, ~live])
-        if not live.any():
-            return []
-        slices, state = slices[:, live], state[:, live]
-        if const is None:
-            words = list(compress(words, live.tolist()))
+        if not live.all():
+            _fill(values, slices[:, ~live], state[0, ~live])
+            _fill(errors, slices[:, ~live], state[1, ~live])
+            if not live.any():
+                return []
+            slices, state = slices[:, live], state[:, live]
+            if const is None:
+                words = list(compress(words, live.tolist()))
         # kids[:7, k, j] is child j of node k, laid out as state, and
         # kids[7:] its ends
         acc, mass, *_, logdet = state
@@ -345,33 +352,55 @@ class DistributionFunction:
             self._conds(w, ld, kk) for w, ld, kk in zip(
                 words, logdet.tolist(),
                 np.moveaxis(kids[[7, 8, 2, 3, 4, 5]], 0, -1).tolist())])
-        # one searchsorted per side over the block's child ends, which
-        # arrive sorted; clipped to a node's slice it is the node's own
-        i0, i1 = slices[:, :, None]
-        ends = np.stack([ls, hs], axis=-1).reshape(len(ls), 2 * m)
-        left = np.minimum(np.maximum(s.searchsorted(ends), i0), i1)
-        right = np.minimum(np.maximum(s.searchsorted(ends, "right"), i0), i1)
-        # runs[k] = [i0, b_0, c_0, ..., b_m-1, c_m-1, i1] for node k:
-        # [c_j-1, b_j) is the gap left of child j and x == l_j, with c_-1
-        # = i0; [b_j, c_j) is inside child j; x == h_j onward goes to the
-        # next run, and [c_m-1, i1) is past the last child
-        end = right[:, 1::2]  # min(index past h_j, index of l_j+1)
-        np.minimum(end[:, :-1], left[:, 2::2], out=end[:, :-1])
-        runs = np.empty((len(ls), 2 * m + 2), dtype=np.intp)
-        runs[:, :1], runs[:, -1:] = i0, i1
-        b_ = np.minimum(right[:, 0::2], end, out=runs[:, 1:-1:2])
-        c_ = np.maximum(b_, np.minimum(left[:, 1::2], end), out=runs[:, 2:-1:2])
         # a run's value is acc plus the sibling masses before it, added in
         # child order as the scalar walk adds them
         kids[1] = mass[:, None] * conds
         accs = np.cumsum(np.hstack([acc[:, None], kids[1]]), axis=1)
-        _fill(values, runs.reshape(-1, 2).T, accs.ravel())
         kids[0] = accs[:, :m]
-        inside = c_ > b_
+        count = slices[1] - slices[0]
+        if count.max() == 1:
+            # each node holds one point x = s[i0], or none where the scalar
+            # walk emptied its slice (x is NaN there and enters no child).
+            # The searches below, clipped to [i0, i0 + 1), are i0 + (x < e)
+            # and i0 + (x <= e); so b_j = (x <= l_j) & before_j, and x is
+            # inside child j when l_j < x < h_j & before_j, where before_j
+            # = (x < l_j+1) and is true for the last child
+            held = count == 1
+            x = np.full((len(acc), 1), math.nan)
+            x[held, 0] = s[slices[0, held]]
+            before = np.ones(ls.shape, dtype=bool)
+            np.less(x, ls[:, 1:], out=before[:, :-1])
+            inside = (ls < x) & (x < hs) & before
+            # a resolved x is in the gap run left of the first b_j = 1
+            gap = held & ~inside.any(1)
+            j = m - ((x[gap] <= ls[gap]) & before[gap]).sum(1)
+            values[slices[0, gap]] = accs[gap, j]
+            slices = slices[0, np.nonzero(inside)[0]] + np.array([[0], [1]])
+        else:
+            # one searchsorted per side over the block's child ends, which
+            # arrive sorted; clipped to a node's slice it is the node's own
+            i0, i1 = slices[:, :, None]
+            ends = np.stack([ls, hs], axis=-1).reshape(len(ls), 2 * m)
+            left = np.minimum(np.maximum(s.searchsorted(ends), i0), i1)
+            right = np.minimum(np.maximum(s.searchsorted(ends, "right"), i0),
+                               i1)
+            # runs[k] = [i0, b_0, c_0, ..., b_m-1, c_m-1, i1] for node k:
+            # [c_j-1, b_j) is the gap left of child j and x == l_j, with
+            # c_-1 = i0; [b_j, c_j) is inside child j; x == h_j onward
+            # goes to the next run, and [c_m-1, i1) is past the last child
+            end = right[:, 1::2]  # min(index past h_j, index of l_j+1)
+            np.minimum(end[:, :-1], left[:, 2::2], out=end[:, :-1])
+            runs = np.empty((len(ls), 2 * m + 2), dtype=np.intp)
+            runs[:, :1], runs[:, -1:] = i0, i1
+            b_ = np.minimum(right[:, 0::2], end, out=runs[:, 1:-1:2])
+            c_ = np.maximum(b_, np.minimum(left[:, 1::2], end),
+                            out=runs[:, 2:-1:2])
+            _fill(values, runs.reshape(-1, 2).T, accs.ravel())
+            inside = c_ > b_
+            slices = runs[:, 1:-1].reshape(-1, m, 2)[inside].T
         if (inside & (hs - ls < WIDTH_FLOOR)).any():
             # cdf_many replays the scalar path for the message
             raise PrecisionError("cylinder under the width floor")
-        slices = runs[:, 1:-1].reshape(-1, m, 2)[inside].T
         state = kids[:7, inside]
         if const is None:
             words = [words[k] + (j,) for k, j in zip(*np.nonzero(inside))]

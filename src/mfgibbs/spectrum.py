@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NonConvergenceError
+from .errors import NonConvergenceError, PrecisionError
 from .ifs_geometry import IfsSystem
 from .thermodynamics import (Potential, _level_sums, cohomology_diagnostic,
                              default_level)
@@ -196,7 +196,8 @@ def spectrum_curve(ifs: IfsSystem, psi: Potential, k: int | None = None,
     the depth-k level, as are the dimension beta(0) and alpha_0 = alpha(0)
     whether or not the grid holds q = 0.  One cohomology_diagnostic scan
     of the periodic ratios gives both the endpoints and the degeneracy
-    flag.
+    flag.  PrecisionError, before any root, if a grid end's |q| is so
+    large that the rounding of beta + q*alpha passes 1e-9.
     """
     if q_steps < 3:
         raise ValueError("need at least 3 grid points")
@@ -205,6 +206,13 @@ def spectrum_curve(ifs: IfsSystem, psi: Potential, k: int | None = None,
     qs = np.linspace(q_min, q_max, q_steps)
     diag = cohomology_diagnostic(ifs, psi)
     a_lo, a_hi = diag.ratio_min, diag.ratio_max
+    # beta + q*alpha rounds by about 2**-52 * |q * alpha|: past the 1e-9
+    # that spectrum_predictions allows, beta* would be rounding noise
+    q_far = max(q_max, q_min, key=abs)
+    rounding = 2.0**-52 * abs(q_far) * max(abs(a_lo), abs(a_hi))
+    if rounding > 1e-9:
+        raise PrecisionError(f"q={q_far:g} rounds beta + q*alpha by about "
+                             f"{rounding:.1e}, past 1e-9")
     if diag.degenerate:
         c = 0.5 * (a_lo + a_hi)
         s = beta_of_q(ifs, psi, 0.0, k=k)

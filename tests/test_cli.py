@@ -229,7 +229,7 @@ def test_beta_solves_at_q_where_rounding_passes_1e_10(tmp_path, capsys):
 
 def test_beta_grid_reaches_the_float_maximum(tmp_path, capsys):
     # (q_max - q_min) * i overflows from i = 2 on: those points divide
-    # first, and the grid is the one spectrum prints
+    # first; spectrum refuses the grid, whose beta* would be rounding
     path = _with(tmp_path, "cantor_14_34",
                  q_grid={"min": -10, "max": 1e308, "steps": 5})
     code, out, err = run(capsys, "beta", "--config", path)
@@ -237,8 +237,26 @@ def test_beta_grid_reaches_the_float_maximum(tmp_path, capsys):
     qs = [float(line.split(",")[0]) for line in out.splitlines()[1:]]
     assert qs == [-10.0, 2.5e307, 5e307, 7.5e307, 1e308]
     code, out, err = run(capsys, "spectrum", "--config", path)
-    assert code == 0, err
-    assert [float(line.split(",")[0]) for line in out.splitlines()[1:]] == qs
+    assert (code, out) == (2, "")
+    assert err.startswith("config error: q_grid.max: q=1e+308 rounds ")
+
+
+@pytest.mark.parametrize("command", ["spectrum", "predict-packing"])
+@pytest.mark.parametrize("config", ["cantor_14_34", "uniform_cantor",
+                                    "moebius_pair", "lebesgue"])
+def test_q_grid_end_past_the_rounding_of_beta_star_names_the_field(
+        tmp_path, capsys, config, command):
+    # beta + q*alpha rounds by about 2**-52 * |q * alpha|: at q = 1e308
+    # spectrum printed a beta* of 2.5e291 on cantor_14_34, predict-packing
+    # a Hausdorff value of -0.079 on uniform_cantor, and both exited 1 on
+    # moebius_pair, whose roots fail to converge there
+    path = _with(tmp_path, config,
+                 q_grid={"min": -10, "max": 1e308, "steps": 5})
+    code, out, err = run(capsys, command, "--config", path)
+    assert (code, out) == (2, "")
+    assert err.startswith("config error: q_grid.max: q=1e+308 rounds "
+                          "beta + q*alpha by about "), err
+    assert err.splitlines()[0].endswith(", past 1e-9")
 
 
 def test_detrend_summary(capsys):
@@ -605,6 +623,11 @@ def test_config_faults_name_the_field(tmp_path, capsys, command, field,
      "--q-min: 20 is not below the grid's upper end 10"),
     (("predict-packing", "--q-min=-1e308", "--q-max", "1e308"),
      "--q-max: the span from -1e+308 to 1e+308 overflows"),
+    # the end of larger |q| is named, with the rounding of beta + q*alpha
+    (("spectrum", "--q-min=-1e8"),
+     "--q-min: q=-1e+08 rounds beta + q*alpha by about 2.8e-08, past 1e-9"),
+    (("predict-packing", "--q-min=-1e7", "--q-max", "1e8"),
+     "--q-max: q=1e+08 rounds beta + q*alpha by about 2.8e-08, past 1e-9"),
 ])
 def test_q_grid_flag_faults_name_the_flag(capsys, argv, message):
     code, out, err = run(capsys, *argv, "--config",

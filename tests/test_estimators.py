@@ -473,6 +473,115 @@ def test_cdf_many_finishes_out_of_order_nodes_with_the_scalar_walk(
     assert np.array_equal(got[1], ref[1])
 
 
+@st.composite
+def _near_word_ends(draw, F):
+    """Float ends of words up to length 12 and points 1 to 4 ulps either
+    side of them, each of which descends alone once its node holds no
+    other point, sorted or shuffled."""
+    m = F.system.alphabet_size
+    xs = []
+    for word in draw(st.lists(st.lists(st.integers(0, m - 1), min_size=1,
+                                       max_size=12), min_size=1, max_size=40)):
+        for end in _cylinder_ends(F, word):
+            xs.append(end)
+            for toward in (-math.inf, math.inf):
+                x = end
+                for _ in range(draw(st.integers(1, 4))):
+                    x = math.nextafter(x, toward)
+                xs.append(x)
+    xs = np.array(xs)
+    if draw(st.booleans()):
+        return np.sort(xs)
+    return np.random.default_rng(draw(st.integers(0, 2**32 - 1))).permutation(xs)
+
+
+@pytest.mark.parametrize("block", [None, 7])
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(config=st.sampled_from(["cantor_14_34", "uniform_cantor", "lebesgue",
+                               "moebius_pair"]), data=st.data())
+def test_cdf_many_matches_scalar_cdf_near_word_ends(block, config, data):
+    # a node that holds one point compares it with its child ends; a
+    # block of 7 nodes mixes such blocks with searched ones on one level,
+    # and moebius_pair's splits carry each node's word
+    F = DistributionFunction(*_config_cascade(config))
+    xs = data.draw(_near_word_ends(F))
+    ref = _scalar_cdf(F, xs)
+    with pytest.MonkeyPatch.context() as patch:
+        if block is not None:
+            patch.setattr(estimators, "_BLOCK", block)
+        got = F.cdf_many(xs)
+    assert np.array_equal(got[0], ref[0])
+    assert np.array_equal(got[1], ref[1])
+
+
+def test_point_blocks_finish_out_of_order_nodes_with_the_scalar_walk(
+        monkeypatch):
+    # the system of the test above: 0.2 and 0.6796875 part at the root,
+    # and below it each node of a block holds one of them; the node of
+    # the second at depth 9 has its child ends out of order, and the
+    # first descends to the depth cap
+    dom = (0.0, 1.0)
+    ifs = IfsSystem(dom, (AffineMap(0.5 + 0.5e-13, 0.0, dom),
+                          AffineMap(1e-13, 0.5, dom),
+                          AffineMap(0.4, 0.6, dom)))
+    F = DistributionFunction(ifs, Potential.from_probabilities(
+        [0.3, 0.2, 0.5]), DepthPolicy(30, 1e-12))
+    outside = [-1.0, 2.0, -math.inf, math.inf, math.nan]
+    xs = np.array([0.2, 0.6796875] + outside)
+    ref = _scalar_cdf(F, xs)
+    blocks, walked = [], []
+    expand, walk = DistributionFunction._expand, DistributionFunction._walk
+
+    def recorded_expand(self, s, values, errors, depth, slices, *rest):
+        blocks.append((depth, (slices[1] - slices[0]).tolist()))
+        return expand(self, s, values, errors, depth, slices, *rest)
+
+    def recorded_walk(self, x, acc, mass, word, mat, logdet, depth, path):
+        if depth:  # NaN takes the scalar path from the root
+            walked.append((x, depth, blocks[-1]))
+        return walk(self, x, acc, mass, word, mat, logdet, depth, path)
+
+    monkeypatch.setattr(DistributionFunction, "_expand", recorded_expand)
+    monkeypatch.setattr(DistributionFunction, "_walk", recorded_walk)
+    got = F.cdf_many(xs)
+    assert np.array_equal(got[0], ref[0])
+    assert np.array_equal(got[1], ref[1])
+    assert walked == [(0.6796875, 9, (9, [1, 1]))]
+    # empty input, input with no point in the domain, and 0.5 alone: the
+    # left end of child 1 lies inside child 0, and resolves at child 1
+    assert [a.tolist() for a in F.cdf_many([])] == [[], []]
+    for pts in (outside, outside[::-1], [math.nan], [0.6796875], [0.5]):
+        got = F.cdf_many(pts)
+        ref = _scalar_cdf(F, pts)
+        assert np.array_equal(got[0], ref[0], equal_nan=True)
+        assert np.array_equal(got[1], ref[1])
+
+
+@pytest.mark.parametrize("words", [[(0, 1, 1, 0, 1)], [(0, 1, 0), (1, 1, 0, 0)],
+                                   [(0,), (1, 0, 1, 1, 1, 1, 0, 1, 0)]])
+def test_point_blocks_take_no_search_and_no_run_fill(words, monkeypatch):
+    # the middle of a cantor_14_34 cylinder sits in the gap between its
+    # children, so each point below resolves in a gap: only a block of
+    # a node with several points (the root, here) searches and fills runs
+    F = _config_F("cantor_14_34")
+    xs = [sum(_cylinder_ends(F, w)) / 2 for w in words]
+    ref = _scalar_cdf(F, xs)
+    fills = []
+    fill = estimators._fill
+
+    def counted(out, runs, vals):
+        fills.append(runs.shape[1])
+        fill(out, runs, vals)
+
+    monkeypatch.setattr(estimators, "_fill", counted)
+    got = F.cdf_many(xs)
+    assert np.array_equal(got[0], ref[0])
+    assert np.array_equal(got[1], ref[1])
+    # one run fill of the root's 3 runs when it holds two points
+    assert fills == ([] if len(xs) == 1 else [3])
+
+
 @pytest.mark.parametrize("config", ["cantor_14_34", "moebius_pair"])
 def test_cdf_exact_at_every_cylinder_end(config):
     # cylinder_interval and stream_point form their points with the float

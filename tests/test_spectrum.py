@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from mfgibbs import spectrum
 from mfgibbs.cli import main
+from mfgibbs.errors import PrecisionError
 from mfgibbs.spectrum import (LevelSums, beta_grid, beta_of_q, endpoints,
                               legendre, spectrum_curve, spectrum_predictions)
 from mfgibbs.thermodynamics import Potential, normalize, periodic_sums
@@ -148,6 +149,23 @@ def test_beta_at_large_q_allows_for_the_rounding_of_its_terms(cantor,
         a, b = sorted((q * math.log(0.25), q * math.log(0.75)))
         exact = (b + math.log1p(math.exp(a - b))) / LOG3
         assert beta == pytest.approx(exact, rel=1e-14, abs=0.0)
+
+
+def test_curve_refuses_q_where_beta_star_is_rounding(cantor, cantor_psi,
+                                                     moebius, moebius_psi):
+    # beta + q*alpha rounds by about 2**-52 * |q| * alpha_plus, and
+    # alpha_plus = log 4 / log 3 puts 1e-9 at |q| = 3.57e6
+    curve = spectrum_curve(cantor, cantor_psi, q_min=-3.5e6, q_max=10.0,
+                           q_steps=5)
+    assert np.isfinite(curve.beta_stars).all()
+    with pytest.raises(PrecisionError, match=r"^q=-3\.6e\+06 rounds beta "
+                                             r"\+ q\*alpha by about 1\.0e-09, "
+                                             r"past 1e-9$"):
+        spectrum_curve(cantor, cantor_psi, q_min=-3.6e6, q_max=10.0,
+                       q_steps=5)
+    with pytest.raises(PrecisionError, match=r"^q=1e\+308 rounds"):
+        spectrum_curve(moebius, moebius_psi, q_min=-10.0, q_max=1e308,
+                       q_steps=5)
 
 
 def test_dimension_and_alpha_zero_off_the_grid(cantor, cantor_psi):
