@@ -558,7 +558,8 @@ def test_point_blocks_finish_out_of_order_nodes_with_the_scalar_walk(
         assert np.array_equal(got[1], ref[1])
 
 
-@pytest.mark.parametrize("words", [[(0, 1, 1, 0, 1)], [(0, 1, 0), (1, 1, 0, 0)],
+@pytest.mark.parametrize("words", [[(0, 1, 1, 0, 1)],
+                                   [(0, 1, 0), (1, 1, 0, 0)],
                                    [(0,), (1, 0, 1, 1, 1, 1, 0, 1, 0)]])
 def test_point_blocks_take_no_search_and_no_run_fill(words, monkeypatch):
     # the middle of a cantor_14_34 cylinder sits in the gap between its
