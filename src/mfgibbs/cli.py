@@ -3,7 +3,11 @@
 Every setting is resolved by one reader, `_setting`: the flag when it is
 given, else the config field, else the default.  It returns where the
 value came from, and its checks name that flag or field, so every fault
-in the input exits 2 with its source named.  Each subcommand returns its
+in the input exits 2 with its source named.  Each rule about a value
+lives in the library type or function that consumes it (Scales, the
+box sizes of coarse_spectrum, the probe's odd k, the level cap); the
+CLI states none of them again, and turns the library's refusal into a
+ConfigError that names the value's source.  Each subcommand returns its
 table, a header, rows and a one-line summary; `main` writes the rows as
 CSV, to --out or stdout, and the summary to stderr.
 
@@ -20,18 +24,21 @@ import json
 import math
 import sys
 
-from .errors import (ConfigError, NormalizationError, PrecisionError,
-                     ToolkitError)
+import numpy as np
+
+from .errors import (CapacityError, ConfigError, DomainError,
+                     NormalizationError, PrecisionError, ToolkitError)
 from .estimators import (DepthPolicy, DistributionFunction, Scales,
                          coarse_spectrum, deep_policy, default_policy,
                          default_scale_base, holder_exponent_estimate)
-from .holder_lab import (PROBE_MAX_PERIOD, PROBE_MIN_DEPTHS,
+from .holder_lab import (PROBE_MAX_PERIOD, PROBE_MIN_DEPTHS, _require_odd,
                          derivative_limit_probe, detrend_exponent_test)
 from .ifs_geometry import IfsSystem, stream_point
-from .spectrum import (beta_grid, endpoints, spectrum_curve,
+from .spectrum import (DEFAULT_Q_MAX, DEFAULT_Q_MIN, DEFAULT_Q_STEPS,
+                       beta_grid, endpoints, spectrum_curve,
                        spectrum_predictions)
 from .symbolic import ENUMERATION_CAP, PeriodicWord, Word
-from .thermodynamics import (Potential, cohomology_diagnostic,
+from .thermodynamics import (Potential, _check_level, cohomology_diagnostic,
                              default_level, effective_range, normalize,
                              pressure, require_normalized)
 
@@ -109,15 +116,24 @@ def _positive(read):
     return read_positive
 
 
-def _within(lo: float, hi: float, ends: bool = True):
-    """A reader of numbers from lo to hi, the ends included if `ends`."""
+def _within(lo: float, hi: float):
+    """A reader of numbers from lo to hi, the ends included."""
     def read(value, where: str) -> float:
         v = _num(value, where)
-        if not (lo <= v <= hi if ends else lo < v < hi):
-            span = f"[{lo}, {hi}]" if ends else f"({lo}, {hi})"
-            raise ConfigError(f"{where}: {v} is outside {span}")
+        if not lo <= v <= hi:
+            raise ConfigError(f"{where}: {v} is outside [{lo}, {hi}]")
         return v
     return read
+
+
+def _named(where: str, errors, call, *args, **kwargs):
+    """call(*args, **kwargs), a refusal of type `errors` turned into a
+    ConfigError that names `where`, the value's source: the library
+    states the rule, the CLI only where the value came from."""
+    try:
+        return call(*args, **kwargs)
+    except errors as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def _block(cfg: dict, key: str) -> dict:
@@ -192,12 +208,8 @@ def build_system(cfg: dict) -> IfsSystem:
     keys = ("ratio", "offset") if family == "affine" else ("a", "b", "c", "d")
     entries = [tuple(_num(_get(mp, key, f"maps[{i}]"), f"maps[{i}].{key}")
                      for key in keys) for i, mp in enumerate(maps)]
-    try:
-        if family == "affine":
-            return IfsSystem.affine(domain, entries)
-        return IfsSystem.moebius(domain, entries)
-    except ValueError as exc:
-        raise ConfigError(f"system: {exc}") from None
+    build = IfsSystem.affine if family == "affine" else IfsSystem.moebius
+    return _named("system", ValueError, build, domain, entries)
 
 
 def _potential(cfg: dict, ifs: IfsSystem) -> Potential:
@@ -267,15 +279,6 @@ def build_potential(cfg: dict, ifs: IfsSystem, threads=None,
 _LEVEL_COMMANDS = ("pressure", "beta", "spectrum", "predict-packing")
 
 
-def _refuse_past_cap(level: int, m: int, where: str) -> None:
-    """Refuse a periodic level the run composes whose m**level words
-    exceed the enumeration cap."""
-    # m >= 2, so a level this long is over the cap before m**level is formed
-    if level >= ENUMERATION_CAP.bit_length() or m**level > ENUMERATION_CAP:
-        raise ConfigError(f"{where}: {m}**{level} periodic points exceed "
-                          f"cap {ENUMERATION_CAP}")
-
-
 def _level(args, cfg: dict, ifs: IfsSystem) -> int:
     """The one periodic-point level of a run.
 
@@ -296,7 +299,7 @@ def _level(args, cfg: dict, ifs: IfsSystem) -> int:
     if (args.command in ("beta", "spectrum", "predict-packing")
             or (r is None or r > level)
             and (args.command == "pressure" or _normalizes(cfg))):
-        _refuse_past_cap(level, ifs.alphabet_size, where)
+        _named(where, CapacityError, _check_level, ifs.alphabet_size, level)
     return level
 
 
@@ -327,29 +330,22 @@ def _scales_from(cfg: dict, ifs: IfsSystem) -> Scales:
     base = _field(cfg, "scales.base", None, _num)
     j_min = _field(cfg, "scales.j_min", 1, _int)
     j_max = _field(cfg, "scales.j_max", 20, _int)
-    if base <= 1.0:
-        raise ConfigError(f"scales.base: must exceed 1, got {base:g}")
-    if j_max <= j_min:
-        raise ConfigError(f"scales.j_max: must exceed scales.j_min, got "
-                          f"{j_max} <= {j_min}")
     try:
-        base ** -j_min  # the largest radius: if any overflows, this one does
-    except OverflowError:
-        raise ConfigError(f"scales.j_min: radius {base:g}**{-j_min} "
-                          f"overflows") from None
-    if base ** -j_max == 0.0:
-        raise ConfigError(f"scales.j_max: radius {base:g}**-{j_max} "
-                          f"underflows to 0")
-    return Scales(base, j_min, j_max)
+        return Scales(base, j_min, j_max)
+    except ValueError as exc:  # led by the field at fault
+        raise ConfigError(f"scales.{exc}") from None
 
 
 def _q_grid(args, cfg, ifs, psi, min_steps: int = 3):
     """The q grid from the flags, else the config, for a potential of
     zero pressure: one the config normalizes, or one that passes the
     gate before any beta(q) root."""
-    q_min, at_min = _setting(args, cfg, "--q-min", "q_grid.min", -10.0, _num)
-    q_max, at_max = _setting(args, cfg, "--q-max", "q_grid.max", 10.0, _num)
-    steps, _ = _setting(args, cfg, "--q-steps", "q_grid.steps", 201,
+    q_min, at_min = _setting(args, cfg, "--q-min", "q_grid.min",
+                             DEFAULT_Q_MIN, _num)
+    q_max, at_max = _setting(args, cfg, "--q-max", "q_grid.max",
+                             DEFAULT_Q_MAX, _num)
+    steps, _ = _setting(args, cfg, "--q-steps", "q_grid.steps",
+                        DEFAULT_Q_STEPS,
                         _at_least(min_steps, "points", _GRID_POINTS))
     if q_min >= q_max:
         raise ConfigError(f"{at_min}: {q_min:g} is not below the grid's "
@@ -359,20 +355,16 @@ def _q_grid(args, cfg, ifs, psi, min_steps: int = 3):
                           f"overflows")
     if not _normalizes(cfg):
         require_normalized(ifs, psi)
-    return q_min, q_max, steps, at_min, at_max
+    # the end of larger |q|, which spectrum_curve and beta_grid refuse first
+    return q_min, q_max, steps, at_max if abs(q_max) >= abs(q_min) else at_min
 
 
 def _curve(args, cfg, ifs, psi, level):
     """The spectrum curve on the q grid, for `spectrum` and
     `predict-packing`."""
-    q_min, q_max, steps, at_min, at_max = _q_grid(args, cfg, ifs, psi)
-    try:
-        return spectrum_curve(ifs, psi, k=level, q_min=q_min, q_max=q_max,
-                              q_steps=steps)
-    except PrecisionError as exc:
-        # the grid end of larger |q| rounds beta + q*alpha the most
-        at = at_max if abs(q_max) >= abs(q_min) else at_min
-        raise ConfigError(f"{at}: {exc}") from None
+    q_min, q_max, steps, far = _q_grid(args, cfg, ifs, psi)
+    return _named(far, PrecisionError, spectrum_curve, ifs, psi, k=level,
+                  q_min=q_min, q_max=q_max, q_steps=steps)
 
 
 def _cmd_check(args, cfg, ifs, psi, level):
@@ -412,12 +404,10 @@ def _cmd_pressure(args, cfg, ifs, psi, level):
 
 
 def _cmd_beta(args, cfg, ifs, psi, level):
-    q_min, q_max, steps, *_ = _q_grid(args, cfg, ifs, psi, min_steps=2)
-    span = q_max - q_min
-    # divide first only where span * i overflows
-    qs = [q_min + (span * i / (steps - 1) if span * i < math.inf
-                   else span / (steps - 1) * i) for i in range(steps)]
-    qs, betas, _ = beta_grid(ifs, psi, qs, k=level)
+    q_min, q_max, steps, far = _q_grid(args, cfg, ifs, psi, min_steps=2)
+    # the grid that spectrum_curve samples
+    qs, betas, _ = _named(far, PrecisionError, beta_grid, ifs, psi,
+                          np.linspace(q_min, q_max, steps), k=level)
     return (("q", "beta"), zip(qs.tolist(), betas.tolist()),
             f"beta: {steps} points on [{q_min:g}, {q_max:g}]")
 
@@ -437,8 +427,9 @@ def _cmd_spectrum(args, cfg, ifs, psi, level):
 def _cmd_endpoints(args, cfg, ifs, psi, level):
     ell_max, where = _setting(args, cfg, "--depth", "endpoints.ell_max", 6,
                               _positive(_int))
-    _refuse_past_cap(ell_max, ifs.alphabet_size, where)
-    lo, hi = endpoints(ifs, psi, ell_max=ell_max)
+    # a level past the cap is refused before any level is composed
+    lo, hi = _named(where, CapacityError, endpoints, ifs, psi,
+                    ell_max=ell_max)
     return (("alpha_minus", "alpha_plus"), [(lo, hi)],
             f"endpoints: [{lo:.6f}, {hi:.6f}] at ell_max={ell_max}")
 
@@ -470,22 +461,20 @@ def _cmd_holder(args, cfg, ifs, psi, level):
 
 def _cmd_coarse(args, cfg, ifs, psi, level):
     if args.depth is not None:
-        deltas = [default_scale_base(ifs) ** (-args.depth)]
+        where = "--depth"
+        # a depth past the float range's exponents forms no box size
+        deltas = [_named(where, OverflowError, pow, default_scale_base(ifs),
+                         -args.depth)]
     else:
-        # the box sizes below the domain's width, at most the cap in boxes
-        diam = ifs.diameter
-        deltas = _field(cfg, "coarse.deltas", None,
-                        _each(_within(0.0, diam, ends=False), "box size"))
-        if diam / min(deltas) > ENUMERATION_CAP:
-            raise ConfigError(f"coarse.deltas: box size {min(deltas):g} "
-                              f"needs over {ENUMERATION_CAP} boxes")
-        if 1.0 in deltas:
-            raise ConfigError("coarse.deltas: box size 1 has log 0, which "
-                              "leaves no exponent")
+        deltas, where = _field(cfg, "coarse.deltas", None,
+                               _each(_num, "box size")), "coarse.deltas"
     width = _field(cfg, "coarse.alpha_bin_width", 0.2, _positive(_num))
     F = DistributionFunction(ifs, psi)
     try:
+        # every box size is checked before the first box is counted
         results = coarse_spectrum(F, deltas, alpha_bin_width=width)
+    except (DomainError, CapacityError) as exc:
+        raise ConfigError(f"{where}: {exc}") from None
     except ValueError as exc:  # the width's bins leave int64
         raise ConfigError(f"coarse.alpha_bin_width: {exc}") from None
     # a bin is (alpha_center, count, f_alpha)
@@ -517,16 +506,16 @@ def _cmd_verify_prop(args, cfg, ifs, psi, level):
 
     def odd(value, where):
         k = _int(value, where)
-        if k < 1 or k % 2 == 0:
-            raise ConfigError(f"{where}: k must be a positive odd integer, "
-                              f"got {k}")
+        _named(where, ValueError, _require_odd, k)
         return k
     words = _field(cfg, "probe.words", list(DEFAULT_BATTERY), _each(word))
     ks = _field(cfg, "probe.ks", [1, 3], _each(odd))
     n_max, _ = _setting(args, cfg, "--depth", "probe.n_max", 25,
                         _at_least(PROBE_MIN_DEPTHS, "depths"))
     F = DistributionFunction(ifs, psi, deep_policy(ifs))
-    scales = Scales(2.0, 1, n_max)
+    # the probe stops short of F's depth cap, so no deeper scale is read,
+    # and 2**-n_max stays a positive radius
+    scales = Scales(2.0, 1, min(n_max, F.policy.max_depth))
     rows = []
     finite = violations = 0
     for text, parsed in words:

@@ -457,17 +457,32 @@ def measure_ball(F: DistributionFunction, t0: float, r: float) -> CdfValue:
 
 @dataclass(frozen=True)
 class Scales:
-    """Radii base**(-j) for j = j_min..j_max."""
+    """Radii base**(-j) for j = j_min..j_max, each a positive float.
+
+    ValueError, its message led by the field at fault, unless base
+    exceeds 1, j_max exceeds j_min, the largest radius base**-j_min is
+    finite and the smallest base**-j_max is not 0.
+    """
 
     base: float
     j_min: int = 1
     j_max: int = 20
 
     def __post_init__(self):
-        if self.base <= 1.0:
-            raise ValueError("base must exceed 1")
-        if self.j_min >= self.j_max:
-            raise ValueError("empty scale range")
+        base = float(self.base)
+        if not base > 1.0:
+            raise ValueError(f"base: must exceed 1, got {base:g}")
+        if self.j_max <= self.j_min:
+            raise ValueError(f"j_max: must exceed j_min, got "
+                             f"{self.j_max} <= {self.j_min}")
+        try:
+            base ** -self.j_min  # the largest radius overflows first
+        except OverflowError:
+            raise ValueError(f"j_min: radius {base:g}**{-self.j_min} "
+                             f"overflows") from None
+        if base ** -self.j_max == 0.0:
+            raise ValueError(f"j_max: radius {base:g}**{-self.j_max} "
+                             f"underflows to 0")
 
 
 def default_scale_base(ifs: IfsSystem) -> float:
@@ -572,6 +587,11 @@ def coarse_spectrum(F: DistributionFunction, delta_list,
     Boxes whose mass is below 10x its error bound are excluded; each
     occupied bin reports f = log(count)/(-log delta).
 
+    Every box size is checked before the first box is counted: a size
+    outside (0, width) of the domain, or of 1, whose log 0 leaves no
+    exponent, is a DomainError, and one that needs more than
+    ENUMERATION_CAP boxes a CapacityError.
+
     The grid is read in slabs of at most _SLAB boxes.  A slab's edges
     are the floats lo + delta*i of the whole grid, with the last set to
     hi, and take one cdf_many call; the slab's masses, 10x bounds and
@@ -585,19 +605,19 @@ def coarse_spectrum(F: DistributionFunction, delta_list,
         raise ValueError("alpha_bin_width must be positive")
     lo, hi = F.system.domain
     diam = hi - lo
-    out = []
-    for delta in delta_list:
-        d = float(delta)
+    deltas = [float(delta) for delta in delta_list]
+    for d in deltas:
         if not 0.0 < d < diam:
-            raise DomainError(f"delta {d} outside (0, {diam})")
+            raise DomainError(f"{d} is outside (0.0, {diam})")
         if d == 1.0:
-            raise DomainError("delta 1 has log 0, which leaves no exponent")
-        n = diam / d  # inf where the quotient overflows
-        if n > ENUMERATION_CAP:
-            raise CapacityError(f"delta {d:g} needs "
-                                f"{math.ceil(n) if n < math.inf else n} "
-                                f"boxes, over the cap {ENUMERATION_CAP}")
-        n = math.ceil(n)
+            raise DomainError("box size 1 has log 0, which leaves no "
+                              "exponent")
+        if diam / d > ENUMERATION_CAP:  # inf where the quotient overflows
+            raise CapacityError(f"box size {d:g} needs over "
+                                f"{ENUMERATION_CAP} boxes")
+    out = []
+    for d in deltas:
+        n = math.ceil(diam / d)
         if hi - (lo + d * (n - 1)) < 1e-9 * d:
             # diam/d rounded up past an integer: drop the rounding-noise box
             n -= 1

@@ -38,7 +38,7 @@ DETREND_SAMPLES_PER_SIDE = 12
 
 def _require_odd(k: int) -> None:
     if k < 1 or k % 2 == 0:
-        raise ValueError("k must be a positive odd integer")
+        raise ValueError(f"k must be a positive odd integer, got {k}")
 
 
 def _as_stream(omega) -> SymbolStream:

@@ -106,8 +106,9 @@ def beta_of_q(ifs: IfsSystem, psi: Potential, q: float, k: int | None = None,
     """Solve the depth-k pressure equation P_k(beta*phi + q*psi) = 0.
 
     psi should be normalized (P(psi) = 0); then beta(1) = 0 and beta(0)
-    is the attractor dimension.  Newton runs from `start` until a step
-    falls below 1e-15*max(1, |beta|), at most 50 steps.
+    is the attractor dimension.  Newton runs from `start`, or from 0
+    where the pressure at `start` is not finite, until a step falls
+    below 1e-15*max(1, |beta|), at most 50 steps.
     NonConvergenceError if the pressure at the last point evaluated, one
     such step from the returned root, exceeds max(1e-10, 8 * 2**-52 *
     (|beta*<phi>| + |q*<psi>|)), the averages taken at that point: the
@@ -119,8 +120,12 @@ def beta_of_q(ifs: IfsSystem, psi: Potential, q: float, k: int | None = None,
     beta = start
     # a q whose sums overflow leaves a NaN residual, refused below
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(50):
+        for i in range(50):
             value, slope, psi_avg = sums.gibbs_averages(beta, q)
+            if not (i or math.isfinite(value)):
+                # the start's terms leave the float range: start cold
+                beta = 0.0
+                value, slope, psi_avg = sums.gibbs_averages(beta, q)
             step = value / slope
             beta -= step
             if abs(step) <= 1e-15 * max(1.0, abs(beta)):
@@ -172,9 +177,21 @@ def beta_grid(ifs: IfsSystem, psi: Potential, qs, k: int | None = None
 
     One level of sums serves every root.  Each root after the first
     starts from the tangent beta - alpha*dq of the previous one.
+    PrecisionError, before any root, if the q of largest |q| (the last
+    of a tie) may put a term of the level's sums past the float range.
+    Near the root beta is -q*alpha for a ratio alpha = S_k psi / S_k phi
+    of the level, and S_k psi is such a ratio times S_k phi, so no term
+    beta*S_k phi or q*S_k psi, at the root or on Newton's way to it from
+    0, exceeds |q| * max |alpha| * max |S_k phi|.
     """
     sums = LevelSums.build(ifs, psi, k)
     qs = [float(q) for q in qs]
+    q_far = max(reversed(qs), key=abs, default=0.0)
+    reach = (float(np.abs(sums.potential / sums.geometric).max())
+             * float(np.abs(sums.geometric).max()))
+    if abs(q_far) * reach == math.inf:
+        raise PrecisionError(f"q={q_far:g} puts the level sums' terms past "
+                             f"the float range")
     betas, alphas = [], []
     start = 0.0
     for i, q in enumerate(qs):

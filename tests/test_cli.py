@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from mfgibbs import cli, thermodynamics
 from mfgibbs.cli import _build_parser, main
+from mfgibbs.estimators import default_scale_base
 from mfgibbs.symbolic import PeriodicWord
 from mfgibbs.thermodynamics import Potential
 
@@ -239,6 +240,114 @@ def test_beta_grid_reaches_the_float_maximum(tmp_path, capsys):
     code, out, err = run(capsys, "spectrum", "--config", path)
     assert (code, out) == (2, "")
     assert err.startswith("config error: q_grid.max: q=1e+308 rounds ")
+
+
+def test_beta_refuses_a_grid_end_whose_sums_overflow(capsys):
+    # on level 10 of moebius_pair S_10 psi reaches -10.17, so q * S_10 psi
+    # overflows at 1e308; before, a root past the float range exited 1
+    code, out, err = run(capsys, "beta", "--config",
+                         str(CONFIGS / "moebius_pair.json"), "--q-min", "-10",
+                         "--q-max", "1e308", "--q-steps", "5")
+    assert (code, out) == (2, "")
+    assert err == ("config error: --q-max: q=1e+308 puts the level sums' "
+                   "terms past the float range\n")
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example(exponent=307.0, steps=5, negative=False)
+@example(exponent=308.0, steps=5, negative=True)
+@given(exponent=st.floats(300.0, 308.25), steps=st.integers(2, 6),
+       negative=st.booleans())
+def test_beta_never_exits_one_on_a_grid_it_accepts(capsys, exponent, steps,
+                                                   negative):
+    far = 10.0 ** exponent
+    ends = ((f"--q-min={-far!r}", "--q-max=10") if negative
+            else ("--q-min=-10", f"--q-max={far!r}"))
+    code, out, err = run(capsys, "beta", "--config",
+                         str(CONFIGS / "moebius_pair.json"), *ends,
+                         "--q-steps", str(steps))
+    assert code in (0, 2), err
+    if code == 2:
+        end = "--q-min" if negative else "--q-max"
+        assert err.startswith(f"config error: {end}: q="), err
+    else:
+        betas = [float(line.split(",")[1]) for line in out.splitlines()[1:]]
+        assert len(betas) == steps and all(map(math.isfinite, betas))
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(ends=st.lists(st.floats(-1000.0, 1000.0), min_size=2, max_size=2,
+                     unique=True).map(sorted),
+       steps=st.integers(3, 60))
+def test_beta_prints_the_q_column_of_spectrum(capsys, ends, steps):
+    flags = ("--config", str(CONFIGS / "cantor_14_34.json"),
+             f"--q-min={ends[0]!r}", f"--q-max={ends[1]!r}",
+             "--q-steps", str(steps))
+    columns = []
+    for command in ("beta", "spectrum"):
+        code, out, err = run(capsys, command, *flags)
+        assert code == 0, err
+        columns.append([line.split(",")[0] for line in out.splitlines()[1:]])
+    assert columns[0] == columns[1]
+
+
+@pytest.mark.parametrize("config,steps", [("cantor_14_34", 201),
+                                          ("moebius_pair", 101)])
+def test_beta_and_spectrum_share_the_default_grid(capsys, config, steps):
+    # the q values -7.7 and -3.6 printed one ulp apart before
+    flags = ("--config", str(CONFIGS / f"{config}.json"), "--q-steps",
+             str(steps))
+    columns = [[line.split(",")[0] for line in run(
+        capsys, command, *flags)[1].splitlines()[1:]]
+        for command in ("beta", "spectrum")]
+    assert len(columns[0]) == steps
+    assert columns[0] == columns[1]
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example(config="cantor_14_34", depth=17)
+@example(config="cantor_14_34", depth=2000)
+@given(config=st.sampled_from(["cantor_14_34", "lebesgue", "moebius_pair",
+                               "uniform_cantor"]),
+       depth=st.integers(1, 8) | st.integers(27, 3000))
+def test_coarse_depth_and_deltas_take_one_path(tmp_path, capsys, config,
+                                               depth):
+    # --depth j is the box size base**-j; given as coarse.deltas it prints
+    # the same bytes, and the same refusal after the source's name
+    path = CONFIGS / f"{config}.json"
+    base = default_scale_base(cli.build_system(cli.load_config(str(path))))
+    by_flag = run(capsys, "coarse", "--config", str(path), "--depth",
+                  str(depth))
+    by_field = run(capsys, "coarse", "--config", _with(
+        tmp_path, config, coarse={"deltas": [base ** -depth]}))
+    if by_flag[0] == 0:
+        assert by_field == by_flag
+    else:
+        assert by_flag[:2] == by_field[:2] == (2, "")
+        flag, field = "config error: --depth: ", "config error: coarse.deltas: "
+        assert by_flag[2].startswith(flag) and by_field[2].startswith(field)
+        assert by_flag[2][len(flag):] == by_field[2][len(field):]
+
+
+@pytest.mark.parametrize("argv", [
+    ("check",), ("cdf", "--points", "0,1/9,0.25,1/3,0.5,0.7,1"),
+    ("spectrum",)], ids=["check", "cdf", "spectrum"])
+def test_negated_moebius_coefficients_print_the_same_bytes(tmp_path, capsys,
+                                                           argv):
+    # (-a x - b)/(-c x - d) is the same map, and its normal form the same
+    # floats
+    cfg = json.loads((CONFIGS / "moebius_pair.json").read_text())
+    for mp in cfg["system"]["maps"]:
+        for key in "abcd":
+            mp[key] = -mp[key]
+    path = tmp_path / "negated.json"
+    path.write_text(json.dumps(cfg))
+    want = run(capsys, *argv, "--config", str(CONFIGS / "moebius_pair.json"))
+    assert want[0] == 0
+    assert run(capsys, *argv, "--config", str(path)) == want
 
 
 @pytest.mark.parametrize("command", ["spectrum", "predict-packing"])
@@ -532,7 +641,7 @@ def test_beta_determinism_across_threads(tmp_path, capsys, monkeypatch):
     ("holder", "scales", {"base": 1},
      "scales.base: must exceed 1, got 1"),
     ("holder", "scales", {"base": 3, "j_min": 5, "j_max": 5},
-     "scales.j_max: must exceed scales.j_min, got 5 <= 5"),
+     "scales.j_max: must exceed j_min, got 5 <= 5"),
     ("endpoints", "endpoints", {"ell_max": 0},
      "endpoints.ell_max: must be positive, got 0"),
     ("cdf", "cdf", {"points": []}, "cdf.points: need at least one point"),
@@ -747,10 +856,20 @@ def test_deep_coarse_refuses_before_allocating(capsys):
     # 3**40 boxes of the Cantor domain do not fit in an int64 array
     code, out, err = run(capsys, "coarse", "--config",
                          str(CONFIGS / "cantor_14_34.json"), "--depth", "40")
-    assert code == 1
+    assert code == 2
     assert out == ""
-    assert err == ("error: delta 8.22526e-20 needs 12157665459056928768 "
-                   "boxes, over the cap 100000000\n")
+    assert err == ("config error: --depth: box size 8.22526e-20 needs over "
+                   "100000000 boxes\n")
+
+
+def test_coarse_depth_past_the_float_range_names_the_flag(capsys):
+    # base**-depth cannot convert a depth of 10**400 to a float
+    code, out, err = run(capsys, "coarse", "--config",
+                         str(CONFIGS / "cantor_14_34.json"), "--depth",
+                         str(10**400))
+    assert (code, out) == (2, "")
+    assert err == ("config error: --depth: int too large to convert to "
+                   "float\n")
 
 
 def test_box_size_one_is_refused_by_name(tmp_path, capsys):

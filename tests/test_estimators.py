@@ -1,6 +1,7 @@
 import functools
 import math
 import random
+import re
 import sys
 import threading
 import tracemalloc
@@ -109,10 +110,10 @@ def test_default_policy_stays_above_floor(cantor, cantor_psi):
                  "mass_tol must be >= 0", id="negative-mass-tol"),
     pytest.param(lambda F: measure_ball(F, 0.5, 0.0), ValueError,
                  "radius must be positive", id="radius-0"),
-    pytest.param(lambda F: Scales(1.0), ValueError, "base must exceed 1",
+    pytest.param(lambda F: Scales(1.0), ValueError, "base: must exceed 1",
                  id="base-1"),
     pytest.param(lambda F: Scales(2.0, 5, 5), ValueError,
-                 "empty scale range", id="one-scale"),
+                 "j_max: must exceed j_min", id="one-scale"),
     pytest.param(lambda F: coarse_spectrum(F, [0.1], alpha_bin_width=0.0),
                  ValueError, "must be positive", id="bin-width-0"),
     pytest.param(lambda F: coarse_spectrum(F, [2.0]), DomainError,
@@ -121,6 +122,34 @@ def test_default_policy_stays_above_floor(cantor, cantor_psi):
 def test_estimator_refusals(F_cantor, call, error, match):
     with pytest.raises(error, match=match):
         call(F_cantor)
+
+
+@pytest.mark.parametrize("j_min,j_max,message", [
+    # 3**-700 is below the smallest subnormal float: a radius of 0
+    (1, 700, "j_max: radius 3**-700 underflows to 0"),
+    # 3**2000 is above the largest float
+    (-2000, 5, "j_min: radius 3**2000 overflows"),
+])
+def test_scales_refuse_radii_outside_the_float_range(F_cantor, j_min, j_max,
+                                                     message):
+    # refused at construction, not deep inside the estimate
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Scales(3, j_min, j_max)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        holder_exponent_estimate(F_cantor, 0.25, Scales(3, j_min, j_max))
+
+
+def test_coarse_spectrum_checks_every_box_size_before_counting(F_cantor,
+                                                              monkeypatch):
+    calls = []
+    count = F_cantor.cdf_many
+    monkeypatch.setattr(F_cantor, "cdf_many",
+                        lambda xs: calls.append(len(xs)) or count(xs))
+    with pytest.raises(CapacityError, match="box size 4.94066e-324"):
+        coarse_spectrum(F_cantor, [1 / 81, 5e-324])
+    assert calls == []
+    coarse_spectrum(F_cantor, [1 / 81])
+    assert calls == [82]
 
 
 def test_measure_ball_oracles(F_uniform, F_lebesgue):
@@ -278,14 +307,15 @@ def test_coarse_spectrum_memory_stays_within_a_few_slabs(j, limit_mb):
 def test_coarse_spectrum_refuses_boxes_past_the_cap(F_cantor):
     # 3**17 boxes: over the enumeration cap, refused before any edge array
     with pytest.raises(CapacityError,
-                       match=r"delta 7\.74352e-09 needs 129140163 boxes"):
+                       match=r"box size 7\.74352e-09 needs over 100000000 "
+                             r"boxes"):
         coarse_spectrum(F_cantor, [3.0 ** -17])
 
 
 def test_coarse_spectrum_refuses_what_leaves_the_float_range(F_cantor):
     # 1/5e-324 boxes overflow to inf, refused like any count over the cap
-    with pytest.raises(CapacityError, match=r"delta 4\.94066e-324 needs inf "
-                                            r"boxes, over the cap"):
+    with pytest.raises(CapacityError, match=r"box size 4\.94066e-324 needs "
+                                            r"over 100000000 boxes"):
         coarse_spectrum(F_cantor, [5e-324])
     # exponents near 1 over a width of 1e-300 are bin indices near 1e300
     with pytest.raises(ValueError, match="bin width 1e-300 puts an exponent "
@@ -296,7 +326,7 @@ def test_coarse_spectrum_refuses_what_leaves_the_float_range(F_cantor):
     wide = IfsSystem.affine((0.0, 2.0), [(0.5, 0.0), (0.5, 1.0)])
     F_wide = DistributionFunction(wide, Potential.from_probabilities(
         (0.5, 0.5)))
-    with pytest.raises(DomainError, match="delta 1 has log 0"):
+    with pytest.raises(DomainError, match="box size 1 has log 0"):
         coarse_spectrum(F_wide, [1.0])
 
 

@@ -34,6 +34,16 @@ def test_moebius_map_normalization_and_derivative():
     assert a.derivative(0.0) == pytest.approx(0.5, abs=1e-15)
 
 
+def test_negated_moebius_coefficients_give_the_same_map():
+    # (-a x - b)/(-c x - d) is the same map; the normal form flips the
+    # signs back so that c*x + d > 0 on the interval
+    for quad in ((1, 0, 1, 2), (2, 2, 1, 3)):
+        mp = MoebiusMap(*quad, (0.0, 1.0))
+        negated = MoebiusMap(*(-v for v in quad), (0.0, 1.0))
+        assert negated.coefficients() == mp.coefficients()
+        assert negated == mp
+
+
 def test_maps_must_be_ordered():
     with pytest.raises(ValueError):
         IfsSystem.affine((0.0, 1.0), [(1 / 3, 2 / 3), (1 / 3, 0.0)])

@@ -19,6 +19,28 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 LOG3 = math.log(3.0)
 
 
+def test_beta_of_q_starts_cold_where_the_start_overflows(cantor,
+                                                        cantor_psi):
+    # beta * S_1 phi is -1.7e308 * log(1/3), past the float range: the
+    # pressure there is NaN, so Newton starts from 0 instead
+    cold = beta_of_q(cantor, cantor_psi, 2.0)
+    assert beta_of_q(cantor, cantor_psi, 2.0, start=-1.7e308) == cold
+
+
+def test_beta_grid_refuses_an_end_past_the_float_range(cantor, cantor_psi,
+                                                       moebius, moebius_psi):
+    # level 1 of cantor_14_34 reaches |S_1 psi| = log 4, so 1.5e308 * log 4
+    # overflows; of a tie in |q| the last q is named
+    with pytest.raises(PrecisionError, match=r"q=1\.5e\+308 puts the level "
+                                             r"sums' terms past"):
+        beta_grid(cantor, cantor_psi, [-1.5e308, 0.0, 1.5e308])
+    # level 10 of moebius_pair reaches |S_10 psi| = 10.17
+    with pytest.raises(PrecisionError, match=r"q=1e\+308"):
+        beta_grid(moebius, moebius_psi, [-10.0, 1e308], k=10)
+    qs, betas, _ = beta_grid(moebius, moebius_psi, [-10.0, 1e307], k=10)
+    assert np.isfinite(betas).all()
+
+
 def closed_form_beta(q: float, p=(0.25, 0.75)) -> float:
     return math.log(sum(v ** q for v in p)) / LOG3
 
