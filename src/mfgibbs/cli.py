@@ -236,16 +236,11 @@ def _potential(cfg: dict, ifs: IfsSystem) -> Potential:
         elif kind == "geometric_multiple":
             coeff = _field(cfg, "potential.coefficient", None, _num)
             shift = _field(cfg, "potential.shift", 0.0, _num)
-            # S_k psi adds k terms coeff * phi + shift, |phi| <= -log r_min,
-            # and no level past the cap's bit length is composed
-            top = sys.float_info.max / (2 * ENUMERATION_CAP.bit_length())
-            for name, value, size in (
-                    ("coefficient", coeff, abs(coeff) * -math.log(ifs.r_min)),
-                    ("shift", shift, abs(shift))):
-                if size > top:
-                    raise ConfigError(f"potential.{name}: {value:g} makes "
-                                      f"the periodic sums overflow")
-            psi = Potential.geometric(ifs, coeff, shift)
+            try:
+                psi = Potential.geometric(ifs, coeff, shift)
+            except ValueError as exc:  # led by the field, geom or shift
+                raise ConfigError("potential." + str(exc).replace(
+                    "geom:", "coefficient:", 1)) from None
         else:
             raise ConfigError(f"potential.kind: unknown kind {kind!r}")
     except ValueError as exc:

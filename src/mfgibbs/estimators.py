@@ -16,26 +16,30 @@ to the right child, keeping F right-continuous.
 
 A level the descent does not share with the previous one is one node
 expansion: ifs_geometry.node_children for a scalar descent (the walk
-here and holder_lab's coding of a point), ifs_geometry.child_matrices
-for a block of cdf_many's nodes.  Both follow the float recipe that
-ifs_geometry states, so the children are the same floats either way.
-Non-constant splits add m fixed points per expanded level: a child's
-split is the cycle sum of the matrix the expansion has just composed
-(Potential.cycle_sum), and no word is recomposed from its first letter.
-The node carries its log determinant as word_matrix accumulates it,
-letter by letter, and its word only when the splits are not constant.
+here and holder_lab's coding of a point), in the form the system's
+letters select (two coefficients per node on an affine system),
+ifs_geometry.child_matrices for a block of cdf_many's nodes.  Both
+follow the float recipe that ifs_geometry states, so the children are
+the same floats either way.  Non-constant splits add m fixed points per
+expanded level: a child's split is the cycle sum of its depth and of
+the matrix the expansion has just composed (Potential.cycle_sum), and
+no word is recomposed from its first letter.  The node carries its log
+determinant as word_matrix accumulates it, letter by letter, and its
+word only where a table of the potential reads it.
 
 A scalar descent resumes below the deepest node it shares with the
 previous one.  F keeps the last descent's path: per level the node's
 children, splits and state, and the child it took, O(max_depth * m) in
-all.  While x enters the same child strictly inside, the walk steps
-down the path with node_children's choice remade from the stored child
-ends; it reads the node where x leaves the path from it too, and
-expands only the nodes below.  The state it resumes from was computed
-by the same float operations in the same order, so values are those
-of a fresh F.  A descent reads the path once and replaces it with one
-assignment, never changing a path in place, so neither call order nor
-threads sharing F change a value; they can at worst miss the path.
+all.  One pass steps down the path while x enters the same child
+strictly inside, with node_children's choice remade from the stored
+child ends; the node where x leaves the path, with its stored children
+and splits, is the first of one expansion loop, which expands only the
+nodes below.  The state it resumes from was computed by the same float
+operations in the same order, so values are those of a fresh F.  A
+descent reads the path once and replaces it with one assignment (the
+same path where it expanded no node), never changing a path in place,
+so neither call order nor threads sharing F change a value; they can at
+worst miss the path.
 
 cdf_many walks cylinder nodes instead of points, one level at a time.
 The points are sorted once (not at all when already non-decreasing, as
@@ -76,7 +80,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
+from itertools import compress, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -126,8 +130,7 @@ class DistributionFunction:
         self.potential = potential
         self.policy = policy or default_policy(system)
         self._domain = system.domain
-        self._coeffs = [mp.coefficients() for mp in system.maps]
-        self._letters = np.array(self._coeffs).T
+        self._letters = np.array([mp.coefficients() for mp in system.maps]).T
         self._logdets = [mp.log_det for mp in system.maps]
         self._m = system.alphabet_size
         # the last scalar descent's nodes, see _walk
@@ -138,20 +141,26 @@ class DistributionFunction:
             table = range_table(system, potential, 1)
             e = np.exp(table - table.max())
             self._const_conds = tuple(float(v) for v in e / e.sum())
+        # the root's word, carried down only where a table reads it
+        self._root_word = (() if self._const_conds is None
+                           and potential.depth else None)
 
     @cached_property
     def cohomology(self) -> CohomologyReport:
         """cohomology_diagnostic of the system and potential, on first read."""
         return cohomology_diagnostic(self.system, self.potential)
 
-    def _conds(self, word: tuple[int, ...], logdet: float,
-               kids) -> tuple[float, ...]:
-        """Non-constant splits among the children of the node `word`, whose
-        matrix has log determinant `logdet`; kids[j] = (l_j, h_j, a, b,
-        c, d) holds the ends and the matrix of the child word + (j,)."""
+    def _conds(self, depth: int, logdet: float, kids,
+               word: tuple[int, ...] | None) -> tuple[float, ...]:
+        """Non-constant splits among the children of a node at `depth`,
+        whose matrix has log determinant `logdet`; kids[j] = (l_j, h_j,
+        a, b, c, d) holds the ends and the matrix of child j, and word is
+        the node's word where the potential has a table, else None."""
         cycle_sum = self.potential.cycle_sum
-        vals = [cycle_sum(word + (j,), (kids[j][2:], logdet + self._logdets[j]))
-                for j in range(self._m)]
+        logdets = self._logdets
+        vals = [cycle_sum(depth + 1, (kid[2:], logdet + logdets[j]),
+                          () if word is None else word + (j,))
+                for j, kid in enumerate(kids)]
         vmax = max(vals)
         es = [math.exp(v - vmax) for v in vals]
         tot = sum(es)
@@ -166,25 +175,29 @@ class DistributionFunction:
         # one read of the last path and one assignment of the new one:
         # a descent never changes a path it did not make
         acc, mass, self._path = self._walk(
-            x, 0.0, 1.0, (), (1.0, 0.0, 0.0, 1.0), 0.0, 0, self._path)
+            x, 0.0, 1.0, self._root_word, (1.0, 0.0, 0.0, 1.0), 0.0, 0,
+            self._path)
         return acc, mass
 
-    def _walk(self, x: float, acc: float, mass: float, word: tuple[int, ...],
+    def _walk(self, x: float, acc: float, mass: float,
+              word: tuple[int, ...] | None,
               mat: tuple[float, float, float, float], logdet: float,
               depth: int, path: list) -> tuple[float, float, list]:
         """Scalar descent of x from the node (acc, mass, word, mat, logdet,
-        depth); logdet is the log determinant of the node's matrix.
+        depth); logdet is the log determinant of the node's matrix, and
+        word its word where the potential has a table, else None.
 
         path is an earlier descent from the same node: path[i] = (kids,
         conds, took, acc, mass, logdet, word) for the node i levels down,
-        with took the child that descent entered or stopped at.  While x
-        enters the same child strictly inside, the walk steps to the next
-        node of path and takes its state from there; the node where x
-        leaves path is read from it too, and only the nodes below it are
-        expanded.  Returns the value, the error bound and this descent's
-        path; the given path is never changed.
+        with took the child that descent entered or stopped at.  One pass
+        steps down path while x enters took strictly inside; the node
+        where x leaves path, or its last node, is the first of the
+        expansion loop, with its children and splits read from path, and
+        only the nodes below it are expanded.  Returns the value, the
+        error bound and this descent's path: path itself where the walk
+        expanded no node, and the given path is never changed.
         """
-        coeffs = self._coeffs
+        letters = self.system.letters
         logdets = self._logdets
         const_conds = self._const_conds
         m = self._m
@@ -192,15 +205,12 @@ class DistributionFunction:
         mass_tol = self.policy.mass_tol
         max_depth = self.policy.max_depth
         last_first = range(m - 1, -1, -1)
-        shared = len(path)  # the levels of path on x's way
         # step down path while x enters took strictly inside: on the way
         # the earlier descent passed every check with the numbers x would
         # compute, and it reached node i with the state path[i] holds
-        i = 0
-        while i < shared:
-            entry = path[i]
-            kids = entry[0]
-            took = entry[2]
+        kids = None
+        for i, node in enumerate(path):
+            kids = node[0]
             # node_children's choice: the last child holding x
             for chosen in last_first:
                 kid = kids[chosen]
@@ -208,60 +218,53 @@ class DistributionFunction:
                     break
             else:
                 chosen = -1
-            if chosen != took or i + 1 == shared or x == kid[0] or x == kid[1]:
+            if chosen != node[2] or x == kid[0] or x == kid[1]:
                 break
-            i += 1
-        if shared:
-            _, conds, _, acc, mass, logdet, word = path[i]
+        old, read = path, 0  # read: the levels of path this walk reads
+        if kids is None:
+            path = []
+            a_, b_, c_, d_ = mat  # read only to expand the start node
+        else:
+            _, conds, _, acc, mass, logdet, word = node
             depth += i
-        # read only to expand the node the walk starts from
-        a_, b_, c_, d_ = mat
-        owned = False  # whether path is this descent's own list
+            path, read = path[:i], i + 1
         while True:
-            if i >= shared:
+            if kids is None:
                 # a node read from path passed these cutoffs before
                 if mass < mass_tol or depth >= max_depth:
-                    return acc, mass, path
-                kids, chosen = node_children(coeffs, a_, b_, c_, d_, lo, hi, x)
-                conds = const_conds or self._conds(word, logdet, kids)
-                if not owned:
-                    path = path[:i]
-                    owned = True
-                path.append((kids, conds, chosen, acc, mass, logdet, word))
+                    break
+                kids, chosen = node_children(letters, a_, b_, c_, d_,
+                                             lo, hi, x)
+                conds = const_conds or self._conds(depth, logdet, kids, word)
+            path.append((kids, conds, chosen, acc, mass, logdet, word))
             if chosen < 0:
                 # x sits in a gap: everything to the left is exact
                 for j in range(m):
                     if kids[j][1] <= x:
                         acc += mass * conds[j]
-                return acc, 0.0, path
+                mass = 0.0
+                break
             l_j, h_j, a_, b_, c_, d_ = kids[chosen]
-            if x == l_j:
-                for j in range(chosen):
+            if x == l_j or x == h_j:
+                # exact on a child end, past the child's mass at h_j
+                for j in range(chosen if x == l_j else chosen + 1):
                     acc += mass * conds[j]
-                return acc, 0.0, path
-            if x == h_j:
-                for j in range(chosen + 1):
-                    acc += mass * conds[j]
-                return acc, 0.0, path
+                mass = 0.0
+                break
             if h_j - l_j < WIDTH_FLOOR:
                 raise PrecisionError(
                     f"cylinder width {h_j - l_j:.3e} under the precision floor "
                     f"at depth {depth + 1}")
-            if i < shared and chosen != took:
-                # x leaves path at node i: the nodes below are expanded
-                path = path[:i]
-                path.append((kids, conds, chosen, acc, mass, logdet, word))
-                owned = True
-                shared = i + 1
             for j in range(chosen):
                 acc += mass * conds[j]
             mass *= conds[chosen]
             logdet += logdets[chosen]
-            if const_conds is None:
-                # only _conds reads the word
+            if word is not None:
                 word += (chosen,)
             depth += 1
-            i += 1
+            kids = None
+        # the given path holds every node a walk that expands none visits
+        return acc, mass, path if len(path) > read else old
 
     def cdf(self, x: float) -> CdfValue:
         value, err = self._descend(float(x))
@@ -297,9 +300,10 @@ class DistributionFunction:
         # NaN sorts last, after hi; it takes the scalar path's value, (0, 0)
         values[first_nan:], errors[first_nan:] = self._descend(math.nan)
         # the root: depth 0, all points in the domain, acc 0, mass 1, the
-        # identity matrix, log determinant 0 and the empty word
+        # identity matrix, log determinant 0 and the root's word
+        root_words = None if self._root_word is None else [()]
         blocks = [(0, np.array([[start], [stop]]), np.array(
-            [[0.0], [1.0], [1.0], [0.0], [0.0], [1.0], [0.0]]), [()])]
+            [[0.0], [1.0], [1.0], [0.0], [0.0], [1.0], [0.0]]), root_words)]
         while blocks:
             blocks += self._expand(s, values, errors, *blocks.pop())
         return values, errors
@@ -307,9 +311,10 @@ class DistributionFunction:
     def _expand(self, s, values, errors, depth, slices, state, words):
         """One numpy pass over a block of nodes of one level, in position
         order, one column per node: slices holds each node's slice of s,
-        state its (acc, mass, a, b, c, d, logdet), and words its word,
-        only for non-constant splits.  Writes the values the nodes
-        resolve and returns their children as blocks of the next level."""
+        state its (acc, mass, a, b, c, d, logdet), and words its word
+        where the potential has a table, else words is None.  Writes the
+        values the nodes resolve and returns their children as blocks of
+        the next level."""
         lo, hi = self._domain
         const = self._const_conds
         m = self._m
@@ -321,7 +326,7 @@ class DistributionFunction:
             if not live.any():
                 return []
             slices, state = slices[:, live], state[:, live]
-            if const is None:
+            if words is not None:
                 words = list(compress(words, live.tolist()))
         # kids[:7, k, j] is child j of node k, laid out as state, and
         # kids[7:] its ends
@@ -345,13 +350,14 @@ class DistributionFunction:
             for i in range(slices[0, k], slices[1, k]):
                 values[i], errors[i], path = self._walk(
                     float(s[i]), node_acc, node_mass,
-                    words[k] if const is None else (), tuple(mat),
+                    None if words is None else words[k], tuple(mat),
                     node_logdet, depth, path)
             slices[1, k] = slices[0, k]
         conds = np.array(const or [
-            self._conds(w, ld, kk) for w, ld, kk in zip(
-                words, logdet.tolist(),
-                np.moveaxis(kids[[7, 8, 2, 3, 4, 5]], 0, -1).tolist())])
+            self._conds(depth, ld, kk, w) for ld, kk, w in zip(
+                logdet.tolist(),
+                np.moveaxis(kids[[7, 8, 2, 3, 4, 5]], 0, -1).tolist(),
+                words or repeat(None))])
         # a run's value is acc plus the sibling masses before it, added in
         # child order as the scalar walk adds them
         kids[1] = mass[:, None] * conds
@@ -402,10 +408,11 @@ class DistributionFunction:
             # cdf_many replays the scalar path for the message
             raise PrecisionError("cylinder under the width floor")
         state = kids[:7, inside]
-        if const is None:
+        if words is not None:
             words = [words[k] + (j,) for k, j in zip(*np.nonzero(inside))]
         return [(depth + 1, slices[:, k:k + _BLOCK], state[:, k:k + _BLOCK],
-                 words[k:k + _BLOCK]) for k in range(0, len(state[0]), _BLOCK)]
+                 words and words[k:k + _BLOCK])
+                for k in range(0, len(state[0]), _BLOCK)]
 
 
 # a run of more points than this is filled by slice assignment

@@ -270,17 +270,17 @@ def _locate_coding(ifs: IfsSystem, x: float, depth: int
                    ) -> tuple[list[int], list[tuple[float, float]]]:
     """The first `depth` letters of a coding of x and the cylinder ends
     at every depth, the base interval first; the children come from
-    node_children, with cylinder_interval's float operations."""
+    node_children, in the form the system's letters select, with
+    cylinder_interval's float operations."""
     # rightmost child at touching points, matching the CDF convention
     lo, hi = ifs.domain
     if not lo <= x <= hi:
         raise DomainError("x outside the certified interval")
-    coeffs = [mp.coefficients() for mp in ifs.maps]
     word: list[int] = []
     ends = [(lo, hi)]
     a, b, c, d = 1.0, 0.0, 0.0, 1.0
     for _ in range(depth):
-        kids, j = node_children(coeffs, a, b, c, d, lo, hi, x)
+        kids, j = node_children(ifs.letters, a, b, c, d, lo, hi, x)
         if j < 0:
             # composed endpoints drift by a few ulp at the domain ends;
             # a true gap sits orders of magnitude farther away

@@ -16,7 +16,12 @@ a*kb + b*kd, c*ka + d*kc, c*kb + d*kd), each product rounded on its
 own.  word_matrix applies it letter by letter, node_children to one
 node's m children, and child_matrices to the children of a whole block
 of nodes at once, for the CDF's level-synchronous descent and the
-periodic-level pass alike; so the three give the same floats.
+periodic-level pass alike; so the three give the same floats.  Every
+word of an affine system keeps c = 0 and d = 1, where the recipe
+multiplies by an exact 0 or 1 and divides the ends by 1; so such a
+system, decided once from its maps, hands node_children its letters as
+(r, t) only, and node_children forms the same floats without those
+operations.
 
 Geometry conventions: the base interval X = [x_lo, x_hi] is explicit,
 maps are strictly increasing, map images must stay inside X, and the
@@ -168,6 +173,9 @@ class IfsSystem:
     domain: tuple[float, float]
     maps: tuple[ContractionMap, ...]
     osc_report: OscReport = field(init=False, repr=False)
+    # the letters node_children takes: (r, t) of each map x -> r*x + t
+    # when every map is affine, else (a, b, c, d)
+    letters: tuple = field(init=False, repr=False, compare=False)
     # (k, S_k phi) of the one level `thermodynamics.periodic_sums` last
     # composed, held until a pass down the word tree reaches level k
     _phi_handoff: tuple | None = field(default=None, init=False, repr=False,
@@ -198,6 +206,9 @@ class IfsSystem:
                     violations.append((i, j, width))
         object.__setattr__(self, "osc_report",
                            OscReport(not violations, tuple(violations)))
+        n = 2 if self.is_affine() else 4
+        object.__setattr__(self, "letters", tuple(
+            mp.coefficients()[:n] for mp in self.maps))
 
     @classmethod
     def affine(cls, domain, ratios_offsets: Sequence[tuple[float, float]]) -> "IfsSystem":
@@ -277,21 +288,35 @@ def word_matrix(ifs: IfsSystem, word: Word) -> tuple[tuple[float, float, float, 
     return (a, b, c, d), logdet
 
 
-def node_children(coeffs, a: float, b: float, c: float, d: float,
+def node_children(letters, a: float, b: float, c: float, d: float,
                   lo: float, hi: float, x: float
                   ) -> tuple[list[tuple[float, ...]], int]:
     """The children of the cylinder node whose matrix is (a, b, c, d).
 
-    coeffs holds each map's coefficients.  Returns kids, where kids[j] =
+    letters is a system's `letters`.  Returns kids, where kids[j] =
     (l_j, h_j, a_j, b_j, c_j, d_j) holds the ends of child j, its matrix
     applied to lo and hi, and that matrix, formed with the float
     operations of word_matrix; and the last j whose closed interval
-    [l_j, h_j] holds x, or -1 (always -1 for a NaN x).  Every cylinder
-    descent forms its children here, one call per level.
+    [l_j, h_j] holds x, or -1 (always -1 for a NaN x).  Every scalar
+    cylinder descent forms its children here, one call per level.
+
+    Letters (r, t) mark an affine system, whose every word matrix is
+    (a, b, 0, 1).  There the products by the exact 0 and 1 and the
+    division by c*x + d = 1 change no bit, so child j is (a*r, a*t + b,
+    0, 1) with ends a*r*lo + a*t + b and a*r*hi + a*t + b, and c and d
+    are not read.
     """
     kids = []
     chosen = -1
-    for (ka, kb, kc, kd) in coeffs:
+    if len(letters[0]) == 2:
+        for (kr, kt) in letters:
+            na, nb = a * kr, a * kt + b
+            l_j, h_j = na * lo + nb, na * hi + nb
+            if l_j <= x <= h_j:
+                chosen = len(kids)
+            kids.append((l_j, h_j, na, nb, 0.0, 1.0))
+        return kids, chosen
+    for (ka, kb, kc, kd) in letters:
         na = a * ka + b * kc
         nb = a * kb + b * kd
         nc = c * ka + d * kc

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import NamedTuple
@@ -66,6 +67,10 @@ class Potential:
     geom is nonzero.  The table is indexed lexicographically by the
     leading block, so the block (w1, ..., wr) lives at
     sum(w_i * m**(r-i)); depth 0 means no table term.
+
+    ValueError, its message led by the field at fault, where geom or
+    shift is so large that a periodic sum of up to ENUMERATION_CAP's
+    bit length terms could leave the float range.
     """
 
     geom: float = 0.0
@@ -86,6 +91,15 @@ class Potential:
                              "alphabet_size >= 2")
         if self.geom != 0.0 and self.system is None:
             raise ValueError("geometric component needs its system")
+        # S_k psi adds k terms geom * phi + shift, |phi| <= -log r_min,
+        # and no level past the cap's bit length is composed
+        top = sys.float_info.max / (2 * ENUMERATION_CAP.bit_length())
+        phi_max = -math.log(self.system.r_min) if self.geom else 0.0
+        for name, size in (("geom", self.geom * phi_max),
+                           ("shift", self.shift)):
+            if abs(size) > top:
+                raise ValueError(f"{name}: {getattr(self, name):g} makes "
+                                 f"the periodic sums overflow")
 
     @classmethod
     def bernoulli(cls, log_weights) -> "Potential":
@@ -145,13 +159,14 @@ class Potential:
     def block_sum(self, w: PeriodicWord) -> float:
         """S_l psi at the periodic point of w, l its period length."""
         mat = word_matrix(self.system, w.period) if self.geom != 0.0 else None
-        return self.cycle_sum(w.period.symbols, mat)
+        return self.cycle_sum(len(w.period), mat, w.period.symbols)
 
-    def cycle_sum(self, cycle: tuple[int, ...], mat) -> float:
-        """block_sum of the periodic word with period `cycle`, given
-        mat = word_matrix(system, Word(cycle)); only the geometric term
-        reads mat, so a caller holding the composed cycle skips that work."""
-        ell = len(cycle)
+    def cycle_sum(self, ell: int, mat, cycle: tuple[int, ...] = ()) -> float:
+        """block_sum of the periodic word whose period has length ell,
+        given mat = word_matrix(system, Word(cycle)) of that period.
+        Only the geometric term reads mat, so a caller holding the
+        composed cycle skips that work, and only the table term reads
+        the symbols `cycle`, so a potential without a table needs none."""
         total = self.shift * ell
         if self.geom != 0.0:
             # chain rule: the orbit sum of phi over one period is the log

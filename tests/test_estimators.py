@@ -334,7 +334,7 @@ def _cylinder_ends(F, word):
     """Ends of a cylinder composed in the descent's own operation order."""
     a_, b_, c_, d_ = 1.0, 0.0, 0.0, 1.0
     for s in word:
-        ka, kb, kc, kd = F._coeffs[s]
+        ka, kb, kc, kd = F.system.maps[s].coefficients()
         a_, b_, c_, d_ = (a_ * ka + b_ * kc, a_ * kb + b_ * kd,
                           c_ * ka + d_ * kc, c_ * kb + d_ * kd)
     lo, hi = F.system.domain
@@ -658,17 +658,25 @@ def _split_cases(draw):
 def test_child_splits_match_block_sums(data):
     # the descent takes each non-constant split from the child matrices
     # it has just composed; they must be the word matrices, and the
-    # splits the block-sum softmax, bit for bit
+    # splits the block-sum softmax, bit for bit.  A fresh F expands every
+    # node it visits, so the node of the i-th split is the word of the
+    # children node_children chose before it
     ifs, psi = data.draw(_split_cases())
     F = DistributionFunction(ifs, psi, deep_policy(ifs))
     m = ifs.alphabet_size
-    nodes = []
+    nodes, taken = [], []
     conds = F._conds
+    expand = estimators.node_children
 
-    def recorded(word, logdet, kids):
-        got = conds(word, logdet, kids)
-        nodes.append((word, logdet, kids, got))
+    def recorded(depth, logdet, kids, word):
+        got = conds(depth, logdet, kids, word)
+        nodes.append((depth, logdet, kids, word, got))
         return got
+
+    def recording(*args):
+        kids, chosen = expand(*args)
+        taken.append(chosen)
+        return kids, chosen
 
     F._conds = recorded
     # a point coded by a random word walks that word's nodes
@@ -677,16 +685,21 @@ def test_child_splits_match_block_sums(data):
         Word(tuple(data.draw(symbols))),
         PeriodicWord(Word(tuple(data.draw(symbols)[:4])))))
     assume(x < ifs.domain[1])  # F(hi) = 1 takes no descent
-    F.cdf(x)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(estimators, "node_children", recording)
+        F.cdf(x)
     if F._const_conds is not None:
         assert nodes == []  # constant splits take no per-node work
         return
-    assert nodes
-    for word, logdet, kids, got in nodes:
-        assert logdet == word_matrix(ifs, Word(word))[1]
+    assert nodes and len(nodes) == len(taken)
+    for depth, logdet, kids, word, got in nodes:
+        node = tuple(taken[:depth])
+        # only a potential with a table reads the node's word
+        assert word == (node if psi.depth else None)
+        assert logdet == word_matrix(ifs, Word(node))[1]
         for j, kid in enumerate(kids):
-            assert kid[2:] == word_matrix(ifs, Word(word + (j,)))[0]
-        assert got == _softmax_of_block_sums(psi, word, m), word
+            assert kid[2:] == word_matrix(ifs, Word(node + (j,)))[0]
+        assert got == _softmax_of_block_sums(psi, node, m), node
 
 
 @pytest.fixture
@@ -751,12 +764,32 @@ def _config_F(config, policy=deep_policy):
 def test_repeated_point_expands_no_node(compositions, config):
     F = _config_F(config)
     ifs = F.system
+    # the counter sees a fresh descent's expansions, in the form the
+    # system selects
+    F.cdf(0.3)
+    assert compositions["node_children"] > 0
     for x in (0.3, 1 / 3, periodic_point(ifs, PeriodicWord.parse("011")),
               cylinder_interval(ifs, Word.parse("0110"))[1], math.nan):
         first = F.cdf(x)
         compositions.clear()
         assert F.cdf(x) == first
         assert compositions["node_children"] == compositions["levels"] == 0
+
+
+@pytest.mark.parametrize("config", ["cantor_14_34", "moebius_pair"])
+def test_ends_on_the_path_keep_the_path(compositions, config):
+    # the probe's order: x, then the ends of x's cylinders one depth
+    # after another.  Each end stops at a node of x's path, and a walk
+    # that expands no node keeps the whole path for the next end
+    F = _config_F(config)
+    coding = "011" * F.policy.max_depth
+    F.cdf(periodic_point(F.system, PeriodicWord.parse("011")))
+    compositions.clear()
+    # an end of depth n stops at a node of depth n - 1, under the cap
+    for n in range(1, F.policy.max_depth + 1):
+        for end in cylinder_interval(F.system, Word.parse(coding[:n])):
+            assert F.cdf(end).error_bound == 0.0
+    assert compositions["node_children"] == 0
 
 
 def _taken(F, x, monkeypatch):

@@ -185,18 +185,36 @@ def test_coded_points_match_mpmath_fixed_points(config):
         assert abs(x - _mp_fixed_point(ifs, pw.period)) <= 1e-15, text
 
 
+@st.composite
+def _child_systems(draw):
+    """A `systems` draw, or an affine one moved onto an interval with
+    lo < 0, where the two-coefficient children meet negative offsets."""
+    if draw(st.booleans()):
+        return draw(systems(mixed=draw(st.booleans())))
+    lo = draw(st.floats(-4.0, -0.1))
+    width = draw(st.floats(0.5, 4.0))
+    # x -> r x + t on [0, 1] conjugated by x -> lo + width * x
+    return IfsSystem.affine((lo, lo + width), [
+        (r, lo * (1.0 - r) + width * t)
+        for (r, t, _, _), _ in draw(maps(moebius=False))])
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_node_children_are_the_child_words(data):
-    # one expansion of the node w gives the ends and the matrix of every
-    # w + j exactly, and picks the last child whose closed interval holds x
-    ifs = data.draw(systems())
+    # one expansion of the node w, with the letters its system selects,
+    # gives the ends and the matrix of every w + j exactly, and picks the
+    # last child whose closed interval holds x
+    ifs = data.draw(_child_systems())
     m = ifs.alphabet_size
     lo, hi = ifs.domain
+    # the two-coefficient letters exactly where every map is affine
+    assert ifs.letters == tuple(
+        mp.coefficients()[:2] if ifs.is_affine() else mp.coefficients()
+        for mp in ifs.maps)
     w = Word(tuple(data.draw(st.lists(st.integers(0, m - 1), max_size=8))))
     (a, b, c, d), _ = word_matrix(ifs, w)
-    coeffs = [mp.coefficients() for mp in ifs.maps]
-    kids, chosen = node_children(coeffs, a, b, c, d, lo, hi, math.nan)
+    kids, chosen = node_children(ifs.letters, a, b, c, d, lo, hi, math.nan)
     assert len(kids) == m and chosen == -1
     for j, kid in enumerate(kids):
         child = w + Word((j,))
@@ -206,7 +224,7 @@ def test_node_children_are_the_child_words(data):
     x = data.draw(st.sampled_from(ends) | st.floats(ends[0], ends[-1])
                   | st.floats(lo, hi))
     holding = [j for j, kid in enumerate(kids) if kid[0] <= x <= kid[1]]
-    assert node_children(coeffs, a, b, c, d, lo, hi, x) == (
+    assert node_children(ifs.letters, a, b, c, d, lo, hi, x) == (
         kids, holding[-1] if holding else -1)
 
 

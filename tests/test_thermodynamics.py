@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 import threading
 import tracemalloc
 from pathlib import Path
@@ -15,7 +16,8 @@ from mfgibbs.errors import CapacityError, NormalizationError
 from mfgibbs.ifs_geometry import (AffineMap, IfsSystem, MoebiusMap,
                                   word_matrix)
 from mfgibbs.spectrum import LevelSums
-from mfgibbs.symbolic import PeriodicWord, Word, enumerate_words
+from mfgibbs.symbolic import (ENUMERATION_CAP, PeriodicWord, Word,
+                              enumerate_words)
 from mfgibbs.thermodynamics import (Potential, cohomology_diagnostic,
                                     effective_range, normalize,
                                     periodic_sums, pressure,
@@ -153,6 +155,25 @@ def test_normalize_sets_the_shift(moebius, make, shift):
     assert shifted == plain
     assert math.copysign(1.0, shifted.shift) == math.copysign(1.0,
                                                               plain.shift)
+
+
+def test_potential_refuses_periodic_sums_past_the_float_range(moebius):
+    # S_k psi adds up to ENUMERATION_CAP's bit length terms geom * phi +
+    # shift; a part that could leave the float range is refused by name,
+    # where pressure at level 6 read NaN before
+    with pytest.raises(ValueError, match=r"^geom: 1e\+308 makes the "
+                                         r"periodic sums overflow$"):
+        Potential.geometric(moebius, 1e308)
+    with pytest.raises(ValueError, match=r"^shift: -1e\+308 makes the "
+                                         r"periodic sums overflow$"):
+        Potential.geometric(moebius, 1.0, -1e308)
+    # the rule holds wherever the shift is set, as normalize sets it
+    with pytest.raises(ValueError, match=r"^shift: 1e\+308 "):
+        dataclasses.replace(Potential.bernoulli((0.0, 0.0)), shift=1e308)
+    # the largest coefficient the rule allows keeps every sum finite
+    top = sys.float_info.max / (2 * ENUMERATION_CAP.bit_length())
+    psi = Potential.geometric(moebius, top / -math.log(moebius.r_min))
+    assert all(map(math.isfinite, pressure(moebius, psi, k_max=6).levels))
 
 
 def test_gibbs_weights_uniform(cantor, uniform_psi):
