@@ -159,8 +159,8 @@ def test_normalize_sets_the_shift(moebius, make, shift):
 
 def test_potential_refuses_periodic_sums_past_the_float_range(moebius):
     # S_k psi adds up to ENUMERATION_CAP's bit length terms geom * phi +
-    # shift; a part that could leave the float range is refused by name,
-    # where pressure at level 6 read NaN before
+    # shift; a part that could leave the float range, where pressure
+    # would read NaN, is refused by name
     with pytest.raises(ValueError, match=r"^geom: 1e\+308 makes the "
                                          r"periodic sums overflow$"):
         Potential.geometric(moebius, 1e308)
