@@ -266,7 +266,10 @@ def build_potential(cfg: dict, ifs: IfsSystem, threads=None,
     """
     psi = _potential(cfg, ifs)
     if _normalizes(cfg):
-        psi = normalize(ifs, psi, k_max=depth)
+        # _level refuses a level past the cap, so the one CapacityError
+        # left is a finite-range table's transfer matrix
+        psi = _named("potential.depth", CapacityError, normalize, ifs, psi,
+                     k_max=depth)
     return psi
 
 
@@ -331,6 +334,16 @@ def _scales_from(cfg: dict, ifs: IfsSystem) -> Scales:
         raise ConfigError(f"scales.{exc}") from None
 
 
+def _distribution(ifs, psi, policy=None) -> DistributionFunction:
+    """The DistributionFunction of psi.  Its one ValueError, the refusal
+    of a table, is led by `depth:` and becomes a ConfigError naming
+    potential.depth."""
+    try:
+        return DistributionFunction(ifs, psi, policy)
+    except ValueError as exc:
+        raise ConfigError(f"potential.{exc}") from None
+
+
 def _q_grid(args, cfg, ifs, psi, min_steps: int = 3):
     """The q grid from the flags, else the config, for a potential of
     zero pressure: one the config normalizes, or one that passes the
@@ -390,7 +403,9 @@ def _cmd_pressure(args, cfg, ifs, psi, level):
         # short of the potential's range the bound needs two levels
         at = "--depth" if args.depth is not None else "pressure.depth"
         raise ConfigError(f"{at}: need at least 2 levels, got {level}")
-    result = pressure(ifs, psi, k_max=level, tol=tol)
+    # as in build_potential, a CapacityError is the transfer matrix's
+    result = _named("potential.depth", CapacityError, pressure, ifs, psi,
+                    k_max=level, tol=tol)
     return (("level", "pressure"),
             [(i + 1, v) for i, v in enumerate(result.levels)],
             f"pressure: value={_fmt(result.value)} "
@@ -437,7 +452,7 @@ def _cmd_cdf(args, cfg, ifs, psi, level):
         max_depth=args.depth or default.max_depth,
         mass_tol=default.mass_tol if args.tol is None
         else _within(0.0, math.inf)(args.tol, "--tol"))
-    F = DistributionFunction(ifs, psi, policy)
+    F = _distribution(ifs, psi, policy)
     rows = [(x, *F.cdf(x)) for x in points]
     worst = max([0.0] + [bound for _, _, bound in rows])
     return (("x", "value", "error_bound"), rows,
@@ -447,7 +462,7 @@ def _cmd_cdf(args, cfg, ifs, psi, level):
 def _cmd_holder(args, cfg, ifs, psi, level):
     points = _points(args, cfg, "holder", _within(*ifs.domain))
     scales = _scales_from(cfg, ifs)
-    F = DistributionFunction(ifs, psi, deep_policy(ifs))
+    F = _distribution(ifs, psi, deep_policy(ifs))
     ests = [holder_exponent_estimate(F, t0, scales) for t0 in points]
     rows = [(est.t0, est.exponent, len(est.scale_pairs)) for est in ests]
     return (("t0", "exponent", "usable_scales"), rows,
@@ -464,7 +479,7 @@ def _cmd_coarse(args, cfg, ifs, psi, level):
         deltas, where = _field(cfg, "coarse.deltas", None,
                                _each(_num, "box size")), "coarse.deltas"
     width = _field(cfg, "coarse.alpha_bin_width", 0.2, _positive(_num))
-    F = DistributionFunction(ifs, psi)
+    F = _distribution(ifs, psi)
     try:
         # every box size is checked before the first box is counted
         results = coarse_spectrum(F, deltas, alpha_bin_width=width)
@@ -507,7 +522,7 @@ def _cmd_verify_prop(args, cfg, ifs, psi, level):
     ks = _field(cfg, "probe.ks", [1, 3], _each(odd))
     n_max, _ = _setting(args, cfg, "--depth", "probe.n_max", 25,
                         _at_least(PROBE_MIN_DEPTHS, "depths"))
-    F = DistributionFunction(ifs, psi, deep_policy(ifs))
+    F = _distribution(ifs, psi, deep_policy(ifs))
     # the probe stops short of F's depth cap, so no deeper scale is read,
     # and 2**-n_max stays a positive radius
     scales = Scales(2.0, 1, min(n_max, F.policy.max_depth))
@@ -542,7 +557,7 @@ def _cmd_detrend(args, cfg, ifs, psi, level):
     alpha_hat = (_field(cfg, "detrend.alpha_hat", None, _num)
                  if "alpha_hat" in _block(cfg, "detrend") else None)
     windows = _field(cfg, "detrend.windows", 8, _at_least(2, "windows"))
-    F = DistributionFunction(ifs, psi, deep_policy(ifs))
+    F = _distribution(ifs, psi, deep_policy(ifs))
     result = detrend_exponent_test(F, t0, alpha_hat, windows=windows)
     rows = []
     for j, per_window in enumerate(result.coefficients, start=1):

@@ -23,9 +23,12 @@ follow the float recipe that ifs_geometry states, so the children are
 the same floats either way.  Non-constant splits add m fixed points per
 expanded level: a child's split is the cycle sum of its depth and of
 the matrix the expansion has just composed (Potential.cycle_sum), and
-no word is recomposed from its first letter.  The node carries its log
-determinant as word_matrix accumulates it, letter by letter, and its
-word only where a table of the potential reads it.
+no word is recomposed from its first letter.  A node is its accumulated
+value, its mass, its matrix and its log determinant, which it carries as
+word_matrix accumulates it, letter by letter; it carries no word.  So F
+refuses a potential whose splits the child matrices do not fix: a table
+of depth 2 or more, or a table beside a geometric part on a non-affine
+system.
 
 A scalar descent resumes below the deepest node it shares with the
 previous one.  F keeps the last descent's path: per level the node's
@@ -80,7 +83,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -118,13 +120,26 @@ class DistributionFunction:
 
     psi must be normalized (pressure zero within its own error bound)
     and the system must satisfy the open set condition; both are
-    checked at construction.
+    checked at construction.  Before any pressure, a ValueError led by
+    `depth:` refuses a table whose splits are not constant (see module
+    doc).
     """
 
     def __init__(self, system: IfsSystem, potential: Potential,
                  policy: DepthPolicy | None = None):
         if not system.osc_report.satisfied:
             raise DomainError("distribution function requires the open set condition")
+        # any potential reading one symbol has constant child splits;
+        # otherwise the splits are read from the child matrices alone
+        self._const_conds: tuple[float, ...] | None = None
+        if effective_range(system, potential) == 1:
+            table = range_table(system, potential, 1)
+            e = np.exp(table - table.max())
+            self._const_conds = tuple(float(v) for v in e / e.sum())
+        elif potential.depth:
+            raise ValueError(f"depth: the child matrices do not fix the "
+                             f"splits of a table of depth {potential.depth} "
+                             f"on this system")
         require_normalized(system, potential)
         self.system = system
         self.potential = potential
@@ -135,31 +150,20 @@ class DistributionFunction:
         self._m = system.alphabet_size
         # the last scalar descent's nodes, see _walk
         self._path: list = []
-        # any potential reading one symbol has constant child splits
-        self._const_conds: tuple[float, ...] | None = None
-        if effective_range(system, potential) == 1:
-            table = range_table(system, potential, 1)
-            e = np.exp(table - table.max())
-            self._const_conds = tuple(float(v) for v in e / e.sum())
-        # the root's word, carried down only where a table reads it
-        self._root_word = (() if self._const_conds is None
-                           and potential.depth else None)
 
     @cached_property
     def cohomology(self) -> CohomologyReport:
         """cohomology_diagnostic of the system and potential, on first read."""
         return cohomology_diagnostic(self.system, self.potential)
 
-    def _conds(self, depth: int, logdet: float, kids,
-               word: tuple[int, ...] | None) -> tuple[float, ...]:
+    def _conds(self, depth: int, logdet: float, kids) -> tuple[float, ...]:
         """Non-constant splits among the children of a node at `depth`,
         whose matrix has log determinant `logdet`; kids[j] = (l_j, h_j,
-        a, b, c, d) holds the ends and the matrix of child j, and word is
-        the node's word where the potential has a table, else None."""
+        a, b, c, d) holds the ends and the matrix of child j, which with
+        the depth fix each child's cycle sum."""
         cycle_sum = self.potential.cycle_sum
         logdets = self._logdets
-        vals = [cycle_sum(depth + 1, (kid[2:], logdet + logdets[j]),
-                          () if word is None else word + (j,))
+        vals = [cycle_sum(depth + 1, (kid[2:], logdet + logdets[j]))
                 for j, kid in enumerate(kids)]
         vmax = max(vals)
         es = [math.exp(v - vmax) for v in vals]
@@ -175,20 +179,17 @@ class DistributionFunction:
         # one read of the last path and one assignment of the new one:
         # a descent never changes a path it did not make
         acc, mass, self._path = self._walk(
-            x, 0.0, 1.0, self._root_word, (1.0, 0.0, 0.0, 1.0), 0.0, 0,
-            self._path)
+            x, 0.0, 1.0, (1.0, 0.0, 0.0, 1.0), 0.0, 0, self._path)
         return acc, mass
 
     def _walk(self, x: float, acc: float, mass: float,
-              word: tuple[int, ...] | None,
               mat: tuple[float, float, float, float], logdet: float,
               depth: int, path: list) -> tuple[float, float, list]:
-        """Scalar descent of x from the node (acc, mass, word, mat, logdet,
-        depth); logdet is the log determinant of the node's matrix, and
-        word its word where the potential has a table, else None.
+        """Scalar descent of x from the node (acc, mass, mat, logdet) at
+        `depth`; logdet is the log determinant of the node's matrix.
 
         path is an earlier descent from the same node: path[i] = (kids,
-        conds, took, acc, mass, logdet, word) for the node i levels down,
+        conds, took, acc, mass, logdet) for the node i levels down,
         with took the child that descent entered or stopped at.  One pass
         steps down path while x enters took strictly inside; the node
         where x leaves path, or its last node, is the first of the
@@ -225,7 +226,7 @@ class DistributionFunction:
             path = []
             a_, b_, c_, d_ = mat  # read only to expand the start node
         else:
-            _, conds, _, acc, mass, logdet, word = node
+            _, conds, _, acc, mass, logdet = node
             depth += i
             path, read = path[:i], i + 1
         while True:
@@ -235,8 +236,8 @@ class DistributionFunction:
                     break
                 kids, chosen = node_children(letters, a_, b_, c_, d_,
                                              lo, hi, x)
-                conds = const_conds or self._conds(depth, logdet, kids, word)
-            path.append((kids, conds, chosen, acc, mass, logdet, word))
+                conds = const_conds or self._conds(depth, logdet, kids)
+            path.append((kids, conds, chosen, acc, mass, logdet))
             if chosen < 0:
                 # x sits in a gap: everything to the left is exact
                 for j in range(m):
@@ -259,8 +260,6 @@ class DistributionFunction:
                 acc += mass * conds[j]
             mass *= conds[chosen]
             logdet += logdets[chosen]
-            if word is not None:
-                word += (chosen,)
             depth += 1
             kids = None
         # the given path holds every node a walk that expands none visits
@@ -300,21 +299,19 @@ class DistributionFunction:
         # NaN sorts last, after hi; it takes the scalar path's value, (0, 0)
         values[first_nan:], errors[first_nan:] = self._descend(math.nan)
         # the root: depth 0, all points in the domain, acc 0, mass 1, the
-        # identity matrix, log determinant 0 and the root's word
-        root_words = None if self._root_word is None else [()]
+        # identity matrix and log determinant 0
         blocks = [(0, np.array([[start], [stop]]), np.array(
-            [[0.0], [1.0], [1.0], [0.0], [0.0], [1.0], [0.0]]), root_words)]
+            [[0.0], [1.0], [1.0], [0.0], [0.0], [1.0], [0.0]]))]
         while blocks:
             blocks += self._expand(s, values, errors, *blocks.pop())
         return values, errors
 
-    def _expand(self, s, values, errors, depth, slices, state, words):
+    def _expand(self, s, values, errors, depth, slices, state):
         """One numpy pass over a block of nodes of one level, in position
         order, one column per node: slices holds each node's slice of s,
-        state its (acc, mass, a, b, c, d, logdet), and words its word
-        where the potential has a table, else words is None.  Writes the
-        values the nodes resolve and returns their children as blocks of
-        the next level."""
+        and state its (acc, mass, a, b, c, d, logdet).  Writes the values
+        the nodes resolve and returns their children as blocks of the
+        next level."""
         lo, hi = self._domain
         const = self._const_conds
         m = self._m
@@ -326,8 +323,6 @@ class DistributionFunction:
             if not live.any():
                 return []
             slices, state = slices[:, live], state[:, live]
-            if words is not None:
-                words = list(compress(words, live.tolist()))
         # kids[:7, k, j] is child j of node k, laid out as state, and
         # kids[7:] its ends
         acc, mass, *_, logdet = state
@@ -349,15 +344,13 @@ class DistributionFunction:
             path = []
             for i in range(slices[0, k], slices[1, k]):
                 values[i], errors[i], path = self._walk(
-                    float(s[i]), node_acc, node_mass,
-                    None if words is None else words[k], tuple(mat),
+                    float(s[i]), node_acc, node_mass, tuple(mat),
                     node_logdet, depth, path)
             slices[1, k] = slices[0, k]
         conds = np.array(const or [
-            self._conds(depth, ld, kk, w) for ld, kk, w in zip(
+            self._conds(depth, ld, kk) for ld, kk in zip(
                 logdet.tolist(),
-                np.moveaxis(kids[[7, 8, 2, 3, 4, 5]], 0, -1).tolist(),
-                words or repeat(None))])
+                np.moveaxis(kids[[7, 8, 2, 3, 4, 5]], 0, -1).tolist())])
         # a run's value is acc plus the sibling masses before it, added in
         # child order as the scalar walk adds them
         kids[1] = mass[:, None] * conds
@@ -408,10 +401,7 @@ class DistributionFunction:
             # cdf_many replays the scalar path for the message
             raise PrecisionError("cylinder under the width floor")
         state = kids[:7, inside]
-        if words is not None:
-            words = [words[k] + (j,) for k, j in zip(*np.nonzero(inside))]
-        return [(depth + 1, slices[:, k:k + _BLOCK], state[:, k:k + _BLOCK],
-                 words and words[k:k + _BLOCK])
+        return [(depth + 1, slices[:, k:k + _BLOCK], state[:, k:k + _BLOCK])
                 for k in range(0, len(state[0]), _BLOCK)]
 
 

@@ -476,13 +476,17 @@ def pressure(ifs: IfsSystem, psi: Potential, k_max: int = 10,
     Otherwise successive levels are computed up to k_max and the
     geometric tail is removed by Aitken extrapolation; the error bound
     combines the last level difference with the extrapolation step and
-    a distortion allowance.
+    a distortion allowance.  A tol of 0 or below stops at no level short
+    of k_max, so a k_max past the enumeration cap is then refused before
+    any level is composed.
     """
     r = effective_range(ifs, psi)
     if r is not None and r <= k_max:
         return PressureResult(*_transfer_pressure(ifs, psi, r))
     if k_max < 2:
         raise ValueError("k_max must be >= 2")
+    if not tol > 0.0:
+        _check_level(ifs.alphabet_size, k_max)
     levels = []
     ks = range(1, k_max + 1)
     # next() leaves no level's sums held while the pass composes the next
@@ -551,15 +555,20 @@ class CohomologyReport(NamedTuple):
 
 
 def cohomology_diagnostic(ifs: IfsSystem, psi: Potential,
-                          ell_max: int = 6) -> CohomologyReport:
+                          ell_max: int | None = None) -> CohomologyReport:
     """Detect whether psi is a constant multiple of the geometric potential
     up to coboundaries, by scanning periodic ratio spread.
 
     A spread below 1e-8 flags the degenerate case in which the whole
-    multifractal spectrum collapses to a point.
+    multifractal spectrum collapses to a point.  The scan reads every
+    level up to ell_max; without one, the deepest level up to 6 whose
+    m**level words are within the enumeration cap.
     """
+    m = ifs.alphabet_size
+    if ell_max is None:
+        ell_max = max(ell for ell in range(1, 7) if m**ell <= ENUMERATION_CAP)
     # refuse a level past the cap before composing any level below it
-    _check_level(ifs.alphabet_size, ell_max)
+    _check_level(m, ell_max)
     lo, hi = math.inf, -math.inf
     for _, (s_phi, s_psi) in _level_sums(ifs, (Potential.geometric(ifs), psi),
                                          range(1, ell_max + 1)):

@@ -1122,6 +1122,78 @@ def test_endpoints_depth_is_only_ell_max(capsys):
     assert with_depth == run(capsys, "endpoints", "--config", config)
 
 
+# a depth-2 table on cantor_14_34's maps: its pressure, spectra and
+# ratios read the table, but the cascade F cannot split by it
+DEPTH_2 = {"kind": "finite_range", "depth": 2, "table": [0, 1, 1, 0],
+           "normalize": True}
+# the bytes these subcommands printed on DEPTH_2 before F refused it
+DEPTH_2_RUNS = {
+    ("check",): (
+        "property,value\nfamily,affine\nalphabet_size,2\n"
+        "r_min,0.33333333333333331\nr_max,0.33333333333333331\n"
+        "osc_satisfied,true\neffective_range,2\n"
+        "ratio_min,0.28514307617840512\nratio_max,1.1953823028052426\n"
+        "degenerate,false\n",
+        "check: osc=true degenerate=false\n"),
+    ("pressure",): (
+        "level,pressure\n",
+        "pressure: value=5.5511151231257827e-17 error_bound=0 levels=0\n"),
+    ("endpoints",): (
+        "alpha_minus,alpha_plus\n0.28514307617840512,1.1953823028052426\n",
+        "endpoints: [0.285143, 1.195382] at ell_max=6\n"),
+    ("beta", "--q-steps", "5"): (
+        "q,beta\n-10,12.269287905776224\n-5,6.2923970527413964\n"
+        "0,0.63092975357145742\n5,-1.1102298421768404\n"
+        "10,-2.5359658840602508\n",
+        "beta: 5 points on [-10, 10]\n"),
+}
+
+
+@pytest.mark.parametrize("argv", [("cdf", "--points", "0.25"), ("holder",),
+                                  ("coarse",), ("verify-prop",),
+                                  ("detrend",)])
+def test_distribution_commands_refuse_a_deeper_table(tmp_path, capsys, argv):
+    path = _with(tmp_path, "cantor_14_34", potential=DEPTH_2)
+    assert run(capsys, *argv, "--config", path) == (
+        2, "", "config error: potential.depth: the child matrices do not "
+               "fix the splits of a table of depth 2 on this system\n")
+
+
+@pytest.mark.parametrize("argv", list(DEPTH_2_RUNS))
+def test_other_commands_keep_a_deeper_table(tmp_path, capsys, argv):
+    path = _with(tmp_path, "cantor_14_34", potential=DEPTH_2)
+    assert run(capsys, *argv, "--config", path) == (0, *DEPTH_2_RUNS[argv])
+
+
+@pytest.mark.parametrize("argv,code", [
+    (("check",), 2), (("pressure",), 2), (("beta",), 2),
+    # short of the table's range, pressure takes the periodic levels
+    (("pressure", "--depth", "10"), 0)])
+def test_transfer_matrix_past_its_cap_names_the_depth(tmp_path, capsys,
+                                                     argv, code):
+    # a depth-14 table's transfer matrix on 13-blocks has side 2**13
+    path = _with(tmp_path, "cantor_14_34", potential={
+        "kind": "finite_range", "depth": 14, "table": [0] * 2**14,
+        "normalize": True})
+    got, out, err = run(capsys, *argv, "--config", path)
+    assert got == code, err
+    if code:
+        assert (out, err) == ("", "config error: potential.depth: transfer "
+                                  "matrix of side 8192 is too large\n")
+
+
+@pytest.mark.parametrize("command", ["check", "spectrum"])
+def test_many_maps_scan_under_the_cap(tmp_path, capsys, command):
+    # 22 maps: 22**6 words are past the cap, so the default cohomology
+    # scan stops at level 5
+    path = _with(tmp_path, "cantor_14_34", system={"maps": [
+        {"ratio": "1/50", "offset": f"{i}/22"} for i in range(22)]},
+        potential={"probabilities": ["1/22"] * 22})
+    code, out, err = run(capsys, command, "--config", path)
+    assert code == 0, err
+    assert "degenerate=true" in err
+
+
 @pytest.mark.parametrize("argv", [
     ("cdf", "--depth", "30", "--points", "0.5"),
     ("coarse", "--depth", "4"),

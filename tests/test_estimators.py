@@ -89,6 +89,39 @@ def test_overlapping_system_rejected(uniform_psi):
         DistributionFunction(overlap, uniform_psi)
 
 
+def test_tables_whose_splits_the_matrices_do_not_fix_are_refused(
+        cantor, moebius, monkeypatch):
+    # a depth-2 table, and a depth-1 table beside a geometric part on a
+    # Moebius system: the descent carries no word, so neither has splits
+    # it can take from the child matrices.  The refusal comes before any
+    # pressure, so the second, left unnormalized, is refused by its table
+    depth_2 = normalize(cantor, Potential.finite_range(2, 2, (0, 1, 1, 0)))
+    beside = Potential(geom=1.0, depth=1, table=(0.0, 0.5), system=moebius)
+
+    def refuse(*args):
+        raise AssertionError("the pressure was checked before the refusal")
+
+    monkeypatch.setattr(estimators, "require_normalized", refuse)
+    for ifs, psi in ((cantor, depth_2), (moebius, beside)):
+        with pytest.raises(ValueError, match=rf"^depth: .* a table of depth "
+                                             rf"{psi.depth} on this system$"):
+            DistributionFunction(ifs, psi)
+
+
+def test_splits_the_matrices_fix_are_kept(cantor, cantor_psi):
+    # a Bernoulli potential, the geometric one and a depth-1 table beside
+    # it, on an affine system: each reads one symbol, so its splits are
+    # constant and F(1/3) is the first one
+    geometric = normalize(cantor, Potential.geometric(cantor))
+    beside = normalize(cantor, Potential(geom=1.0, depth=1,
+                                         table=(0.0, 0.5), system=cantor))
+    for psi, first in ((cantor_psi, 0.25), (geometric, 0.5),
+                       (beside, 1.0 / (1.0 + math.exp(0.5)))):
+        F = DistributionFunction(cantor, psi)
+        assert F.cdf(1 / 3).value == pytest.approx(first, abs=1e-15)
+        assert F.cdf(1 / 3).error_bound == 0.0
+
+
 def test_precision_floor_is_reachable(cantor, cantor_psi):
     # force descent past the representable cylinder width
     F = DistributionFunction(cantor, cantor_psi, DepthPolicy(60, 0.0))
@@ -362,7 +395,7 @@ def _cascades(draw):
     """A random valid 2- or 3-map affine or Moebius system on [0, 1] with
     a normalized potential whose splits are constant or not."""
     ifs = draw(systems())
-    psi = draw(potentials(ifs))
+    psi = draw(potentials(ifs, kinds=("bernoulli", "geometric")))
     if draw(st.booleans()):
         policy = None
     else:
@@ -475,30 +508,35 @@ def test_cdf_many_finishes_out_of_order_nodes_with_the_scalar_walk(
         constant_splits, monkeypatch):
     # image 1, 1e-13 wide, starts inside image 0 (the overlap is within
     # DOMAIN_TOL) and ends 450 ulps past it: from depth 9 on, the two
-    # right child ends round out of order
+    # right child ends round out of order.  A Moebius third map on the
+    # same image gives the geometric potential non-constant splits, and
+    # its nodes' ends round out of order from depth 7 on
     dom = (0.0, 1.0)
+    if constant_splits:
+        third = AffineMap(0.4, 0.6, dom)
+    else:
+        third = MoebiusMap(0.5, 0.6, 0.1, 1.0, dom)
     ifs = IfsSystem(dom, (AffineMap(0.5 + 0.5e-13, 0.0, dom),
-                          AffineMap(1e-13, 0.5, dom),
-                          AffineMap(0.4, 0.6, dom)))
+                          AffineMap(1e-13, 0.5, dom), third))
     if constant_splits:
         psi = Potential.from_probabilities([0.3, 0.2, 0.5])
     else:
-        psi = normalize(ifs, Potential.finite_range(
-            2, 3, [0.1, -0.3, 0.5, 0.2, 0.0, -0.1, 0.4, 0.3, -0.2]))
+        psi = normalize(ifs, Potential.geometric(ifs), k_max=8)
     F = DistributionFunction(ifs, psi, DepthPolicy(30, 1e-12))
+    assert (F._const_conds is None) != constant_splits
     rng = np.random.default_rng(1)
     xs = np.sort(np.concatenate([rng.random(300), np.linspace(0, 1, 257)]))
     ref = _scalar_cdf(F, xs)
     walked = []
     walk = DistributionFunction._walk
 
-    def recorded(self, x, acc, mass, word, mat, logdet, depth, path):
+    def recorded(self, x, acc, mass, mat, logdet, depth, path):
         walked.append(depth)
-        return walk(self, x, acc, mass, word, mat, logdet, depth, path)
+        return walk(self, x, acc, mass, mat, logdet, depth, path)
 
     monkeypatch.setattr(DistributionFunction, "_walk", recorded)
     got = F.cdf_many(xs)
-    assert min(d for d in walked if d > 0) == 9
+    assert min(d for d in walked if d > 0) == (9 if constant_splits else 7)
     assert np.array_equal(got[0], ref[0])
     assert np.array_equal(got[1], ref[1])
 
@@ -533,7 +571,7 @@ def _near_word_ends(draw, F):
 def test_cdf_many_matches_scalar_cdf_near_word_ends(block, config, data):
     # a node that holds one point compares it with its child ends; a
     # block of 7 nodes mixes such blocks with searched ones on one level,
-    # and moebius_pair's splits carry each node's word
+    # and moebius_pair's splits are not constant
     F = DistributionFunction(*_config_cascade(config))
     xs = data.draw(_near_word_ends(F))
     ref = _scalar_cdf(F, xs)
@@ -567,10 +605,10 @@ def test_point_blocks_finish_out_of_order_nodes_with_the_scalar_walk(
         blocks.append((depth, (slices[1] - slices[0]).tolist()))
         return expand(self, s, values, errors, depth, slices, *rest)
 
-    def recorded_walk(self, x, acc, mass, word, mat, logdet, depth, path):
+    def recorded_walk(self, x, acc, mass, mat, logdet, depth, path):
         if depth:  # NaN takes the scalar path from the root
             walked.append((x, depth, blocks[-1]))
-        return walk(self, x, acc, mass, word, mat, logdet, depth, path)
+        return walk(self, x, acc, mass, mat, logdet, depth, path)
 
     monkeypatch.setattr(DistributionFunction, "_expand", recorded_expand)
     monkeypatch.setattr(DistributionFunction, "_walk", recorded_walk)
@@ -644,7 +682,7 @@ def _split_cases(draw):
     system, whose affine letter has log_det != 0, with a geometric one."""
     if draw(st.booleans()):
         ifs = draw(systems())
-        return ifs, draw(potentials(ifs))
+        return ifs, draw(potentials(ifs, kinds=("bernoulli", "geometric")))
     dom = (0.0, 1.0)
     ifs = IfsSystem(dom, (AffineMap(1 / 3, 0.0, dom),
                           MoebiusMap(2.0, 2.0, 1.0, 3.0, dom)))
@@ -668,9 +706,9 @@ def test_child_splits_match_block_sums(data):
     conds = F._conds
     expand = estimators.node_children
 
-    def recorded(depth, logdet, kids, word):
-        got = conds(depth, logdet, kids, word)
-        nodes.append((depth, logdet, kids, word, got))
+    def recorded(depth, logdet, kids):
+        got = conds(depth, logdet, kids)
+        nodes.append((depth, logdet, kids, got))
         return got
 
     def recording(*args):
@@ -692,10 +730,8 @@ def test_child_splits_match_block_sums(data):
         assert nodes == []  # constant splits take no per-node work
         return
     assert nodes and len(nodes) == len(taken)
-    for depth, logdet, kids, word, got in nodes:
+    for depth, logdet, kids, got in nodes:
         node = tuple(taken[:depth])
-        # only a potential with a table reads the node's word
-        assert word == (node if psi.depth else None)
         assert logdet == word_matrix(ifs, Word(node))[1]
         for j, kid in enumerate(kids):
             assert kid[2:] == word_matrix(ifs, Word(node + (j,)))[0]
@@ -947,7 +983,8 @@ def test_threads_sharing_a_distribution_function(config):
 @given(st.data())
 def test_distribution_function_properties(data):
     ifs = data.draw(systems())
-    F = DistributionFunction(ifs, data.draw(potentials(ifs)))
+    F = DistributionFunction(ifs, data.draw(potentials(
+        ifs, kinds=("bernoulli", "geometric"))))
     m = ifs.alphabet_size
     lo, hi = ifs.domain
     assert F.cdf(lo).value == 0.0 and F.cdf(hi).value == 1.0

@@ -13,7 +13,7 @@ from mfgibbs.holder_lab import (derivative_limit_probe, detrend_exponent_test,
                                 ratio_scaling_experiment, secant_slope)
 from mfgibbs.ifs_geometry import cylinder_interval, stream_point
 from mfgibbs.symbolic import PeriodicWord, Word
-from mfgibbs.thermodynamics import Potential
+from mfgibbs.thermodynamics import Potential, normalize
 
 
 def test_secant_identity_random(F_cantor, F_uniform, F_lebesgue):
@@ -163,6 +163,15 @@ def test_ratio_scaling_needs_two_depths(cantor, cantor_psi):
     with pytest.raises(SeparatorError):
         ratio_scaling_experiment(cantor, cantor_psi, omega, tau, 1,
                                  n_set=(3,), N_range=range(1, 4))
+
+
+def test_ratio_scaling_refuses_what_the_distribution_function_refuses(
+        cantor):
+    psi = normalize(cantor, Potential.finite_range(2, 2, (0, 1, 1, 0)))
+    with pytest.raises(ValueError, match="^depth: "):
+        ratio_scaling_experiment(cantor, psi, PeriodicWord.parse("0"),
+                                 Word.parse("01"), 1, n_set=(2, 3, 4, 5),
+                                 N_range=range(1, 7))
 
 
 def test_probe_classifications(F_cantor):

@@ -523,6 +523,40 @@ def test_diagnostic_refuses_a_level_past_the_cap_first(monkeypatch, request,
         cohomology_diagnostic(ifs, Potential.geometric(ifs), ell_max=27)
 
 
+def test_pressure_refuses_a_level_past_the_cap_first(monkeypatch, moebius):
+    # tol 0 stops at no level short of k_max, so 2**27 words are refused
+    # before level 1 is composed
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a level was composed before the cap check")
+
+    monkeypatch.setattr(thermodynamics, "_sums_chunk", refuse)
+    with pytest.raises(CapacityError, match=r"2\*\*27"):
+        pressure(moebius, Potential.geometric(moebius), k_max=27, tol=0.0)
+
+
+@pytest.mark.parametrize("m,deepest", [(2, 6), (21, 6), (22, 5), (64, 4)])
+def test_default_cohomology_scan_stops_under_the_cap(monkeypatch, m,
+                                                     deepest):
+    # 21**6 words are within the cap of 10**8, 22**6 and 64**5 are not
+    ifs = IfsSystem.affine((0.0, 1.0), [(1 / (4 * m), i / m)
+                                        for i in range(m)])
+    psi = Potential.from_probabilities([1 / m] * m)
+    scanned = []
+
+    def recorded(ifs, psis, levels):
+        scanned.extend(levels)
+        return iter(())
+
+    monkeypatch.setattr(thermodynamics, "_level_sums", recorded)
+    cohomology_diagnostic(ifs, psi)
+    assert scanned == list(range(1, deepest + 1))
+    if deepest < 6:
+        # a level asked for is refused past the cap, as before
+        with pytest.raises(CapacityError, match=rf"{m}\*\*6 periodic"):
+            cohomology_diagnostic(ifs, psi, ell_max=6)
+
+
 def _mp_phi_sum(ifs, word):
     """S_k phi of the cycle of `word` from the exact product of the
     maps' float matrices, in 50 digits: log det - 2 log of the larger
