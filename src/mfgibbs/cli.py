@@ -40,7 +40,7 @@ from .spectrum import (DEFAULT_Q_MAX, DEFAULT_Q_MIN, DEFAULT_Q_STEPS,
 from .symbolic import ENUMERATION_CAP, PeriodicWord, Word
 from .thermodynamics import (Potential, _check_level, cohomology_diagnostic,
                              default_level, effective_range, normalize,
-                             pressure, require_normalized)
+                             pressure, require_normalized, scan_depth)
 
 SCHEMA_VERSION = 1
 
@@ -435,8 +435,8 @@ def _cmd_spectrum(args, cfg, ifs, psi, level):
 
 
 def _cmd_endpoints(args, cfg, ifs, psi, level):
-    ell_max, where = _setting(args, cfg, "--depth", "endpoints.ell_max", 6,
-                              _positive(_int))
+    ell_max, where = _setting(args, cfg, "--depth", "endpoints.ell_max",
+                              scan_depth(ifs.alphabet_size), _positive(_int))
     # a level past the cap is refused before any level is composed
     lo, hi = _named(where, CapacityError, endpoints, ifs, psi,
                     ell_max=ell_max)

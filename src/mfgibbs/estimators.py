@@ -15,8 +15,8 @@ also terminates exactly; shared endpoints of touching cylinders resolve
 to the right child, keeping F right-continuous.
 
 A level the descent does not share with the previous one is one node
-expansion: ifs_geometry.node_children for a scalar descent (the walk
-here and holder_lab's coding of a point), in the form the system's
+expansion: ifs_geometry.node_children for a scalar descent (_descend
+and holder_lab's coding of a point), in the form the system's
 letters select (two coefficients per node on an affine system),
 ifs_geometry.child_matrices for a block of cdf_many's nodes.  Both
 follow the float recipe that ifs_geometry states, so the children are
@@ -30,19 +30,19 @@ refuses a potential whose splits the child matrices do not fix: a table
 of depth 2 or more, or a table beside a geometric part on a non-affine
 system.
 
-A scalar descent resumes below the deepest node it shares with the
-previous one.  F keeps the last descent's path: per level the node's
-children, splits and state, and the child it took, O(max_depth * m) in
-all.  One pass steps down the path while x enters the same child
-strictly inside, with node_children's choice remade from the stored
-child ends; the node where x leaves the path, with its stored children
-and splits, is the first of one expansion loop, which expands only the
-nodes below.  The state it resumes from was computed by the same float
-operations in the same order, so values are those of a fresh F.  A
-descent reads the path once and replaces it with one assignment (the
-same path where it expanded no node), never changing a path in place,
-so neither call order nor threads sharing F change a value; they can at
-worst miss the path.
+The scalar descent, _descend, always starts at the root and resumes
+below the deepest node it shares with the previous one.  F keeps the
+last descent's path: per level the node's children, splits and state,
+and the child it took, O(max_depth * m) in all.  One pass steps down
+the path while x enters the same child strictly inside, with
+node_children's choice remade from the stored child ends; the node
+where x leaves the path, with its stored children and splits, is the
+first of one expansion loop, which expands only the nodes below.  The
+state it resumes from was computed by the same float operations in the
+same order, so values are those of a fresh F.  A descent reads the path
+once and, where it expanded a node, replaces it with one assignment,
+never changing a path in place, so neither call order nor threads
+sharing F change a value; they can at worst miss the path.
 
 cdf_many walks cylinder nodes instead of points, one level at a time.
 The points are sorted once (not at all when already non-decreasing, as
@@ -60,8 +60,10 @@ a one-point slice the search is a comparison, so the point step
 compares each node's point with l_j, h_j and l_j+1, writes the values
 of the points in a gap in one indexed assignment and hands the others
 to the child that holds them.  A node whose child ends are not in order
-finishes each point with the scalar walk from the node's state, on a
-path of the node's own.  The float operations and their order are
+hands each of its points to _descend, which reaches the same node by
+the same float operations and finishes the point there (no committed
+config's grid has such a node; systems whose images overlap within the
+open set tolerance do).  The float operations and their order are
 those of the scalar descent, so values and error bounds are
 bit-identical to cdf; on PrecisionError the points are replayed through
 cdf in input order, so the same error escapes.  A level of more than
@@ -148,7 +150,7 @@ class DistributionFunction:
         self._letters = np.array([mp.coefficients() for mp in system.maps]).T
         self._logdets = [mp.log_det for mp in system.maps]
         self._m = system.alphabet_size
-        # the last scalar descent's nodes, see _walk
+        # the last scalar descent's nodes, see _descend
         self._path: list = []
 
     @cached_property
@@ -171,46 +173,36 @@ class DistributionFunction:
         return tuple(e / tot for e in es)
 
     def _descend(self, x: float) -> tuple[float, float]:
+        """Scalar descent of x from the root: its value and error bound.
+
+        self._path is the last descent's: path[i] = (kids, conds, took,
+        acc, mass, logdet) for its node at depth i, with took the child
+        that descent entered or stopped at.  One pass steps down the path
+        while x enters took strictly inside; the node where x leaves the
+        path, or its last node, is the first of the expansion loop, with
+        its children and splits read from the path, and only the nodes
+        below it are expanded.  The path is read once, and this descent's
+        path replaces it in one assignment where the descent expanded a
+        node; a path is never changed in place.
+        """
         lo, hi = self._domain
         if x < lo:
             return 0.0, 0.0
         if x >= hi:
             return 1.0, 0.0
-        # one read of the last path and one assignment of the new one:
-        # a descent never changes a path it did not make
-        acc, mass, self._path = self._walk(
-            x, 0.0, 1.0, (1.0, 0.0, 0.0, 1.0), 0.0, 0, self._path)
-        return acc, mass
-
-    def _walk(self, x: float, acc: float, mass: float,
-              mat: tuple[float, float, float, float], logdet: float,
-              depth: int, path: list) -> tuple[float, float, list]:
-        """Scalar descent of x from the node (acc, mass, mat, logdet) at
-        `depth`; logdet is the log determinant of the node's matrix.
-
-        path is an earlier descent from the same node: path[i] = (kids,
-        conds, took, acc, mass, logdet) for the node i levels down,
-        with took the child that descent entered or stopped at.  One pass
-        steps down path while x enters took strictly inside; the node
-        where x leaves path, or its last node, is the first of the
-        expansion loop, with its children and splits read from path, and
-        only the nodes below it are expanded.  Returns the value, the
-        error bound and this descent's path: path itself where the walk
-        expanded no node, and the given path is never changed.
-        """
         letters = self.system.letters
         logdets = self._logdets
         const_conds = self._const_conds
         m = self._m
-        lo, hi = self._domain
         mass_tol = self.policy.mass_tol
         max_depth = self.policy.max_depth
         last_first = range(m - 1, -1, -1)
-        # step down path while x enters took strictly inside: on the way
-        # the earlier descent passed every check with the numbers x would
-        # compute, and it reached node i with the state path[i] holds
+        # step down the path while x enters took strictly inside: on the
+        # way the earlier descent passed every check with the numbers x
+        # would compute, and it reached node i with the state path[i] holds
+        old = self._path
         kids = None
-        for i, node in enumerate(path):
+        for i, node in enumerate(old):
             kids = node[0]
             # node_children's choice: the last child holding x
             for chosen in last_first:
@@ -221,17 +213,16 @@ class DistributionFunction:
                 chosen = -1
             if chosen != node[2] or x == kid[0] or x == kid[1]:
                 break
-        old, read = path, 0  # read: the levels of path this walk reads
         if kids is None:
-            path = []
-            a_, b_, c_, d_ = mat  # read only to expand the start node
+            # the root: identity matrix, log determinant 0
+            acc, mass, logdet, depth, path, read = 0.0, 1.0, 0.0, 0, [], 0
+            a_, b_, c_, d_ = 1.0, 0.0, 0.0, 1.0
         else:
             _, conds, _, acc, mass, logdet = node
-            depth += i
-            path, read = path[:i], i + 1
+            depth, path, read = i, old[:i], i + 1
         while True:
             if kids is None:
-                # a node read from path passed these cutoffs before
+                # a node read from the path passed these cutoffs before
                 if mass < mass_tol or depth >= max_depth:
                     break
                 kids, chosen = node_children(letters, a_, b_, c_, d_,
@@ -262,8 +253,10 @@ class DistributionFunction:
             logdet += logdets[chosen]
             depth += 1
             kids = None
-        # the given path holds every node a walk that expands none visits
-        return acc, mass, path if len(path) > read else old
+        # the old path holds every node a descent that expands none visits
+        if len(path) > read:
+            self._path = path
+        return acc, mass
 
     def cdf(self, x: float) -> CdfValue:
         value, err = self._descend(float(x))
@@ -310,8 +303,9 @@ class DistributionFunction:
         """One numpy pass over a block of nodes of one level, in position
         order, one column per node: slices holds each node's slice of s,
         and state its (acc, mass, a, b, c, d, logdet).  Writes the values
-        the nodes resolve and returns their children as blocks of the
-        next level."""
+        the nodes resolve, those of a node whose child ends are not in
+        order through _descend, and returns their children as blocks of
+        the next level."""
         lo, hi = self._domain
         const = self._const_conds
         m = self._m
@@ -337,29 +331,24 @@ class DistributionFunction:
         ok = ((ls <= hs).all(1) & (ls[:, :-1] <= ls[:, 1:]).all(1)
               & (hs[:, :-1] <= hs[:, 1:]).all(1))
         for k in np.flatnonzero(~ok).tolist():
-            # the scalar walk finishes the node's points, on a path of the
-            # node's own; the emptied slice then resolves no run and
-            # enters no child
-            node_acc, node_mass, *mat, node_logdet = state[:, k].tolist()
-            path = []
+            # the scalar descent finishes the node's points; the emptied
+            # slice then resolves no run and enters no child
             for i in range(slices[0, k], slices[1, k]):
-                values[i], errors[i], path = self._walk(
-                    float(s[i]), node_acc, node_mass, tuple(mat),
-                    node_logdet, depth, path)
+                values[i], errors[i] = self._descend(float(s[i]))
             slices[1, k] = slices[0, k]
         conds = np.array(const or [
             self._conds(depth, ld, kk) for ld, kk in zip(
                 logdet.tolist(),
                 np.moveaxis(kids[[7, 8, 2, 3, 4, 5]], 0, -1).tolist())])
         # a run's value is acc plus the sibling masses before it, added in
-        # child order as the scalar walk adds them
+        # child order as the scalar descent adds them
         kids[1] = mass[:, None] * conds
         accs = np.cumsum(np.hstack([acc[:, None], kids[1]]), axis=1)
         kids[0] = accs[:, :m]
         count = slices[1] - slices[0]
         if count.max() == 1:
             # each node holds one point x = s[i0], or none where the scalar
-            # walk emptied its slice (x is NaN there and enters no child).
+            # descent emptied its slice (x is NaN there and enters no child).
             # The searches below, clipped to [i0, i0 + 1), are i0 + (x < e)
             # and i0 + (x <= e); so b_j = (x <= l_j) & before_j, and x is
             # inside child j when l_j < x < h_j & before_j, where before_j

@@ -140,8 +140,9 @@ def beta_of_q(ifs: IfsSystem, psi: Potential, q: float, k: int | None = None,
 
 
 def endpoints(ifs: IfsSystem, psi: Potential,
-              ell_max: int = 6) -> tuple[float, float]:
-    """Extremes of the periodic ratios S_l psi / S_l phi up to ell_max.
+              ell_max: int | None = None) -> tuple[float, float]:
+    """Extremes of the periodic ratios S_l psi / S_l phi up to ell_max,
+    by default thermodynamics.scan_depth(m).
 
     These bound the support of the multifractal spectrum; the extremes
     are attained at periodic points, so the estimate grows monotonically

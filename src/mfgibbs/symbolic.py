@@ -31,10 +31,6 @@ class Word:
                 raise ValueError(f"symbols must be nonnegative ints, got {s!r}")
 
     @classmethod
-    def of(cls, *symbols: int) -> "Word":
-        return cls(tuple(symbols))
-
-    @classmethod
     def parse(cls, text: str) -> "Word":
         """Parse "011" (single-digit symbols) or "0-1-12" (dash separated)."""
         if text == "":
@@ -70,12 +66,6 @@ class Word:
 
     def distinct_symbols(self) -> frozenset[int]:
         return frozenset(self.symbols)
-
-    def text(self) -> str:
-        """Inverse of parse; dash-separated once symbols exceed one digit."""
-        if any(s > 9 for s in self.symbols):
-            return "-".join(str(s) for s in self.symbols)
-        return "".join(str(s) for s in self.symbols)
 
 
 @dataclass(frozen=True)
@@ -178,7 +168,6 @@ def distortion_bound(psi, ifs, n: int) -> float:
     if n < 1:
         raise ValueError("distortion needs depth n >= 1")
     m = ifs.alphabet_size
-    _check_alphabet(m)
     stride = max(1, m**n // 4096)
     return max(psi.cylinder_spread(w)
                for k, w in enumerate(enumerate_words(m, n))

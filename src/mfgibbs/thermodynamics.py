@@ -554,6 +554,12 @@ class CohomologyReport(NamedTuple):
     degenerate: bool
 
 
+def scan_depth(m: int) -> int:
+    """The default periodic scan on m letters: the deepest level up to 6
+    whose m**level words are within the enumeration cap."""
+    return max(ell for ell in range(1, 7) if m**ell <= ENUMERATION_CAP)
+
+
 def cohomology_diagnostic(ifs: IfsSystem, psi: Potential,
                           ell_max: int | None = None) -> CohomologyReport:
     """Detect whether psi is a constant multiple of the geometric potential
@@ -561,12 +567,11 @@ def cohomology_diagnostic(ifs: IfsSystem, psi: Potential,
 
     A spread below 1e-8 flags the degenerate case in which the whole
     multifractal spectrum collapses to a point.  The scan reads every
-    level up to ell_max; without one, the deepest level up to 6 whose
-    m**level words are within the enumeration cap.
+    level up to ell_max, by default scan_depth(m).
     """
     m = ifs.alphabet_size
     if ell_max is None:
-        ell_max = max(ell for ell in range(1, 7) if m**ell <= ENUMERATION_CAP)
+        ell_max = scan_depth(m)
     # refuse a level past the cap before composing any level below it
     _check_level(m, ell_max)
     lo, hi = math.inf, -math.inf

@@ -1182,16 +1182,30 @@ def test_transfer_matrix_past_its_cap_names_the_depth(tmp_path, capsys,
                                   "matrix of side 8192 is too large\n")
 
 
-@pytest.mark.parametrize("command", ["check", "spectrum"])
-def test_many_maps_scan_under_the_cap(tmp_path, capsys, command):
-    # 22 maps: 22**6 words are past the cap, so the default cohomology
-    # scan stops at level 5
-    path = _with(tmp_path, "cantor_14_34", system={"maps": [
+def _many_maps(tmp_path):
+    """A valid config of 22 maps, whose 22**6 words are past the cap."""
+    return _with(tmp_path, "cantor_14_34", system={"maps": [
         {"ratio": "1/50", "offset": f"{i}/22"} for i in range(22)]},
         potential={"probabilities": ["1/22"] * 22})
-    code, out, err = run(capsys, command, "--config", path)
+
+
+@pytest.mark.parametrize("command", ["check", "spectrum"])
+def test_many_maps_scan_under_the_cap(tmp_path, capsys, command):
+    # the default cohomology scan stops at level 5
+    code, out, err = run(capsys, command, "--config", _many_maps(tmp_path))
     assert code == 0, err
     assert "degenerate=true" in err
+
+
+def test_many_maps_endpoints_scan_under_the_cap(tmp_path, capsys):
+    # endpoints reads the same default scan; level 6, asked for, is refused
+    path = _many_maps(tmp_path)
+    code, out, err = run(capsys, "endpoints", "--config", path)
+    assert code == 0, err
+    assert "at ell_max=5" in err
+    assert run(capsys, "endpoints", "--config", path, "--depth", "6") == (
+        2, "", "config error: --depth: 22**6 periodic points exceed cap "
+               "100000000\n")
 
 
 @pytest.mark.parametrize("argv", [

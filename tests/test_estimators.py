@@ -503,14 +503,10 @@ def test_cdf_many_in_blocks_matches_scalar_cdf(config, monkeypatch):
     assert np.array_equal(got[1], ref[1])
 
 
-@pytest.mark.parametrize("constant_splits", [True, False])
-def test_cdf_many_finishes_out_of_order_nodes_with_the_scalar_walk(
-        constant_splits, monkeypatch):
-    # image 1, 1e-13 wide, starts inside image 0 (the overlap is within
-    # DOMAIN_TOL) and ends 450 ulps past it: from depth 9 on, the two
-    # right child ends round out of order.  A Moebius third map on the
-    # same image gives the geometric potential non-constant splits, and
-    # its nodes' ends round out of order from depth 7 on
+def _near_overlap_system(constant_splits: bool = True):
+    """Image 1, 1e-13 wide, starts inside image 0 and ends 450 ulps past
+    it, and a third map on [0.6, 1], affine (constant splits) or Moebius
+    (the normalized geometric potential's non-constant splits)."""
     dom = (0.0, 1.0)
     if constant_splits:
         third = AffineMap(0.4, 0.6, dom)
@@ -519,26 +515,73 @@ def test_cdf_many_finishes_out_of_order_nodes_with_the_scalar_walk(
     ifs = IfsSystem(dom, (AffineMap(0.5 + 0.5e-13, 0.0, dom),
                           AffineMap(1e-13, 0.5, dom), third))
     if constant_splits:
-        psi = Potential.from_probabilities([0.3, 0.2, 0.5])
-    else:
-        psi = normalize(ifs, Potential.geometric(ifs), k_max=8)
+        return ifs, Potential.from_probabilities([0.3, 0.2, 0.5])
+    return ifs, normalize(ifs, Potential.geometric(ifs), k_max=8)
+
+
+def _record_handovers(monkeypatch) -> list:
+    """Record (x, depth, block) for every point _expand hands to
+    _descend, block being (depth, points per node) of the _expand call;
+    NaN and the replay take _descend outside any _expand."""
+    expand, descend = DistributionFunction._expand, DistributionFunction._descend
+    blocks, walked = [], []
+
+    def recorded_expand(self, s, values, errors, depth, slices, *rest):
+        blocks.append((depth, (slices[1] - slices[0]).tolist()))
+        try:
+            return expand(self, s, values, errors, depth, slices, *rest)
+        finally:
+            blocks.append(None)
+
+    def recorded_descend(self, x):
+        if blocks and blocks[-1] is not None:
+            walked.append((x, blocks[-1][0], blocks[-1]))
+        return descend(self, x)
+
+    monkeypatch.setattr(DistributionFunction, "_expand", recorded_expand)
+    monkeypatch.setattr(DistributionFunction, "_descend", recorded_descend)
+    return walked
+
+
+@pytest.mark.parametrize("constant_splits", [True, False])
+def test_cdf_many_finishes_out_of_order_nodes_with_the_scalar_walk(
+        constant_splits, monkeypatch):
+    # image 1, 1e-13 wide, starts inside image 0 (the overlap is within
+    # DOMAIN_TOL) and ends 450 ulps past it: from depth 9 on, the two
+    # right child ends round out of order.  A Moebius third map on the
+    # same image gives the geometric potential non-constant splits, and
+    # its nodes' ends round out of order from depth 7 on
+    ifs, psi = _near_overlap_system(constant_splits)
     F = DistributionFunction(ifs, psi, DepthPolicy(30, 1e-12))
     assert (F._const_conds is None) != constant_splits
     rng = np.random.default_rng(1)
     xs = np.sort(np.concatenate([rng.random(300), np.linspace(0, 1, 257)]))
     ref = _scalar_cdf(F, xs)
-    walked = []
-    walk = DistributionFunction._walk
-
-    def recorded(self, x, acc, mass, mat, logdet, depth, path):
-        walked.append(depth)
-        return walk(self, x, acc, mass, mat, logdet, depth, path)
-
-    monkeypatch.setattr(DistributionFunction, "_walk", recorded)
+    walked = _record_handovers(monkeypatch)
     got = F.cdf_many(xs)
-    assert min(d for d in walked if d > 0) == (9 if constant_splits else 7)
+    assert min(d for _, d, _ in walked) == (9 if constant_splits else 7)
     assert np.array_equal(got[0], ref[0])
     assert np.array_equal(got[1], ref[1])
+
+
+@pytest.mark.parametrize("constant_splits", [True, False])
+def test_descent_after_handovers_resumes_like_a_fresh_one(constant_splits,
+                                                          monkeypatch):
+    # the handed-over points leave their last descent's path on F; a
+    # scalar descent from there gives a fresh F's value and bound
+    ifs, psi = _near_overlap_system(constant_splits)
+    policy = DepthPolicy(30, 1e-12)
+    F = DistributionFunction(ifs, psi, policy)
+    walked = _record_handovers(monkeypatch)
+    F.cdf_many(np.linspace(0, 1, 2**12 + 1))
+    assert walked
+    monkeypatch.undo()
+    rng = np.random.default_rng(3)
+    last = walked[-1][0]
+    xs = [last, math.nextafter(last, 0.0), math.nextafter(last, 1.0), 0.5,
+          0.25, 0.6796875, *rng.random(200).tolist()]
+    for x in xs:
+        assert F.cdf(x) == DistributionFunction(ifs, psi, policy).cdf(x)
 
 
 @st.composite
@@ -589,29 +632,11 @@ def test_point_blocks_finish_out_of_order_nodes_with_the_scalar_walk(
     # and below it each node of a block holds one of them; the node of
     # the second at depth 9 has its child ends out of order, and the
     # first descends to the depth cap
-    dom = (0.0, 1.0)
-    ifs = IfsSystem(dom, (AffineMap(0.5 + 0.5e-13, 0.0, dom),
-                          AffineMap(1e-13, 0.5, dom),
-                          AffineMap(0.4, 0.6, dom)))
-    F = DistributionFunction(ifs, Potential.from_probabilities(
-        [0.3, 0.2, 0.5]), DepthPolicy(30, 1e-12))
+    F = DistributionFunction(*_near_overlap_system(), DepthPolicy(30, 1e-12))
     outside = [-1.0, 2.0, -math.inf, math.inf, math.nan]
     xs = np.array([0.2, 0.6796875] + outside)
     ref = _scalar_cdf(F, xs)
-    blocks, walked = [], []
-    expand, walk = DistributionFunction._expand, DistributionFunction._walk
-
-    def recorded_expand(self, s, values, errors, depth, slices, *rest):
-        blocks.append((depth, (slices[1] - slices[0]).tolist()))
-        return expand(self, s, values, errors, depth, slices, *rest)
-
-    def recorded_walk(self, x, acc, mass, mat, logdet, depth, path):
-        if depth:  # NaN takes the scalar path from the root
-            walked.append((x, depth, blocks[-1]))
-        return walk(self, x, acc, mass, mat, logdet, depth, path)
-
-    monkeypatch.setattr(DistributionFunction, "_expand", recorded_expand)
-    monkeypatch.setattr(DistributionFunction, "_walk", recorded_walk)
+    walked = _record_handovers(monkeypatch)
     got = F.cdf_many(xs)
     assert np.array_equal(got[0], ref[0])
     assert np.array_equal(got[1], ref[1])

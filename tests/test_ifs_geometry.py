@@ -91,9 +91,9 @@ def test_cylinder_intervals(cantor):
 
 
 def test_moebius_children_cover_edges(moebius):
-    assert cylinder_interval(moebius, Word.of(0)) == \
+    assert cylinder_interval(moebius, Word((0,))) == \
         pytest.approx((0.0, 1 / 3), abs=1e-12)
-    assert cylinder_interval(moebius, Word.of(1)) == \
+    assert cylinder_interval(moebius, Word((1,))) == \
         pytest.approx((2 / 3, 1.0), abs=1e-12)
 
 
@@ -112,13 +112,13 @@ def test_stream_point_maps_the_fixed_point(cantor, moebius):
             x = periodic_point(system, pw)
             assert stream_point(system, pw.stream()) == x
             # a prefix letter is one more map applied to the tail's point
-            s = SymbolStream(Word.of(1), pw)
+            s = SymbolStream(Word((1,)), pw)
             assert stream_point(system, s) == pytest.approx(
                 system.maps[1].apply(x), abs=1e-15)
 
 
 def test_stream_point_eventually_periodic(cantor):
-    s = SymbolStream(Word.of(0), PeriodicWord.parse("1"))
+    s = SymbolStream(Word((0,)), PeriodicWord.parse("1"))
     assert stream_point(cantor, s) == pytest.approx(1 / 3, abs=1e-12)
 
 
