@@ -44,45 +44,55 @@ once and, where it expanded a node, replaces it with one assignment,
 never changing a path in place, so neither call order nor threads
 sharing F change a value; they can at worst miss the path.
 
-cdf_many walks cylinder nodes instead of points, one level at a time.
-The points are sorted once (not at all when already non-decreasing, as
-box edges are), and each node owns a contiguous slice of them.  A
-level's live nodes are arrays in position order, and one numpy pass
+One level walk, _runs and _expand, serves cdf_many and coarse_spectrum.
+It walks cylinder nodes instead of points, one level at a time, over
+non-decreasing points, and each node owns a contiguous slice of them.
+A level's live nodes are arrays in position order, and one numpy pass
 expands them all: their children at once (child_matrices), then, where
-a node holds several points, one searchsorted per side over every child
-end, clipped to each node's slice, which splits every slice.  Points
-left of a child or in a gap get the sequential prefix sum of the
-sibling masses, points on a child end get the exact value, and points
-strictly inside a child become that child's slice at the next level.
-A block whose nodes each hold at most one point (the deep levels, where
-points near a cylinder end descend alone) searches nothing: clipped to
-a one-point slice the search is a comparison, so the point step
-compares each node's point with l_j, h_j and l_j+1, writes the values
-of the points in a gap in one indexed assignment and hands the others
-to the child that holds them.  A node whose child ends are not in order
-hands each of its points to _descend, which reaches the same node by
-the same float operations and finishes the point there (no committed
-config's grid has such a node; systems whose images overlap within the
-open set tolerance do).  The float operations and their order are
-those of the scalar descent, so values and error bounds are
-bit-identical to cdf; on PrecisionError the points are replayed through
-cdf in input order, so the same error escapes.  A level of more than
-_BLOCK nodes takes one pass per block of _BLOCK nodes, deepest blocks
-first, so beyond the outputs (and the sort permutation of unsorted
-input) the walk keeps O(nodes) state: the slices and node arrays of at
-most max_depth * m blocks.  A run of points that resolves at one value
-is written by slice assignment, or, when short, through one index array
-of at most _LONG_RUN points per run; there is never a per-point mask.
+a node holds several points, one search per side over every child end,
+clipped to each node's slice, which splits every slice.  Points left of
+a child or in a gap get the sequential prefix sum of the sibling
+masses, points on a child end get the exact value, and points strictly
+inside a child become that child's slice at the next level.  A block
+whose nodes each hold at most one point (the deep levels, where points
+near a cylinder end descend alone) searches nothing: clipped to a
+one-point slice the search is a comparison, so the point step compares
+each node's point with l_j, h_j and l_j+1, resolves the points in a gap
+and hands the others to the child that holds them.  A node whose child
+ends are not in order hands each of its points to _descend, which
+reaches the same node by the same float operations and finishes the
+point there (no committed config's grid has such a node; systems whose
+images overlap within the open set tolerance do).  The float operations
+and their order are those of the scalar descent, so values and error
+bounds are bit-identical to cdf.  A level of more than _BLOCK nodes
+takes one pass per block of _BLOCK nodes, deepest blocks first, so the
+walk keeps O(nodes) state: the slices and node arrays of at most
+max_depth * m blocks.
 
-coarse_spectrum reads a delta-grid in slabs of at most _SLAB boxes,
-one cdf_many call per slab, so its own arrays are at most three
-slab-sized float arrays (edges, values, errors) whatever the grid.
+The walk writes no value: it emits runs, each a slice of points with
+one value and one error bound, and a caller's arrays, if any, are its
+own.  cdf_many sorts its points once (not at all when already
+non-decreasing), searches them with searchsorted and fills its two
+arrays from the runs: a run is written by slice assignment, or, when
+short, through one index array of at most _LONG_RUN points per run, so
+there is never a per-point mask.  On PrecisionError its points are
+replayed through the scalar descent in input order, so the same error
+escapes.
+
+coarse_spectrum hands the walk a delta-grid's edges, e_i = lo + delta*i
+with the last set to hi, as a _Grid that is never materialised: an edge
+is computed where the walk reads it, and a search is an arithmetic
+estimate, ceil((v - lo) / delta), stepped to np.searchsorted's answer on
+the edges.  Every box inside a run has the same two floats at its ends,
+so mass 0, and is never kept: a mass is formed only where one run meets
+the next.  So beyond the walk's state coarse_spectrum keeps a first
+index, a value and a bound per run: on cantor_14_34, 6,789 runs for
+the 531,441 boxes at 3^-12 and 22,519 for the 4,782,969 at 3^-14.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -281,8 +291,8 @@ class DistributionFunction:
             raise
 
     def _cdf_sorted(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Level-synchronous node walk over non-decreasing points (NaN
-        last), see module doc."""
+        """Values and error bounds at non-decreasing points (NaN last),
+        filled from the runs of the level walk, see module doc."""
         values = np.empty(len(s))
         errors = np.zeros(len(s))
         lo, hi = self._domain
@@ -291,29 +301,49 @@ class DistributionFunction:
         values[stop:first_nan] = 1.0
         # NaN sorts last, after hi; it takes the scalar path's value, (0, 0)
         values[first_nan:], errors[first_nan:] = self._descend(math.nan)
-        # the root: depth 0, all points in the domain, acc 0, mass 1, the
-        # identity matrix and log determinant 0
+        for runs, vals, errs in self._runs(s, start, stop):
+            if runs.ndim == 1:
+                values[runs] = vals
+                if errs is not None:
+                    errors[runs] = errs
+            else:
+                _fill(values, runs, vals)
+                if errs is not None:
+                    _fill(errors, runs, errs)
+        return values, errors
+
+    def _runs(self, points, start: int, stop: int):
+        """The level walk over points[start:stop], non-decreasing and
+        inside [lo, hi): yields (runs, vals, errs) as _expand does, until
+        every point has resolved in exactly one run."""
+        # the root: depth 0, all points, acc 0, mass 1, the identity
+        # matrix and log determinant 0
         blocks = [(0, np.array([[start], [stop]]), np.array(
             [[0.0], [1.0], [1.0], [0.0], [0.0], [1.0], [0.0]]))]
         while blocks:
-            blocks += self._expand(s, values, errors, *blocks.pop())
-        return values, errors
+            blocks += yield from self._expand(points, *blocks.pop())
 
-    def _expand(self, s, values, errors, depth, slices, state):
+    def _expand(self, points, depth, slices, state):
         """One numpy pass over a block of nodes of one level, in position
-        order, one column per node: slices holds each node's slice of s,
-        and state its (acc, mass, a, b, c, d, logdet).  Writes the values
-        the nodes resolve, those of a node whose child ends are not in
-        order through _descend, and returns their children as blocks of
-        the next level."""
+        order, one column per node: slices holds each node's slice of
+        points, and state its (acc, mass, a, b, c, d, logdet).
+
+        Yields the runs the nodes resolve, each batch in position order,
+        as (runs, vals, errs): runs is a 2 x K array of (first, past)
+        index pairs, some of them empty, or a length-K array of the
+        first indices of K one-point runs; vals their values, and errs
+        their error bounds, or None where every bound is 0.  The points
+        of a node whose child ends are not in order resolve through
+        _descend, one-point runs each.  Returns the nodes' children as
+        blocks of the next level.
+        """
         lo, hi = self._domain
         const = self._const_conds
         m = self._m
         live = ((state[1] >= self.policy.mass_tol)
                 & (depth < self.policy.max_depth))
         if not live.all():
-            _fill(values, slices[:, ~live], state[0, ~live])
-            _fill(errors, slices[:, ~live], state[1, ~live])
+            yield slices[:, ~live], state[0, ~live], state[1, ~live]
             if not live.any():
                 return []
             slices, state = slices[:, live], state[:, live]
@@ -333,8 +363,9 @@ class DistributionFunction:
         for k in np.flatnonzero(~ok).tolist():
             # the scalar descent finishes the node's points; the emptied
             # slice then resolves no run and enters no child
-            for i in range(slices[0, k], slices[1, k]):
-                values[i], errors[i] = self._descend(float(s[i]))
+            held = np.arange(slices[0, k], slices[1, k])
+            done = [self._descend(x) for x in points[held].tolist()]
+            yield held, *np.array(done).reshape(-1, 2).T
             slices[1, k] = slices[0, k]
         conds = np.array(const or [
             self._conds(depth, ld, kk) for ld, kk in zip(
@@ -347,31 +378,32 @@ class DistributionFunction:
         kids[0] = accs[:, :m]
         count = slices[1] - slices[0]
         if count.max() == 1:
-            # each node holds one point x = s[i0], or none where the scalar
-            # descent emptied its slice (x is NaN there and enters no child).
-            # The searches below, clipped to [i0, i0 + 1), are i0 + (x < e)
-            # and i0 + (x <= e); so b_j = (x <= l_j) & before_j, and x is
-            # inside child j when l_j < x < h_j & before_j, where before_j
-            # = (x < l_j+1) and is true for the last child
+            # each node holds one point x = points[i0], or none where the
+            # scalar descent emptied its slice (x is NaN there and enters
+            # no child).  The searches below, clipped to [i0, i0 + 1), are
+            # i0 + (x < e) and i0 + (x <= e); so b_j = (x <= l_j) &
+            # before_j, and x is inside child j when l_j < x < h_j &
+            # before_j, where before_j = (x < l_j+1) and is true for the
+            # last child
             held = count == 1
             x = np.full((len(acc), 1), math.nan)
-            x[held, 0] = s[slices[0, held]]
+            x[held, 0] = points[slices[0, held]]
             before = np.ones(ls.shape, dtype=bool)
             np.less(x, ls[:, 1:], out=before[:, :-1])
             inside = (ls < x) & (x < hs) & before
             # a resolved x is in the gap run left of the first b_j = 1
             gap = held & ~inside.any(1)
             j = m - ((x[gap] <= ls[gap]) & before[gap]).sum(1)
-            values[slices[0, gap]] = accs[gap, j]
+            yield slices[0, gap], accs[gap, j], None
             slices = slices[0, np.nonzero(inside)[0]] + np.array([[0], [1]])
         else:
-            # one searchsorted per side over the block's child ends, which
+            # one search per side over the block's child ends, which
             # arrive sorted; clipped to a node's slice it is the node's own
             i0, i1 = slices[:, :, None]
             ends = np.stack([ls, hs], axis=-1).reshape(len(ls), 2 * m)
-            left = np.minimum(np.maximum(s.searchsorted(ends), i0), i1)
-            right = np.minimum(np.maximum(s.searchsorted(ends, "right"), i0),
-                               i1)
+            left = np.minimum(np.maximum(points.searchsorted(ends), i0), i1)
+            right = np.minimum(np.maximum(
+                points.searchsorted(ends, "right"), i0), i1)
             # runs[k] = [i0, b_0, c_0, ..., b_m-1, c_m-1, i1] for node k:
             # [c_j-1, b_j) is the gap left of child j and x == l_j, with
             # c_-1 = i0; [b_j, c_j) is inside child j; x == h_j onward
@@ -383,23 +415,71 @@ class DistributionFunction:
             b_ = np.minimum(right[:, 0::2], end, out=runs[:, 1:-1:2])
             c_ = np.maximum(b_, np.minimum(left[:, 1::2], end),
                             out=runs[:, 2:-1:2])
-            _fill(values, runs.reshape(-1, 2).T, accs.ravel())
+            yield runs.reshape(-1, 2).T, accs.ravel(), None
             inside = c_ > b_
             slices = runs[:, 1:-1].reshape(-1, m, 2)[inside].T
         if (inside & (hs - ls < WIDTH_FLOOR)).any():
-            # cdf_many replays the scalar path for the message
+            # the caller replays the scalar path for the message
             raise PrecisionError("cylinder under the width floor")
         state = kids[:7, inside]
         return [(depth + 1, slices[:, k:k + _BLOCK], state[:, k:k + _BLOCK])
                 for k in range(0, len(state[0]), _BLOCK)]
 
 
+class _Grid:
+    """The box edges of a delta-grid on [lo, hi], never materialised:
+    e_i = lo + delta*i for i < n, and e_n = hi.  n is ceil((hi - lo) /
+    delta), less one where the quotient rounded up past an integer and
+    left a last box under 1e-9 delta wide (a rounding-noise sliver).
+    The edges are non-decreasing, as the walk needs its points."""
+
+    def __init__(self, lo: float, hi: float, delta: float):
+        n = math.ceil((hi - lo) / delta)
+        if hi - (lo + delta * (n - 1)) < 1e-9 * delta:
+            n -= 1
+        self.lo, self.hi, self.delta, self.n = lo, hi, delta, n
+        # each e_i, i < n, and (v - lo) / delta for v up to e_n are then
+        # within 2^-12 of their index, so the estimate below is within
+        # one step of the count
+        self._one_step = abs(lo) / delta + n < 2.0**40
+
+    def __len__(self) -> int:
+        return self.n + 1
+
+    def __getitem__(self, i):
+        """The edges at an index array i (e_i at an integer i)."""
+        i = np.asarray(i)
+        return np.where(i == self.n, self.hi, self.lo + self.delta * i)
+
+    def searchsorted(self, v, side="left"):
+        """np.searchsorted(edges, v, side) for finite or infinite v.
+
+        k = ceil((v - lo) / delta), clipped to [0, n], estimates the
+        count of e_0..e_n-1 before v, before meaning < on the left side
+        and <= on the right; a step down where e_k-1 is not before v, or
+        up where e_k is, makes it exact.  e_-1 and e_n here are the
+        arithmetic lo - delta and lo + delta*n, and hi = e_n adds one
+        where it is before v, which puts every other edge before v.
+        """
+        v = np.asarray(v, dtype=float)
+        lo, d, n = self.lo, self.delta, self.n
+        before = np.less if side == "left" else np.less_equal
+        k = np.ceil((v - lo) / d)
+        k = np.clip(k, 0, n, out=k).astype(np.intp)
+        while True:
+            # the edges are non-decreasing: at most one step applies
+            step = k + before(lo + d * k, v)
+            step -= ~before(lo + d * (k - 1), v)
+            np.clip(step, 0, n, out=step)
+            if self._one_step or np.array_equal(step, k):
+                return step + before(self.hi, v)
+            k = step
+
+
 # a run of more points than this is filled by slice assignment
 _LONG_RUN = 64
-# cdf_many expands at most this many nodes of a level in one pass
+# the walk expands at most this many nodes of a level in one pass
 _BLOCK = 4096
-# coarse_spectrum reads a delta-grid in slabs of at most this many boxes
-_SLAB = 1 << 20
 
 
 def _fill(out: np.ndarray, runs: np.ndarray, vals: np.ndarray) -> None:
@@ -578,14 +658,15 @@ def coarse_spectrum(F: DistributionFunction, delta_list,
     exponent, is a DomainError, and one that needs more than
     ENUMERATION_CAP boxes a CapacityError.
 
-    The grid is read in slabs of at most _SLAB boxes.  A slab's edges
-    are the floats lo + delta*i of the whole grid, with the last set to
-    hi, and take one cdf_many call; the slab's masses, 10x bounds and
-    exponents then overwrite its edge and value buffers, so at most
-    three slab-sized float arrays are alive at once.  The edge two slabs
-    share is evaluated in both, with the same value, so the bins are
-    those of the whole grid; kept_mass adds per-slab sums, and equals
-    the whole grid's sum when the grid is one slab.
+    The grid's edges are the floats lo + delta*i, with the last set to
+    hi, and are never materialised: F's level walk reads them as its
+    points, searched by arithmetic, and emits runs of edges of equal
+    value and bound.  A box inside a run has mass exactly 0 and is never
+    kept, so a mass is formed only where one run meets the next, and
+    the bins and kept_mass (one sum of the kept masses in box order) are
+    those of every box's cdf_many values.  A PrecisionError is replayed
+    through the scalar descent in grid order, so the first offending
+    edge's error escapes.
     """
     if alpha_bin_width <= 0:
         raise ValueError("alpha_bin_width must be positive")
@@ -603,40 +684,43 @@ def coarse_spectrum(F: DistributionFunction, delta_list,
                                 f"{ENUMERATION_CAP} boxes")
     out = []
     for d in deltas:
-        n = math.ceil(diam / d)
-        if hi - (lo + d * (n - 1)) < 1e-9 * d:
-            # diam/d rounded up past an integer: drop the rounding-noise box
-            n -= 1
-        counts, kept = Counter(), 0.0
-        for k0 in range(0, n, _SLAB):
-            k1 = min(k0 + _SLAB, n)
-            edges = lo + d * np.arange(k0, k1 + 1)
-            if k1 == n:
-                edges[-1] = hi
-            values, errors = F.cdf_many(edges)
-            # the masses overwrite the edges, and 10x their bounds the values
-            masses = np.subtract(values[1:], values[:-1], out=edges[:-1])
-            errs = np.add(errors[:-1], errors[1:], out=values[:-1])
-            errs *= 10.0
-            keep = (masses > 0.0) & (masses >= errs)
-            del edges, values, errors, errs
-            alphas = masses[keep]
-            del masses
-            kept += float(alphas.sum())
-            np.log(alphas, out=alphas)
-            alphas /= math.log(d)
-            with np.errstate(over="ignore"):  # an infinite index is refused
-                alphas /= alpha_bin_width
-            np.floor(alphas, out=alphas)  # the bin indices
-            if not (np.abs(alphas) < 2.0**63).all():
-                raise ValueError(f"bin width {alpha_bin_width:g} puts an "
-                                 f"exponent at delta {d:g} in a bin past int64")
-            ids, slab_counts = np.unique(alphas.astype(int), return_counts=True)
-            del alphas  # before the next slab's edges
-            counts.update(dict(zip(ids.tolist(), slab_counts.tolist())))
+        grid = _Grid(lo, hi, d)
+        # per run: its first edge, value and bound; the walk covers e_0 to
+        # e_n-1, and F is 1 exactly at e_n = hi
+        firsts, vals, errs = [[grid.n]], [[1.0]], [[0.0]]
+        try:
+            for runs, v, e in F._runs(grid, 0, grid.n):
+                if runs.ndim == 2:
+                    held = runs[1] > runs[0]
+                    runs, v = runs[0, held], v[held]
+                    e = None if e is None else e[held]
+                firsts.append(runs)
+                vals.append(v)
+                errs.append(np.zeros(len(v)) if e is None else e)
+        except PrecisionError:
+            for i in range(grid.n + 1):
+                F._descend(float(grid[i]))
+            raise
+        # each batch arrives sorted, which a merge sort takes as its runs
+        order = np.argsort(np.concatenate(firsts), kind="stable")
+        values = np.concatenate(vals)[order]
+        bounds = np.concatenate(errs)[order]
+        masses = np.diff(values)
+        alphas = masses[(masses > 0.0)
+                        & (masses >= 10.0 * (bounds[:-1] + bounds[1:]))]
+        kept = float(alphas.sum())
+        np.log(alphas, out=alphas)
+        alphas /= math.log(d)
+        with np.errstate(over="ignore"):  # an infinite index is refused
+            alphas /= alpha_bin_width
+        np.floor(alphas, out=alphas)  # the bin indices
+        if not (np.abs(alphas) < 2.0**63).all():
+            raise ValueError(f"bin width {alpha_bin_width:g} puts an "
+                             f"exponent at delta {d:g} in a bin past int64")
+        ids, counts = np.unique(alphas.astype(int), return_counts=True)
         bins = [CoarseBin(alpha_center=(b + 0.5) * alpha_bin_width,
                           count=count, f_alpha=math.log(count) / (-math.log(d)))
-                for b, count in sorted(counts.items())]
+                for b, count in zip(ids.tolist(), counts.tolist())]
         if kept > 1.0 + 1e-9:
             raise PrecisionError(f"kept box masses sum to {kept} > 1")
         out.append(CoarseSpectrum(delta=d, bin_width=alpha_bin_width,

@@ -174,10 +174,11 @@ def test_scales_refuse_radii_outside_the_float_range(F_cantor, j_min, j_max,
 
 def test_coarse_spectrum_checks_every_box_size_before_counting(F_cantor,
                                                               monkeypatch):
+    # the walk's points are the grid's edges, 82 of them at 1/81
     calls = []
-    count = F_cantor.cdf_many
-    monkeypatch.setattr(F_cantor, "cdf_many",
-                        lambda xs: calls.append(len(xs)) or count(xs))
+    walk = F_cantor._runs
+    monkeypatch.setattr(F_cantor, "_runs", lambda points, *rest: (
+        calls.append(len(points)) or walk(points, *rest)))
     with pytest.raises(CapacityError, match="box size 4.94066e-324"):
         coarse_spectrum(F_cantor, [1 / 81, 5e-324])
     assert calls == []
@@ -277,6 +278,7 @@ def test_coarse_spectrum_drops_rounding_sliver(cantor, cantor_psi):
     # 1/3^-10 rounds to 59049.00000000001, so ceil gives one box too many
     d = 3.0 ** -10
     assert math.ceil(1.0 / d) == 3 ** 10 + 1
+    assert len(estimators._Grid(0.0, 1.0, d)) == 3 ** 10 + 1
     result = coarse_spectrum(DistributionFunction(cantor, cantor_psi), [d])[0]
     expected = Counter()
     for k in range(11):
@@ -306,27 +308,117 @@ def _whole_grid_spectrum(F, d, width=0.2):
     return CoarseSpectrum(d, width, bins, float(masses[keep].sum()))
 
 
-@pytest.mark.parametrize("config,d,slab", [
-    ("cantor_14_34", 3.0 ** -9, 1000),
-    ("moebius_pair", 2.0 ** -12, 1000),
-    ("lebesgue", 2.0 ** -12, 1024),  # four slabs of exactly 1024 boxes
-    ("cantor_14_34", 3.0 ** -7, 729),  # three slabs of exactly 729 boxes
-    ("cantor_14_34", 3.0 ** -10, 1000),  # the sliver test's grid
+@pytest.mark.parametrize("config,d", [
+    ("cantor_14_34", 3.0 ** -9),
+    ("moebius_pair", 2.0 ** -12),
+    ("lebesgue", 2.0 ** -12),
+    ("cantor_14_34", 3.0 ** -7),
+    ("cantor_14_34", 3.0 ** -10),  # the sliver test's grid
+    ("cantor_14_34", 3.0 ** -13),  # 1,594,323 boxes, past 2^20
 ])
-def test_coarse_spectrum_slabs_change_nothing(monkeypatch, config, d, slab):
+def test_coarse_spectrum_equals_the_whole_grid(config, d):
+    # bins and kept_mass, the sum of the kept masses in box order, are
+    # those of every edge's cdf_many value, bit for bit
     F = DistributionFunction(*_config_cascade(config))
+    assert coarse_spectrum(F, [d]) == [_whole_grid_spectrum(F, d)]
+
+
+@pytest.mark.parametrize("constant_splits", [True, False])
+def test_coarse_spectrum_equals_the_whole_grid_past_out_of_order_nodes(
+        constant_splits, monkeypatch):
+    # the near-overlap system's nodes with child ends out of order hand
+    # their edges to the scalar descent, one-point runs each
+    F = DistributionFunction(*_near_overlap_system(constant_splits),
+                             DepthPolicy(30, 1e-12))
+    d = 2.0 ** -16
     whole = _whole_grid_spectrum(F, d)
-    # the default slab holds every grid here: the result is the reference
+    walked = _record_handovers(monkeypatch)
     assert coarse_spectrum(F, [d]) == [whole]
-    monkeypatch.setattr(estimators, "_SLAB", slab)
-    (slabbed,) = coarse_spectrum(F, [d])
-    assert slabbed._replace(kept_mass=whole.kept_mass) == whole
-    assert abs(slabbed.kept_mass - whole.kept_mass) <= 1e-12
+    assert walked
 
 
-@pytest.mark.parametrize("j,limit_mb", [(12, 16), (14, 64)])
-def test_coarse_spectrum_memory_stays_within_a_few_slabs(j, limit_mb):
-    # the whole grid at once peaked at 26.6 MB (3^-12) and 239 MB (3^-14)
+def test_coarse_spectrum_raises_the_first_edge_precision_error():
+    # 3 edges of the 3^-6 grid meet the width floor, the first and the
+    # last with different messages: the walk's error is replayed through
+    # the scalar descent in grid order
+    ifs, psi = _config_cascade("cantor_14_34")
+    d = 3.0 ** -6
+    edges = d * np.arange(3**6 + 1)
+    edges[-1] = 1.0
+    policy = DepthPolicy(60, 0.0)
+    ref = _scalar_cdf(DistributionFunction(ifs, psi, policy), edges)
+    assert isinstance(ref, str)
+    assert _scalar_cdf(DistributionFunction(ifs, psi, policy),
+                       edges[::-1]) != ref
+    with pytest.raises(PrecisionError) as exc:
+        coarse_spectrum(DistributionFunction(ifs, psi, policy), [d])
+    assert str(exc.value) == ref
+
+
+def _grid_ends(draw, grid):
+    """Edges of the grid, their neighbours 1 to 3 ulps either side, lo,
+    hi and uniform points over and just beyond [lo, hi]."""
+    lo, hi, n = grid.lo, grid.hi, grid.n
+    edges = lo + grid.delta * np.arange(n + 1)
+    edges[-1] = hi
+    picks = draw(st.lists(st.integers(0, n), min_size=1, max_size=30))
+    picks += [0, n, max(n - 1, 0)]
+    vs = [lo, hi, -math.inf, math.inf]
+    for i in picks:
+        v = float(edges[i])
+        vs.append(v)
+        for toward in (-math.inf, math.inf):
+            x = v
+            for _ in range(draw(st.integers(1, 3))):
+                x = math.nextafter(x, toward)
+            vs.append(x)
+    span = hi - lo
+    vs += draw(st.lists(st.floats(lo - span, hi + span), max_size=30))
+    return edges, np.array(vs)
+
+
+def _assert_grid_search(grid, draw):
+    edges, vs = _grid_ends(draw, grid)
+    assert np.array_equal(grid[np.arange(len(grid))], edges)
+    for side in ("left", "right"):
+        assert np.array_equal(grid.searchsorted(vs, side),
+                              np.searchsorted(edges, vs, side))
+        # the walk searches 2-D arrays of child ends
+        ends = vs[:len(vs) // 2 * 2].reshape(-1, 2)
+        assert np.array_equal(grid.searchsorted(ends, side),
+                              np.searchsorted(edges, ends, side))
+
+
+@pytest.mark.parametrize("config", ["cantor_14_34", "uniform_cantor",
+                                    "lebesgue", "moebius_pair"])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_grid_search_is_searchsorted_of_the_edges(config, data):
+    # the config's default scale base at depths 1-12; 3^-10 on
+    # cantor_14_34 is the grid whose last box is a dropped sliver
+    ifs, _ = _config_cascade(config)
+    for j in range(1, 13):
+        grid = estimators._Grid(*ifs.domain, default_scale_base(ifs) ** -j)
+        _assert_grid_search(grid, data.draw)
+
+
+@settings(max_examples=30, deadline=None)
+@given(domain_delta=st.sampled_from([
+    ((-3.5, 2.25), 2.0 ** -10),
+    # |lo| / delta past 2^40: the estimate may be several steps off
+    ((1e9, 1e9 + 1.0), 3.0 ** -9),
+    # ulp(lo) is twice delta, so every edge is repeated
+    ((1e15, 1e15 + 64.0), 2.0 ** -4)]), data=st.data())
+def test_grid_search_away_from_zero_is_searchsorted_of_the_edges(
+        domain_delta, data):
+    (lo, hi), d = domain_delta
+    _assert_grid_search(estimators._Grid(lo, hi, d), data.draw)
+
+
+@pytest.mark.parametrize("j,limit_mb", [(12, 3), (14, 6)])
+def test_coarse_spectrum_memory_does_not_grow_with_the_grid(j, limit_mb):
+    # measured 1.2 MB (3^-12) and 2.7 MB (3^-14); one array of every edge
+    # took 26.6 MB and 239 MB, and slabs of 2^20 boxes 13.8 and 28.3 MB
     F = DistributionFunction(*_config_cascade("cantor_14_34"))
     tracemalloc.start()
     try:
@@ -526,10 +618,10 @@ def _record_handovers(monkeypatch) -> list:
     expand, descend = DistributionFunction._expand, DistributionFunction._descend
     blocks, walked = [], []
 
-    def recorded_expand(self, s, values, errors, depth, slices, *rest):
+    def recorded_expand(self, points, depth, slices, *rest):
         blocks.append((depth, (slices[1] - slices[0]).tolist()))
         try:
-            return expand(self, s, values, errors, depth, slices, *rest)
+            return (yield from expand(self, points, depth, slices, *rest))
         finally:
             blocks.append(None)
 
